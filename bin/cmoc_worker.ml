@@ -12,7 +12,9 @@
 
    All state is per-job — a worker holds no heap shared with the
    parent or with other workers, which is the process isolation the
-   distributed mode exists to provide. *)
+   distributed mode exists to provide.  The one exception is the
+   binary's fingerprint, hashed once at start and reused by every
+   handshake. *)
 
 let usage () =
   prerr_endline

@@ -5,6 +5,7 @@ module Ilcodec = Cmo_il.Ilcodec
 module Codec = Cmo_support.Codec
 module Fsio = Cmo_support.Fsio
 module Netio = Cmo_support.Netio
+module Obs = Cmo_obs.Obs
 module Loader = Cmo_naim.Loader
 module Memstats = Cmo_naim.Memstats
 module Hlo = Cmo_hlo.Hlo
@@ -418,6 +419,12 @@ let refused_total () = Atomic.get refused_counter
 let stragglers_total () = Atomic.get stragglers_counter
 let retired_total () = Atomic.get retired_counter
 
+(* Bump a process-lifetime counter and its [dist/<series>] Obs twin,
+   so a traced build's report accounts for its own distribution. *)
+let count counter series =
+  Atomic.incr counter;
+  Obs.tick "dist" series 1
+
 (* --- the worker side ---------------------------------------------- *)
 
 exception Relay_broken
@@ -469,42 +476,40 @@ let env_float name default =
    — proof of life during a long optimization, so the parent can tell
    a straggler (alive but past its deadline) from a dead peer.  Sends
    go through the caller's lock-serialized [send], so a pulse can
-   never interleave with a relay frame. *)
+   never interleave with a relay frame.  The pulse thread parks in
+   select(2) on a wake pipe rather than sleeping in ticks: when [f]
+   ends, one byte on the pipe releases it at once, so the join never
+   holds the job's [Done] back. *)
 let with_pulses ~hb ~send f =
   if hb <= 0.0 then f ()
   else begin
-    let stop = Atomic.make false in
-    let tick = min hb 0.05 in
-    let th =
-      Thread.create
-        (fun () ->
-          let rec loop acc =
-            if not (Atomic.get stop) then begin
-              Thread.delay tick;
-              let acc = acc +. tick in
-              if acc >= hb then begin
-                (match send Pulse with
-                | () -> loop 0.0
-                | exception _ -> Atomic.set stop true)
-              end
-              else loop acc
-            end
-          in
-          loop 0.0)
-        ()
+    let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+    let rec pulse_until due =
+      let remain = Float.max 0.0 (due -. Unix.gettimeofday ()) in
+      match Unix.select [ wake_r ] [] [] remain with
+      | [], _, _ -> (
+        match send Pulse with
+        | () -> pulse_until (Unix.gettimeofday () +. hb)
+        | exception _ -> ())
+      | _ -> ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> pulse_until due
     in
+    let th = Thread.create pulse_until (Unix.gettimeofday () +. hb) in
     Fun.protect
       ~finally:(fun () ->
-        Atomic.set stop true;
-        Thread.join th)
+        ignore (Unix.write_substring wake_w "!" 0 1);
+        Thread.join th;
+        Unix.close wake_r;
+        Unix.close wake_w)
       f
   end
 
 (* Serve one parent conversation on an fd pair (a socketpair to a
    spawned worker, or one accepted TCP connection).  Returns the exit
    status: 0 for a clean goodbye (Bye, EOF or a version refusal), 2
-   for a protocol violation. *)
-let serve_conn in_fd out_fd =
+   for a protocol violation.  [fp] is the fingerprint to report, hashed
+   once per worker process by the caller. *)
+let serve_conn ~fp in_fd out_fd =
   let send_lock = Mutex.create () in
   let send msg =
     Mutex.lock send_lock;
@@ -574,16 +579,19 @@ let serve_conn in_fd out_fd =
     (* The mandatory handshake: version and identity first, before any
        job bytes, so a skewed worker is refused before it can touch an
        artifact. *)
-    send (Hello { h_wire = wire_version; h_digest = self_fingerprint () });
+    send (Hello { h_wire = wire_version; h_digest = fp });
     serve ()
   with Relay_broken -> 2
 
 let worker_main in_fd out_fd =
   if Sys.os_type <> "Win32" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  exit (serve_conn in_fd out_fd)
+  exit (serve_conn ~fp:(self_fingerprint ()) in_fd out_fd)
 
 let worker_listen ?port_file host port =
   if Sys.os_type <> "Win32" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  (* Hashed before the listener is announced: once per process, never
+     per connection, so no parent's handshake waits on it. *)
+  let fp = self_fingerprint () in
   let fd, actual = Netio.listen host port in
   (* The parseable "where am I" line tooling scrapes (port 0 binds an
      ephemeral port); the optional port file is the race-free variant. *)
@@ -592,7 +600,7 @@ let worker_listen ?port_file host port =
   | Some path -> Fsio.atomic_write path (string_of_int actual ^ "\n")
   | None -> ());
   let rec accept_loop () =
-    match Unix.accept ~cloexec:true fd with
+    match Netio.accept fd with
     | conn, _ ->
       (* One thread per conversation: a fleet parent dials one
          connection per concurrent job, and a stalled conversation
@@ -600,7 +608,7 @@ let worker_listen ?port_file host port =
       ignore
         (Thread.create
            (fun () ->
-             (try ignore (serve_conn conn conn) with _ -> ());
+             (try ignore (serve_conn ~fp conn conn) with _ -> ());
              try Unix.close conn with Unix.Unix_error _ -> ())
            ());
       accept_loop ()
@@ -771,7 +779,7 @@ let note_endpoint_loss pool e =
       e.ep_fails <- e.ep_fails + 1;
       if e.ep_fails >= breaker_limit && not e.ep_retired then begin
         e.ep_retired <- true;
-        Atomic.incr retired_counter;
+        count retired_counter "retired";
         Log.warn (fun m ->
             m "retiring worker %s after %d consecutive losses" e.ep_addr
               e.ep_fails)
@@ -790,7 +798,7 @@ let destroy pool w =
     (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
   | Net e -> note_endpoint_loss pool e);
   (try Unix.close w.fd with Unix.Unix_error _ -> ());
-  Atomic.incr lost_counter
+  count lost_counter "lost"
 
 (* Consume the mandatory [Hello] on a fresh connection and verify the
    worker's version fingerprint.  A skewed worker is told why
@@ -799,7 +807,7 @@ let destroy pool w =
    endpoint outright (version skew does not heal by retrying). *)
 let handshake pool w =
   let refuse reason =
-    Atomic.incr refused_counter;
+    count refused_counter "refused";
     Log.warn (fun m ->
         m "refusing %s worker: %s"
           (match w.kind with Proc _ -> "spawned" | Net e -> e.ep_addr)
@@ -812,7 +820,7 @@ let handshake pool w =
       locked pool (fun () ->
           if not e.ep_retired then begin
             e.ep_retired <- true;
-            Atomic.incr retired_counter
+            count retired_counter "retired"
           end));
     destroy pool w;
     raise Worker_lost
@@ -928,7 +936,7 @@ let run_job pool ?phase_cache job =
   let check_deadline () =
     match pool.deadline_s with
     | Some d when Unix.gettimeofday () -. started > d ->
-      Atomic.incr stragglers_counter;
+      count stragglers_counter "stragglers";
       Log.debug (fun m -> m "straggler: job past its %.3fs deadline, redoing" d);
       lose ()
     | _ -> ()
@@ -973,7 +981,7 @@ let run_job pool ?phase_cache job =
       | Net e -> locked pool (fun () -> e.ep_fails <- 0)
       | Proc _ -> ());
       checkin pool w;
-      Atomic.incr jobs_counter;
+      count jobs_counter "jobs";
       payload
     | Fail reason ->
       (* The worker is healthy; the job failed.  Keep the worker,
@@ -984,7 +992,7 @@ let run_job pool ?phase_cache job =
       | Net e -> locked pool (fun () -> e.ep_fails <- 0)
       | Proc _ -> ());
       checkin pool w;
-      Atomic.incr lost_counter;
+      count lost_counter "lost";
       raise Worker_lost
   in
   wait ()

@@ -156,9 +156,10 @@ val worker_main : Unix.file_descr -> Unix.file_descr -> 'a
 (** Serve jobs from [in_fd]/[out_fd] — {!worker_msg.Hello} first,
     then the job loop — until {!parent_msg.Bye}, {!parent_msg.Refuse}
     or EOF, then exit 0; exit 2 on a protocol violation.
-    [bin/cmoc_worker] calls this on stdin/stdout.  Environment
-    levers: [$CMO_WORKER_FP] overrides the reported binary digest
-    (skew tests), [$CMO_WORKER_HB] the heartbeat period in seconds
+    [bin/cmoc_worker] calls this on stdin/stdout.  The binary digest
+    the {!worker_msg.Hello} reports is hashed once, at start.
+    Environment levers: [$CMO_WORKER_FP] overrides the reported binary
+    digest (skew tests), [$CMO_WORKER_HB] the heartbeat period in seconds
     (default 5, 0 disables), [$CMO_WORKER_SLOW_S] sleeps that long
     before each job (straggler tests).  Never returns. *)
 
@@ -168,8 +169,18 @@ val worker_listen : ?port_file:string -> string -> int -> 'a
     (and write the bare port to [port_file] when given — the
     race-free way for a harness to learn an ephemeral port), then
     serve each accepted connection in its own thread with the same
-    protocol as {!worker_main}.  Never returns; dismiss it with a
-    signal. *)
+    protocol as {!worker_main}.  The binary is hashed once, before the
+    bind, and every connection's {!worker_msg.Hello} reuses that
+    digest.  Never returns; dismiss it with a signal. *)
+
+val with_pulses : hb:float -> send:(worker_msg -> unit) -> (unit -> 'a) -> 'a
+(** [with_pulses ~hb ~send f] runs [f] while a background thread calls
+    [send Pulse] every [hb] seconds ([hb <= 0] disables it); the
+    worker's heartbeat.  The thread is woken and joined the moment [f]
+    returns or raises, so a job's end is never delayed by the next
+    pulse.  A raising [send] ends the pulses, not [f].  Exposed for the
+    heartbeat tests; workers reach it only through {!worker_main} and
+    {!worker_listen}. *)
 
 (** {2 The parent side} *)
 
@@ -239,7 +250,10 @@ type remote = {
   remote_put : string -> string -> unit;
 }
 
-(** {2 Counters} — process-lifetime, for tests and the bench. *)
+(** {2 Counters} — process-lifetime, for tests and the bench.  Every
+    counter but {!events_total} is also ticked to an Obs counter,
+    [dist/jobs], [dist/lost], [dist/refused], [dist/stragglers] and
+    [dist/retired], so a traced build reports its own share. *)
 
 val jobs_total : unit -> int
 (** Partition jobs completed on worker processes. *)

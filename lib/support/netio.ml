@@ -231,6 +231,15 @@ let listen ?(backlog = 16) host port =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     raise (sys_error_of_unix (format_addr host port) e)
 
+(* The accepting end needs [TCP_NODELAY] as much as the dialing end:
+   the protocol is small request/reply frames, and Nagle holding back a
+   reply until the peer's delayed ACK stalls every exchange. *)
+let accept fd =
+  let conn, addr = Unix.accept ~cloexec:true fd in
+  (try Unix.setsockopt conn Unix.TCP_NODELAY true
+   with Unix.Unix_error _ -> ());
+  (conn, addr)
+
 (* ---- framed messages through the injection chokepoint ---- *)
 
 (* Corrupt one payload bit of a framed message (or a CRC bit when the

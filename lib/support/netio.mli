@@ -111,6 +111,11 @@ val listen : ?backlog:int -> string -> int -> Unix.file_descr * int
     configuration error the caller should see raw.  Raises
     [Sys_error]. *)
 
+val accept : Unix.file_descr -> Unix.file_descr * Unix.sockaddr
+(** Accept one connection on a {!listen} socket (close-on-exec, with
+    [TCP_NODELAY] set, like a {!connect}ed one).  Never fault-injected.
+    Raises [Unix.Unix_error] as [Unix.accept] does. *)
+
 (** {2 Framed messages}
 
     The same CMR1 frames as {!Fsio.write_framed} /

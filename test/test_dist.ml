@@ -581,6 +581,52 @@ let test_tcp_jobs_accounted () =
   Alcotest.(check bool) "tcp image behaves like the oracle" true
     (o.Vm.output = oo.Vm.output && o.Vm.ret = oo.Vm.ret)
 
+(* Distribution is visible in a traced build's own report: each
+   [dist/*] Obs counter equals the matching process-lifetime total's
+   delta over the build — here with a reset injected so the loss
+   series moves too — and tracing leaves every artifact unchanged. *)
+let test_tcp_traced_counters () =
+  with_fleet 2 @@ fun endpoints ->
+  let plain = build ~mode:(Tcp endpoints) Options.o4 2 matrix_sources in
+  let totals () =
+    [
+      ("dist/jobs", Distwork.jobs_total ());
+      ("dist/lost", Distwork.lost_total ());
+      ("dist/refused", Distwork.refused_total ());
+      ("dist/stragglers", Distwork.stragglers_total ());
+      ("dist/retired", Distwork.retired_total ());
+    ]
+  in
+  let before = totals () in
+  (match Netio.install_plan "reset@2" with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "reset plan rejected: %s" m);
+  let traced =
+    Fun.protect ~finally:Netio.clear_plan @@ fun () ->
+    with_dir @@ fun dir ->
+    let options =
+      { Options.o4 with Options.trace = Some (Filename.concat dir "trace.json") }
+    in
+    build ~mode:(Tcp endpoints) options 2 matrix_sources
+  in
+  same_build "traced fleet build = untraced" plain traced;
+  let counters =
+    match traced.Pipeline.report.Pipeline.obs with
+    | Some s -> s.Cmo_obs.Obs.counters
+    | None -> Alcotest.fail "traced build carries no trace summary"
+  in
+  List.iter2
+    (fun (name, b) (_, a) ->
+      let ticked =
+        Option.value ~default:0.0 (List.assoc_opt name counters)
+      in
+      Alcotest.(check int) (name ^ " = total delta") (a - b)
+        (int_of_float ticked))
+    before (totals ());
+  Alcotest.(check bool) "jobs and a loss were counted" true
+    (List.assoc "dist/jobs" counters > 0.0
+    && List.assoc "dist/lost" counters > 0.0)
+
 (* A worker fleet built from a different binary: the handshake refuses
    every skewed Hello (fingerprint mismatch), no skewed worker ever
    touches an artifact, and the refused jobs run locally —
@@ -646,6 +692,36 @@ let test_tcp_straggler_redo () =
         (Distwork.stragglers_total () > stragglers0);
       Alcotest.(check bool) "straggled worker counted lost" true
         (Distwork.lost_total () > lost0))
+
+(* ---------- the heartbeat thread ---------- *)
+
+(* A job's end releases the pulse thread at once: twenty 1 ms jobs
+   under a 5 s heartbeat finish far inside the 20 x 50 ms a
+   tick-polling pulse thread would hold them back on its join.  Each
+   job sleeps so the pulse thread is already parked when it ends. *)
+let test_pulse_stop_latency () =
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to 20 do
+    Distwork.with_pulses ~hb:5.0 ~send:(fun _ -> ()) (fun () ->
+        Thread.delay 0.001)
+  done;
+  let dt = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "20 jobs ended in %.3f s (< 0.25 s)" dt)
+    true (dt < 0.25)
+
+(* Waking on job end must not cost the cadence: a 0.3 s job under a
+   50 ms heartbeat still sends several pulses, and nothing else. *)
+let test_pulse_cadence () =
+  let pulses = Atomic.make 0 and others = Atomic.make 0 in
+  let send = function
+    | Distwork.Pulse -> Atomic.incr pulses
+    | _ -> Atomic.incr others
+  in
+  Distwork.with_pulses ~hb:0.05 ~send (fun () -> Thread.delay 0.3);
+  let n = Atomic.get pulses in
+  Alcotest.(check bool) (Printf.sprintf "%d pulses (>= 3)" n) true (n >= 3);
+  Alcotest.(check int) "only pulses sent" 0 (Atomic.get others)
 
 (* Three straight losses trip the circuit breaker: a dead endpoint is
    dialed (and its refusal retried through the bounded connect
@@ -849,10 +925,13 @@ let suite =
     ("matrix whole-set chain", `Slow, test_matrix_chain);
     ("dist jobs accounted", `Quick, test_dist_jobs_accounted);
     ("tcp jobs accounted", `Quick, test_tcp_jobs_accounted);
+    ("tcp traced counters", `Quick, test_tcp_traced_counters);
     ("degrades without worker", `Quick, test_degrades_without_worker);
     ("skewed fleet refused", `Quick, test_tcp_skewed_fleet_refused);
     ("skewed local worker refused", `Quick, test_skewed_local_worker_refused);
     ("straggler redo", `Quick, test_tcp_straggler_redo);
+    ("pulse stop latency", `Quick, test_pulse_stop_latency);
+    ("pulse cadence", `Quick, test_pulse_cadence);
     ("breaker retires dead endpoint", `Quick, test_breaker_retires_dead_endpoint);
     ("kill-sweep", `Slow, test_kill_sweep);
     ("partition sweep over tcp", `Slow, test_tcp_partition_sweep);

@@ -813,6 +813,26 @@ let test_net_listen_connect_roundtrip () =
   | Ok p -> Alcotest.(check string) "server->client" "pong" p
   | Error _ -> Alcotest.fail "client never saw the reply"
 
+(* Both ends of a Netio connection run with Nagle off: the worker
+   protocol's small request/reply frames must not wait on delayed
+   ACKs in either direction. *)
+let test_net_nodelay_both_ends () =
+  Netio.clear_plan ();
+  let lfd, port = Netio.listen "127.0.0.1" 0 in
+  Fun.protect ~finally:(fun () -> try Unix.close lfd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let cfd = Netio.connect ~timeout_s:5.0 "127.0.0.1" port in
+  let sfd, _ = Netio.accept lfd in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close cfd with Unix.Unix_error _ -> ());
+      try Unix.close sfd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Alcotest.(check bool) "dialing end has TCP_NODELAY" true
+    (Unix.getsockopt cfd Unix.TCP_NODELAY);
+  Alcotest.(check bool) "accepting end has TCP_NODELAY" true
+    (Unix.getsockopt sfd Unix.TCP_NODELAY)
+
 (* A dead port is a transient connect error: the dialer retries its
    bounded attempts (visible on the retry counter) and then fails with
    Sys_error — an injected-or-real distinction the caller cannot
@@ -861,5 +881,6 @@ let suite =
     ("net reset is one-shot", `Quick, test_net_reset_is_one_shot);
     ("net partition is sticky", `Quick, test_net_partition_is_sticky);
     ("net listen/connect roundtrip", `Quick, test_net_listen_connect_roundtrip);
+    ("net TCP_NODELAY on both ends", `Quick, test_net_nodelay_both_ends);
     ("net connect retries then fails", `Quick, test_net_connect_retries_then_fails);
   ]
