@@ -53,7 +53,11 @@
 # oracle byte for byte before the workers are torn down.  The clean
 # fleet build runs 20 times from an empty directory, each compared
 # against the oracle, so a race that breaks one build in forty fails
-# the gate in about two runs of five.  Run from the repository root.
+# the gate in about two runs of five.  Last, the NAIM pressure smoke
+# builds mcad1 at 1/4 scale on a 5 MB and on a 4 GB machine: both
+# must print the same output, and the 5 MB report must show IR
+# compactions, symbol-table compactions and offloads.  Run from the
+# repository root.
 set -eu
 
 echo "== dune build =="
@@ -104,6 +108,7 @@ COHORT_PID=
 FLEET_DIR=
 W1_PID=
 W2_PID=
+NAIM_DIR=
 cleanup() {
   [ -n "$CMOCD_PID" ] && kill "$CMOCD_PID" 2>/dev/null || true
   [ -n "$DIST_PID" ] && kill "$DIST_PID" 2>/dev/null || true
@@ -114,6 +119,7 @@ cleanup() {
   [ -n "$DIST_DIR" ] && rm -rf "$DIST_DIR"
   [ -n "$PROF_DIR" ] && rm -rf "$PROF_DIR"
   [ -n "$FLEET_DIR" ] && rm -rf "$FLEET_DIR"
+  [ -n "$NAIM_DIR" ] && rm -rf "$NAIM_DIR"
 }
 trap cleanup EXIT INT TERM
 mkdir -p "$SMOKE_DIR/src"
@@ -444,5 +450,31 @@ fi
 W1_PID=
 W2_PID=
 echo "fleet smoke OK"
+
+echo "== NAIM pressure smoke (mcad1 at 1/4 scale) =="
+# One real program built +O4 +P twice: on a 5 MB machine, where NAIM
+# compacts routine IR and symbol tables and offloads pools to the
+# repository, and on a 4 GB machine, where it stays off.  Both builds
+# must print the same output, and the pressured one must report all
+# three kinds of unloader traffic.
+NAIM_DIR=$(mktemp -d)
+mkdir -p "$NAIM_DIR/src"
+"$CMOC" gen --bench mcad1 --scale 0.25 --dir "$NAIM_DIR/src" > /dev/null
+"$CMOC" train "$NAIM_DIR"/src/*.mc -o "$NAIM_DIR/app.prof" > /dev/null
+for mb in 5 4096; do
+  "$CMOC" compile -O 4 -P --profile "$NAIM_DIR/app.prof" --machine-mb "$mb" \
+    --run --report-json "$NAIM_DIR/report$mb.json" "$NAIM_DIR"/src/*.mc \
+    > "$NAIM_DIR/out$mb"
+done
+cmp "$NAIM_DIR/out5" "$NAIM_DIR/out4096"
+for counter in compactions symtab_compactions offloads; do
+  n=$(grep -o "\"$counter\":[0-9]*" "$NAIM_DIR/report5.json" | cut -d: -f2)
+  if [ -z "$n" ] || [ "$n" -eq 0 ]; then
+    echo "NAIM smoke: $counter is ${n:-missing} at 5 MB"
+    exit 1
+  fi
+  echo "NAIM smoke: $counter $n at 5 MB"
+done
+echo "NAIM smoke OK"
 
 echo "CI OK"

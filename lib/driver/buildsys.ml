@@ -143,6 +143,8 @@ let request ?profile ?remote s (options : Options.t) sources =
   let want_il = options.Options.level = Options.O4 in
   let recompiled = ref [] in
   let reused = ref [] in
+  let t0 = Sys.time () in
+  let w0 = Unix.gettimeofday () in
   let objects =
     Cmo_obs.Obs.with_span ~cat:"stage" "frontend" @@ fun () ->
     List.map
@@ -176,6 +178,8 @@ let request ?profile ?remote s (options : Options.t) sources =
           obj)
       sources
   in
+  let frontend_seconds = Sys.time () -. t0 in
+  let frontend_wall_seconds = Unix.gettimeofday () -. w0 in
   let build_result =
     if want_il then begin
       (* CMO happens at link time, over the IL read back from disk. *)
@@ -191,18 +195,23 @@ let request ?profile ?remote s (options : Options.t) sources =
                       o.Objfile.module_name)))
           objects
       in
-      match s.sstore with
-      | Some store ->
-        let b =
-          Pipeline.compile_modules ?profile ~cache:store ?naim_repo:s.srepo
-            ?remote options modules
-        in
-        (* Keep the warm store durable between requests: the session
-           outlives this build, so flush now rather than at close. *)
-        Store.flush store;
-        b
-      | None ->
-        Pipeline.compile_modules ?profile ?naim_repo:s.srepo options modules
+      let b =
+        match s.sstore with
+        | Some store ->
+          let b =
+            Pipeline.compile_modules ?profile ~cache:store ?naim_repo:s.srepo
+              ?remote options modules
+          in
+          (* Keep the warm store durable between requests: the session
+             outlives this build, so flush now rather than at close. *)
+          Store.flush store;
+          b
+        | None ->
+          Pipeline.compile_modules ?profile ?naim_repo:s.srepo options modules
+      in
+      { b with
+        Pipeline.report =
+          { b.Pipeline.report with Pipeline.frontend_seconds; frontend_wall_seconds } }
     end
     else begin
       let image =
@@ -238,11 +247,11 @@ let request ?profile ?remote s (options : Options.t) sources =
                 peephole_rewrites = 0;
                 layout_changes = 0;
               };
-            frontend_seconds = 0.0;
+            frontend_seconds;
             hlo_seconds = 0.0;
             llo_seconds = 0.0;
             link_seconds = 0.0;
-            frontend_wall_seconds = 0.0;
+            frontend_wall_seconds;
             hlo_wall_seconds = 0.0;
             llo_wall_seconds = 0.0;
             workers_used = 1;

@@ -54,9 +54,13 @@ type pool = {
   mutable expanded_bytes : int;  (* modeled size of the expanded form *)
   mutable compact_charge : int;  (* modeled resident size when Compacted *)
   mutable pins : int;
-  mutable last_touch : int;
+  mutable last_touch : int;  (* tick of the last acquire (or creation) *)
   mutable pending : bool;  (* unpinned and expanded: eviction candidate *)
 }
+
+(* Pending pools keyed by [last_touch].  Every tick is handed out once,
+   so keys are unique and the minimum binding is the LRU victim. *)
+module Lru = Map.Make (Int)
 
 type module_rec = {
   mname : string;
@@ -79,6 +83,13 @@ type t = {
   mutable module_order_rev : string list;
   mutable func_order_rev : string list;
   mutable clock : int;
+  (* Indexes of the lazy unloader, maintained at every transition so a
+     release costs O(log pools) instead of scans over every pool and
+     module. *)
+  mutable pending_total : int;  (* sum of [expanded_bytes] over pending pools *)
+  mutable lru : pool Lru.t;  (* the pending pools *)
+  idle : (string, module_rec) Hashtbl.t;
+      (* modules with no expanded routine and an uncompacted symtab *)
   mutable s_acquires : int;
   mutable s_cache_hits : int;
   mutable s_uncompactions : int;
@@ -101,6 +112,9 @@ let create ?repo config mem =
     module_order_rev = [];
     func_order_rev = [];
     clock = 0;
+    pending_total = 0;
+    lru = Lru.empty;
+    idle = Hashtbl.create 64;
     s_acquires = 0;
     s_cache_hits = 0;
     s_uncompactions = 0;
@@ -134,6 +148,29 @@ let find_pool t fname =
 
 let find_module t mname = Hashtbl.find t.modules mname
 
+(* --- index maintenance --- *)
+
+let set_pending t pool =
+  if not pool.pending then begin
+    pool.pending <- true;
+    t.pending_total <- t.pending_total + pool.expanded_bytes;
+    t.lru <- Lru.add pool.last_touch pool t.lru
+  end
+
+let clear_pending t pool =
+  if pool.pending then begin
+    pool.pending <- false;
+    t.pending_total <- t.pending_total - pool.expanded_bytes;
+    t.lru <- Lru.remove pool.last_touch t.lru
+  end
+
+(* Call after any change to a module's [expanded_count] or
+   [symtab_compacted]. *)
+let sync_idle t m =
+  if m.expanded_count = 0 && not m.symtab_compacted then
+    Hashtbl.replace t.idle m.mname m
+  else Hashtbl.remove t.idle m.mname
+
 (* --- symbol-table pool state transitions --- *)
 
 let encode_symtab (m : module_rec) =
@@ -158,6 +195,7 @@ let compact_symtab t m =
     Memstats.release t.mem Memstats.Symtab_expanded m.symtab_bytes;
     Memstats.charge t.mem Memstats.Symtab_compacted m.symtab_compact_bytes;
     m.symtab_compacted <- true;
+    sync_idle t m;
     t.s_symtab_compactions <- t.s_symtab_compactions + 1;
     Obs.tick "naim.loader" "symtab_compactions" 1
   end
@@ -166,7 +204,8 @@ let expand_symtab t m =
   if m.symtab_compacted then begin
     Memstats.release t.mem Memstats.Symtab_compacted m.symtab_compact_bytes;
     Memstats.charge t.mem Memstats.Symtab_expanded m.symtab_bytes;
-    m.symtab_compacted <- false
+    m.symtab_compacted <- false;
+    sync_idle t m
   end
 
 (* --- pool state transitions --- *)
@@ -183,8 +222,9 @@ let compact_pool t pool =
     Memstats.release t.mem Memstats.Ir_expanded pool.expanded_bytes;
     Memstats.charge t.mem Memstats.Ir_compacted pool.compact_charge;
     pool.state <- Compacted bytes;
-    pool.pending <- false;
+    clear_pending t pool;
     m.expanded_count <- m.expanded_count - 1;
+    sync_idle t m;
     t.s_compactions <- t.s_compactions + 1;
     Obs.tick "naim.loader" "compactions" 1;
     Log.debug (fun log ->
@@ -227,6 +267,7 @@ let expand_pool t pool =
     Memstats.charge t.mem Memstats.Ir_expanded pool.expanded_bytes;
     pool.state <- Expanded f;
     m.expanded_count <- m.expanded_count + 1;
+    sync_idle t m;
     t.s_uncompactions <- t.s_uncompactions + 1;
     Obs.tick "naim.loader" "uncompactions" 1;
     f
@@ -238,6 +279,7 @@ let expand_pool t pool =
     Memstats.charge t.mem Memstats.Ir_expanded pool.expanded_bytes;
     pool.state <- Expanded f;
     m.expanded_count <- m.expanded_count + 1;
+    sync_idle t m;
     t.s_repo_loads <- t.s_repo_loads + 1;
     t.s_uncompactions <- t.s_uncompactions + 1;
     Obs.tick "naim.loader" "repo_loads" 1;
@@ -246,20 +288,14 @@ let expand_pool t pool =
 
 (* --- the lazy unloader --- *)
 
-let pending_bytes t =
-  Hashtbl.fold
-    (fun _ p acc -> if p.pending then acc + p.expanded_bytes else acc)
-    t.pools 0
-
-let lru_pending t =
-  Hashtbl.fold
-    (fun _ p best ->
-      if not p.pending then best
-      else
-        match best with
-        | Some b when b.last_touch <= p.last_touch -> best
-        | _ -> Some p)
-    t.pools None
+(* Compact every idle module's symbol table.  The set is snapshotted
+   because [compact_symtab] removes each module from it.  The order is
+   arbitrary; it cannot move the memory peak while every compaction
+   shrinks its table (compact forms measure under half the expanded
+   size on mcad1). *)
+let compact_idle_symtabs t =
+  Hashtbl.fold (fun _ m acc -> m :: acc) t.idle []
+  |> List.iter (compact_symtab t)
 
 let evict t =
   let lvl = level t in
@@ -268,20 +304,17 @@ let evict t =
       int_of_float (t.config.cache_fraction *. float_of_int t.config.machine_memory)
     in
     let continue_ = ref true in
-    while !continue_ && pending_bytes t > budget do
-      match lru_pending t with
+    while !continue_ && t.pending_total > budget do
+      match Lru.min_binding_opt t.lru with
       | None -> continue_ := false
-      | Some pool -> (
+      | Some (_, pool) -> (
         match lvl with
         | Off -> continue_ := false
         | Ir_compaction | St_compaction -> compact_pool t pool
         | Offloading -> offload_pool t pool)
     done;
     match lvl with
-    | St_compaction | Offloading ->
-      Hashtbl.iter
-        (fun _ m -> if m.expanded_count = 0 then compact_symtab t m)
-        t.modules
+    | St_compaction | Offloading -> compact_idle_symtabs t
     | Off | Ir_compaction -> ()
   end
 
@@ -320,25 +353,27 @@ let register_module t (m : Ilmod.t) =
           compact_charge = 0;
           pins = 0;
           last_touch = tick t;
-          pending = true;
+          pending = false;
         }
       in
       Hashtbl.replace t.pools f.Func.name pool;
+      set_pending t pool;
       t.func_order_rev <- f.Func.name :: t.func_order_rev;
       rec_.funcs_rev <- f.Func.name :: rec_.funcs_rev;
       rec_.expanded_count <- rec_.expanded_count + 1;
       Memstats.charge t.mem Memstats.Ir_expanded pool.expanded_bytes)
     m.Ilmod.funcs;
   m.Ilmod.funcs <- [];
+  sync_idle t rec_;
   evict t
 
 let acquire t fname =
   let pool = find_pool t fname in
   t.s_acquires <- t.s_acquires + 1;
   Obs.tick "naim.loader" "acquires" 1;
+  clear_pending t pool;  (* before the re-key: the index holds the old tick *)
   pool.last_touch <- tick t;
   let f = expand_pool t pool in
-  pool.pending <- false;
   pool.pins <- pool.pins + 1;
   f
 
@@ -348,7 +383,7 @@ let release t fname =
     invalid_arg (Printf.sprintf "Loader.release: %s is not pinned" fname);
   pool.pins <- pool.pins - 1;
   if pool.pins = 0 then begin
-    pool.pending <- true;
+    set_pending t pool;
     evict t
   end
 
@@ -366,6 +401,8 @@ let update t (f : Func.t) =
     Memstats.charge t.mem Memstats.Ir_expanded (new_bytes - pool.expanded_bytes)
   else
     Memstats.release t.mem Memstats.Ir_expanded (pool.expanded_bytes - new_bytes);
+  if pool.pending then
+    t.pending_total <- t.pending_total + new_bytes - pool.expanded_bytes;
   pool.expanded_bytes <- new_bytes
 
 let add_func t ~module_name (f : Func.t) =
@@ -383,13 +420,15 @@ let add_func t ~module_name (f : Func.t) =
       compact_charge = 0;
       pins = 0;
       last_touch = tick t;
-      pending = true;
+      pending = false;
     }
   in
   Hashtbl.replace t.pools f.Func.name pool;
+  set_pending t pool;
   t.func_order_rev <- f.Func.name :: t.func_order_rev;
   m.funcs_rev <- f.Func.name :: m.funcs_rev;
   m.expanded_count <- m.expanded_count + 1;
+  sync_idle t m;
   Memstats.charge t.mem Memstats.Ir_expanded pool.expanded_bytes;
   evict t
 
@@ -398,10 +437,12 @@ let remove_func t fname =
   if pool.pins > 0 then
     invalid_arg (Printf.sprintf "Loader.remove_func: %s is pinned" fname);
   let m = find_module t pool.pool_module in
+  clear_pending t pool;
   (match pool.state with
   | Expanded _ ->
     Memstats.release t.mem Memstats.Ir_expanded pool.expanded_bytes;
-    m.expanded_count <- m.expanded_count - 1
+    m.expanded_count <- m.expanded_count - 1;
+    sync_idle t m
   | Compacted _ ->
     Memstats.release t.mem Memstats.Ir_compacted pool.compact_charge
   | Offloaded _ -> ());
@@ -470,10 +511,7 @@ let unload_all t =
         end)
       t.pools;
     match lvl with
-    | St_compaction | Offloading ->
-      Hashtbl.iter
-        (fun _ m -> if m.expanded_count = 0 then compact_symtab t m)
-        t.modules
+    | St_compaction | Offloading -> compact_idle_symtabs t
     | Off | Ir_compaction -> ()
   end
 
@@ -489,3 +527,49 @@ let stats t =
   }
 
 let close t = if t.owns_repo then Repository.close t.repo
+
+(* The scans the indexes replace, kept as the reference they must
+   agree with. *)
+let check_index t =
+  let fail fmt = Printf.ksprintf failwith ("Loader.check_index: " ^^ fmt) in
+  let total, count, victim =
+    Hashtbl.fold
+      (fun _ p ((total, count, best) as acc) ->
+        if not p.pending then acc
+        else
+          ( total + p.expanded_bytes,
+            count + 1,
+            match best with
+            | Some b when b.last_touch <= p.last_touch -> best
+            | _ -> Some p ))
+      t.pools (0, 0, None)
+  in
+  if total <> t.pending_total then
+    fail "pending total %d, scan finds %d" t.pending_total total;
+  if count <> Lru.cardinal t.lru then
+    fail "%d pools indexed, scan finds %d pending" (Lru.cardinal t.lru) count;
+  Lru.iter
+    (fun key p ->
+      let registered =
+        match Hashtbl.find_opt t.pools p.fname with Some q -> q == p | None -> false
+      in
+      let expanded = match p.state with Expanded _ -> true | _ -> false in
+      if key <> p.last_touch || not p.pending || not registered then
+        fail "stale index entry for %s" p.fname;
+      if p.pins <> 0 || not expanded then
+        fail "pending pool %s is pinned or not expanded" p.fname)
+    t.lru;
+  (match (victim, Lru.min_binding_opt t.lru) with
+  | None, None -> ()
+  | Some v, Some (_, p) when v == p -> ()
+  | _ -> fail "LRU victim differs from the scan's");
+  Hashtbl.iter
+    (fun name m ->
+      let idle = m.expanded_count = 0 && not m.symtab_compacted in
+      if idle <> Hashtbl.mem t.idle name then
+        fail "module %s idle=%b but indexed=%b" name idle (Hashtbl.mem t.idle name))
+    t.modules;
+  Hashtbl.iter
+    (fun name _ ->
+      if not (Hashtbl.mem t.modules name) then fail "unknown idle module %s" name)
+    t.idle

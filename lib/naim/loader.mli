@@ -80,7 +80,9 @@ val acquire : t -> string -> Cmo_il.Func.t
 
 val release : t -> string -> unit
 (** Unpin; when the pin count reaches zero the pool becomes unload
-    pending and the lazy unloader may evict under memory pressure. *)
+    pending and the lazy unloader may evict under memory pressure.
+    Costs O(log pools) plus one step per pool evicted or symbol table
+    compacted. *)
 
 val update : t -> Cmo_il.Func.t -> unit
 (** Re-measure a pinned routine after mutation; adjusts the
@@ -137,3 +139,12 @@ val stats : t -> stats
 
 val close : t -> unit
 (** Close (and delete) the backing repository file, if any. *)
+
+val check_index : t -> unit
+(** Test-facing invariant check of the lazy unloader's indexes.  It
+    recomputes, by full scans over every pool and module, the pending
+    byte total, the LRU victim (the pending pool with the oldest
+    acquire tick) and the set of idle modules (no expanded routine,
+    symbol table not compacted), and compares them with the
+    incrementally maintained indexes.
+    @raise Failure on any mismatch. *)

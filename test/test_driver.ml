@@ -423,6 +423,30 @@ let test_buildsys_clean () =
       Alcotest.(check int) "clean forces rebuild" 4
         (List.length again.Buildsys.recompiled))
 
+let test_buildsys_reports_frontend_time () =
+  (* A cold build times its frontend loop on both the code-object and
+     the IL (+O4) paths; timing it changes no artifact byte. *)
+  List.iter
+    (fun options ->
+      let label = Options.to_string options in
+      (* A one-shot build's objects carry no source digest. *)
+      let encode objs =
+        List.map
+          (fun o -> Cmo_link.Objfile.encode { o with Cmo_link.Objfile.source_digest = "" })
+          objs
+      in
+      let oracle = encode (Pipeline.compile options app_sources).Pipeline.objects in
+      with_workspace (fun ws ->
+          let cold = Buildsys.build ws options app_sources in
+          Alcotest.(check int) (label ^ " all recompiled") 4
+            (List.length cold.Buildsys.recompiled);
+          let report = cold.Buildsys.build.Pipeline.report in
+          Alcotest.(check bool) (label ^ " frontend wall > 0") true
+            (report.Pipeline.frontend_wall_seconds > 0.0);
+          Alcotest.(check (list string)) (label ^ " objects match one-shot") oracle
+            (encode cold.Buildsys.build.Pipeline.objects)))
+    [ Options.o2; Options.o4 ]
+
 (* ---------- bug isolation ---------- *)
 
 let test_isolate_modules_synthetic () =
@@ -524,6 +548,7 @@ let suite =
     ("buildsys CMO mode", `Quick, test_buildsys_cmo_mode);
     ("buildsys level switch", `Quick, test_buildsys_level_switch_recompiles);
     ("buildsys clean", `Quick, test_buildsys_clean);
+    ("buildsys frontend time", `Quick, test_buildsys_reports_frontend_time);
     ("isolate modules (synthetic)", `Quick, test_isolate_modules_synthetic);
     ("isolate modules (good program)", `Quick, test_isolate_modules_good_program);
     ("isolate operation (synthetic)", `Quick, test_isolate_operation_limit_synthetic);

@@ -313,102 +313,184 @@ let fuzz_single_pass =
 
 (* ---------- random loader traffic ---------- *)
 
-type loader_op = Acquire of int | Release | Mutate | Unload_all
+type loader_op =
+  | Acquire of int
+  | Release
+  | Mutate  (* nested acquire, grow, update, release *)
+  | Grow_pinned  (* grow and update the innermost held routine *)
+  | Grow_released of int  (* acquire, release, then grow and update it *)
+  | Add_func of int
+  | Remove_func of int
+  | Unload_all
 
-let arbitrary_ops =
+(* One of the four forced levels, or dynamic thresholds over a machine
+   of the given modeled size. *)
+type loader_setup = Forced of Loader.level | Dynamic of int
+
+let level_name = function
+  | Loader.Off -> "off"
+  | Loader.Ir_compaction -> "ir"
+  | Loader.St_compaction -> "st"
+  | Loader.Offloading -> "offload"
+
+let arbitrary_traffic =
   let open QCheck.Gen in
+  let setup =
+    oneof
+      [
+        map (fun l -> Forced l)
+          (oneofl
+             Loader.[ Off; Ir_compaction; St_compaction; Offloading ]);
+        map (fun bytes -> Dynamic bytes) (int_range 2_000 40_000);
+      ]
+  in
   let op =
     frequency
       [
-        (5, map (fun i -> Acquire i) (int_range 0 9));
+        (5, map (fun i -> Acquire i) (int_range 0 15));
         (4, return Release);
         (2, return Mutate);
+        (1, return Grow_pinned);
+        (1, map (fun i -> Grow_released i) (int_range 0 15));
+        (1, map (fun i -> Add_func i) (int_range 0 5));
+        (1, map (fun i -> Remove_func i) (int_range 0 15));
         (1, return Unload_all);
       ]
   in
   QCheck.make
-    ~print:(fun ops ->
-      String.concat ";"
-        (List.map
-           (function
-             | Acquire i -> Printf.sprintf "A%d" i
-             | Release -> "R"
-             | Mutate -> "M"
-             | Unload_all -> "U")
-           ops))
-    (list_size (int_range 5 60) op)
+    ~print:(fun (setup, ops) ->
+      (match setup with
+      | Forced l -> "forced " ^ level_name l
+      | Dynamic bytes -> Printf.sprintf "dynamic %d" bytes)
+      ^ ": "
+      ^ String.concat ";"
+          (List.map
+             (function
+               | Acquire i -> Printf.sprintf "A%d" i
+               | Release -> "R"
+               | Mutate -> "M"
+               | Grow_pinned -> "G"
+               | Grow_released i -> Printf.sprintf "P%d" i
+               | Add_func i -> Printf.sprintf "+%d" i
+               | Remove_func i -> Printf.sprintf "-%d" i
+               | Unload_all -> "U")
+             ops))
+    (pair setup (list_size (int_range 5 60) op))
 
-(* A module with ten distinctive functions to push through the
+let fuzz_func name i =
+  let f = Func.create ~name ~arity:1 ~linkage:Func.Exported in
+  let r = Func.new_reg f in
+  let b =
+    Func.add_block f
+      [ Cmo_il.Instr.Binop
+          (Cmo_il.Instr.Mul, r, Cmo_il.Instr.Reg 0,
+           Cmo_il.Instr.Imm (Int64.of_int (i + 2))) ]
+      (Cmo_il.Instr.Ret (Some (Cmo_il.Instr.Reg r)))
+  in
+  f.Func.entry <- b.Func.label;
+  f.Func.src_lines <- 2;
+  f
+
+(* A module with [n] distinctive functions to push through the
    loader. *)
-let fuzz_module () =
-  let m = Ilmod.create "fz" in
-  for i = 0 to 9 do
-    let f =
-      Func.create ~name:(Printf.sprintf "fz_f%d" i) ~arity:1
-        ~linkage:Func.Exported
-    in
-    let r = Func.new_reg f in
-    let b =
-      Func.add_block f
-        [ Cmo_il.Instr.Binop
-            (Cmo_il.Instr.Mul, r, Cmo_il.Instr.Reg 0,
-             Cmo_il.Instr.Imm (Int64.of_int (i + 2))) ]
-        (Cmo_il.Instr.Ret (Some (Cmo_il.Instr.Reg r)))
-    in
-    f.Func.entry <- b.Func.label;
-    f.Func.src_lines <- 2;
-    Ilmod.add_func m f
+let fuzz_module ?(n = 10) mname =
+  let m = Ilmod.create mname in
+  for i = 0 to n - 1 do
+    Ilmod.add_func m (fuzz_func (Printf.sprintf "%s_f%d" mname i) i)
   done;
   m
 
+let grow f =
+  let r = Func.new_reg f in
+  ignore
+    (Func.add_block f
+       [ Cmo_il.Instr.Move (r, Cmo_il.Instr.Imm 7L) ]
+       (Cmo_il.Instr.Ret None))
+
+(* The [i]th element of [l], wrapping; [None] when [l] is empty. *)
+let pick l i = match l with [] -> None | _ -> Some (List.nth l (i mod List.length l))
+
 let fuzz_loader_traffic =
   QCheck.Test.make ~name:"loader: random traffic keeps accounting sound"
-    ~count:60 arbitrary_ops (fun ops ->
+    ~count:150 arbitrary_traffic (fun (setup, ops) ->
       let mem = Memstats.create () in
-      let loader =
-        Loader.create
+      let config =
+        match setup with
+        | Forced l ->
           { Loader.default_config with
             Loader.machine_memory = 20_000;
-            forced_level = Some Loader.Offloading }
-          mem
+            forced_level = Some l }
+        | Dynamic bytes -> { Loader.default_config with Loader.machine_memory = bytes }
       in
-      Loader.register_module loader (fuzz_module ());
-      let pinned = ref [] in  (* stack of names we hold *)
-      let expected_growth = Hashtbl.create 4 in
+      let loader = Loader.create config mem in
+      (* Two populated modules and an empty one, so symbol tables go
+         idle and busy independently. *)
+      Loader.register_module loader (fuzz_module "fz");
+      Loader.register_module loader (fuzz_module ~n:3 "fy");
+      Loader.register_module loader (fuzz_module ~n:0 "fe");
+      Loader.check_index loader;
+      let pinned = ref [] in  (* stack of (name, value) we hold *)
       List.iter
         (fun op ->
-          match op with
+          (match op with
           | Acquire i ->
-            let name = Printf.sprintf "fz_f%d" i in
-            ignore (Loader.acquire loader name);
-            pinned := name :: !pinned
+            Option.iter
+              (fun name -> pinned := (name, Loader.acquire loader name) :: !pinned)
+              (pick (Loader.func_names loader) i)
           | Release -> (
             match !pinned with
-            | name :: rest ->
+            | (name, _) :: rest ->
               Loader.release loader name;
               pinned := rest
             | [] -> ())
           | Mutate -> (
             match !pinned with
-            | name :: _ ->
+            | (name, _) :: _ ->
               let f = Loader.acquire loader name in
-              let r = Func.new_reg f in
-              ignore
-                (Func.add_block f
-                   [ Cmo_il.Instr.Move (r, Cmo_il.Instr.Imm 7L) ]
-                   (Cmo_il.Instr.Ret None));
+              grow f;
               Loader.update loader f;
-              Loader.release loader name;
-              Hashtbl.replace expected_growth name ()
+              Loader.release loader name
             | [] -> ())
-          | Unload_all -> Loader.unload_all loader)
+          | Grow_pinned -> (
+            match !pinned with
+            | (_, f) :: _ ->
+              grow f;
+              Loader.update loader f
+            | [] -> ())
+          | Grow_released i ->
+            Option.iter
+              (fun name ->
+                let f = Loader.acquire loader name in
+                Loader.release loader name;
+                (* Still expanded unless the release evicted it. *)
+                grow f;
+                try Loader.update loader f with Invalid_argument _ -> ())
+              (pick (Loader.func_names loader) i)
+          | Add_func i ->
+            let name = Printf.sprintf "fz_g%d" i in
+            if Loader.arity_of loader name = None then
+              Loader.add_func loader
+                ~module_name:(if i mod 2 = 0 then "fz" else "fe")
+                (fuzz_func name i)
+          | Remove_func i ->
+            let unpinned =
+              List.filter
+                (fun n -> not (List.mem_assoc n !pinned))
+                (Loader.func_names loader)
+            in
+            Option.iter (Loader.remove_func loader) (pick unpinned i)
+          | Unload_all -> Loader.unload_all loader);
+          Loader.check_index loader)
         ops;
       (* Drain pins and unload everything. *)
-      List.iter (fun name -> Loader.release loader name) !pinned;
+      List.iter (fun (name, _) -> Loader.release loader name) !pinned;
+      let lvl = Loader.level loader in
       Loader.unload_all loader;
-      (* Accounting: no expanded IR left, nothing negative. *)
+      Loader.check_index loader;
+      (* Accounting: no expanded IR left unless NAIM is off, nothing
+         negative. *)
       let sound =
-        Memstats.resident_of mem Memstats.Ir_expanded = 0
+        (lvl = Loader.Off || Memstats.resident_of mem Memstats.Ir_expanded = 0)
         && Memstats.resident mem >= 0
       in
       (* Integrity: every function still decodes with the right name
@@ -420,6 +502,7 @@ let fuzz_loader_traffic =
                 f.Func.name = name && List.length f.Func.blocks >= 1))
           (Loader.func_names loader)
       in
+      Loader.check_index loader;
       Loader.close loader;
       sound && intact)
 

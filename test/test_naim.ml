@@ -402,6 +402,39 @@ let test_loader_lru_evicts_coldest () =
     (hits_after > hits_before);
   Loader.close t
 
+let test_loader_lru_orders_by_acquire () =
+  (* The victim is the pending pool with the oldest acquire tick, not
+     the one released first: under nested pins the two orders differ. *)
+  let m = make_module "alpha" 2 in
+  let pool_bytes = Size.func_expanded_bytes (List.hd m.Ilmod.funcs) in
+  (* The cache budget (30% of the machine) fits one pool, not two. *)
+  let t =
+    new_loader ~machine_memory:(5 * pool_bytes) ~forced_level:Loader.Ir_compaction ()
+  in
+  Loader.register_module t m;
+  let a = "alpha_f0" and b = "alpha_f1" in
+  ignore (Loader.acquire t a);
+  ignore (Loader.acquire t b);
+  Loader.release t b;
+  let before = Loader.stats t in
+  Loader.release t a;
+  Loader.check_index t;
+  let after = Loader.stats t in
+  Alcotest.(check int) "one pool compacted" 1
+    (after.Loader.compactions - before.Loader.compactions);
+  ignore (Loader.acquire t b);
+  let after_b = Loader.stats t in
+  Alcotest.(check int) "B stayed expanded (cache hit)" 1
+    (after_b.Loader.cache_hits - after.Loader.cache_hits);
+  Alcotest.(check int) "B needed no uncompaction" 0
+    (after_b.Loader.uncompactions - after.Loader.uncompactions);
+  ignore (Loader.acquire t a);
+  let after_a = Loader.stats t in
+  Alcotest.(check int) "A was the victim (uncompaction)" 1
+    (after_a.Loader.uncompactions - after_b.Loader.uncompactions);
+  Loader.check_index t;
+  Loader.close t
+
 let suite =
   [
     ("memstats charge/release", `Quick, test_memstats_charge_release);
@@ -429,4 +462,5 @@ let suite =
     ("loader dynamic thresholds", `Quick, test_loader_dynamic_thresholds);
     ("loader extract modules", `Quick, test_loader_extract_modules);
     ("loader LRU keeps hot pools", `Quick, test_loader_lru_evicts_coldest);
+    ("loader LRU orders by acquire", `Quick, test_loader_lru_orders_by_acquire);
   ]
