@@ -55,8 +55,8 @@
 # against the oracle, so a race that breaks one build in forty fails
 # the gate in about two runs of five.  Last, the NAIM pressure smoke
 # builds mcad1 at 1/4 scale on a 5 MB and on a 4 GB machine: both
-# must print the same output, and the 5 MB report must show IR
-# compactions, symbol-table compactions and offloads.  Run from the
+# must print the same output and linker map, and the 5 MB report must
+# show IR compactions, symbol-table compactions and offloads.  Run from the
 # repository root.
 set -eu
 
@@ -455,15 +455,16 @@ echo "== NAIM pressure smoke (mcad1 at 1/4 scale) =="
 # One real program built +O4 +P twice: on a 5 MB machine, where NAIM
 # compacts routine IR and symbol tables and offloads pools to the
 # repository, and on a 4 GB machine, where it stays off.  Both builds
-# must print the same output, and the pressured one must report all
-# three kinds of unloader traffic.
+# must print the same output and the same linker map (so a codegen
+# difference the program's output does not show still fails), and the
+# pressured one must report all three kinds of unloader traffic.
 NAIM_DIR=$(mktemp -d)
 mkdir -p "$NAIM_DIR/src"
 "$CMOC" gen --bench mcad1 --scale 0.25 --dir "$NAIM_DIR/src" > /dev/null
 "$CMOC" train "$NAIM_DIR"/src/*.mc -o "$NAIM_DIR/app.prof" > /dev/null
 for mb in 5 4096; do
   "$CMOC" compile -O 4 -P --profile "$NAIM_DIR/app.prof" --machine-mb "$mb" \
-    --run --report-json "$NAIM_DIR/report$mb.json" "$NAIM_DIR"/src/*.mc \
+    --run --map --report-json "$NAIM_DIR/report$mb.json" "$NAIM_DIR"/src/*.mc \
     > "$NAIM_DIR/out$mb"
 done
 cmp "$NAIM_DIR/out5" "$NAIM_DIR/out4096"

@@ -44,6 +44,21 @@ let make_clone (callee : Func.t) ~name pattern =
   entry.Func.instrs <- moves @ entry.Func.instrs;
   clone
 
+(* The site test that needs no body: hot enough, not a self call, and a
+   callee of clonable size outside any cycle.  The per-site check and
+   the per-caller pre-check over call-graph edges share it. *)
+let candidate config cg ~caller ~callee count =
+  count >= config.hot_count
+  && (not (Intrinsics.is_intrinsic callee))
+  && callee <> caller
+  &&
+  match Callgraph.node cg callee with
+  | Some node ->
+    node.Callgraph.instr_count >= config.min_callee_size
+    && node.Callgraph.instr_count <= config.max_callee_size
+    && not (Callgraph.in_cycle cg callee)
+  | None -> false
+
 let run loader cg config =
   let clones_made = ref 0 in
   let next_id = ref 0 in
@@ -51,7 +66,14 @@ let run loader cg config =
   let cache = Hashtbl.create 16 in
   List.iter
     (fun caller_name ->
-      if !clones_made < config.max_clones then
+      if
+        !clones_made < config.max_clones
+        && List.exists
+             (fun (e : Callgraph.edge) ->
+               candidate config cg ~caller:caller_name ~callee:e.Callgraph.callee
+                 e.Callgraph.count)
+             (Callgraph.callees cg caller_name)
+      then
         Loader.with_func loader caller_name (fun caller ->
             let changed = ref false in
             List.iter
@@ -62,16 +84,11 @@ let run loader cg config =
                       match i with
                       | Instr.Call c
                         when !clones_made < config.max_clones
-                             && c.Instr.call_count >= config.hot_count
-                             && (not (Intrinsics.is_intrinsic c.Instr.callee))
-                             && c.Instr.callee <> caller_name -> (
-                        let pattern = const_pattern c in
-                        match (pattern, Callgraph.node cg c.Instr.callee) with
-                        | [], _ | _, None -> i
-                        | pattern, Some node
-                          when node.Callgraph.instr_count >= config.min_callee_size
-                               && node.Callgraph.instr_count <= config.max_callee_size
-                               && not (Callgraph.in_cycle cg c.Instr.callee) ->
+                             && candidate config cg ~caller:caller_name
+                                  ~callee:c.Instr.callee c.Instr.call_count -> (
+                        match const_pattern c with
+                        | [] -> i
+                        | pattern ->
                           let key = (c.Instr.callee, pattern) in
                           let name =
                             match Hashtbl.find_opt cache key with
@@ -92,8 +109,7 @@ let run loader cg config =
                               name
                           in
                           changed := true;
-                          Instr.Call { c with Instr.callee = name }
-                        | _, Some _ -> i)
+                          Instr.Call { c with Instr.callee = name })
                       | other -> other)
                     b.Func.instrs)
               caller.Func.blocks;

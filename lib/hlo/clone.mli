@@ -23,7 +23,10 @@ type config = {
 val default_config : config
 
 val run : Cmo_naim.Loader.t -> Cmo_il.Callgraph.t -> config -> int
-(** Returns the number of clones created.  Call-graph sizes and cycle
+(** Returns the number of clones created.  A caller is acquired only
+    when one of its call-graph edges passes the site test that needs
+    no body (count, self call, callee size, cycle membership), so a
+    program without candidates costs no loader traffic.  Call-graph sizes and cycle
     information are read from [cg] (built before this pass); new
     clones are registered with the loader but not added to [cg] —
     downstream passes treat them as ordinary functions discovered via

@@ -143,10 +143,11 @@ let merge_reports a b =
   }
 
 let run loader cg ?(ipa_context = Ipa.whole_program) options =
-  (* With [check] on, sweep the whole loader after each
+  (* With [check] on, verify every routine after each
      interprocedural stage: these stages mint registers, labels and
      call sites (clone/inline) and delete functions (IPA), exactly
-     the invariants the verifier polices. *)
+     the invariants the verifier polices.  Clone and inline get a
+     sweep of their own; IPA's check runs in the phase sweep. *)
   let sweep phase =
     match options.check with
     | None -> ()
@@ -164,22 +165,39 @@ let run loader cg ?(ipa_context = Ipa.whole_program) options =
     | None -> 0
   in
   if options.clone <> None then sweep "clone";
+  (* IPA summaries are taken where the routine is final and already
+     acquired: at the end of its inline visit. *)
+  let summaries = Hashtbl.create 256 in
+  let summarize (f : Func.t) =
+    Hashtbl.replace summaries f.Func.name (Ipa.summarize f)
+  in
   let inline_stats =
     Option.map
       (fun config ->
         Cmo_obs.Obs.with_span ~cat:"hlo" "inline" (fun () ->
-            Inline.run loader cg config))
+            Inline.run
+              ?on_final:(if options.ipa then Some summarize else None)
+              loader cg config))
       options.inline
   in
   if options.inline <> None then sweep "inline";
-  let ipa_stats =
+  let ipa_plan =
     if options.ipa then
       Some
         (Cmo_obs.Obs.with_span ~cat:"hlo" "ipa" (fun () ->
-             Ipa.run loader ipa_context))
+             (* The inliner does not visit clones (they are outside
+                the call graph), callers left once its operation limit
+                is reached, or anything when inlining is off. *)
+             List.iter
+               (fun fname ->
+                 if not (Hashtbl.mem summaries fname) then
+                   Loader.with_func loader fname summarize)
+               (Loader.func_names loader);
+             Ipa.plan loader ipa_context (Hashtbl.find summaries)))
     else None
   in
-  if options.ipa then sweep "ipa";
+  Hashtbl.reset summaries;
+  let ipa_stats = Option.map Ipa.plan_stats ipa_plan in
   if Cmo_obs.Obs.enabled () then begin
     if clones > 0 then Cmo_obs.Obs.tick "hlo" "clones" clones;
     (match inline_stats with
@@ -203,24 +221,43 @@ let run loader cg ?(ipa_context = Ipa.whole_program) options =
   let funcs_optimized = ref 0 in
   let funcs_skipped = ref 0 in
   let rewrites = ref 0 in
+  (* The phase sweep also applies IPA's deferred transforms and runs
+     the "ipa" check, so a cold routine is acquired only when it has a
+     transform or checking is on. *)
+  let ipa_check =
+    match (ipa_plan, options.check) with
+    | Some _, Some run_check -> Some run_check
+    | _ -> None
+  in
   List.iter
     (fun fname ->
       let hot =
         match options.hot_filter with Some f -> f fname | None -> true
       in
-      if hot then begin
-        incr funcs_optimized;
+      let transform =
+        match ipa_plan with
+        | Some p when Ipa.has_transform p fname -> Some p
+        | Some _ | None -> None
+      in
+      if hot then incr funcs_optimized else incr funcs_skipped;
+      if hot || transform <> None || ipa_check <> None then
         Loader.with_func loader fname (fun f ->
-            let n =
-              match (options.phase_cache, options.rewrite_limit) with
-              | Some pc, None ->
-                optimize_func_cached pc ~mem ~budget ?check:options.check f
-              | _ -> Phase.optimize_func ~mem ~budget ?check:options.check f
-            in
-            rewrites := !rewrites + n;
-            Loader.update loader f)
-      end
-      else incr funcs_skipped)
+            Option.iter
+              (fun p ->
+                Ipa.transform p f;
+                Loader.update loader f)
+              transform;
+            Option.iter (fun run_check -> run_check ~phase:"ipa" f) ipa_check;
+            if hot then begin
+              let n =
+                match (options.phase_cache, options.rewrite_limit) with
+                | Some pc, None ->
+                  optimize_func_cached pc ~mem ~budget ?check:options.check f
+                | _ -> Phase.optimize_func ~mem ~budget ?check:options.check f
+              in
+              rewrites := !rewrites + n;
+              Loader.update loader f
+            end))
     (Loader.func_names loader);
   Loader.unload_all loader;
   {

@@ -6,12 +6,18 @@
     + procedure cloning at hot constant call sites (optional);
     + cross-module inlining in bottom-up call-graph order (optional);
     + interprocedural constant propagation and dead-function removal
-      (optional);
-    + the intraprocedural phase pipeline per routine — under
-      fine-grained selectivity, only for hot routines; cold routines
-      are read once by the IPA scan and otherwise stay unloaded
-      (paper section 5);
+      (optional), planned from summaries taken at the end of each
+      routine's inline visit ({!Ipa});
+    + the intraprocedural phase pipeline per routine, preceded by the
+      routine's deferred IPA transform — under fine-grained
+      selectivity, only for hot routines; a cold routine is read once
+      for its IPA summary, acquired again only if IPA rewrites it,
+      and otherwise stays unloaded (paper section 5);
     + a final unload sweep.
+
+    Each stage acquires only the routines it has to, and a routine
+    whose visit changed nothing is not marked modified, so the NAIM
+    loader reuses its encoding when compacting it.
 
     The same driver with everything disabled but the phase pipeline is
     the +O2-path optimizer used for non-CMO modules. *)
@@ -47,7 +53,8 @@ type options = {
   check : (phase:string -> Cmo_il.Func.t -> unit) option;
       (** Between-phase verification hook ([Options.check] passes the
           IL verifier here): called on every routine after each
-          interprocedural stage ([clone], [inline], [ipa]), after
+          interprocedural stage ([clone], [inline]; [ipa] checks each
+          surviving routine after its transform), after
           each rewriting scalar pass, and on cache-served bodies
           ([phase-cache]).  Should raise to stop compilation. *)
 }

@@ -237,7 +237,7 @@ let weak_components cg =
     (Callgraph.edges cg);
   find
 
-let run loader cg config =
+let run ?on_final loader cg config =
   let initial_total =
     List.fold_left
       (fun acc n -> acc + n.Callgraph.instr_count)
@@ -295,6 +295,7 @@ let run loader cg config =
         let caller_module = Loader.module_of_func loader caller_name in
         let bytes_before = Size.func_expanded_bytes caller in
         let caller_size = ref (Func.instr_count caller) in
+        let inlined = ref false in
         let progress = ref true in
         while !progress && not (limit_reached ()) do
           progress := false;
@@ -343,18 +344,20 @@ let run loader cg config =
                   if callee_module <> caller_module then incr cross_module;
                   caller_size := !caller_size + callee_size;
                   total := !total + callee_size;
+                  inlined := true;
                   progress := true
                 end
               end)
             candidates
         done;
-        ignore (Cfg.simplify caller);
+        let simplified = Cfg.simplify caller in
         caller_size := Func.instr_count caller;
         (match Callgraph.node cg caller_name with
         | Some n -> n.Callgraph.instr_count <- !caller_size
         | None -> ());
-        Loader.update loader caller;
+        if !inlined || simplified then Loader.update loader caller;
         bytes_grown := !bytes_grown + Size.func_expanded_bytes caller - bytes_before;
+        Option.iter (fun k -> k caller) on_final;
         Loader.release loader caller_name
       end)
     order;

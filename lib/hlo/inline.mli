@@ -79,6 +79,7 @@ type stats = {
 }
 
 val run :
+  ?on_final:(Cmo_il.Func.t -> unit) ->
   Cmo_naim.Loader.t -> Cmo_il.Callgraph.t -> config -> stats
 (** Process every function in bottom-up call-graph order, inlining
     qualifying sites (including sites exposed by earlier inlining in
@@ -87,7 +88,15 @@ val run :
     candidate callees are acquired grouped by defining module so
     cross-module inlines from the same module pair load the module
     symbol table once (the paper's cache-aware inline scheduling,
-    section 4.3).  Call-graph node sizes are updated in place. *)
+    section 4.3).  Call-graph node sizes are updated in place.
+
+    A caller is marked modified ({!Cmo_naim.Loader.update}) only when
+    its visit inlined a site or {!Cfg.simplify} changed it, so the
+    loader can reuse the encoding of a routine the inliner only read.
+    [on_final] sees each visited caller at the end of its visit,
+    still acquired: callees are only read, so that body is the
+    routine's final one for the rest of the run.  Callers skipped
+    once [operation_limit] is reached are not visited. *)
 
 val inline_call_at :
   caller:Cmo_il.Func.t ->

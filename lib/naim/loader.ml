@@ -53,6 +53,10 @@ type pool = {
   mutable state : pool_state;
   mutable expanded_bytes : int;  (* modeled size of the expanded form *)
   mutable compact_charge : int;  (* modeled resident size when Compacted *)
+  mutable retained : string option;
+      (* While Expanded: the bytes it was decoded from, as long as the
+         routine is unmodified since.  Charged to [Ir_compacted] at
+         their length; compaction reuses them instead of encoding. *)
   mutable pins : int;
   mutable last_touch : int;  (* tick of the last acquire (or creation) *)
   mutable pending : bool;  (* unpinned and expanded: eviction candidate *)
@@ -210,12 +214,31 @@ let expand_symtab t m =
 
 (* --- pool state transitions --- *)
 
+let retain t pool bytes =
+  Memstats.charge t.mem Memstats.Ir_compacted (String.length bytes);
+  pool.retained <- Some bytes
+
+let drop_retained t pool =
+  Option.iter
+    (fun bytes ->
+      Memstats.release t.mem Memstats.Ir_compacted (String.length bytes);
+      pool.retained <- None)
+    pool.retained
+
 let compact_pool t pool =
   match pool.state with
   | Expanded f ->
     let m = find_module t pool.pool_module in
-    expand_symtab t m;  (* encoding needs the name table live *)
-    let bytes = Ilcodec.encode_func ~names:m.names f in
+    let bytes =
+      match pool.retained with
+      | Some bytes ->
+        drop_retained t pool;
+        Obs.tick "naim.loader" "reused_encodings" 1;
+        bytes
+      | None ->
+        expand_symtab t m;  (* encoding needs the name table live *)
+        Ilcodec.encode_func ~names:m.names f
+    in
     (* The resident compacted form is charged at its modeled
        relocatable size, not the (much denser) serialized stream. *)
     pool.compact_charge <- Size.func_compacted_bytes f;
@@ -265,6 +288,7 @@ let expand_pool t pool =
     Memstats.release t.mem Memstats.Ir_compacted pool.compact_charge;
     pool.compact_charge <- 0;
     Memstats.charge t.mem Memstats.Ir_expanded pool.expanded_bytes;
+    retain t pool bytes;
     pool.state <- Expanded f;
     m.expanded_count <- m.expanded_count + 1;
     sync_idle t m;
@@ -277,6 +301,7 @@ let expand_pool t pool =
     let bytes = Repository.fetch t.repo handle in
     let f = Ilcodec.decode_func ~names:m.names bytes in
     Memstats.charge t.mem Memstats.Ir_expanded pool.expanded_bytes;
+    retain t pool bytes;
     pool.state <- Expanded f;
     m.expanded_count <- m.expanded_count + 1;
     sync_idle t m;
@@ -351,6 +376,7 @@ let register_module t (m : Ilmod.t) =
           state = Expanded f;
           expanded_bytes = Size.func_expanded_bytes f;
           compact_charge = 0;
+          retained = None;
           pins = 0;
           last_touch = tick t;
           pending = false;
@@ -396,6 +422,7 @@ let update t (f : Func.t) =
       (Printf.sprintf "Loader.update: %s is not the acquired value" f.Func.name)
   | Compacted _ | Offloaded _ ->
     invalid_arg (Printf.sprintf "Loader.update: %s is not expanded" f.Func.name));
+  drop_retained t pool;
   let new_bytes = Size.func_expanded_bytes f in
   if new_bytes > pool.expanded_bytes then
     Memstats.charge t.mem Memstats.Ir_expanded (new_bytes - pool.expanded_bytes)
@@ -418,6 +445,7 @@ let add_func t ~module_name (f : Func.t) =
       state = Expanded f;
       expanded_bytes = Size.func_expanded_bytes f;
       compact_charge = 0;
+      retained = None;
       pins = 0;
       last_touch = tick t;
       pending = false;
@@ -440,6 +468,7 @@ let remove_func t fname =
   clear_pending t pool;
   (match pool.state with
   | Expanded _ ->
+    drop_retained t pool;
     Memstats.release t.mem Memstats.Ir_expanded pool.expanded_bytes;
     m.expanded_count <- m.expanded_count - 1;
     sync_idle t m
@@ -572,4 +601,21 @@ let check_index t =
   Hashtbl.iter
     (fun name _ ->
       if not (Hashtbl.mem t.modules name) then fail "unknown idle module %s" name)
-    t.idle
+    t.idle;
+  let held =
+    Hashtbl.fold
+      (fun _ p acc ->
+        match (p.state, p.retained) with
+        | _, None -> acc + p.compact_charge
+        | Expanded f, Some bytes ->
+          let names = (find_module t p.pool_module).names in
+          if Ilcodec.encode_func ~names f <> bytes then
+            fail "%s was modified without Loader.update" p.fname;
+          acc + p.compact_charge + String.length bytes
+        | (Compacted _ | Offloaded _), Some _ ->
+          fail "%s retains an encoding but is not expanded" p.fname)
+      t.pools 0
+  in
+  let resident = Memstats.resident_of t.mem Memstats.Ir_compacted in
+  if held <> resident then
+    fail "Ir_compacted resident %d, pools hold %d" resident held

@@ -12,10 +12,16 @@
       nothing.
 
     Clients {!acquire} a routine (pinning it expanded), mutate it,
-    {!update} it if its size changed, and {!release} it.  Released
+    {!update} it after any mutation, and {!release} it.  Released
     pools are only *unload pending*: they sit in an LRU cache of
     expanded pools and are actually compacted/offloaded lazily when
     the cache exceeds its budget — the paper's lazy unloader.
+
+    A pool expanded from bytes keeps those bytes (its *retained
+    encoding*, charged to [Ir_compacted] at their length) until
+    {!update} marks the routine modified.  Compacting a pool that
+    still holds them reuses the bytes instead of encoding again, so
+    a routine that is only read costs one decode per round trip.
 
     Whether eviction compacts, also compacts module symbol tables, or
     offloads to disk depends on the current {!level}, which is derived
@@ -85,9 +91,13 @@ val release : t -> string -> unit
     compacted. *)
 
 val update : t -> Cmo_il.Func.t -> unit
-(** Re-measure a pinned routine after mutation; adjusts the
-    accountant by the size delta.  The argument must be the exact
-    value returned by {!acquire} (checked by name). *)
+(** Record that an expanded routine was mutated: re-measure it,
+    adjust the accountant by the size delta and drop its retained
+    encoding.  Every mutation of an acquired routine must be followed
+    by [update] before the routine is released — a routine compacted
+    without it would be stored as its stale retained bytes.  The
+    argument must be the exact value returned by {!acquire} (checked
+    by name). *)
 
 val add_func : t -> module_name:string -> Cmo_il.Func.t -> unit
 (** Register a routine created during optimization (cloning). *)
@@ -146,5 +156,9 @@ val check_index : t -> unit
     byte total, the LRU victim (the pending pool with the oldest
     acquire tick) and the set of idle modules (no expanded routine,
     symbol table not compacted), and compares them with the
-    incrementally maintained indexes.
+    incrementally maintained indexes.  It also re-encodes every
+    expanded routine that holds a retained encoding and compares the
+    bytes (a mismatch means a mutation skipped {!update}), and checks
+    that [Ir_compacted] residency equals the compacted charges plus
+    the retained lengths.
     @raise Failure on any mismatch. *)

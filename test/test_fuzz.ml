@@ -316,6 +316,7 @@ let fuzz_single_pass =
 type loader_op =
   | Acquire of int
   | Release
+  | Touch of int  (* acquire and release, no mutation: retained reuse *)
   | Mutate  (* nested acquire, grow, update, release *)
   | Grow_pinned  (* grow and update the innermost held routine *)
   | Grow_released of int  (* acquire, release, then grow and update it *)
@@ -349,6 +350,7 @@ let arbitrary_traffic =
       [
         (5, map (fun i -> Acquire i) (int_range 0 15));
         (4, return Release);
+        (3, map (fun i -> Touch i) (int_range 0 15));
         (2, return Mutate);
         (1, return Grow_pinned);
         (1, map (fun i -> Grow_released i) (int_range 0 15));
@@ -368,6 +370,7 @@ let arbitrary_traffic =
              (function
                | Acquire i -> Printf.sprintf "A%d" i
                | Release -> "R"
+               | Touch i -> Printf.sprintf "T%d" i
                | Mutate -> "M"
                | Grow_pinned -> "G"
                | Grow_released i -> Printf.sprintf "P%d" i
@@ -443,6 +446,10 @@ let fuzz_loader_traffic =
               Loader.release loader name;
               pinned := rest
             | [] -> ())
+          | Touch i ->
+            Option.iter
+              (fun name -> Loader.with_func loader name ignore)
+              (pick (Loader.func_names loader) i)
           | Mutate -> (
             match !pinned with
             | (name, _) :: _ ->

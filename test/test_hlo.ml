@@ -31,6 +31,8 @@ module Memstats = Cmo_naim.Memstats
 module Db = Cmo_profile.Db
 module Train = Cmo_profile.Train
 module Correlate = Cmo_profile.Correlate
+module Genprog = Cmo_workload.Genprog
+module Suite = Cmo_workload.Suite
 
 (* ---------- helpers ---------- *)
 
@@ -1077,6 +1079,14 @@ let test_ipa_const_params () =
   let stats = Ipa.run loader Ipa.whole_program in
   Alcotest.(check int) "k pinned" 1 stats.Ipa.const_params;
   let result = Loader.extract_modules loader in
+  let scaled =
+    List.find
+      (fun (f : Func.t) -> String.ends_with ~suffix:"scaled" f.Func.name)
+      (List.concat_map (fun m -> m.Ilmod.funcs) result)
+  in
+  (match (Func.entry_block scaled).Func.instrs with
+  | Instr.Move (1, Instr.Imm 10L) :: _ -> ()
+  | _ -> Alcotest.fail "k not pinned at entry");
   Helpers.check_same_behaviour "ipa preserves" [ original ] result;
   Loader.close loader
 
@@ -1117,6 +1127,14 @@ let test_ipa_const_global_folded () =
   let stats = Ipa.run loader Ipa.whole_program in
   Alcotest.(check int) "two loads folded" 2 stats.Ipa.const_global_loads;
   let result = Loader.extract_modules loader in
+  List.iter
+    (fun (b : Func.block) ->
+      List.iter
+        (function
+          | Instr.Load _ -> Alcotest.fail "a table load survived"
+          | _ -> ())
+        b.Func.instrs)
+    (find_func (List.hd result) "main").Func.blocks;
   Helpers.check_same_behaviour "const global preserves" [ original ] result;
   Loader.close loader
 
@@ -1439,6 +1457,207 @@ let test_hlo_fine_selectivity_skips_cold () =
   Alcotest.(check bool) "skipped cold functions" true (report.Hlo.funcs_skipped > 0);
   Loader.close loader
 
+(* ---------- HLO staging equivalence ---------- *)
+
+(* [Hlo.run] takes IPA summaries during inlining, applies IPA's
+   transforms inside the phase sweep, skips clone callers without a
+   candidate edge, and lets the loader reuse unmodified encodings.
+   The staged reference runs each stage as a whole-loader sweep
+   instead: clone, inline, [Ipa.run], then the phase loop. *)
+let small_mcad1 () =
+  let cfg =
+    { (Genprog.scale (Suite.find "mcad1") 0.02) with Genprog.main_iters = 400 }
+  in
+  let modules = Helpers.compile_all (Genprog.generate cfg) in
+  let db = Db.create () in
+  let _ = Train.run ~input:(Genprog.training_input cfg) modules db in
+  ignore (Correlate.annotate db modules);
+  modules
+
+let profiled_two_module () =
+  let modules = Helpers.compile_all two_module_sources in
+  let db = Db.create () in
+  let _ = Train.run modules db in
+  ignore (Correlate.annotate db modules);
+  modules
+
+(* A hot constant-argument site worth cloning, a cold static routine
+   whose only caller passes constants, and a never-stored table. *)
+let clone_ipa_program () =
+  let sources =
+    [
+      ( "app",
+        {|
+        static global table[4] = {5, 6, 7, 8};
+        static func mix(a, b) {
+          var r = 0;
+          var i = 0;
+          while (i < a) {
+            r = r + i * b;
+            if (r > 1000) { r = r - 999; }
+            i = i + 1;
+          }
+          return r + table[1];
+        }
+        func main() {
+          var s = 0;
+          var i = 0;
+          while (i < 1500) { s = s + work(i, 3); i = i + 1; }
+          s = s + mix(4, 9);
+          return s + table[2];
+        }
+        |} );
+      ( "lib",
+        {|
+        func work(x, k) {
+          var r = x;
+          if (k > 2) { r = r * k + 1; } else { r = r - k; }
+          if (k == 3) { r = r ^ 5; }
+          var j = 0;
+          while (j < k) { r = r + j; j = j + 1; }
+          return r & 1023;
+        }
+        |} );
+    ]
+  in
+  let modules = Helpers.compile_all sources in
+  let db = Db.create () in
+  let _ = Train.run modules db in
+  ignore (Correlate.annotate db modules);
+  modules
+
+let staged_reference modules (options : Hlo.options) =
+  let cg = Callgraph.build modules in
+  let loader = loader_of_modules modules in
+  Option.iter (fun c -> ignore (Clone.run loader cg c)) options.Hlo.clone;
+  Option.iter (fun c -> ignore (Inline.run loader cg c)) options.Hlo.inline;
+  let stats = if options.Hlo.ipa then Some (Ipa.run loader Ipa.whole_program) else None in
+  let mem = Loader.memstats loader in
+  List.iter
+    (fun fname ->
+      let hot = match options.Hlo.hot_filter with Some h -> h fname | None -> true in
+      if hot then
+        Loader.with_func loader fname (fun f ->
+            ignore (Phase.optimize_func ~mem f);
+            Loader.update loader f))
+    (Loader.func_names loader);
+  let bytes = List.map Ilcodec.encode_module (Loader.extract_modules loader) in
+  Loader.close loader;
+  (bytes, stats)
+
+let reused_encodings () =
+  Option.value ~default:0.0
+    (List.assoc_opt "naim.loader/reused_encodings" (Cmo_obs.Obs.counter_totals ()))
+
+let check_staging_equivalent name make options =
+  let ref_bytes, ref_stats = staged_reference (make ()) options in
+  let ipa_stats =
+    Alcotest.testable
+      (fun ppf (s : Ipa.stats) ->
+        Format.fprintf ppf "%d params, %d loads, dead [%s]" s.Ipa.const_params
+          s.Ipa.const_global_loads (String.concat " " s.Ipa.dead_functions))
+      ( = )
+  in
+  List.iter
+    (fun (label, level) ->
+      let modules = make () in
+      let cg = Callgraph.build modules in
+      let loader = loader_of_modules ~machine_memory:1_000 ~forced_level:level modules in
+      Cmo_obs.Obs.start ();
+      let report =
+        Fun.protect ~finally:Cmo_obs.Obs.stop (fun () -> Hlo.run loader cg options)
+      in
+      let reused = reused_encodings () in
+      let bytes = List.map Ilcodec.encode_module (Loader.extract_modules loader) in
+      Loader.close loader;
+      let what = Printf.sprintf "%s at %s" name label in
+      Alcotest.(check (list string)) (what ^ ": module bytes") ref_bytes bytes;
+      Alcotest.(check (option ipa_stats)) (what ^ ": ipa stats") ref_stats
+        report.Hlo.ipa_stats;
+      if level = Loader.Offloading then
+        Alcotest.(check bool) (what ^ ": encodings reused") true (reused > 0.0))
+    [ ("offloading", Loader.Offloading); ("off", Loader.Off) ]
+
+let test_hlo_staging_two_module () =
+  check_staging_equivalent "two-module" profiled_two_module
+    (Hlo.o4_options ~profile:true)
+
+let test_hlo_staging_selective () =
+  let sel = Selectivity.select ~percent:50.0 (selectivity_program ()) in
+  check_staging_equivalent "selectivity" selectivity_program
+    { (Hlo.o4_options ~profile:true) with
+      Hlo.hot_filter = Some (Selectivity.is_hot_function sel) }
+
+let test_hlo_staging_clone_ipa () =
+  let modules = clone_ipa_program () in
+  let cg = Callgraph.build modules in
+  let loader = loader_of_modules modules in
+  let report = Hlo.run loader cg (Hlo.o4_options ~profile:true) in
+  Loader.close loader;
+  let ipa = Option.get report.Hlo.ipa_stats in
+  Alcotest.(check bool) "a clone was made" true (report.Hlo.clones > 0);
+  Alcotest.(check bool) "parameters pinned" true (ipa.Ipa.const_params > 0);
+  Alcotest.(check bool) "loads folded" true (ipa.Ipa.const_global_loads > 0);
+  check_staging_equivalent "clone+ipa" clone_ipa_program (Hlo.o4_options ~profile:true);
+  (* Only [main] is hot: the pinned routines get their transforms
+     without the phase pipeline. *)
+  check_staging_equivalent "clone+ipa, main hot" clone_ipa_program
+    { (Hlo.o4_options ~profile:true) with Hlo.hot_filter = Some (( = ) "main") }
+
+let test_hlo_staging_mcad1 () =
+  let modules = small_mcad1 () in
+  let cg = Callgraph.build modules in
+  let loader = loader_of_modules modules in
+  let report = Hlo.run loader cg (Hlo.o4_options ~profile:true) in
+  Loader.close loader;
+  (* The program must exercise what the staging moved. *)
+  let ipa = Option.get report.Hlo.ipa_stats in
+  Alcotest.(check bool) "ipa folds, pins or removes something" true
+    (ipa.Ipa.const_params + ipa.Ipa.const_global_loads
+     + List.length ipa.Ipa.dead_functions
+     > 0);
+  check_staging_equivalent "mcad1" small_mcad1 (Hlo.o4_options ~profile:true);
+  check_staging_equivalent "mcad1 no profile" small_mcad1 (Hlo.o4_options ~profile:false)
+
+let test_hlo_staging_operation_limit () =
+  let options = Hlo.o4_options ~profile:true in
+  let limited =
+    { options with
+      Hlo.inline =
+        Option.map
+          (fun c -> { c with Inline.operation_limit = Some 3 })
+          options.Hlo.inline }
+  in
+  check_staging_equivalent "mcad1 limited" small_mcad1 limited
+
+let test_hlo_stage_traffic () =
+  let acquires loader = (Loader.stats loader).Loader.acquires in
+  (* No site of this program is hot enough to clone. *)
+  let modules = profiled_two_module () in
+  let cg = Callgraph.build modules in
+  let loader = loader_of_modules modules in
+  Alcotest.(check int) "no clones" 0 (Clone.run loader cg Clone.default_config);
+  Alcotest.(check int) "clone stage acquired nothing" 0 (acquires loader);
+  Loader.close loader;
+  (* Inline alone, then the whole driver: IPA adds no sweep, so the
+     driver's traffic is the inliner's plus one phase visit per
+     routine. *)
+  let options = Hlo.o4_options ~profile:true in
+  let modules = profiled_two_module () in
+  let cg = Callgraph.build modules in
+  let loader = loader_of_modules modules in
+  ignore (Inline.run loader cg (Option.get options.Hlo.inline));
+  let inline_acquires = acquires loader in
+  Loader.close loader;
+  let modules = profiled_two_module () in
+  let cg = Callgraph.build modules in
+  let loader = loader_of_modules modules in
+  let report = Hlo.run loader cg options in
+  Alcotest.(check int) "inline + phase visits only"
+    (inline_acquires + report.Hlo.funcs_optimized)
+    (acquires loader);
+  Loader.close loader
+
 let suite =
   [
     ("cfg fold constant branch", `Quick, test_cfg_fold_constant_branch);
@@ -1515,4 +1734,10 @@ let suite =
     ("hlo o4 end to end", `Quick, test_hlo_o4_end_to_end);
     ("hlo o4 beats o2", `Quick, test_hlo_o4_faster_than_o2);
     ("hlo fine selectivity", `Quick, test_hlo_fine_selectivity_skips_cold);
+    ("hlo staging two-module", `Quick, test_hlo_staging_two_module);
+    ("hlo staging selectivity", `Quick, test_hlo_staging_selective);
+    ("hlo staging clone+ipa", `Quick, test_hlo_staging_clone_ipa);
+    ("hlo staging mcad1", `Quick, test_hlo_staging_mcad1);
+    ("hlo staging operation limit", `Quick, test_hlo_staging_operation_limit);
+    ("hlo stage traffic", `Quick, test_hlo_stage_traffic);
   ]
