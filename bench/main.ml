@@ -377,6 +377,94 @@ let micro () =
   List.iter benchmark [ test_compact; test_uncompact; test_phase; test_vm ]
 
 (* ------------------------------------------------------------------ *)
+(* Per-pass time: the routines of mcad1 at 1/4 scale after profile-
+   guided inlining (the shape of perfbench's cold builds), each put
+   through the CFG analyses alone, the scalar ladder as
+   [Phase.optimize_func] runs it (with the Derived memory charge), the
+   same ladder pass by pass, and the LLO stages.  Ten repeats; the
+   median per item.  Only long-standing interfaces are used, so the
+   leg runs unchanged on older trees for a before/after table. *)
+(* ------------------------------------------------------------------ *)
+
+let passes () =
+  header "Per-pass time (mcad1 at 1/4 scale, +P inlining, median of 10)";
+  let module Func = Cmo_il.Func in
+  let module Memstats = Cmo_naim.Memstats in
+  let module Hlo = Cmo_hlo in
+  let module Llo = Cmo_llo in
+  let cfg = Genprog.scale (Suite.find "mcad1") 0.25 in
+  let sources = sources_of cfg in
+  let db = Pipeline.train ~inputs:[ Genprog.training_input cfg ] sources in
+  let modules = Pipeline.frontend sources in
+  ignore (Cmo_profile.Correlate.annotate db modules);
+  let loader =
+    Loader.create
+      { Loader.default_config with Loader.machine_memory = 1 lsl 32 }
+      (Memstats.create ())
+  in
+  List.iter (Loader.register_module loader) modules;
+  ignore
+    (Hlo.Inline.run loader (Cmo_il.Callgraph.build modules)
+       Hlo.Inline.default_config);
+  let funcs =
+    List.concat_map (fun (m : Ilmod.t) -> m.Ilmod.funcs) (Loader.extract_modules loader)
+  in
+  Loader.close loader;
+  Printf.printf "%d routines, %d blocks
+" (List.length funcs)
+    (List.fold_left (fun acc f -> acc + List.length f.Func.blocks) 0 funcs);
+  let reps = 10 in
+  let samples : (string, float list) Hashtbl.t = Hashtbl.create 16 in
+  let order = ref [] in
+  for _ = 1 to reps do
+    let rep = Hashtbl.create 16 in
+    let timed name f =
+      let t0 = Unix.gettimeofday () in
+      let r = f () in
+      let dt = Unix.gettimeofday () -. t0 in
+      Hashtbl.replace rep name (dt +. Option.value ~default:0.0 (Hashtbl.find_opt rep name));
+      if not (List.mem name !order) then order := name :: !order;
+      r
+    in
+    List.iter
+      (fun f0 ->
+        let f = Func.copy f0 in
+        timed "analysis: Dominators.compute" (fun () -> ignore (Hlo.Dominators.compute f));
+        timed "analysis: Liveness.compute" (fun () -> ignore (Hlo.Liveness.compute f));
+        timed "analysis: Loopinfo.compute" (fun () -> ignore (Hlo.Loopinfo.compute f));
+        timed "Phase.optimize_func (with Derived charge)" (fun () ->
+            ignore (Phase.optimize_func ~mem:(Memstats.create ()) (Func.copy f0)));
+        let rounds = ref 0 and changed = ref true in
+        while !changed && !rounds < 4 do
+          incr rounds;
+          let n =
+            List.fold_left
+              (fun acc (name, pass) -> acc + timed ("pass: " ^ name) (fun () -> pass f))
+              0 Phase.passes
+          in
+          changed := n > 0
+        done;
+        ignore (timed "llo: Layout.run" (fun () -> Llo.Layout.run f));
+        let vc = timed "llo: Isel.select" (fun () -> Llo.Isel.select ~module_name:"m" f) in
+        ignore (timed "llo: Sched.run" (fun () -> Llo.Sched.run vc));
+        ignore (timed "llo: Regalloc.run" (fun () -> Llo.Regalloc.run vc)))
+      funcs;
+    Hashtbl.iter
+      (fun name t ->
+        Hashtbl.replace samples name
+          (t :: Option.value ~default:[] (Hashtbl.find_opt samples name)))
+      rep
+  done;
+  let median l =
+    let a = Array.of_list (List.sort compare l) in
+    a.(Array.length a / 2)
+  in
+  List.iter
+    (fun name ->
+      Printf.printf "%-44s %8.2f ms\n" name (1000.0 *. median (Hashtbl.find samples name)))
+    (List.rev !order)
+
+(* ------------------------------------------------------------------ *)
 (* Ablations for the design choices DESIGN.md calls out: how much of
    the PBO win is block layout vs routine clustering vs the i-cache
    model at all; how sensitive inlining is to its density heuristic;
@@ -1869,7 +1957,7 @@ let canary_smoke () =
 
 let all = [ "fig1", fig1; "fig4", fig4; "fig5", fig5; "fig6", fig6;
             "bytes-per-line", bytes_per_line; "ablation", ablation;
-            "stale", stale; "micro", micro; "incremental", incremental;
+            "stale", stale; "micro", micro; "passes", passes; "incremental", incremental;
             "incremental-smoke", incremental_smoke;
             "parallel", parallel; "parallel-smoke", parallel_smoke;
             "fuzz-smoke", fuzz_smoke; "check-overhead", check_overhead;

@@ -15,7 +15,11 @@
 # build must be byte-identical to a never-faulted oracle, and every
 # non-crash fault kind must degrade gracefully).  The fault test
 # suite also reruns alone at a fixed fuzz seed so the corruption
-# property is reproducible in CI logs.  Finally the build server is
+# property is reproducible in CI logs, and so does the analysis-oracle
+# property (dominators, liveness, loops and register-allocation
+# intervals held to the reference implementations in
+# test/ref_analyses.ml), at ten times its default case count
+# (QCHECK_LONG=1).  Finally the build server is
 # exercised twice: the in-process edit-storm smoke (concurrent
 # clients held byte-identical to one-shot builds, warm-cache hit
 # rate rising, per-request crash isolation), and a process-level
@@ -92,6 +96,9 @@ dune exec bench/main.exe -- canary-smoke
 
 echo "== fault suite (fixed seed) =="
 CMO_JOBS=1 CMO_FUZZ_SEED=1 dune exec test/test_main.exe -- test fault
+
+echo "== analysis-oracle property (fixed seed, 10x cases) =="
+CMO_FUZZ_SEED=1 QCHECK_LONG=1 dune exec test/test_main.exe -- test analyses
 
 echo "== edit-storm smoke (in-process daemon, concurrent clients) =="
 dune exec bench/main.exe -- storm-smoke
@@ -403,6 +410,7 @@ grep "^exit:" "$FLEET_DIR/oracle.out" > "$FLEET_DIR/oracle.exit"
 i=1
 while [ "$i" -le 20 ]; do
   rm -rf "$FLEET_DIR/co1/out"
+  mkdir -p "$FLEET_DIR/co1/out"
   "$CMOC" build -O 4 -j 2 --dist --workers "$W1,$W2" \
     --dir "$FLEET_DIR/co1/out" --run --input 64,3 \
     "$FLEET_DIR"/co1/src/*.mc > "$FLEET_DIR/co1.out"

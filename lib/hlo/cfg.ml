@@ -26,8 +26,7 @@ let fold_constant_branches (f : Func.t) =
 let thread_jumps (f : Func.t) =
   (* final_target follows chains of empty Jmp-only blocks, with a
      visited set to stop at cycles (e.g. an empty infinite loop). *)
-  let by_label = Hashtbl.create 16 in
-  List.iter (fun (b : Func.block) -> Hashtbl.replace by_label b.Func.label b) f.Func.blocks;
+  let by_label = Func.block_table f in
   let rec final_target seen label =
     if List.mem label seen then label
     else
@@ -60,10 +59,7 @@ let merge_straightline (f : Func.t) =
   while !changed do
     changed := false;
     let preds = Func.predecessors f in
-    let by_label = Hashtbl.create 16 in
-    List.iter
-      (fun (b : Func.block) -> Hashtbl.replace by_label b.Func.label b)
-      f.Func.blocks;
+    let by_label = Func.block_table f in
     List.iter
       (fun (b : Func.block) ->
         if Hashtbl.mem by_label b.Func.label then

@@ -51,8 +51,8 @@ let feasible_successors state (b : Func.block) =
 
 let run (f : Func.t) =
   let nregs = max f.Func.next_reg 1 in
-  let doms = Dominators.compute f in
-  let rpo = Dominators.reverse_postorder doms in
+  let rpo = Dominators.rpo f in
+  let blocks = Func.block_table f in
   let in_states : (Instr.label, value array) Hashtbl.t = Hashtbl.create 16 in
   let entry_state = Array.make nregs Top in
   (* Parameters hold unknown caller values. *)
@@ -68,7 +68,7 @@ let run (f : Func.t) =
         match Hashtbl.find_opt in_states label with
         | None -> ()  (* not yet reached *)
         | Some in_state -> (
-          match Func.find_block_opt f label with
+          match Hashtbl.find_opt blocks label with
           | None -> ()
           | Some b ->
             let state = Array.copy in_state in

@@ -1,5 +1,6 @@
 module Instr = Cmo_il.Instr
 module Func = Cmo_il.Func
+module Bitset = Cmo_support.Bitset
 
 let run (f : Func.t) =
   let live = Liveness.compute f in
@@ -8,17 +9,14 @@ let run (f : Func.t) =
     (fun (b : Func.block) ->
       (* Walk backward with a running live set (registers read later
          in this block or live-out). *)
-      let live_now = Hashtbl.create 16 in
-      List.iter
-        (fun r -> Hashtbl.replace live_now r ())
-        (Liveness.live_out live b.Func.label);
-      List.iter (fun r -> Hashtbl.replace live_now r ()) (Instr.term_uses b.Func.term);
+      let live_now = Liveness.live_out_set live b.Func.label in
+      List.iter (Bitset.add live_now) (Instr.term_uses b.Func.term);
       let keep_rev =
         List.fold_left
           (fun acc i ->
             let needed =
               match Instr.def i with
-              | Some d -> Hashtbl.mem live_now d
+              | Some d -> Bitset.mem live_now d
               | None -> true
             in
             if Instr.is_pure i && not needed then begin
@@ -31,12 +29,12 @@ let run (f : Func.t) =
                    drops the definition. *)
                 match i with
                 | Instr.Call ({ dst = Some d; _ } as c)
-                  when not (Hashtbl.mem live_now d) ->
+                  when not (Bitset.mem live_now d) ->
                   Instr.Call { c with Instr.dst = None }
                 | other -> other
               in
-              Option.iter (fun d -> Hashtbl.remove live_now d) (Instr.def i);
-              List.iter (fun u -> Hashtbl.replace live_now u ()) (Instr.uses i);
+              Option.iter (Bitset.remove live_now) (Instr.def i);
+              List.iter (Bitset.add live_now) (Instr.uses i);
               i :: acc
             end)
           []

@@ -1,78 +1,93 @@
 module Instr = Cmo_il.Instr
 module Func = Cmo_il.Func
 
+(* Nodes are numbered by reverse-postorder position: the entry is 0
+   and every node's immediate dominator has a smaller number, which
+   is what makes [intersect] and [dominates] simple index walks. *)
 type t = {
-  entry : Instr.label;
-  idoms : (Instr.label, Instr.label) Hashtbl.t;  (* entry maps to itself *)
-  rpo : Instr.label list;
-  rpo_index : (Instr.label, int) Hashtbl.t;
+  labels : Instr.label array;  (* RPO position -> label *)
+  index : (Instr.label, int) Hashtbl.t;  (* label -> RPO position *)
+  idom : int array;  (* RPO position -> idom's position; entry -> 0 *)
 }
 
-let compute_rpo (f : Func.t) =
+(* Depth-first from the entry over one label -> block table.  A
+   target without a block (a dangling label) is still a node, with no
+   successors. *)
+let rpo_with_blocks (f : Func.t) =
+  let blocks = Func.block_table f in
   let visited = Hashtbl.create 16 in
   let order = ref [] in
   let rec dfs label =
     if not (Hashtbl.mem visited label) then begin
       Hashtbl.replace visited label ();
-      (match Func.find_block_opt f label with
+      (match Hashtbl.find_opt blocks label with
       | Some b -> List.iter dfs (Instr.targets b.Func.term)
       | None -> ());
       order := label :: !order
     end
   in
   if f.Func.blocks <> [] then dfs f.Func.entry;
-  !order
+  (!order, blocks)
 
+let rpo f = fst (rpo_with_blocks f)
+
+(* Cooper–Harvey–Kennedy over RPO positions. *)
 let compute (f : Func.t) =
-  let rpo = compute_rpo f in
-  let rpo_index = Hashtbl.create 16 in
-  List.iteri (fun i l -> Hashtbl.replace rpo_index l i) rpo;
-  let preds = Func.predecessors f in
-  let idoms = Hashtbl.create 16 in
-  Hashtbl.replace idoms f.Func.entry f.Func.entry;
+  let order, blocks = rpo_with_blocks f in
+  let labels = Array.of_list order in
+  let n = Array.length labels in
+  let index = Hashtbl.create (2 * n) in
+  Array.iteri (fun i l -> Hashtbl.replace index l i) labels;
+  let preds = Array.make n [] in
+  Array.iteri
+    (fun u l ->
+      match Hashtbl.find_opt blocks l with
+      | Some b ->
+        List.iter
+          (fun s ->
+            let v = Hashtbl.find index s in
+            preds.(v) <- u :: preds.(v))
+          (Instr.targets b.Func.term)
+      | None -> ())
+    labels;
+  let idom = Array.make n (-1) in
+  if n > 0 then idom.(0) <- 0;
   let rec intersect a b =
-    if a = b then a
-    else begin
-      let ia = Hashtbl.find rpo_index a and ib = Hashtbl.find rpo_index b in
-      if ia > ib then intersect (Hashtbl.find idoms a) b
-      else intersect a (Hashtbl.find idoms b)
-    end
+    if a = b then a else if a > b then intersect idom.(a) b else intersect a idom.(b)
   in
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun label ->
-        if label <> f.Func.entry then begin
-          let ps =
-            List.filter
-              (fun p -> Hashtbl.mem rpo_index p && Hashtbl.mem idoms p)
-              (Option.value ~default:[] (Hashtbl.find_opt preds label))
-          in
-          match ps with
-          | [] -> ()
-          | first :: rest ->
-            let new_idom = List.fold_left intersect first rest in
-            if Hashtbl.find_opt idoms label <> Some new_idom then begin
-              Hashtbl.replace idoms label new_idom;
-              changed := true
-            end
-          end)
-      rpo
+    for v = 1 to n - 1 do
+      let d =
+        List.fold_left
+          (fun acc p ->
+            if idom.(p) < 0 then acc else if acc < 0 then p else intersect p acc)
+          (-1) preds.(v)
+      in
+      if d <> idom.(v) then begin
+        idom.(v) <- d;
+        changed := true
+      end
+    done
   done;
-  { entry = f.Func.entry; idoms; rpo; rpo_index }
+  { labels; index; idom }
 
 let idom t label =
-  if label = t.entry then None
-  else Hashtbl.find_opt t.idoms label
+  match Hashtbl.find_opt t.index label with
+  | Some i when i > 0 -> Some t.labels.(t.idom.(i))
+  | Some _ | None -> None
 
 let dominates t a b =
-  if not (Hashtbl.mem t.rpo_index a && Hashtbl.mem t.rpo_index b) then false
-  else begin
-    let rec walk x = if x = a then true else if x = t.entry then false else walk (Hashtbl.find t.idoms x) in
-    walk b
-  end
+  match (Hashtbl.find_opt t.index a, Hashtbl.find_opt t.index b) with
+  | Some ia, Some ib ->
+    let x = ref ib in
+    while !x > ia do
+      x := t.idom.(!x)
+    done;
+    !x = ia
+  | _ -> false
 
-let reverse_postorder t = t.rpo
+let reverse_postorder t = Array.to_list t.labels
 
-let modeled_bytes t = 64 + (48 * List.length t.rpo)
+let modeled_bytes t = 64 + (48 * Array.length t.labels)

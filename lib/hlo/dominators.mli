@@ -1,12 +1,20 @@
 (** Dominator tree (Cooper–Harvey–Kennedy iterative algorithm).
 
     Derived data in the paper's sense: computed on demand from the
-    CFG, never updated incrementally, discarded freely (section 4.1). *)
+    CFG, never updated incrementally, discarded freely (section 4.1).
+    Reachable labels are numbered by reverse-postorder position and
+    the tree is one [int array] over those numbers, so a query is a
+    table lookup plus an index walk. *)
 
 type t
 
 val compute : Cmo_il.Func.t -> t
-(** Considers only blocks reachable from the entry. *)
+(** Considers only labels reachable from the entry.  A branch target
+    with no block is a reachable node without successors. *)
+
+val rpo : Cmo_il.Func.t -> Cmo_il.Instr.label list
+(** [reverse_postorder (compute f)] without building the tree: for
+    forward dataflow passes that need only the visiting order. *)
 
 val idom : t -> Cmo_il.Instr.label -> Cmo_il.Instr.label option
 (** Immediate dominator; [None] for the entry block or an unreachable

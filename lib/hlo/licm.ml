@@ -48,7 +48,11 @@ let process_loop (f : Func.t) (loop : Loopinfo.loop) =
           b.Func.instrs)
       loop_blocks
   in
-  let live = Liveness.compute f in
+  (* Liveness only answers the exit test, which [hoistable] asks last,
+     so most loops never compute it.  A hoist needs that test to pass,
+     so the first force precedes the first mutation and sees the
+     function this call started with. *)
+  let live = lazy (Liveness.compute f) in
   (* Exit targets: out-of-loop successors of loop blocks. *)
   let exit_targets =
     List.concat_map
@@ -57,7 +61,7 @@ let process_loop (f : Func.t) (loop : Loopinfo.loop) =
       loop_blocks
   in
   let live_at_exit r =
-    List.exists (fun t -> List.mem r (Liveness.live_in live t)) exit_targets
+    List.exists (fun t -> Liveness.live_in_mem (Lazy.force live) t r) exit_targets
   in
   let counts = def_counts f in
   let loop_defs = defs_in_loop f in_loop in
@@ -73,7 +77,6 @@ let process_loop (f : Func.t) (loop : Loopinfo.loop) =
     | None -> false
     | Some d ->
       Hashtbl.find_opt counts d = Some 1
-      && (not (live_at_exit d))
       && (not (Hashtbl.mem hoisted_regs d))
       && List.for_all operand_invariant
            (match i with
@@ -81,11 +84,11 @@ let process_loop (f : Func.t) (loop : Loopinfo.loop) =
            | Instr.Binop (_, _, a, b) -> [ a; b ]
            | Instr.Load (_, { Instr.index; _ }) -> [ index ]
            | Instr.Store _ | Instr.Call _ | Instr.Probe _ -> [])
-      &&
-      (match i with
-      | Instr.Move _ | Instr.Unop _ | Instr.Binop _ -> true
-      | Instr.Load _ -> not has_clobber
-      | Instr.Store _ | Instr.Call _ | Instr.Probe _ -> false)
+      && (match i with
+         | Instr.Move _ | Instr.Unop _ | Instr.Binop _ -> true
+         | Instr.Load _ -> not has_clobber
+         | Instr.Store _ | Instr.Call _ | Instr.Probe _ -> false)
+      && not (live_at_exit d)
   in
   (* Fixpoint discovery: hoisting one definition can make its users
      hoistable. *)

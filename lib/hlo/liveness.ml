@@ -1,106 +1,71 @@
 module Instr = Cmo_il.Instr
 module Func = Cmo_il.Func
+module Bitset = Cmo_support.Bitset
 
-(* Register sets as Bytes bitmaps: next_reg is typically small and
-   dense, and bitmaps make the transfer function cheap. *)
-module Bitset = struct
-  type t = Bytes.t
-
-  let create n = Bytes.make ((n / 8) + 1) '\000'
-
-  let mem t r = Char.code (Bytes.get t (r / 8)) land (1 lsl (r mod 8)) <> 0
-
-  let add t r =
-    Bytes.set t (r / 8)
-      (Char.chr (Char.code (Bytes.get t (r / 8)) lor (1 lsl (r mod 8))))
-
-  let remove t r =
-    Bytes.set t (r / 8)
-      (Char.chr (Char.code (Bytes.get t (r / 8)) land lnot (1 lsl (r mod 8)) land 0xff))
-
-  let union_into ~into src =
-    let changed = ref false in
-    for i = 0 to Bytes.length into - 1 do
-      let a = Char.code (Bytes.get into i) and b = Char.code (Bytes.get src i) in
-      let c = a lor b in
-      if c <> a then begin
-        Bytes.set into i (Char.chr c);
-        changed := true
-      end
-    done;
-    !changed
-
-  let copy = Bytes.copy
-
-  let elements t n =
-    let out = ref [] in
-    for r = n - 1 downto 0 do
-      if mem t r then out := r :: !out
-    done;
-    !out
-end
-
+(* Sets are indexed by layout position; [index] maps a label to it. *)
 type t = {
   nregs : int;
-  live_in : (Instr.label, Bitset.t) Hashtbl.t;
-  live_out : (Instr.label, Bitset.t) Hashtbl.t;
+  index : (Instr.label, int) Hashtbl.t;
+  live_in : Bitset.t array;
+  live_out : Bitset.t array;
 }
 
-let block_transfer nregs (b : Func.block) live_out =
-  (* live_in = (live_out - defs) + uses, walking instructions
-     backward. *)
-  let live = Bitset.copy live_out in
-  List.iter (fun r -> Bitset.add live r) (Instr.term_uses b.Func.term);
+(* Upward-exposed uses and definitions of one block: live_in =
+   gen + (live_out - kill) is the backward walk of its instructions
+   folded into one step. *)
+let gen_kill nregs (b : Func.block) =
+  let gen = Bitset.create nregs and kill = Bitset.create nregs in
+  List.iter (Bitset.add gen) (Instr.term_uses b.Func.term);
   List.iter
     (fun i ->
-      Option.iter (fun d -> Bitset.remove live d) (Instr.def i);
-      List.iter (fun u -> Bitset.add live u) (Instr.uses i))
+      Option.iter
+        (fun d ->
+          Bitset.remove gen d;
+          Bitset.add kill d)
+        (Instr.def i);
+      List.iter (Bitset.add gen) (Instr.uses i))
     (List.rev b.Func.instrs);
-  ignore nregs;
-  live
+  (gen, kill)
 
 let compute (f : Func.t) =
   let nregs = f.Func.next_reg in
-  let live_in = Hashtbl.create 16 in
-  let live_out = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Func.block) ->
-      Hashtbl.replace live_in b.Func.label (Bitset.create nregs);
-      Hashtbl.replace live_out b.Func.label (Bitset.create nregs))
-    f.Func.blocks;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    (* Backward: iterate blocks in reverse layout order. *)
-    List.iter
+  let blocks = Array.of_list f.Func.blocks in
+  let index = Hashtbl.create (2 * Array.length blocks) in
+  Array.iteri (fun i (b : Func.block) -> Hashtbl.replace index b.Func.label i) blocks;
+  let succs =
+    Array.map
       (fun (b : Func.block) ->
-        let out = Hashtbl.find live_out b.Func.label in
-        List.iter
-          (fun succ ->
-            match Hashtbl.find_opt live_in succ with
-            | Some succ_in -> if Bitset.union_into ~into:out succ_in then changed := true
-            | None -> ())
-          (Instr.targets b.Func.term);
-        let new_in = block_transfer nregs b out in
-        let old_in = Hashtbl.find live_in b.Func.label in
-        if Bitset.union_into ~into:old_in new_in then changed := true)
-      (List.rev f.Func.blocks)
-  done;
-  { nregs; live_in; live_out }
+        Array.of_list (List.filter_map (Hashtbl.find_opt index) (Instr.targets b.Func.term)))
+      blocks
+  in
+  let gen_kill = Array.map (gen_kill nregs) blocks in
+  let live_in, live_out =
+    Cmo_support.Dataflow.backward ~nbits:nregs ~succs ~gen:(Array.map fst gen_kill)
+      ~kill:(Array.map snd gen_kill)
+  in
+  { nregs; index; live_in; live_out }
 
-let live_out t label =
-  match Hashtbl.find_opt t.live_out label with
-  | Some s -> Bitset.elements s t.nregs
+let elements sets t label =
+  match Hashtbl.find_opt t.index label with
+  | Some i -> Bitset.elements sets.(i)
   | None -> []
 
-let live_in t label =
-  match Hashtbl.find_opt t.live_in label with
-  | Some s -> Bitset.elements s t.nregs
-  | None -> []
+let live_out t label = elements t.live_out t label
 
-let live_out_mem t label r =
-  match Hashtbl.find_opt t.live_out label with
-  | Some s -> r < t.nregs && Bitset.mem s r
+let live_out_set t label =
+  match Hashtbl.find_opt t.index label with
+  | Some i -> Bitset.copy t.live_out.(i)
+  | None -> Bitset.create t.nregs
+
+let live_in t label = elements t.live_in t label
+
+let mem sets t label r =
+  match Hashtbl.find_opt t.index label with
+  | Some i -> r < t.nregs && Bitset.mem sets.(i) r
   | None -> false
 
-let modeled_bytes t = 64 + (2 * Hashtbl.length t.live_in * ((t.nregs / 8) + 16))
+let live_out_mem t label r = mem t.live_out t label r
+
+let live_in_mem t label r = mem t.live_in t label r
+
+let footprint ~blocks ~nregs = 64 + (2 * blocks * ((nregs / 8) + 16))

@@ -12,42 +12,44 @@ type t = {
   innermost : (Instr.label, loop) Hashtbl.t;
 }
 
-let compute (f : Func.t) =
-  let doms = Dominators.compute f in
-  let preds = Func.predecessors f in
-  let reachable = Func.reachable f in
-  (* Collect back edges grouped by header. *)
+let compute ?doms (f : Func.t) =
+  let doms = match doms with Some d -> d | None -> Dominators.compute f in
+  (* Predecessors are walked only from a back edge. *)
+  let preds = lazy (Func.predecessors f) in
+  (* Collect back edges grouped by header.  [dominates] is false when
+     the source is unreachable, so unreachable blocks contribute no
+     back edge without a separate reachability pass. *)
   let bodies = Hashtbl.create 8 in  (* header -> (label, unit) Hashtbl *)
   let headers_rev = ref [] in
   List.iter
     (fun (b : Func.block) ->
-      if Hashtbl.mem reachable b.Func.label then
-        List.iter
-          (fun succ ->
-            if Dominators.dominates doms succ b.Func.label then begin
-              (* back edge b -> succ *)
-              let body =
-                match Hashtbl.find_opt bodies succ with
-                | Some body -> body
-                | None ->
-                  let body = Hashtbl.create 8 in
-                  Hashtbl.replace body succ ();
-                  Hashtbl.replace bodies succ body;
-                  headers_rev := succ :: !headers_rev;
-                  body
-              in
-              (* Walk predecessors from the back-edge source up to the
-                 header. *)
-              let rec pull label =
-                if not (Hashtbl.mem body label) then begin
-                  Hashtbl.replace body label ();
-                  List.iter pull
-                    (Option.value ~default:[] (Hashtbl.find_opt preds label))
-                end
-              in
-              pull b.Func.label
-            end)
-          (Instr.targets b.Func.term))
+      List.iter
+        (fun succ ->
+          if Dominators.dominates doms succ b.Func.label then begin
+            (* back edge b -> succ *)
+            let body =
+              match Hashtbl.find_opt bodies succ with
+              | Some body -> body
+              | None ->
+                let body = Hashtbl.create 8 in
+                Hashtbl.replace body succ ();
+                Hashtbl.replace bodies succ body;
+                headers_rev := succ :: !headers_rev;
+                body
+            in
+            (* Walk predecessors from the back-edge source up to the
+               header. *)
+            let rec pull label =
+              if not (Hashtbl.mem body label) then begin
+                Hashtbl.replace body label ();
+                List.iter pull
+                  (Option.value ~default:[]
+                     (Hashtbl.find_opt (Lazy.force preds) label))
+              end
+            in
+            pull b.Func.label
+          end)
+        (Instr.targets b.Func.term))
     f.Func.blocks;
   let headers = List.rev !headers_rev in
   (* Depth: number of loop bodies a header is contained in. *)

@@ -14,7 +14,11 @@ type loop = {
 
 type t
 
-val compute : Cmo_il.Func.t -> t
+val compute : ?doms:Dominators.t -> Cmo_il.Func.t -> t
+(** [doms], when given, must be [Dominators.compute f] for the
+    function as it is now; a caller that already holds the tree saves
+    recomputing it.  Reachability comes from the tree too: a block
+    the entry cannot reach has no back edge. *)
 
 val loops : t -> loop list
 (** Outermost first, then by header label. *)

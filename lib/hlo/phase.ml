@@ -63,13 +63,15 @@ let optimize_func ?mem ?(budget = unlimited ()) ?(max_rounds = 4) ?check
     | None -> fun () -> ()
     | Some mem ->
       (* Model the transient analysis footprint: dominators + liveness
-         + loop info for this routine. *)
+         + loop info for this routine.  Loop info reuses the one
+         dominator tree, and the liveness term depends only on the
+         block and register counts, so liveness itself is not run. *)
       let doms = Dominators.compute f in
-      let live = Liveness.compute f in
-      let loops = Loopinfo.compute f in
+      let loops = Loopinfo.compute ~doms f in
       let bytes =
         Dominators.modeled_bytes doms
-        + Liveness.modeled_bytes live
+        + Liveness.footprint ~blocks:(List.length f.Func.blocks)
+            ~nregs:f.Func.next_reg
         + Loopinfo.modeled_bytes loops
       in
       Memstats.charge mem Memstats.Derived bytes;

@@ -84,7 +84,8 @@ let recognize (f : Func.t) (loop : Loopinfo.loop) preds =
           let outside_preds =
             List.filter
               (fun p -> p <> body_label)
-              (Option.value ~default:[] (Hashtbl.find_opt preds header_label))
+              (Option.value ~default:[]
+                 (Hashtbl.find_opt (Lazy.force preds) header_label))
           in
           match outside_preds with
           | [ p ] -> (
@@ -151,7 +152,8 @@ let run ?(max_trip = 16) ?(budget = 96) (f : Func.t) =
   let continue_ = ref true in
   while !continue_ do
     let loops = Loopinfo.loops (Loopinfo.compute f) in
-    let preds = Func.predecessors f in
+    (* Only a loop that passes the shape checks asks for these. *)
+    let preds = lazy (Func.predecessors f) in
     let candidate =
       List.find_map
         (fun loop ->

@@ -171,13 +171,13 @@ let process_block st (b : Func.block) replaced =
    Join points start fresh. *)
 let run (f : Func.t) =
   let replaced = ref 0 in
-  let doms = Dominators.compute f in
   let preds = Func.predecessors f in
+  let blocks = Func.block_table f in
   let exit_states = Hashtbl.create 16 in
   let seen = Hashtbl.create 16 in
   List.iter
     (fun label ->
-      match Func.find_block_opt f label with
+      match Hashtbl.find_opt blocks label with
       | None -> ()
       | Some b ->
         let st =
@@ -190,7 +190,7 @@ let run (f : Func.t) =
               (* Record what the edge from the parent proves about the
                  branch condition: 0 on the fall-through (ifnot) arm,
                  non-zero on the taken (ifso) arm. *)
-              (match Func.find_block_opt f p with
+              (match Hashtbl.find_opt blocks p with
               | Some pb -> (
                 match pb.Func.term with
                 | Instr.Br { cond = Instr.Reg c; ifso; ifnot }
@@ -215,7 +215,7 @@ let run (f : Func.t) =
         process_block st b replaced;
         Hashtbl.replace exit_states label st;
         Hashtbl.replace seen label ())
-    (Dominators.reverse_postorder doms);
+    (Dominators.rpo f);
   (* Unreachable blocks get plain local numbering so the pass is a
      total function of the CFG (they are dead code either way). *)
   List.iter

@@ -61,26 +61,36 @@ let find_block t label =
 
 let entry_block t = find_block t t.entry
 
+let block_table t =
+  let table = Hashtbl.create (List.length t.blocks) in
+  List.iter
+    (fun b -> if not (Hashtbl.mem table b.label) then Hashtbl.add table b.label b)
+    t.blocks;
+  table
+
 let predecessors t =
   let preds = Hashtbl.create 16 in
   List.iter (fun b -> Hashtbl.replace preds b.label []) t.blocks;
+  (* Built reversed, then flipped once: layout order without an
+     append per edge. *)
   List.iter
     (fun b ->
       List.iter
         (fun succ ->
-          match Hashtbl.find_opt preds succ with
-          | Some ps -> Hashtbl.replace preds succ (ps @ [ b.label ])
-          | None -> Hashtbl.replace preds succ [ b.label ])
+          let ps = Option.value ~default:[] (Hashtbl.find_opt preds succ) in
+          Hashtbl.replace preds succ (b.label :: ps))
         (Instr.targets b.term))
     t.blocks;
+  Hashtbl.filter_map_inplace (fun _ ps -> Some (List.rev ps)) preds;
   preds
 
 let reachable t =
+  let blocks = block_table t in
   let seen = Hashtbl.create 16 in
   let rec visit label =
     if not (Hashtbl.mem seen label) then begin
       Hashtbl.replace seen label ();
-      match find_block_opt t label with
+      match Hashtbl.find_opt blocks label with
       | Some b -> List.iter visit (Instr.targets b.term)
       | None -> ()
     end

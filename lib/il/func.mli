@@ -56,6 +56,11 @@ val find_block_opt : t -> Instr.label -> block option
 
 val entry_block : t -> block
 
+val block_table : t -> (Instr.label, block) Hashtbl.t
+(** Freshly built label -> block map, answering exactly as
+    {!find_block_opt} does (the first block with the label) in
+    constant time. *)
+
 val predecessors : t -> (Instr.label, Instr.label list) Hashtbl.t
 (** Freshly computed predecessor map (derived data). Labels appear in
     deterministic layout order. *)

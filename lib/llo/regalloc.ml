@@ -1,3 +1,5 @@
+module Bitset = Cmo_support.Bitset
+
 type result = {
   vcode : Isel.vcode;
   spill_slots : int;
@@ -18,55 +20,43 @@ let successors = function
   | Isel.Vbr (_, a, b) -> [ a; b ]
   | Isel.Vret -> []
 
+(* Live sets over virtual registers, numbered [v - first_vreg], one
+   per block in layout order.  Physical registers are never
+   tracked. *)
 let block_liveness (vc : Isel.vcode) =
-  let live_in : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
-  let live_out : (int, (int, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Isel.vblock) ->
-      Hashtbl.replace live_in b.Isel.vlabel (Hashtbl.create 8);
-      Hashtbl.replace live_out b.Isel.vlabel (Hashtbl.create 8))
-    vc.Isel.vblocks;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
+  let nbits = vc.Isel.next_vreg - Mach.first_vreg in
+  let blocks = Array.of_list vc.Isel.vblocks in
+  let index = Hashtbl.create (2 * Array.length blocks) in
+  Array.iteri (fun i (b : Isel.vblock) -> Hashtbl.replace index b.Isel.vlabel i) blocks;
+  let succs =
+    Array.map
       (fun (b : Isel.vblock) ->
-        let out = Hashtbl.find live_out b.Isel.vlabel in
+        Array.of_list (List.filter_map (Hashtbl.find_opt index) (successors b.Isel.vterm)))
+      blocks
+  in
+  let gen_kill (b : Isel.vblock) =
+    let gen = Bitset.create nbits and kill = Bitset.create nbits in
+    List.iter (fun v -> Bitset.add gen (v - Mach.first_vreg)) (term_uses b.Isel.vterm);
+    List.iter
+      (fun i ->
         List.iter
-          (fun succ ->
-            match Hashtbl.find_opt live_in succ with
-            | Some succ_in ->
-              Hashtbl.iter
-                (fun v () ->
-                  if not (Hashtbl.mem out v) then begin
-                    Hashtbl.replace out v ();
-                    changed := true
-                  end)
-                succ_in
-            | None -> ())
-          (successors b.Isel.vterm);
-        (* in = (out - defs) + uses, backward *)
-        let live = Hashtbl.copy out in
-        List.iter (fun v -> Hashtbl.replace live v ()) (term_uses b.Isel.vterm);
-        List.iter
-          (fun i ->
-            List.iter
-              (fun d -> if is_vreg d then Hashtbl.remove live d)
-              (Mach.defs i);
-            List.iter
-              (fun u -> if is_vreg u then Hashtbl.replace live u ())
-              (Mach.uses i))
-          (List.rev b.Isel.body);
-        let in_ = Hashtbl.find live_in b.Isel.vlabel in
-        Hashtbl.iter
-          (fun v () ->
-            if not (Hashtbl.mem in_ v) then begin
-              Hashtbl.replace in_ v ();
-              changed := true
+          (fun d ->
+            if is_vreg d then begin
+              Bitset.remove gen (d - Mach.first_vreg);
+              Bitset.add kill (d - Mach.first_vreg)
             end)
-          live)
-      (List.rev vc.Isel.vblocks)
-  done;
+          (Mach.defs i);
+        List.iter
+          (fun u -> if is_vreg u then Bitset.add gen (u - Mach.first_vreg))
+          (Mach.uses i))
+      (List.rev b.Isel.body);
+    (gen, kill)
+  in
+  let gen_kill = Array.map gen_kill blocks in
+  let live_in, live_out =
+    Cmo_support.Dataflow.backward ~nbits ~succs ~gen:(Array.map fst gen_kill)
+      ~kill:(Array.map snd gen_kill)
+  in
   (live_in, live_out)
 
 (* --- intervals --- *)
@@ -85,19 +75,21 @@ type interval = {
 
 let compute_intervals (vc : Isel.vcode) =
   let live_in, live_out = block_liveness vc in
-  let intervals : (int, interval) Hashtbl.t = Hashtbl.create 64 in
+  (* Endpoints and weights by [v - first_vreg]; [hi < 0] means the
+     register has not been seen. *)
+  let n = vc.Isel.next_vreg - Mach.first_vreg in
+  let lo = Array.make n max_int and hi = Array.make n (-1) in
+  let weight = Array.make n 0.0 in
   let touch v pos w =
-    match Hashtbl.find_opt intervals v with
-    | Some itv ->
-      if pos < itv.lo then itv.lo <- pos;
-      if pos > itv.hi then itv.hi <- pos;
-      itv.weight <- itv.weight +. w
-    | None -> Hashtbl.replace intervals v { vreg = v; lo = pos; hi = pos; weight = w }
+    let k = v - Mach.first_vreg in
+    if pos < lo.(k) then lo.(k) <- pos;
+    if pos > hi.(k) then hi.(k) <- pos;
+    weight.(k) <- weight.(k) +. w
   in
   let extend v pos = touch v pos 0.0 in
   let pos = ref 0 in
-  List.iter
-    (fun (b : Isel.vblock) ->
+  List.iteri
+    (fun i (b : Isel.vblock) ->
       let block_start = !pos in
       let w = Float.max 1.0 b.Isel.vfreq in
       List.iter
@@ -109,14 +101,17 @@ let compute_intervals (vc : Isel.vcode) =
       List.iter (fun u -> touch u !pos w) (term_uses b.Isel.vterm);
       incr pos;
       let block_end = !pos - 1 in
-      Hashtbl.iter
-        (fun v () -> extend v block_start)
-        (Hashtbl.find live_in b.Isel.vlabel);
-      Hashtbl.iter
-        (fun v () -> extend v block_end)
-        (Hashtbl.find live_out b.Isel.vlabel))
+      Bitset.iter (fun v -> extend (v + Mach.first_vreg) block_start) live_in.(i);
+      Bitset.iter (fun v -> extend (v + Mach.first_vreg) block_end) live_out.(i))
     vc.Isel.vblocks;
-  Hashtbl.fold (fun _ itv acc -> itv :: acc) intervals []
+  let intervals = ref [] in
+  for k = n - 1 downto 0 do
+    if hi.(k) >= 0 then
+      intervals :=
+        { vreg = k + Mach.first_vreg; lo = lo.(k); hi = hi.(k); weight = weight.(k) }
+        :: !intervals
+  done;
+  !intervals
   |> List.sort (fun a b ->
          match compare a.lo b.lo with 0 -> compare a.vreg b.vreg | c -> c)
 
@@ -208,11 +203,13 @@ let rewrite (vc : Isel.vcode) assignment =
     let loads = ref [] in
     let stores = ref [] in
     let scratch_uses = ref [ Mach.reg_scratch1; Mach.reg_scratch2 ] in
-    let use_map = Hashtbl.create 4 in
+    (* Register -> scratch maps as association lists: an instruction
+       has at most two sources and one destination. *)
+    let use_map = ref [] in
     List.iter
       (fun u ->
         match lookup u with
-        | Some (Slot s) when not (Hashtbl.mem use_map u) ->
+        | Some (Slot s) when not (List.mem_assoc u !use_map) ->
           let scratch =
             match !scratch_uses with
             | r :: rest ->
@@ -220,21 +217,21 @@ let rewrite (vc : Isel.vcode) assignment =
               r
             | [] -> invalid_arg "Regalloc: out of scratch registers"
           in
-          Hashtbl.replace use_map u scratch;
+          use_map := (u, scratch) :: !use_map;
           loads := Mach.Ld (scratch, Mach.reg_sp, slot_off s) :: !loads
         | Some (Slot _) | Some (Phys _) | None -> ())
       (Mach.uses i);
-    let def_map = Hashtbl.create 2 in
+    let def_map = ref [] in
     List.iter
       (fun d ->
         match lookup d with
         | Some (Slot s) ->
-          Hashtbl.replace def_map d Mach.reg_scratch3;
+          def_map := (d, Mach.reg_scratch3) :: !def_map;
           stores := Mach.St (Mach.reg_scratch3, Mach.reg_sp, slot_off s) :: !stores
         | Some (Phys _) | None -> ())
       (Mach.defs i);
     let map_with table r =
-      match Hashtbl.find_opt table r with
+      match List.assoc_opt r !table with
       | Some scratch -> scratch
       | None -> (
         match lookup r with
@@ -268,6 +265,9 @@ let rewrite (vc : Isel.vcode) assignment =
       | Isel.Vjmp _ | Isel.Vret -> ()))
     vc.Isel.vblocks;
   used
+
+let intervals vc =
+  List.map (fun itv -> (itv.vreg, itv.lo, itv.hi, itv.weight)) (compute_intervals vc)
 
 let run vc =
   let intervals = compute_intervals vc in

@@ -28,3 +28,9 @@ type result = {
 }
 
 val run : Isel.vcode -> result
+
+val intervals : Isel.vcode -> (int * int * int * float) list
+(** The live intervals {!run} allocates, as [(vreg, lo, hi, weight)]
+    in allocation order (ascending [lo], then [vreg]).  Positions
+    number the instructions and terminators of the blocks in layout
+    order.  Exposed for tests. *)

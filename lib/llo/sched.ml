@@ -14,19 +14,19 @@ let schedule_segment instrs =
   let n = Array.length instrs in
   if n <= 2 then (Array.to_list instrs, 0)
   else begin
-    (* Dependence edges i -> j (i before j). *)
+    (* Dependence edges i -> j (i before j); each pair is visited
+       once, so no edge is added twice. *)
     let succs = Array.make n [] in
     let preds_count = Array.make n 0 in
     let edge i j =
-      if not (List.mem j succs.(i)) then begin
-        succs.(i) <- j :: succs.(i);
-        preds_count.(j) <- preds_count.(j) + 1
-      end
+      succs.(i) <- j :: succs.(i);
+      preds_count.(j) <- preds_count.(j) + 1
     in
+    let uses = Array.map Mach.uses instrs and defs = Array.map Mach.defs instrs in
     for j = 0 to n - 1 do
-      let uses_j = Mach.uses instrs.(j) and defs_j = Mach.defs instrs.(j) in
+      let uses_j = uses.(j) and defs_j = defs.(j) in
       for i = 0 to j - 1 do
-        let defs_i = Mach.defs instrs.(i) and uses_i = Mach.uses instrs.(i) in
+        let defs_i = defs.(i) and uses_i = uses.(i) in
         let raw = List.exists (fun d -> List.mem d uses_j) defs_i in
         let war = List.exists (fun d -> List.mem d uses_i) defs_j in
         let waw = List.exists (fun d -> List.mem d defs_j) defs_i in
@@ -60,7 +60,7 @@ let schedule_segment instrs =
         if (not emitted.(i)) && preds_count.(i) = 0 then ready := i :: !ready
       done;
       let stalls i =
-        !last_load_dst >= 0 && List.mem !last_load_dst (Mach.uses instrs.(i))
+        !last_load_dst >= 0 && List.mem !last_load_dst uses.(i)
       in
       let better a b =
         (* Prefer non-stalling, then higher critical path, then

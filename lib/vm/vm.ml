@@ -21,6 +21,10 @@ exception Fault of string
 
 let fault fmt = Format.kasprintf (fun s -> raise (Fault s)) fmt
 
+(* Active calls allowed at once; the call that would make one more
+   faults. *)
+let max_call_depth = 100_000
+
 let run ?(input = [||]) ?(fuel = 500_000_000) ?(stack_cells = 65_536)
     ?(costmodel = Costmodel.default) ?(attribute = false) (image : Image.t) =
   let cm = costmodel in
@@ -39,6 +43,7 @@ let run ?(input = [||]) ?(fuel = 500_000_000) ?(stack_cells = 65_536)
   let probes = Hashtbl.create 64 in
   let output_rev = ref [] in
   let ra_stack = ref [] in
+  let depth = ref 0 in  (* List.length !ra_stack, kept in O(1) *)
   let cycles = ref 0 in
   let instructions = ref 0 in
   let taken_branches = ref 0 in
@@ -147,13 +152,15 @@ let run ?(input = [||]) ?(fuel = 500_000_000) ?(stack_cells = 65_536)
       cycles := !cycles + cm.Costmodel.call_cycles;
       incr calls;
       ra_stack := next :: !ra_stack;
-      if List.length !ra_stack > 100_000 then fault "call stack overflow";
+      incr depth;
+      if !depth > max_call_depth then fault "call stack overflow";
       pc := t
     | Mach.Ret -> (
       cycles := !cycles + cm.Costmodel.ret_cycles;
       match !ra_stack with
       | ra :: rest ->
         ra_stack := rest;
+        decr depth;
         pc := ra
       | [] ->
         (* Return from main: program finished. *)

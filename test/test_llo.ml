@@ -688,8 +688,32 @@ let test_llo_memory_charged_quadratic () =
   Alcotest.(check bool) "quadratic growth" true
     (Llo.modeled_llo_bytes 2000 > 3 * Llo.modeled_llo_bytes 1000)
 
+(* The VM allows 100 000 active calls; the call that would make one
+   more faults.  [main] is entered without a call, so [r n] peaks at
+   n + 1 active calls (main's call into r, then n recursive ones).
+   The stack is sized so that memory never runs out first. *)
+let test_vm_call_depth_boundary () =
+  let source =
+    "func r(n) { if (n == 0) { return 0; } return r(n - 1) + 1; }\n\
+     func main() { return r(arg(0)); }"
+  in
+  let build =
+    Cmo_driver.Pipeline.compile Cmo_driver.Options.o1
+      [ { Cmo_driver.Pipeline.name = "depth"; text = source } ]
+  in
+  let run n =
+    Vm.run ~input:[| Int64.of_int n |] ~stack_cells:2_000_000
+      build.Cmo_driver.Pipeline.image
+  in
+  Alcotest.(check int64) "100 000 active calls run" 99_999L (run 99_999).Vm.ret;
+  match run 100_000 with
+  | _ -> Alcotest.fail "100 001 active calls ran"
+  | exception Vm.Fault msg ->
+    Alcotest.(check string) "fault at 100 001" "call stack overflow" msg
+
 let suite =
   [
+    ("vm call depth boundary", `Quick, test_vm_call_depth_boundary);
     ("exec arithmetic", `Quick, test_exec_arith);
     ("exec all operators", `Quick, test_exec_all_binops);
     ("exec division by zero", `Quick, test_exec_div_by_zero);

@@ -23,4 +23,6 @@ let () =
       ("fault", Test_fault.suite);
       ("server", Test_server.suite);
       ("dist", Test_dist.suite);
+      ("anchor", Test_anchor.suite);
+      ("analyses", Test_analyses.suite);
     ]

@@ -1,10 +1,13 @@
 (* Tests for the support substrate: PRNG determinism and
-   distributions, interning, the binary codec, and statistics. *)
+   distributions, interning, the binary codec, statistics, word
+   bitsets and the backward dataflow solver. *)
 
 module Prng = Cmo_support.Prng
 module Intern = Cmo_support.Intern
 module Codec = Cmo_support.Codec
 module Stats = Cmo_support.Stats
+module Bitset = Cmo_support.Bitset
+module Dataflow = Cmo_support.Dataflow
 
 let test_prng_deterministic () =
   let a = Prng.create 42 in
@@ -227,8 +230,52 @@ let test_stats_ratio () =
   Alcotest.(check (float 1e-9)) "ratio" 2.0 (Stats.ratio 4.0 2.0);
   Alcotest.(check (float 1e-9)) "zero denominator" 0.0 (Stats.ratio 4.0 0.0)
 
+(* Elements on both sides of the 63-bit word boundaries, including
+   the top bit of a word (the sign bit of an OCaml int). *)
+let test_bitset_word_boundaries () =
+  let elems = [ 0; 1; 61; 62; 63; 64; 125; 126; 127; 199 ] in
+  let s = Bitset.create 200 in
+  List.iter (Bitset.add s) elems;
+  Alcotest.(check (list int)) "elements ascending" elems (Bitset.elements s);
+  Alcotest.(check bool) "mem past capacity" false (Bitset.mem s 5000);
+  Alcotest.(check bool) "mem negative" false (Bitset.mem s (-1));
+  Bitset.remove s 62;
+  Bitset.remove s 63;
+  Alcotest.(check (list int)) "after remove" [ 0; 1; 61; 64; 125; 126; 127; 199 ]
+    (Bitset.elements s);
+  let into = Bitset.create 200 in
+  Bitset.add into 3;
+  let minus = Bitset.create 200 in
+  List.iter (Bitset.add minus) [ 64; 126 ];
+  Alcotest.(check bool) "union_diff grows" true (Bitset.union_diff_into ~into s ~minus);
+  Alcotest.(check (list int)) "union minus" [ 0; 1; 3; 61; 125; 127; 199 ]
+    (Bitset.elements into);
+  Alcotest.(check bool) "second union_diff no-op" false
+    (Bitset.union_diff_into ~into s ~minus);
+  Alcotest.(check bool) "union_into no-op" false (Bitset.union_into ~into (Bitset.copy into))
+
+(* Liveness over 0 -> 1 -> 2 -> 1 (loop), 1 -> 3: 0 defines v0 and
+   v1, the loop body 2 reads v0 and redefines v1, the exit 3 reads
+   v1.  Both stay live around the loop. *)
+let test_dataflow_backward_loop () =
+  let set l =
+    let s = Bitset.create 2 in
+    List.iter (Bitset.add s) l;
+    s
+  in
+  let succs = [| [| 1 |]; [| 2; 3 |]; [| 1 |]; [||] |] in
+  let gen = [| set []; set []; set [ 0 ]; set [ 1 ] |] in
+  let kill = [| set [ 0; 1 ]; set []; set [ 1 ]; set [] |] in
+  let live_in, live_out = Dataflow.backward ~nbits:2 ~succs ~gen ~kill in
+  let show a = Array.to_list (Array.map Bitset.elements a) in
+  Alcotest.(check (list (list int))) "live-in" [ []; [ 0; 1 ]; [ 0 ]; [ 1 ] ] (show live_in);
+  Alcotest.(check (list (list int))) "live-out" [ [ 0; 1 ]; [ 0; 1 ]; [ 0; 1 ]; [] ]
+    (show live_out)
+
 let suite =
   [
+    ("bitset word boundaries", `Quick, test_bitset_word_boundaries);
+    ("dataflow backward loop", `Quick, test_dataflow_backward_loop);
     ("prng deterministic", `Quick, test_prng_deterministic);
     ("prng seeds differ", `Quick, test_prng_seeds_differ);
     ("prng split independent", `Quick, test_prng_split_independent);
