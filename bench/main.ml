@@ -381,9 +381,11 @@ let micro () =
    guided inlining (the shape of perfbench's cold builds), each put
    through the CFG analyses alone, the scalar ladder as
    [Phase.optimize_func] runs it (with the Derived memory charge), the
-   same ladder pass by pass, and the LLO stages.  Ten repeats; the
-   median per item.  Only long-standing interfaces are used, so the
-   leg runs unchanged on older trees for a before/after table. *)
+   same ladder pass by pass, and the LLO stages; and the program's
+   sources through the lexer and parser.  Ten repeats; the median per
+   item of its time and of the minor-heap words it allocated.  Only
+   long-standing interfaces are used, so the leg runs unchanged on
+   older trees for a before/after table. *)
 (* ------------------------------------------------------------------ *)
 
 let passes () =
@@ -414,18 +416,27 @@ let passes () =
 " (List.length funcs)
     (List.fold_left (fun acc f -> acc + List.length f.Func.blocks) 0 funcs);
   let reps = 10 in
-  let samples : (string, float list) Hashtbl.t = Hashtbl.create 16 in
+  (* name -> (seconds, minor words) per repeat *)
+  let samples : (string, (float * float) list) Hashtbl.t = Hashtbl.create 16 in
   let order = ref [] in
   for _ = 1 to reps do
     let rep = Hashtbl.create 16 in
     let timed name f =
+      let w0 = Gc.minor_words () in
       let t0 = Unix.gettimeofday () in
       let r = f () in
       let dt = Unix.gettimeofday () -. t0 in
-      Hashtbl.replace rep name (dt +. Option.value ~default:0.0 (Hashtbl.find_opt rep name));
+      let dw = Gc.minor_words () -. w0 in
+      let t, w = Option.value ~default:(0.0, 0.0) (Hashtbl.find_opt rep name) in
+      Hashtbl.replace rep name (t +. dt, w +. dw);
       if not (List.mem name !order) then order := name :: !order;
       r
     in
+    timed "frontend: lex+parse" (fun () ->
+        List.iter
+          (fun (s : Pipeline.source) ->
+            ignore (Cmo_frontend.Parser.parse ~module_name:s.Pipeline.name s.Pipeline.text))
+          sources);
     List.iter
       (fun f0 ->
         let f = Func.copy f0 in
@@ -459,9 +470,13 @@ let passes () =
     let a = Array.of_list (List.sort compare l) in
     a.(Array.length a / 2)
   in
+  Printf.printf "%-44s %11s %16s\n" "" "time" "minor words";
   List.iter
     (fun name ->
-      Printf.printf "%-44s %8.2f ms\n" name (1000.0 *. median (Hashtbl.find samples name)))
+      let s = Hashtbl.find samples name in
+      Printf.printf "%-44s %8.2f ms %14.0f k\n" name
+        (1000.0 *. median (List.map fst s))
+        (median (List.map snd s) /. 1000.0))
     (List.rev !order)
 
 (* ------------------------------------------------------------------ *)

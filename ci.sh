@@ -15,12 +15,14 @@
 # build must be byte-identical to a never-faulted oracle, and every
 # non-crash fault kind must degrade gracefully).  The fault test
 # suite also reruns alone at a fixed fuzz seed so the corruption
-# property is reproducible in CI logs, and so does the analysis-oracle
+# property is reproducible in CI logs, and so do the analysis-oracle
 # property (dominators, liveness, loops and register-allocation
 # intervals held to the reference implementations in
-# test/ref_analyses.ml), at ten times its default case count
-# (QCHECK_LONG=1).  Finally the build server is
-# exercised twice: the in-process edit-storm smoke (concurrent
+# test/ref_analyses.ml) and the transform-oracle properties (suite
+# "xforms": value numbering, copy and constant propagation, CFG
+# cleanup and scheduling held to test/ref_transforms.ml), each at ten
+# times its default case count (QCHECK_LONG=1).  Finally the build
+# server is exercised twice: the in-process edit-storm smoke (concurrent
 # clients held byte-identical to one-shot builds, warm-cache hit
 # rate rising, per-request crash isolation), and a process-level
 # cmocd smoke — daemon start, concurrent cmoc --remote builds at j=1
@@ -99,6 +101,9 @@ CMO_JOBS=1 CMO_FUZZ_SEED=1 dune exec test/test_main.exe -- test fault
 
 echo "== analysis-oracle property (fixed seed, 10x cases) =="
 CMO_FUZZ_SEED=1 QCHECK_LONG=1 dune exec test/test_main.exe -- test analyses
+
+echo "== transform-oracle property (fixed seed, 10x cases) =="
+CMO_FUZZ_SEED=1 QCHECK_LONG=1 dune exec test/test_main.exe -- test xforms
 
 echo "== edit-storm smoke (in-process daemon, concurrent clients) =="
 dune exec bench/main.exe -- storm-smoke

@@ -177,12 +177,19 @@ let check_func ?env ~phase (f : Func.t) =
        skipped — they are dead weight a later CFG cleanup removes, and
        they have no defined entry state. *)
     let nregs = max f.Func.next_reg f.Func.arity in
-    if nregs < 100_000 && Hashtbl.mem labels f.Func.entry then begin
-      let reachable = Func.reachable f in
-      let block_tbl = Hashtbl.create 16 in
-      List.iter
-        (fun (b : Func.block) -> Hashtbl.replace block_tbl b.Func.label b)
-        f.Func.blocks;
+    (* The CFG tables are label-indexed: a negative or absurd label
+       (already reported above) leaves this check out. *)
+    let indexable l = l >= 0 && l < 1_000_000 in
+    if
+      nregs < 100_000
+      && Hashtbl.mem labels f.Func.entry
+      && List.for_all
+           (fun (b : Func.block) ->
+             indexable b.Func.label && List.for_all indexable (Instr.targets b.Func.term))
+           f.Func.blocks
+    then begin
+      let ix = Func.index f in
+      let reachable = Func.reachable f ix in
       let defs_of (b : Func.block) from =
         let acc = Bits.copy from in
         List.iter (fun i -> Option.iter (Bits.add acc) (Instr.def i)) b.Func.instrs;
@@ -192,13 +199,11 @@ let check_func ?env ~phase (f : Func.t) =
       for r = 0 to f.Func.arity - 1 do
         Bits.add entry_in r
       done;
-      let in_sets = Hashtbl.create 16 in
-      Hashtbl.replace in_sets f.Func.entry entry_in;
-      let preds = Func.predecessors f in
+      let in_sets = Array.make ix.Func.bound None in
+      in_sets.(f.Func.entry) <- Some entry_in;
+      let preds = Func.predecessors f ix in
       let order =
-        List.filter
-          (fun (b : Func.block) -> Hashtbl.mem reachable b.Func.label)
-          f.Func.blocks
+        List.filter (fun (b : Func.block) -> reachable.(b.Func.label)) f.Func.blocks
       in
       let changed = ref true in
       while !changed do
@@ -208,35 +213,29 @@ let check_func ?env ~phase (f : Func.t) =
             let in_b =
               if b.Func.label = f.Func.entry then entry_in
               else begin
-                let reach_preds =
-                  List.filter
-                    (fun p -> Hashtbl.mem reachable p)
-                    (Option.value ~default:[]
-                       (Hashtbl.find_opt preds b.Func.label))
-                in
+                let reach_preds = List.filter (fun p -> reachable.(p)) preds.(b.Func.label) in
                 (* A reachable non-entry block has at least one
                    reachable predecessor by construction. *)
                 let acc = Bits.full nregs in
                 List.iter
                   (fun p ->
-                    match Hashtbl.find_opt in_sets p with
-                    | Some in_p ->
-                      Bits.inter acc (defs_of (Hashtbl.find block_tbl p) in_p)
-                    | None -> ())
+                    match (in_sets.(p), ix.Func.block_at.(p)) with
+                    | Some in_p, Some pb -> Bits.inter acc (defs_of pb in_p)
+                    | _ -> ())
                   reach_preds;
                 acc
               end
             in
-            match Hashtbl.find_opt in_sets b.Func.label with
+            match in_sets.(b.Func.label) with
             | Some old when Bits.equal old in_b -> ()
             | _ ->
-              Hashtbl.replace in_sets b.Func.label in_b;
+              in_sets.(b.Func.label) <- Some in_b;
               changed := true)
           order
       done;
       List.iter
         (fun (b : Func.block) ->
-          match Hashtbl.find_opt in_sets b.Func.label with
+          match in_sets.(b.Func.label) with
           | None -> ()
           | Some in_b ->
             let defined = Bits.copy in_b in

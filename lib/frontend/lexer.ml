@@ -15,22 +15,6 @@ type located = { tok : token; pos : Ast.pos }
 
 exception Lex_error of string * Ast.pos
 
-let keyword_table =
-  [
-    ("func", KW_FUNC);
-    ("global", KW_GLOBAL);
-    ("static", KW_STATIC);
-    ("extern", KW_EXTERN);
-    ("var", KW_VAR);
-    ("if", KW_IF);
-    ("else", KW_ELSE);
-    ("while", KW_WHILE);
-    ("for", KW_FOR);
-    ("break", KW_BREAK);
-    ("continue", KW_CONTINUE);
-    ("return", KW_RETURN);
-  ]
-
 type cursor = {
   src : string;
   mutable pos : int;
@@ -40,14 +24,17 @@ type cursor = {
 
 let here c : Ast.pos = { Ast.line = c.line; col = c.pos - c.bol + 1 }
 
-let peek c = if c.pos < String.length c.src then Some c.src.[c.pos] else None
+(* The character tests read the source in place: returning the
+   current character as an option would allocate once per character. *)
+let looking_at c p = c.pos < String.length c.src && p (String.unsafe_get c.src c.pos)
+
+let at c (ch : char) = c.pos < String.length c.src && String.unsafe_get c.src c.pos = ch
 
 let advance c =
-  (match peek c with
-  | Some '\n' ->
+  if at c '\n' then begin
     c.line <- c.line + 1;
     c.bol <- c.pos + 1
-  | _ -> ());
+  end;
   c.pos <- c.pos + 1
 
 let is_digit ch = ch >= '0' && ch <= '9'
@@ -57,28 +44,24 @@ let is_ident_start ch =
 
 let is_ident_char ch = is_ident_start ch || is_digit ch || ch = ':'
 
+let is_space = function ' ' | '\t' | '\r' | '\n' -> true | _ -> false
+
 let rec skip_ws c =
-  match peek c with
-  | Some (' ' | '\t' | '\r' | '\n') ->
+  if looking_at c is_space then begin
     advance c;
     skip_ws c
-  | Some '/' when c.pos + 1 < String.length c.src && c.src.[c.pos + 1] = '/' ->
-    let rec to_eol () =
-      match peek c with
-      | Some '\n' | None -> ()
-      | Some _ ->
-        advance c;
-        to_eol ()
-    in
-    to_eol ();
+  end
+  else if at c '/' && c.pos + 1 < String.length c.src && c.src.[c.pos + 1] = '/' then begin
+    while c.pos < String.length c.src && not (at c '\n') do
+      advance c
+    done;
     skip_ws c
-  | _ -> ()
+  end
 
 let lex_number c pos =
   let start = c.pos in
-  let neg = peek c = Some '-' in
-  if neg then advance c;
-  while (match peek c with Some ch -> is_digit ch | None -> false) do
+  if at c '-' then advance c;
+  while looking_at c is_digit do
     advance c
   done;
   let text = String.sub c.src start (c.pos - start) in
@@ -88,17 +71,30 @@ let lex_number c pos =
 
 let lex_ident c pos =
   let start = c.pos in
-  while (match peek c with Some ch -> is_ident_char ch | None -> false) do
+  while looking_at c is_ident_char do
     advance c
   done;
-  let text = String.sub c.src start (c.pos - start) in
-  match List.assoc_opt text keyword_table with
-  | Some kw -> { tok = kw; pos }
-  | None -> { tok = IDENT text; pos }
+  let tok =
+    match String.sub c.src start (c.pos - start) with
+    | "func" -> KW_FUNC
+    | "global" -> KW_GLOBAL
+    | "static" -> KW_STATIC
+    | "extern" -> KW_EXTERN
+    | "var" -> KW_VAR
+    | "if" -> KW_IF
+    | "else" -> KW_ELSE
+    | "while" -> KW_WHILE
+    | "for" -> KW_FOR
+    | "break" -> KW_BREAK
+    | "continue" -> KW_CONTINUE
+    | "return" -> KW_RETURN
+    | text -> IDENT text
+  in
+  { tok; pos }
 
 let two c pos first second tok_two tok_one =
   advance c;
-  if peek c = Some second then begin
+  if at c second then begin
     advance c;
     { tok = tok_two; pos }
   end
@@ -112,9 +108,9 @@ let two c pos first second tok_two tok_one =
 let next_token c =
   skip_ws c;
   let pos = here c in
-  match peek c with
-  | None -> { tok = EOF; pos }
-  | Some ch ->
+  if c.pos >= String.length c.src then { tok = EOF; pos }
+  else
+    let ch = c.src.[c.pos] in
     if is_digit ch then lex_number c pos
     else if is_ident_start ch then lex_ident c pos
     else begin
@@ -139,16 +135,14 @@ let next_token c =
       | '!' -> two c pos '!' '=' NE (Some BANG)
       | '<' ->
         advance c;
-        (match peek c with
-        | Some '=' -> advance c; { tok = LE; pos }
-        | Some '<' -> advance c; { tok = SHL; pos }
-        | _ -> { tok = LT; pos })
+        if at c '=' then (advance c; { tok = LE; pos })
+        else if at c '<' then (advance c; { tok = SHL; pos })
+        else { tok = LT; pos }
       | '>' ->
         advance c;
-        (match peek c with
-        | Some '=' -> advance c; { tok = GE; pos }
-        | Some '>' -> advance c; { tok = SHR; pos }
-        | _ -> { tok = GT; pos })
+        if at c '=' then (advance c; { tok = GE; pos })
+        else if at c '>' then (advance c; { tok = SHR; pos })
+        else { tok = GT; pos }
       | _ ->
         raise (Lex_error (Printf.sprintf "illegal character %C" ch, pos))
     end

@@ -2,10 +2,10 @@ module Instr = Cmo_il.Instr
 module Func = Cmo_il.Func
 
 let remove_unreachable (f : Func.t) =
-  let reachable = Func.reachable f in
+  let reachable = Func.reachable f (Func.index f) in
   let before = List.length f.Func.blocks in
   f.Func.blocks <-
-    List.filter (fun (b : Func.block) -> Hashtbl.mem reachable b.Func.label) f.Func.blocks;
+    List.filter (fun (b : Func.block) -> reachable.(b.Func.label)) f.Func.blocks;
   before - List.length f.Func.blocks
 
 let fold_constant_branches (f : Func.t) =
@@ -26,11 +26,11 @@ let fold_constant_branches (f : Func.t) =
 let thread_jumps (f : Func.t) =
   (* final_target follows chains of empty Jmp-only blocks, with a
      visited set to stop at cycles (e.g. an empty infinite loop). *)
-  let by_label = Func.block_table f in
+  let by_label = (Func.index f).Func.block_at in
   let rec final_target seen label =
     if List.mem label seen then label
     else
-      match Hashtbl.find_opt by_label label with
+      match by_label.(label) with
       | Some { Func.instrs = []; term = Instr.Jmp next; _ } ->
         final_target (label :: seen) next
       | Some _ | None -> label
@@ -58,22 +58,25 @@ let merge_straightline (f : Func.t) =
   let changed = ref true in
   while !changed do
     changed := false;
-    let preds = Func.predecessors f in
-    let by_label = Func.block_table f in
+    (* Built once per sweep: a merge leaves the predecessor counts
+       stale until the next sweep, and only clears the merged
+       label's slot. *)
+    let ix = Func.index f in
+    let by_label = ix.Func.block_at in
     List.iter
       (fun (b : Func.block) ->
-        if Hashtbl.mem by_label b.Func.label then
+        if Option.is_some by_label.(b.Func.label) then
           match b.Func.term with
           | Instr.Jmp succ_label
             when succ_label <> b.Func.label
                  && succ_label <> f.Func.entry
-                 && Hashtbl.find_opt preds succ_label = Some [ b.Func.label ] -> (
-            match Hashtbl.find_opt by_label succ_label with
+                 && Func.sole_pred ix succ_label = b.Func.label -> (
+            match by_label.(succ_label) with
             | Some succ ->
               b.Func.instrs <- b.Func.instrs @ succ.Func.instrs;
               b.Func.term <- succ.Func.term;
               if succ.Func.freq > b.Func.freq then b.Func.freq <- succ.Func.freq;
-              Hashtbl.remove by_label succ_label;
+              by_label.(succ_label) <- None;
               f.Func.blocks <-
                 List.filter
                   (fun (x : Func.block) -> x.Func.label <> succ_label)

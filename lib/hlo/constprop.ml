@@ -51,35 +51,40 @@ let feasible_successors state (b : Func.block) =
 
 let run (f : Func.t) =
   let nregs = max f.Func.next_reg 1 in
-  let rpo = Dominators.rpo f in
-  let blocks = Func.block_table f in
-  let in_states : (Instr.label, value array) Hashtbl.t = Hashtbl.create 16 in
+  let ix = Func.index f in
+  (* Reachable labels by RPO position; [pos] maps a label back.  An
+     empty in-state marks a position not reached yet. *)
+  let rpo = Array.of_list (Dominators.rpo ~index:ix f) in
+  let pos = Array.make ix.Func.bound (-1) in
+  Array.iteri (fun i l -> pos.(l) <- i) rpo;
+  let in_states = Array.make (Array.length rpo) [||] in
   let entry_state = Array.make nregs Top in
   (* Parameters hold unknown caller values. *)
   for r = 0 to f.Func.arity - 1 do
     entry_state.(r) <- Bottom
   done;
-  Hashtbl.replace in_states f.Func.entry entry_state;
+  if Array.length rpo > 0 then in_states.(pos.(f.Func.entry)) <- entry_state;
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun label ->
-        match Hashtbl.find_opt in_states label with
-        | None -> ()  (* not yet reached *)
-        | Some in_state -> (
-          match Hashtbl.find_opt blocks label with
+    Array.iteri
+      (fun i label ->
+        let in_state = in_states.(i) in
+        if Array.length in_state > 0 then
+          match ix.Func.block_at.(label) with
           | None -> ()
           | Some b ->
             let state = Array.copy in_state in
             List.iter (transfer_instr state) b.Func.instrs;
             List.iter
               (fun succ ->
-                match Hashtbl.find_opt in_states succ with
-                | None ->
-                  Hashtbl.replace in_states succ (Array.copy state);
+                let s = pos.(succ) in
+                let succ_state = in_states.(s) in
+                if Array.length succ_state = 0 then begin
+                  in_states.(s) <- Array.copy state;
                   changed := true
-                | Some succ_state ->
+                end
+                else
                   for r = 0 to nregs - 1 do
                     let m = meet succ_state.(r) state.(r) in
                     if m <> succ_state.(r) then begin
@@ -87,16 +92,18 @@ let run (f : Func.t) =
                       changed := true
                     end
                   done)
-              (feasible_successors state b)))
+              (feasible_successors state b))
       rpo
   done;
   (* Rewrite using the converged per-block entry states. *)
   let rewrites = ref 0 in
   List.iter
     (fun (b : Func.block) ->
-      match Hashtbl.find_opt in_states b.Func.label with
-      | None -> ()  (* unreachable: left for Cfg.remove_unreachable *)
-      | Some in_state ->
+      let i = pos.(b.Func.label) in
+      if i < 0 || Array.length in_states.(i) = 0 then
+        ()  (* unreachable: left for Cfg.remove_unreachable *)
+      else
+        let in_state = in_states.(i) in
         let state = Array.copy in_state in
         let subst op =
           match op with

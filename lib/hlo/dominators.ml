@@ -6,46 +6,44 @@ module Func = Cmo_il.Func
    is what makes [intersect] and [dominates] simple index walks. *)
 type t = {
   labels : Instr.label array;  (* RPO position -> label *)
-  index : (Instr.label, int) Hashtbl.t;  (* label -> RPO position *)
+  index : int array;  (* label -> RPO position, -1 when unreachable *)
   idom : int array;  (* RPO position -> idom's position; entry -> 0 *)
 }
 
-(* Depth-first from the entry over one label -> block table.  A
+(* Depth-first from the entry over the routine's label index.  A
    target without a block (a dangling label) is still a node, with no
    successors. *)
-let rpo_with_blocks (f : Func.t) =
-  let blocks = Func.block_table f in
-  let visited = Hashtbl.create 16 in
+let rpo ?index (f : Func.t) =
+  let ix = match index with Some ix -> ix | None -> Func.index f in
+  let visited = Array.make ix.Func.bound false in
   let order = ref [] in
   let rec dfs label =
-    if not (Hashtbl.mem visited label) then begin
-      Hashtbl.replace visited label ();
-      (match Hashtbl.find_opt blocks label with
+    if not visited.(label) then begin
+      visited.(label) <- true;
+      (match ix.Func.block_at.(label) with
       | Some b -> List.iter dfs (Instr.targets b.Func.term)
       | None -> ());
       order := label :: !order
     end
   in
   if f.Func.blocks <> [] then dfs f.Func.entry;
-  (!order, blocks)
-
-let rpo f = fst (rpo_with_blocks f)
+  !order
 
 (* Cooper–Harvey–Kennedy over RPO positions. *)
 let compute (f : Func.t) =
-  let order, blocks = rpo_with_blocks f in
-  let labels = Array.of_list order in
+  let ix = Func.index f in
+  let labels = Array.of_list (rpo ~index:ix f) in
   let n = Array.length labels in
-  let index = Hashtbl.create (2 * n) in
-  Array.iteri (fun i l -> Hashtbl.replace index l i) labels;
+  let index = Array.make ix.Func.bound (-1) in
+  Array.iteri (fun i l -> index.(l) <- i) labels;
   let preds = Array.make n [] in
   Array.iteri
     (fun u l ->
-      match Hashtbl.find_opt blocks l with
+      match ix.Func.block_at.(l) with
       | Some b ->
         List.iter
           (fun s ->
-            let v = Hashtbl.find index s in
+            let v = index.(s) in
             preds.(v) <- u :: preds.(v))
           (Instr.targets b.Func.term)
       | None -> ())
@@ -73,20 +71,24 @@ let compute (f : Func.t) =
   done;
   { labels; index; idom }
 
+(* RPO position of any label, -1 when unreachable or out of range. *)
+let position t label =
+  if label >= 0 && label < Array.length t.index then t.index.(label) else -1
+
 let idom t label =
-  match Hashtbl.find_opt t.index label with
-  | Some i when i > 0 -> Some t.labels.(t.idom.(i))
-  | Some _ | None -> None
+  let i = position t label in
+  if i > 0 then Some t.labels.(t.idom.(i)) else None
 
 let dominates t a b =
-  match (Hashtbl.find_opt t.index a, Hashtbl.find_opt t.index b) with
-  | Some ia, Some ib ->
+  let ia = position t a and ib = position t b in
+  if ia < 0 || ib < 0 then false
+  else begin
     let x = ref ib in
     while !x > ia do
       x := t.idom.(!x)
     done;
     !x = ia
-  | _ -> false
+  end
 
 let reverse_postorder t = Array.to_list t.labels
 

@@ -3,8 +3,9 @@
     Derived data in the paper's sense: computed on demand from the
     CFG, never updated incrementally, discarded freely (section 4.1).
     Reachable labels are numbered by reverse-postorder position and
-    the tree is one [int array] over those numbers, so a query is a
-    table lookup plus an index walk. *)
+    the tree is one [int array] over those numbers; a label-indexed
+    [int array] maps labels to positions, so a query is two array
+    reads plus an index walk. *)
 
 type t
 
@@ -12,9 +13,11 @@ val compute : Cmo_il.Func.t -> t
 (** Considers only labels reachable from the entry.  A branch target
     with no block is a reachable node without successors. *)
 
-val rpo : Cmo_il.Func.t -> Cmo_il.Instr.label list
+val rpo : ?index:Cmo_il.Func.index -> Cmo_il.Func.t -> Cmo_il.Instr.label list
 (** [reverse_postorder (compute f)] without building the tree: for
-    forward dataflow passes that need only the visiting order. *)
+    forward dataflow passes that need only the visiting order.  Pass
+    the routine's current {!Cmo_il.Func.index} when the caller has
+    one. *)
 
 val idom : t -> Cmo_il.Instr.label -> Cmo_il.Instr.label option
 (** Immediate dominator; [None] for the entry block or an unreachable

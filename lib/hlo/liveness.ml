@@ -2,10 +2,11 @@ module Instr = Cmo_il.Instr
 module Func = Cmo_il.Func
 module Bitset = Cmo_support.Bitset
 
-(* Sets are indexed by layout position; [index] maps a label to it. *)
+(* Sets are indexed by layout position; [index] maps a label to it
+   (the last block with the label, -1 for none). *)
 type t = {
   nregs : int;
-  index : (Instr.label, int) Hashtbl.t;
+  index : int array;
   live_in : Bitset.t array;
   live_out : Bitset.t array;
 }
@@ -30,12 +31,15 @@ let gen_kill nregs (b : Func.block) =
 let compute (f : Func.t) =
   let nregs = f.Func.next_reg in
   let blocks = Array.of_list f.Func.blocks in
-  let index = Hashtbl.create (2 * Array.length blocks) in
-  Array.iteri (fun i (b : Func.block) -> Hashtbl.replace index b.Func.label i) blocks;
+  let index = Array.make (Func.label_bound f) (-1) in
+  Array.iteri (fun i (b : Func.block) -> index.(b.Func.label) <- i) blocks;
   let succs =
     Array.map
       (fun (b : Func.block) ->
-        Array.of_list (List.filter_map (Hashtbl.find_opt index) (Instr.targets b.Func.term)))
+        Array.of_list
+          (List.filter_map
+             (fun l -> if index.(l) >= 0 then Some index.(l) else None)
+             (Instr.targets b.Func.term)))
       blocks
   in
   let gen_kill = Array.map (gen_kill nregs) blocks in
@@ -45,24 +49,24 @@ let compute (f : Func.t) =
   in
   { nregs; index; live_in; live_out }
 
+let position t label =
+  if label >= 0 && label < Array.length t.index then t.index.(label) else -1
+
 let elements sets t label =
-  match Hashtbl.find_opt t.index label with
-  | Some i -> Bitset.elements sets.(i)
-  | None -> []
+  let i = position t label in
+  if i >= 0 then Bitset.elements sets.(i) else []
 
 let live_out t label = elements t.live_out t label
 
 let live_out_set t label =
-  match Hashtbl.find_opt t.index label with
-  | Some i -> Bitset.copy t.live_out.(i)
-  | None -> Bitset.create t.nregs
+  let i = position t label in
+  if i >= 0 then Bitset.copy t.live_out.(i) else Bitset.create t.nregs
 
 let live_in t label = elements t.live_in t label
 
 let mem sets t label r =
-  match Hashtbl.find_opt t.index label with
-  | Some i -> r < t.nregs && Bitset.mem sets.(i) r
-  | None -> false
+  let i = position t label in
+  i >= 0 && r < t.nregs && Bitset.mem sets.(i) r
 
 let live_out_mem t label r = mem t.live_out t label r
 

@@ -9,17 +9,18 @@ type loop = {
 
 type t = {
   all : loop list;
-  innermost : (Instr.label, loop) Hashtbl.t;
+  innermost : loop option array;  (* label -> innermost loop holding it *)
 }
 
 let compute ?doms (f : Func.t) =
   let doms = match doms with Some d -> d | None -> Dominators.compute f in
+  let bound = Func.label_bound f in
   (* Predecessors are walked only from a back edge. *)
-  let preds = lazy (Func.predecessors f) in
+  let preds = lazy (Func.predecessors f (Func.index f)) in
   (* Collect back edges grouped by header.  [dominates] is false when
      the source is unreachable, so unreachable blocks contribute no
      back edge without a separate reachability pass. *)
-  let bodies = Hashtbl.create 8 in  (* header -> (label, unit) Hashtbl *)
+  let bodies = Array.make bound [||] in  (* header -> label-indexed membership *)
   let headers_rev = ref [] in
   List.iter
     (fun (b : Func.block) ->
@@ -28,23 +29,21 @@ let compute ?doms (f : Func.t) =
           if Dominators.dominates doms succ b.Func.label then begin
             (* back edge b -> succ *)
             let body =
-              match Hashtbl.find_opt bodies succ with
-              | Some body -> body
-              | None ->
-                let body = Hashtbl.create 8 in
-                Hashtbl.replace body succ ();
-                Hashtbl.replace bodies succ body;
+              if Array.length bodies.(succ) > 0 then bodies.(succ)
+              else begin
+                let body = Array.make bound false in
+                body.(succ) <- true;
+                bodies.(succ) <- body;
                 headers_rev := succ :: !headers_rev;
                 body
+              end
             in
             (* Walk predecessors from the back-edge source up to the
                header. *)
             let rec pull label =
-              if not (Hashtbl.mem body label) then begin
-                Hashtbl.replace body label ();
-                List.iter pull
-                  (Option.value ~default:[]
-                     (Hashtbl.find_opt (Lazy.force preds) label))
+              if not body.(label) then begin
+                body.(label) <- true;
+                List.iter pull (Lazy.force preds).(label)
               end
             in
             pull b.Func.label
@@ -54,18 +53,13 @@ let compute ?doms (f : Func.t) =
   let headers = List.rev !headers_rev in
   (* Depth: number of loop bodies a header is contained in. *)
   let body_labels header =
-    let body = Hashtbl.find bodies header in
+    let body = bodies.(header) in
     List.filter_map
-      (fun (b : Func.block) ->
-        if Hashtbl.mem body b.Func.label then Some b.Func.label else None)
+      (fun (b : Func.block) -> if body.(b.Func.label) then Some b.Func.label else None)
       f.Func.blocks
   in
   let depth_of_header h =
-    List.length
-      (List.filter
-         (fun h' -> h' <> h && Hashtbl.mem (Hashtbl.find bodies h') h)
-         headers)
-    + 1
+    List.length (List.filter (fun h' -> h' <> h && bodies.(h').(h)) headers) + 1
   in
   let all =
     List.map
@@ -76,17 +70,17 @@ let compute ?doms (f : Func.t) =
            | 0 -> compare a.header b.header
            | c -> c)
   in
-  let innermost = Hashtbl.create 16 in
+  let innermost = Array.make (if all = [] then 0 else bound) None in
   (* Process outermost to innermost so deeper loops overwrite. *)
   List.iter
-    (fun loop ->
-      List.iter (fun label -> Hashtbl.replace innermost label loop) loop.body)
+    (fun loop -> List.iter (fun label -> innermost.(label) <- Some loop) loop.body)
     all;
   { all; innermost }
 
 let loops t = t.all
 
-let loop_of t label = Hashtbl.find_opt t.innermost label
+let loop_of t label =
+  if label >= 0 && label < Array.length t.innermost then t.innermost.(label) else None
 
 let depth_of t label =
   match loop_of t label with Some l -> l.depth | None -> 0

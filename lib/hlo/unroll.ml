@@ -84,8 +84,7 @@ let recognize (f : Func.t) (loop : Loopinfo.loop) preds =
           let outside_preds =
             List.filter
               (fun p -> p <> body_label)
-              (Option.value ~default:[]
-                 (Hashtbl.find_opt (Lazy.force preds) header_label))
+              (Lazy.force preds).(header_label)
           in
           match outside_preds with
           | [ p ] -> (
@@ -153,7 +152,7 @@ let run ?(max_trip = 16) ?(budget = 96) (f : Func.t) =
   while !continue_ do
     let loops = Loopinfo.loops (Loopinfo.compute f) in
     (* Only a loop that passes the shape checks asks for these. *)
-    let preds = lazy (Func.predecessors f) in
+    let preds = lazy (Func.predecessors f (Func.index f)) in
     let candidate =
       List.find_map
         (fun loop ->

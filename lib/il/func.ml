@@ -61,36 +61,70 @@ let find_block t label =
 
 let entry_block t = find_block t t.entry
 
-let block_table t =
-  let table = Hashtbl.create (List.length t.blocks) in
+(* 1 + the largest label a block, a terminator or the entry names:
+   every label the routine can hand out indexes a table this long,
+   dangling branch targets included. *)
+let label_bound t =
+  let m = ref t.entry in
+  let see l = if l > !m then m := l in
   List.iter
-    (fun b -> if not (Hashtbl.mem table b.label) then Hashtbl.add table b.label b)
+    (fun b ->
+      see b.label;
+      match b.term with
+      | Instr.Jmp l -> see l
+      | Instr.Br { ifso; ifnot; _ } ->
+        see ifso;
+        see ifnot
+      | Instr.Ret _ -> ())
     t.blocks;
-  table
+  !m + 1
 
-let predecessors t =
-  let preds = Hashtbl.create 16 in
-  List.iter (fun b -> Hashtbl.replace preds b.label []) t.blocks;
+type index = {
+  bound : int;
+  block_at : block option array;
+  npreds : int array;
+  pred : Instr.label array;
+}
+
+let index t =
+  let bound = label_bound t in
+  let block_at = Array.make bound None in
+  let npreds = Array.make bound 0 in
+  let pred = Array.make bound (-1) in
+  let edge p l =
+    npreds.(l) <- npreds.(l) + 1;
+    pred.(l) <- p
+  in
+  List.iter
+    (fun b ->
+      if Option.is_none block_at.(b.label) then block_at.(b.label) <- Some b;
+      match b.term with
+      | Instr.Jmp l -> edge b.label l
+      | Instr.Br { ifso; ifnot; _ } ->
+        edge b.label ifso;
+        edge b.label ifnot
+      | Instr.Ret _ -> ())
+    t.blocks;
+  { bound; block_at; npreds; pred }
+
+let sole_pred ix l = if ix.npreds.(l) = 1 then ix.pred.(l) else -1
+
+let predecessors t ix =
+  let preds = Array.make ix.bound [] in
   (* Built reversed, then flipped once: layout order without an
      append per edge. *)
   List.iter
     (fun b ->
-      List.iter
-        (fun succ ->
-          let ps = Option.value ~default:[] (Hashtbl.find_opt preds succ) in
-          Hashtbl.replace preds succ (b.label :: ps))
-        (Instr.targets b.term))
+      List.iter (fun l -> preds.(l) <- b.label :: preds.(l)) (Instr.targets b.term))
     t.blocks;
-  Hashtbl.filter_map_inplace (fun _ ps -> Some (List.rev ps)) preds;
-  preds
+  Array.map List.rev preds
 
-let reachable t =
-  let blocks = block_table t in
-  let seen = Hashtbl.create 16 in
+let reachable t ix =
+  let seen = Array.make ix.bound false in
   let rec visit label =
-    if not (Hashtbl.mem seen label) then begin
-      Hashtbl.replace seen label ();
-      match Hashtbl.find_opt blocks label with
+    if not seen.(label) then begin
+      seen.(label) <- true;
+      match ix.block_at.(label) with
       | Some b -> List.iter visit (Instr.targets b.term)
       | None -> ()
     end

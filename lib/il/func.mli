@@ -56,17 +56,37 @@ val find_block_opt : t -> Instr.label -> block option
 
 val entry_block : t -> block
 
-val block_table : t -> (Instr.label, block) Hashtbl.t
-(** Freshly built label -> block map, answering exactly as
-    {!find_block_opt} does (the first block with the label) in
-    constant time. *)
+val label_bound : t -> int
+(** 1 + the largest label named by a block, a terminator or the
+    entry: a table of this length can be indexed by every label of
+    the routine, including a branch target with no block.  Labels
+    are non-negative, as {!new_label} hands them out. *)
 
-val predecessors : t -> (Instr.label, Instr.label list) Hashtbl.t
-(** Freshly computed predecessor map (derived data). Labels appear in
-    deterministic layout order. *)
+(** A label-indexed view of the CFG, freshly built (derived data). *)
+type index = private {
+  bound : int;  (** {!label_bound}. *)
+  block_at : block option array;
+      (** Label -> block, answering exactly as {!find_block_opt} does
+          (the first block with the label). *)
+  npreds : int array;
+      (** Label -> number of CFG edges into it; a [Br] whose arms
+          agree counts twice. *)
+  pred : Instr.label array;
+      (** Label -> its predecessor when [npreds] is 1 (otherwise
+          unspecified). *)
+}
 
-val reachable : t -> (Instr.label, unit) Hashtbl.t
-(** Labels reachable from the entry block. *)
+val index : t -> index
+
+val sole_pred : index -> Instr.label -> Instr.label
+(** The predecessor of a label reached by exactly one CFG edge, or
+    [-1] — the "predecessor list is exactly [\[p\]]" test. *)
+
+val predecessors : t -> index -> Instr.label list array
+(** Label -> predecessor labels, one per edge, in layout order. *)
+
+val reachable : t -> index -> bool array
+(** Label -> reachable from the entry block. *)
 
 val instr_count : t -> int
 (** Number of instructions, excluding terminators. *)

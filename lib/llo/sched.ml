@@ -6,37 +6,70 @@ let is_barrier = function
 
 let is_load = function Mach.Ld _ -> true | _ -> false
 
-let is_store = function Mach.St _ -> true | _ -> false
+(* Per-register dependence state, shared by every segment of a
+   routine and indexed by register (every register, physical or
+   virtual, is below [next_vreg]): the segment index of the
+   register's last writer (-1 for none) and the readers since that
+   write.  A segment resets the slots it touched. *)
+type regs = { writer : int array; readers : int list array }
 
 (* Schedule one barrier-free segment; returns instructions in the new
    order plus how many changed relative position. *)
-let schedule_segment instrs =
+let schedule_segment regs instrs =
   let n = Array.length instrs in
   if n <= 2 then (Array.to_list instrs, 0)
   else begin
-    (* Dependence edges i -> j (i before j); each pair is visited
-       once, so no edge is added twice. *)
+    (* Dependence edges i -> j (i before j), built in one pass: j
+       depends on the last writer of each register it reads or
+       writes, on every reader since that write of a register it
+       writes, on the last store, and — for a store — on every load
+       since that store.  Each is one of the pairwise RAW/WAR/WAW or
+       memory-order pairs, and every pair the pairwise test would add
+       is implied by a chain of these, so critical-path heights and
+       the ready set are the same.  [last_src.(i) = j] marks an edge
+       i -> j already added. *)
     let succs = Array.make n [] in
     let preds_count = Array.make n 0 in
+    let last_src = Array.make n (-1) in
     let edge i j =
-      succs.(i) <- j :: succs.(i);
-      preds_count.(j) <- preds_count.(j) + 1
+      if i >= 0 && last_src.(i) <> j then begin
+        last_src.(i) <- j;
+        succs.(i) <- j :: succs.(i);
+        preds_count.(j) <- preds_count.(j) + 1
+      end
     in
     let uses = Array.map Mach.uses instrs and defs = Array.map Mach.defs instrs in
+    let last_store = ref (-1) and loads_since = ref [] in
     for j = 0 to n - 1 do
-      let uses_j = uses.(j) and defs_j = defs.(j) in
-      for i = 0 to j - 1 do
-        let defs_i = defs.(i) and uses_i = uses.(i) in
-        let raw = List.exists (fun d -> List.mem d uses_j) defs_i in
-        let war = List.exists (fun d -> List.mem d uses_i) defs_j in
-        let waw = List.exists (fun d -> List.mem d defs_j) defs_i in
-        let mem_order =
-          (is_store instrs.(i) && (is_store instrs.(j) || is_load instrs.(j)))
-          || (is_load instrs.(i) && is_store instrs.(j))
-        in
-        if raw || war || waw || mem_order then edge i j
-      done
+      List.iter (fun r -> edge regs.writer.(r) j) uses.(j);
+      List.iter
+        (fun r ->
+          edge regs.writer.(r) j;
+          List.iter (fun i -> edge i j) regs.readers.(r))
+        defs.(j);
+      List.iter (fun r -> regs.readers.(r) <- j :: regs.readers.(r)) uses.(j);
+      List.iter
+        (fun r ->
+          regs.writer.(r) <- j;
+          regs.readers.(r) <- [])
+        defs.(j);
+      match instrs.(j) with
+      | Mach.Ld _ ->
+        edge !last_store j;
+        loads_since := j :: !loads_since
+      | Mach.St _ ->
+        edge !last_store j;
+        List.iter (fun i -> edge i j) !loads_since;
+        last_store := j;
+        loads_since := []
+      | _ -> ()
     done;
+    let reset r =
+      regs.writer.(r) <- -1;
+      regs.readers.(r) <- []
+    in
+    Array.iter (List.iter reset) uses;
+    Array.iter (List.iter reset) defs;
     (* Critical-path height: loads weigh extra (their consumers wait). *)
     let height = Array.make n 1 in
     for i = n - 1 downto 0 do
@@ -95,6 +128,9 @@ let schedule_segment instrs =
 
 let run (vc : Isel.vcode) =
   let moved = ref 0 in
+  let regs =
+    { writer = Array.make vc.Isel.next_vreg (-1); readers = Array.make vc.Isel.next_vreg [] }
+  in
   List.iter
     (fun (b : Isel.vblock) ->
       (* Split at barriers; schedule each pure segment. *)
@@ -102,7 +138,7 @@ let run (vc : Isel.vcode) =
       let segment = ref [] in
       let flush () =
         let instrs = Array.of_list (List.rev !segment) in
-        let ordered, m = schedule_segment instrs in
+        let ordered, m = schedule_segment regs instrs in
         moved := !moved + m;
         out := List.rev_append ordered !out;
         segment := []

@@ -9,6 +9,47 @@ module Func = Cmo_il.Func
 module Isel = Cmo_llo.Isel
 module Mach = Cmo_llo.Mach
 
+(* The Hashtbl-returning CFG tables [Func] used to provide; the
+   oracles here and in [Ref_transforms] are written against them. *)
+module Tables = struct
+  let block_table t =
+    let table = Hashtbl.create (List.length t.Func.blocks) in
+    List.iter
+      (fun b -> if not (Hashtbl.mem table b.Func.label) then Hashtbl.add table b.Func.label b)
+      t.Func.blocks;
+    table
+
+  let predecessors t =
+    let preds = Hashtbl.create 16 in
+    List.iter (fun b -> Hashtbl.replace preds b.Func.label []) t.Func.blocks;
+    (* Built reversed, then flipped once: layout order without an
+       append per edge. *)
+    List.iter
+      (fun b ->
+        List.iter
+          (fun succ ->
+            let ps = Option.value ~default:[] (Hashtbl.find_opt preds succ) in
+            Hashtbl.replace preds succ (b.Func.label :: ps))
+          (Instr.targets b.Func.term))
+      t.Func.blocks;
+    Hashtbl.filter_map_inplace (fun _ ps -> Some (List.rev ps)) preds;
+    preds
+
+  let reachable t =
+    let blocks = block_table t in
+    let seen = Hashtbl.create 16 in
+    let rec visit label =
+      if not (Hashtbl.mem seen label) then begin
+        Hashtbl.replace seen label ();
+        match Hashtbl.find_opt blocks label with
+        | Some b -> List.iter visit (Instr.targets b.Func.term)
+        | None -> ()
+      end
+    in
+    if t.Func.blocks <> [] then visit t.Func.entry;
+    seen
+end
+
 module Dominators = struct
   type t = {
     entry : Instr.label;
@@ -36,7 +77,7 @@ module Dominators = struct
     let rpo = compute_rpo f in
     let rpo_index = Hashtbl.create 16 in
     List.iteri (fun i l -> Hashtbl.replace rpo_index l i) rpo;
-    let preds = Func.predecessors f in
+    let preds = Tables.predecessors f in
     let idoms = Hashtbl.create 16 in
     Hashtbl.replace idoms f.Func.entry f.Func.entry;
     let rec intersect a b =
@@ -207,8 +248,8 @@ module Loopinfo = struct
 
   let compute (f : Func.t) =
     let doms = Dominators.compute f in
-    let preds = Func.predecessors f in
-    let reachable = Func.reachable f in
+    let preds = Tables.predecessors f in
+    let reachable = Tables.reachable f in
     (* Collect back edges grouped by header. *)
     let bodies = Hashtbl.create 8 in  (* header -> (label, unit) Hashtbl *)
     let headers_rev = ref [] in

@@ -137,12 +137,13 @@ let check_func ~stage (f : Func.t) =
 let funcs modules = List.concat_map (fun (m : Ilmod.t) -> m.Ilmod.funcs) modules
 
 (* The routines of one program at every stage the optimizer hands
-   them to an analysis: frontend output, after inlining, then after
-   each pass of two rounds of the scalar ladder. *)
-let check_program program =
+   them to an analysis or a transform: frontend output, after
+   inlining, then after each pass of two rounds of the scalar
+   ladder.  [k ~stage f] must leave [f] unchanged. *)
+let iter_stages program k =
   let sources = List.map (fun (name, text) -> { Pipeline.name; text }) program in
   let modules = Pipeline.frontend sources in
-  List.iter (check_func ~stage:"frontend") (funcs modules);
+  List.iter (k ~stage:"frontend") (funcs modules);
   let loader =
     Loader.create
       { Loader.default_config with Loader.machine_memory = 1 lsl 30 }
@@ -156,16 +157,19 @@ let check_program program =
   Loader.close loader;
   List.iter
     (fun f ->
-      check_func ~stage:"inlined" f;
+      k ~stage:"inlined" f;
       let f = Func.copy f in
       for round = 1 to 2 do
         List.iter
           (fun (name, pass) ->
             ignore (pass f);
-            check_func ~stage:(Printf.sprintf "round %d after %s" round name) f)
+            k ~stage:(Printf.sprintf "round %d after %s" round name) f)
           Phase.passes
       done)
-    (funcs inlined);
+    (funcs inlined)
+
+let check_program program =
+  iter_stages program check_func;
   true
 
 let personalities =

@@ -105,18 +105,23 @@ let test_func_predecessors () =
       (Instr.Br { cond = Instr.Imm 1L; ifso = b0.Func.label; ifnot = b1.Func.label })
   in
   f.Func.entry <- b2.Func.label;
-  let preds = Func.predecessors f in
+  let ix = Func.index f in
+  let preds = Func.predecessors f ix in
   Alcotest.(check (list int)) "b0 preds" [ b1.Func.label; b2.Func.label ]
-    (List.sort compare (Hashtbl.find preds b0.Func.label));
-  Alcotest.(check (list int)) "b2 preds" [] (Hashtbl.find preds b2.Func.label)
+    (List.sort compare preds.(b0.Func.label));
+  Alcotest.(check (list int)) "b2 preds" [] preds.(b2.Func.label);
+  Alcotest.(check (list int)) "edge counts" [ 2; 1; 0 ]
+    (Array.to_list ix.Func.npreds);
+  Alcotest.(check int) "sole pred of b1" b2.Func.label (Func.sole_pred ix b1.Func.label);
+  Alcotest.(check int) "b0 has two preds" (-1) (Func.sole_pred ix b0.Func.label)
 
 let test_func_reachable () =
   let f = Func.create ~name:"f" ~arity:0 ~linkage:Func.Exported in
   let b0 = Func.add_block f [] (Instr.Ret None) in
   let _unreachable = Func.add_block f [] (Instr.Ret None) in
   f.Func.entry <- b0.Func.label;
-  let r = Func.reachable f in
-  Alcotest.(check int) "only entry reachable" 1 (Hashtbl.length r)
+  let r = Func.reachable f (Func.index f) in
+  Alcotest.(check (list bool)) "only entry reachable" [ true; false ] (Array.to_list r)
 
 let test_func_copy_independent () =
   let f = Helpers.make_linear_func "f" in

@@ -25,4 +25,5 @@ let () =
       ("dist", Test_dist.suite);
       ("anchor", Test_anchor.suite);
       ("analyses", Test_analyses.suite);
+      ("xforms", Test_transforms.suite);
     ]
