@@ -623,15 +623,9 @@ let link_cmd =
   in
   let action paths input run_it map_it =
     let objects = List.map Cmo_link.Objfile.load paths in
-    match Cmo_link.Linker.link objects with
-    | Error errs ->
-      `Error
-        ( false,
-          Format.asprintf "@[<v>link failed:@,%a@]"
-            (Format.pp_print_list ~pp_sep:Format.pp_print_cut
-               Cmo_link.Linker.pp_error)
-            errs )
-    | Ok image ->
+    match Pipeline.link objects with
+    | exception Pipeline.Compile_error msg -> `Error (false, msg)
+    | image ->
       if map_it then Format.printf "%a@." Cmo_link.Image.pp_map image;
       if run_it then begin
         let o = Cmo_vm.Vm.run ~input:(parse_input input) image in

@@ -62,12 +62,34 @@
 # the gate in about two runs of five.  Last, the NAIM pressure smoke
 # builds mcad1 at 1/4 scale on a 5 MB and on a 4 GB machine: both
 # must print the same output and linker map, and the 5 MB report must
-# show IR compactions, symbol-table compactions and offloads.  Run from the
+# show IR compactions, symbol-table compactions and offloads.  A length
+# check keeps the pipeline split into stages: no top-level let/and in
+# lib/driver/pipeline.ml may span more than 150 lines.  Run from the
 # repository root.
 set -eu
 
 echo "== dune build =="
 dune build
+
+echo "== pipeline stage length (top-level definitions <= 150 lines) =="
+# A definition runs from its column-0 let/and to the last non-blank line
+# before the next column-0 item.
+awk '
+  function close_def() {
+    if (name != "" && last - start + 1 > 150) {
+      printf "%s:%d: %s spans %d lines (limit 150)\n", FILENAME, start, name,
+        last - start + 1
+      bad = 1
+    }
+    name = ""
+  }
+  /^(let|and)[ \t]/ {
+    close_def(); name = ($2 == "rec") ? $3 : $2; start = NR; last = NR; next
+  }
+  /^[^ \t]/ { close_def(); next }
+  /[^ \t]/ { last = NR }
+  END { close_def(); exit bad }
+' lib/driver/pipeline.ml
 
 echo "== dune runtest (CMO_JOBS=1) =="
 CMO_JOBS=1 dune runtest --force

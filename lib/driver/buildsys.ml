@@ -1,12 +1,9 @@
 module Ilmod = Cmo_il.Ilmod
-module Correlate = Cmo_profile.Correlate
-module Phase = Cmo_hlo.Phase
-module Llo = Cmo_llo.Llo
 module Objfile = Cmo_link.Objfile
-module Linker = Cmo_link.Linker
 module Memstats = Cmo_naim.Memstats
 module Store = Cmo_cache.Store
 module Fsio = Cmo_support.Fsio
+module Obs = Cmo_obs.Obs
 
 let log_src = Logs.Src.create "cmo.buildsys" ~doc:"Incremental build system"
 
@@ -50,22 +47,6 @@ let clean t =
       if Filename.check_suffix f ".o" then Fsio.remove (Filename.concat t.dir f))
     (Sys.readdir t.dir);
   Store.wipe ~dir:t.cache_dir
-
-(* Compile one module to a code object (the non-CMO path). *)
-let compile_code_object ?profile (options : Options.t) ~source_digest m =
-  (match (options.Options.pbo, profile) with
-  | true, Some db -> ignore (Correlate.annotate db [ m ])
-  | true, None | false, _ -> Correlate.clear [ m ]);
-  if options.Options.level = Options.O2 then
-    List.iter (fun f -> ignore (Phase.optimize_func f)) m.Ilmod.funcs;
-  let layout = options.Options.pbo && options.Options.level <> Options.O1 in
-  let codes, _stats = Llo.compile_module ~layout m in
-  {
-    (Objfile.of_code ~module_name:m.Ilmod.mname ~globals:m.Ilmod.globals
-       ~source_digest codes)
-    with
-    Objfile.source_digest = source_digest;
-  }
 
 let load_if_current t (s : Pipeline.source) =
   let path = object_path t s.Pipeline.name in
@@ -141,137 +122,113 @@ let request ?profile ?remote s (options : Options.t) sources =
          "instrumented builds are in-memory only; use Pipeline.train");
   Pipeline.with_tracing options @@ fun () ->
   let want_il = options.Options.level = Options.O4 in
-  let recompiled = ref [] in
-  let reused = ref [] in
-  let t0 = Sys.time () in
-  let w0 = Unix.gettimeofday () in
-  let objects =
-    Cmo_obs.Obs.with_span ~cat:"stage" "frontend" @@ fun () ->
+  let save (src : Pipeline.source) obj =
+    try Objfile.save obj (object_path t src.Pipeline.name)
+    with Sys_error m ->
+      (* The object stays in memory for this build and is recompiled
+         next time; not a failed build. *)
+      Obs.tick "buildsys" "object_write_errors" 1;
+      Log.warn (fun f -> f "object for %s not saved (%s)" src.Pipeline.name m)
+  in
+  (* Each source's current object, or the module its frontend just
+     produced — under +O4 written out at once as an IL object; code
+     objects wait for code generation. *)
+  let units, frontend =
+    Pipeline.stage "frontend" @@ fun () ->
     List.map
-      (fun (s : Pipeline.source) ->
-        let current =
-          match load_if_current t s with
-          | Some obj when Objfile.is_il obj = want_il -> Some obj
-          | Some _ | None -> None
-        in
-        match current with
-        | Some obj ->
-          reused := s.Pipeline.name :: !reused;
-          Cmo_obs.Obs.instant ~cat:"frontend" s.Pipeline.name;
-          obj
-        | None ->
-          recompiled := s.Pipeline.name :: !recompiled;
-          let m = Pipeline.frontend_one s in
-          let source_digest = digest s.Pipeline.text in
-          let obj =
-            if want_il then
-              { (Objfile.of_il ~source_digest m) with Objfile.source_digest = source_digest }
-            else compile_code_object ?profile options ~source_digest m
-          in
-          (try Objfile.save obj (object_path t s.Pipeline.name)
-           with Sys_error m ->
-             (* The object stays in memory for this build and is
-                recompiled next time; not a failed build. *)
-             Cmo_obs.Obs.tick "buildsys" "object_write_errors" 1;
-             Log.warn (fun f ->
-                 f "object for %s not saved (%s)" s.Pipeline.name m));
-          obj)
+      (fun (src : Pipeline.source) ->
+        match load_if_current t src with
+        | Some obj when Objfile.is_il obj = want_il ->
+          Obs.instant ~cat:"frontend" src.Pipeline.name;
+          (src, Either.Left obj)
+        | Some _ | None ->
+          let m = Pipeline.frontend_one src in
+          if want_il then
+            save src (Objfile.of_il ~source_digest:(digest src.Pipeline.text) m);
+          (src, Either.Right m))
       sources
   in
-  let frontend_seconds = Sys.time () -. t0 in
-  let frontend_wall_seconds = Unix.gettimeofday () -. w0 in
-  let build_result =
+  let fresh = List.filter_map (fun (_, u) -> Either.find_right u) units in
+  let build =
     if want_il then begin
-      (* CMO happens at link time, over the IL read back from disk. *)
+      (* CMO happens at link time, over the IL of every object. *)
       let modules =
         List.map
-          (fun (o : Objfile.t) ->
-            match o.Objfile.payload with
-            | Objfile.Il m -> m
-            | Objfile.Code _ ->
+          (fun (_, u) ->
+            match u with
+            | Either.Right m | Either.Left { Objfile.payload = Objfile.Il m; _ }
+              ->
+              m
+            | Either.Left o ->
               raise
                 (Pipeline.Compile_error
-                   (Printf.sprintf "object %s lacks an IL payload"
-                      o.Objfile.module_name)))
-          objects
+                   (Printf.sprintf "object %s lacks an IL payload" o.Objfile.module_name)))
+          units
       in
       let b =
-        match s.sstore with
-        | Some store ->
-          let b =
-            Pipeline.compile_modules ?profile ~cache:store ?naim_repo:s.srepo
-              ?remote options modules
-          in
-          (* Keep the warm store durable between requests: the session
-             outlives this build, so flush now rather than at close. *)
-          Store.flush store;
-          b
-        | None ->
-          Pipeline.compile_modules ?profile ?naim_repo:s.srepo options modules
+        Pipeline.compile_modules ?profile ?cache:s.sstore ?naim_repo:s.srepo
+          ?remote ~frontend options modules
       in
-      { b with
-        Pipeline.report =
-          { b.Pipeline.report with Pipeline.frontend_seconds; frontend_wall_seconds } }
+      (* Keep the warm store durable between requests: the session
+         outlives this build, so flush now rather than at close. *)
+      Option.iter Store.flush s.sstore;
+      b
     end
     else begin
-      let image =
-        Cmo_obs.Obs.with_span ~cat:"stage" "link" @@ fun () ->
-        match Linker.link objects with
-        | Ok image -> image
-        | Error errs ->
-          raise
-            (Pipeline.Compile_error
-               (Format.asprintf "@[<v>link failed:@,%a@]"
-                  (Format.pp_print_list ~pp_sep:Format.pp_print_cut
-                     Linker.pp_error)
-                  errs))
-      in
+      (* Only the modules this build compiled go through the stages
+         (and count in the report); the link takes every object in
+         source order, unclustered — reused objects carry no IL. *)
+      let closed = List.length fresh = List.length units in
       let mem = Memstats.create () in
+      let lines =
+        List.fold_left (fun n m -> n + Ilmod.src_lines m) 0 fresh
+      in
+      let (plan, (optimized, hlo_stats)), hlo =
+        Pipeline.stage "hlo" (fun () ->
+            let plan = Pipeline.wpa ?profile ~closed ~mem options fresh in
+            (plan, Pipeline.optimize plan))
+      in
+      let (objects, llo_stats), llo =
+        Pipeline.stage "llo" (fun () ->
+            let objects, stats = Pipeline.llo ~closed ~mem options optimized in
+            let built = Hashtbl.create 16 in
+            List.iter
+              (fun (o : Objfile.t) -> Hashtbl.replace built o.Objfile.module_name o)
+              objects;
+            ( List.map
+                (fun ((src : Pipeline.source), u) ->
+                  match u with
+                  | Either.Left obj -> obj
+                  | Either.Right _ ->
+                    let obj =
+                      {
+                        (Hashtbl.find built src.Pipeline.name) with
+                        Objfile.source_digest = digest src.Pipeline.text;
+                      }
+                    in
+                    save src obj;
+                    obj)
+                units,
+              stats ))
+      in
+      let image, link = Pipeline.stage "link" (fun () -> Pipeline.link objects) in
       {
         Pipeline.image;
         objects;
         manifest = None;
         report =
-          {
-            Pipeline.options;
-            hlo = None;
-            loader_stats = None;
-            mem_peak = Memstats.peak mem;
-            mem_peak_hlo = 0;
-            selection = None;
-            llo =
-              {
-                Llo.routines = 0;
-                mach_instrs = Array.length image.Cmo_link.Image.code;
-                spilled_vregs = 0;
-                peephole_rewrites = 0;
-                layout_changes = 0;
-              };
-            frontend_seconds;
-            hlo_seconds = 0.0;
-            llo_seconds = 0.0;
-            link_seconds = 0.0;
-            frontend_wall_seconds;
-            hlo_wall_seconds = 0.0;
-            llo_wall_seconds = 0.0;
-            workers_used = 1;
-            total_lines = 0;
-            cmo_lines = 0;
-            warm_lines = 0;
-            cold_lines = 0;
-            cache = None;
-            obs =
-              (if Cmo_obs.Obs.enabled () then Some (Cmo_obs.Obs.summary ())
-               else None);
-          };
+          Pipeline.make_report ~frontend ~hlo ~llo ~link ~plan ?hlo_stats ~mem
+            ~lines ~llo_stats options;
       }
     end
   in
-  {
-    build = build_result;
-    recompiled = List.rev !recompiled;
-    reused = List.rev !reused;
-  }
+  let names recompiled =
+    List.filter_map
+      (fun ((src : Pipeline.source), u) ->
+        if Either.is_right u = recompiled then Some src.Pipeline.name else None)
+      units
+  in
+  { build; recompiled = names true; reused = names false }
 
 let build ?profile ?remote t options sources =
   let s = open_session t in

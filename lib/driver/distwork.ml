@@ -19,22 +19,6 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 (* --- the shared partition optimizer ------------------------------- *)
 
-(* A domain-safe lazy (same rationale as the pipeline's copy): checker
-   environments are shared read-only and [Lazy.force] is not
-   domain-safe under races. *)
-let memo_locked f =
-  let m = Mutex.create () in
-  let cell = ref None in
-  fun () ->
-    Mutex.lock m;
-    Fun.protect ~finally:(fun () -> Mutex.unlock m) @@ fun () ->
-    match !cell with
-    | Some v -> v
-    | None ->
-      let v = f () in
-      cell := Some v;
-      v
-
 (* A loader-backed resolution environment: function arities straight
    from the pool headers (clones included, IPA-removed routines
    absent — exactly the NAIM ownership the verifier polices) and the
@@ -75,7 +59,7 @@ let optimize_subset ?phase_cache ?naim_repo ?hot_filter ?check_base
     match check_base with
     | Some outside when options.Options.check ->
       let env =
-        memo_locked (fun () -> Ilcheck.compose (loader_env loader) (outside ()))
+        Parwork.memo_locked (fun () -> Ilcheck.compose (loader_env loader) (outside ()))
       in
       Some (fun ~phase f -> Ilcheck.check_func_exn ~env:(env ()) ~phase f)
     | Some _ | None -> None

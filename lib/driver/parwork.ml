@@ -130,3 +130,18 @@ let shutdown pool =
 let with_pool ~jobs f =
   let pool = create ~jobs in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
+
+(* [Lazy.force] raises [Undefined] when two domains race to force the
+   same suspension, so memoize behind a mutex instead. *)
+let memo_locked f =
+  let m = Mutex.create () in
+  let cell = ref None in
+  fun () ->
+    Mutex.lock m;
+    Fun.protect ~finally:(fun () -> Mutex.unlock m) @@ fun () ->
+    match !cell with
+    | Some v -> v
+    | None ->
+      let v = f () in
+      cell := Some v;
+      v

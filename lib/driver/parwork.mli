@@ -37,3 +37,8 @@ val shutdown : pool -> unit
 
 val with_pool : jobs:int -> (pool -> 'a) -> 'a
 (** [create], run, [shutdown] (also on exception). *)
+
+val memo_locked : (unit -> 'a) -> unit -> 'a
+(** A domain-safe lazy: the first call runs [f], every later one (from
+    any domain) returns its result.  Checker environments shared
+    read-only across a pool are built this way. *)

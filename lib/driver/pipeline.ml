@@ -173,10 +173,13 @@ let all_func_names modules =
     (fun (m : Ilmod.t) -> List.map (fun f -> f.Func.name) m.Ilmod.funcs)
     modules
 
-(* Scan modules outside the CMO set for references into it. *)
+module Names = Set.Make (String)
+
+(* Scan modules outside the CMO set for references into it: the names
+   they call and the globals they store to. *)
 let external_context outside_modules =
-  let called = Hashtbl.create 64 in
-  let stored = Hashtbl.create 64 in
+  let called = ref Names.empty in
+  let stored = ref Names.empty in
   List.iter
     (fun (m : Ilmod.t) ->
       List.iter
@@ -186,61 +189,19 @@ let external_context outside_modules =
               List.iter
                 (fun i ->
                   match i with
-                  | Instr.Call { callee; _ } -> Hashtbl.replace called callee ()
+                  | Instr.Call { callee; _ } -> called := Names.add callee !called
                   | Instr.Store ({ Instr.base; _ }, _) ->
-                    Hashtbl.replace stored base ()
+                    stored := Names.add base !stored
                   | Instr.Move _ | Instr.Unop _ | Instr.Binop _ | Instr.Load _
                   | Instr.Probe _ -> ())
                 b.Func.instrs)
             f.Func.blocks)
         m.Ilmod.funcs)
     outside_modules;
-  (called, stored)
+  (!called, !stored)
 
-let add_llo_stats a b =
-  {
-    Llo.routines = a.Llo.routines + b.Llo.routines;
-    mach_instrs = a.Llo.mach_instrs + b.Llo.mach_instrs;
-    spilled_vregs = a.Llo.spilled_vregs + b.Llo.spilled_vregs;
-    peephole_rewrites = a.Llo.peephole_rewrites + b.Llo.peephole_rewrites;
-    layout_changes = a.Llo.layout_changes + b.Llo.layout_changes;
-  }
-
-let merge_loader_stats (a : Loader.stats) (b : Loader.stats) =
-  {
-    Loader.acquires = a.Loader.acquires + b.Loader.acquires;
-    cache_hits = a.Loader.cache_hits + b.Loader.cache_hits;
-    uncompactions = a.Loader.uncompactions + b.Loader.uncompactions;
-    repo_loads = a.Loader.repo_loads + b.Loader.repo_loads;
-    compactions = a.Loader.compactions + b.Loader.compactions;
-    offloads = a.Loader.offloads + b.Loader.offloads;
-    symtab_compactions = a.Loader.symtab_compactions + b.Loader.symtab_compactions;
-  }
-
-let llo_module ?check ~mem ~layout stats_acc (m : Ilmod.t) =
-  let codes, stats = Llo.compile_module ?mem ?check ~layout m in
-  stats_acc := add_llo_stats !stats_acc stats;
-  Objfile.of_code ~module_name:m.Ilmod.mname ~globals:m.Ilmod.globals
-    ~source_digest:"" codes
-
-let zero_llo_stats =
-  {
-    Llo.routines = 0;
-    mach_instrs = 0;
-    spilled_vregs = 0;
-    peephole_rewrites = 0;
-    layout_changes = 0;
-  }
-
-let link_or_fail ?routine_order objects =
-  match Linker.link ?routine_order objects with
-  | Ok image -> image
-  | Error errs ->
-    error "@[<v>link failed:@,%a@]"
-      (Format.pp_print_list ~pp_sep:Format.pp_print_cut Linker.pp_error)
-      errs
-
-(* --- the between-phase verifier (Options.check) ------------------- *)
+let src_lines modules =
+  List.fold_left (fun acc m -> acc + Ilmod.src_lines m) 0 modules
 
 let render_violations vs =
   Format.asprintf "@[<v>IL verification failed:@,%a@]"
@@ -250,800 +211,738 @@ let render_violations vs =
 (* Trace summary for the report, captured while the sink is live. *)
 let obs_summary () = if Obs.enabled () then Some (Obs.summary ()) else None
 
-(* A domain-safe lazy.  Checker environments are shared read-only
-   across the worker pool, and [Lazy.force] raises [Undefined] when
-   two domains race to force the same suspension — so memoize behind
-   a mutex instead. *)
-let memo_locked f =
-  let m = Mutex.create () in
-  let cell = ref None in
-  fun () ->
-    Mutex.lock m;
-    Fun.protect ~finally:(fun () -> Mutex.unlock m) @@ fun () ->
-    match !cell with
-    | Some v -> v
-    | None ->
-      let v = f () in
-      cell := Some v;
-      v
+(* --- stages ------------------------------------------------------- *)
 
-let compile_modules_inner ?profile ?cache ?naim_repo ?remote
-    (options : Options.t) modules =
-  let jobs = max 1 options.Options.jobs in
-  (* Checker factory: [None] when [check] is off, so the optimizers
-     skip the hook entirely; environments are deferred (memoized
-     thunks) because snapshots cost a pass over the program. *)
-  let checker_of env_fn =
-    if not options.Options.check then None
-    else
-      Some (fun ~phase f -> Ilcheck.check_func_exn ~env:(env_fn ()) ~phase f)
-  in
-  let t0 = Sys.time () in
-  let w0 = Unix.gettimeofday () in
-  let total_lines =
-    List.fold_left (fun acc m -> acc + Ilmod.src_lines m) 0 modules
-  in
-  (* +I: instrument and build without optimization.  Probe numbering
-     is a global sequence, so this path stays sequential. *)
-  if options.Options.instrument then begin
-    let instrumented, manifest = Probe.instrument modules in
-    let mem = Memstats.create () in
-    let llo_stats = ref zero_llo_stats in
-    let objects =
-      List.map (llo_module ~mem:(Some mem) ~layout:false llo_stats) instrumented
-    in
-    let image = link_or_fail objects in
-    let t1 = Sys.time () in
-    let w1 = Unix.gettimeofday () in
-    {
-      image;
-      objects;
-      manifest = Some manifest;
-      report =
-        {
-          options;
-          hlo = None;
-          loader_stats = None;
-          mem_peak = Memstats.peak mem;
-          mem_peak_hlo = Memstats.peak_hlo mem;
-          selection = None;
-          llo = !llo_stats;
-          frontend_seconds = 0.0;
-          hlo_seconds = 0.0;
-          llo_seconds = t1 -. t0;
-          link_seconds = 0.0;
-          frontend_wall_seconds = 0.0;
-          hlo_wall_seconds = 0.0;
-          llo_wall_seconds = w1 -. w0;
-          workers_used = 1;
-          total_lines;
-          cmo_lines = 0;
-          warm_lines = 0;
-          cold_lines = 0;
-          cache = None;
-          obs = obs_summary ();
-        };
-    }
-  end
+type clock = { cpu : float; wall : float }
+
+let no_clock = { cpu = 0.0; wall = 0.0 }
+
+(* The one stage timer: the [~cat:"stage"] span [name] around [f], and
+   the cpu seconds (process-wide, every domain) and wall seconds [f]
+   took — what the report books under that stage. *)
+let stage name f =
+  let cpu0 = Sys.time () in
+  let wall0 = Unix.gettimeofday () in
+  let v = Obs.with_span ~cat:"stage" name f in
+  (v, { cpu = Sys.time () -. cpu0; wall = Unix.gettimeofday () -. wall0 })
+
+(* The between-phase verifier ([Options.check]) as an optimizer hook,
+   [None] when checking is off so the optimizers skip it entirely.  Its
+   linkage environment is a snapshot of [modules], deferred (a snapshot
+   costs a pass over the program) and left out when [modules] are not
+   the whole program ([closed = false]): linkage then goes unchecked. *)
+let checker (options : Options.t) ~closed modules =
+  if not options.Options.check then None
   else begin
-    (* Profile annotation. *)
-    (match (options.Options.pbo, profile) with
-    | true, Some db -> ignore (Correlate.annotate db modules)
-    | true, None -> Correlate.clear modules
-    | false, _ -> Correlate.clear modules);
-    (* The whole-program view as the frontends delivered it: valid
-       for every check until HLO starts adding and removing
-       functions. *)
-    let snapshot_env = memo_locked (fun () -> Ilcheck.env_of_modules modules) in
-    let mem = Memstats.create () in
-    let hlo_report = ref None in
-    let loader_stats = ref None in
-    let selection = ref None in
-    let cmo_lines = ref 0 in
-    let warm_lines = ref 0 in
-    let cold_lines = ref 0 in
-    let cache_hits = ref 0 in
-    let cache_misses = ref 0 in
-    let remote_hits = ref 0 in
-    let remote_misses = ref 0 in
-    (* WHOPR-style distribution: one worker pool per build — remote
-       [--workers] endpoints dialed on demand, local processes spawned
-       on demand.  A missing worker binary (with no endpoints)
-       degrades the whole build to in-process execution, never an
-       error — [dist] is a behaviour-preserving knob like [jobs]. *)
-    let dist_pool =
-      if options.Options.dist && options.Options.level = Options.O4 then
-        match
-          Distwork.create_pool ~workers:options.Options.workers
-            ?timeout_s:options.Options.dist_timeout ()
-        with
-        | pool -> Some pool
-        | exception Distwork.Unavailable msg ->
-          Log.warn (fun m -> m "dist: %s; building in-process" msg);
-          None
+    let env =
+      if closed then
+        Some (Parwork.memo_locked (fun () -> Ilcheck.env_of_modules modules))
       else None
     in
-    let cmo_cached = ref [] in
-    let cmo_reoptimized = ref [] in
-    let hlo_t0 = Sys.time () in
-    let hlo_w0 = Unix.gettimeofday () in
-    (* Decide the CMO set and optimize it. *)
-    let processed_modules =
-      Fun.protect
-        ~finally:(fun () -> Option.iter Distwork.close_pool dist_pool)
-      @@ fun () ->
-      Obs.with_span ~cat:"stage" "hlo" @@ fun () ->
-      match options.Options.level with
-      | Options.O1 -> modules
-      | Options.O2 ->
-        List.iter
-          (fun (m : Ilmod.t) ->
-            List.iter
-              (fun f ->
-                ignore
-                  (Phase.optimize_func ~mem ?check:(checker_of snapshot_env) f))
-              m.Ilmod.funcs)
-          modules;
-        modules
-      | Options.O4 ->
-        let cmo_set, outside =
-          match (options.Options.cmo_modules, options.Options.selectivity) with
-          | Some names, _ ->
-            (* Explicit set: the bug-isolation driver's reduction axis. *)
-            List.partition
-              (fun (m : Ilmod.t) -> List.mem m.Ilmod.mname names)
-              modules
-          | None, Some percent when options.Options.pbo ->
-            let sel = Selectivity.select ~percent modules in
-            selection := Some sel;
-            List.partition
-              (fun (m : Ilmod.t) ->
-                List.mem m.Ilmod.mname sel.Selectivity.cmo_modules)
-              modules
-          | None, (Some _ | None) -> (modules, [])
-        in
-        cmo_lines :=
-          List.fold_left (fun acc m -> acc + Ilmod.src_lines m) 0 cmo_set;
-        (* The paper, section 5: "The remaining modules bypass HLO
-           entirely, and are optimized at the default optimization
-           level using PBO."  Under the tiered mode (the section-8
-           multi-layered future work), modules the profile never saw
-           execute also skip the default-level scalar optimization. *)
-        let module_is_cold (m : Ilmod.t) =
-          List.for_all
-            (fun (f : Func.t) ->
-              List.for_all
-                (fun (b : Func.block) -> b.Func.freq = 0.0)
-                f.Func.blocks)
-            m.Ilmod.funcs
-        in
-        (* Decode a stored module artifact; anything unexpected —
-           corrupt bytes, a key collision surfacing as the wrong
-           module — degrades to a miss. *)
-        let decode_artifact bytes mname =
-          match Ilcodec.decode_module bytes with
-          | m when m.Ilmod.mname = mname -> Some m
-          | _ -> None
-          | exception Cmo_support.Codec.Reader.Corrupt _ -> None
-        in
-        (* Publish an artifact to the remote cache; the remote's own
-           wrapper absorbs failures (a dead daemon must not fail the
-           build). *)
-        let remote_put key bytes =
-          match remote with
-          | Some r -> r.Distwork.remote_put key bytes
-          | None -> ()
-        in
-        (* On a local non-hit, consult the remote cache; a validated
-           remote artifact is adopted into the local store so the next
-           build hits locally.  All remote traffic happens on the
-           serial WPA path (the missing-scan and the outside sweep),
-           so its effect on local store bytes is independent of
-           [jobs]. *)
-        let remote_fetch store key mname =
-          match remote with
-          | None -> None
-          | Some r -> (
-            match r.Distwork.remote_get key with
-            | None ->
-              incr remote_misses;
-              Obs.tick "cache.module" "remote_misses" 1;
-              None
-            | Some bytes -> (
-              match decode_artifact bytes mname with
-              | Some m ->
-                Store.add store key bytes;
-                incr remote_hits;
-                Obs.tick "cache.module" "remote_hits" 1;
-                Some m
-              | None ->
-                incr remote_misses;
-                Obs.tick "cache.module" "remote_misses" 1;
-                None))
-        in
-        let fetch_module store key mname =
-          match Option.bind (Store.find store key) (fun bytes ->
-                    decode_artifact bytes mname) with
-          | Some m ->
-            incr cache_hits;
-            Obs.tick "cache.module" "hits" 1;
-            Some m
-          | None -> (
-            match remote_fetch store key mname with
-            | Some m -> Some m
-            | None ->
-              incr cache_misses;
-              Obs.tick "cache.module" "misses" 1;
-              None)
-        in
-        (* The +O2 path outside the CMO set is per-module work keyed
-           on the annotated IL alone. *)
-        let optimize_outside (m : Ilmod.t) =
-          if options.Options.tiered && module_is_cold m then begin
-            cold_lines := !cold_lines + Ilmod.src_lines m;
-            m
-          end
-          else begin
-            warm_lines := !warm_lines + Ilmod.src_lines m;
-            let optimize () =
-              List.iter
-                (fun f ->
-                  ignore
-                    (Phase.optimize_func ~mem ?check:(checker_of snapshot_env)
-                       f))
-                m.Ilmod.funcs
-            in
-            match cache with
-            | None ->
-              optimize ();
-              m
-            | Some store -> (
-              let key =
-                Fingerprint.of_strings [ "o2out1"; Ilcodec.encode_module m ]
-              in
-              match fetch_module store key m.Ilmod.mname with
-              | Some cached -> cached
-              | None ->
-                optimize ();
-                let bytes = Ilcodec.encode_module m in
-                Store.add store key bytes;
-                remote_put key bytes;
-                m)
-          end
-        in
-        let outside = List.map optimize_outside outside in
-        (* What link-time CMO may reference beyond its own loader:
-           the non-CMO modules' functions and globals.  Snapshot once;
-           component workers share it read-only. *)
-        let outside_env = memo_locked (fun () -> Ilcheck.env_of_modules outside) in
-        if cmo_set = [] then outside
-        else begin
-          let called, stored = external_context outside in
-          let all_names =
-            List.map (fun (m : Ilmod.t) -> m.Ilmod.mname) cmo_set
-          in
-          let by_name = Hashtbl.create 16 in
-          List.iter
-            (fun (m : Ilmod.t) -> Hashtbl.replace by_name m.Ilmod.mname m)
-            cmo_set;
-          (* Snapshot function lists before any loader registration
-             empties the modules. *)
-          let mod_funcs = Hashtbl.create 16 in
-          List.iter
-            (fun (m : Ilmod.t) ->
-              Hashtbl.replace mod_funcs m.Ilmod.mname
-                (List.map
-                   (fun (f : Func.t) -> (f.Func.name, f.Func.linkage))
-                   m.Ilmod.funcs))
-            cmo_set;
-          let has_root names =
-            List.exists
-              (fun n ->
-                List.exists
-                  (fun (fname, linkage) ->
-                    fname = "main" || linkage = Func.Exported
-                    || Hashtbl.mem called fname)
-                  (Option.value ~default:[] (Hashtbl.find_opt mod_funcs n)))
-              names
-          in
-          let roots_exist = has_root all_names in
-          (* Per-component treatment (caching and parallelism alike)
-             is exact only when every global decision decomposes by
-             component: profile-guided cloning uses program-wide
-             counters and name allocation, and the bug-isolation
-             operation limits are program-wide budgets, so those
-             modes fall back to whole-set, sequential runs.  Likewise
-             the degenerate rootless program, where IPA's
-             keep-everything guard is not component-local. *)
-          let decomposable =
-            (not options.Options.pbo)
-            && options.Options.inline_limit = None
-            && options.Options.rewrite_limit = None
-            && roots_exist
-          in
-          (* Run link-time CMO over [subset] (the whole set, or one
-             component) — the exact code a [cmoc-worker] process runs
-             ({!Distwork.optimize_subset}), which is what keeps
-             distribution byte-invisible.  The external context is
-             always the non-CMO modules: components are closed under
-             calls and shared globals, so modules of other components
-             cannot observe this subset. *)
-          let hot_filter =
-            Option.map
-              (fun sel name -> Selectivity.is_hot_function sel name)
-              !selection
-          in
-          let run_cmo ?phase_cache ~mem subset =
-            Distwork.optimize_subset ?phase_cache ?naim_repo ?hot_filter
-              ~check_base:outside_env ~options
-              ~externally_called:(Hashtbl.mem called)
-              ~externally_stored:(Hashtbl.mem stored) ~mem subset
-          in
-          (* A partition job carries everything the serial WPA step
-             computed for this subset: the encoded modules, the
-             external-context slices, the hot-function selection and
-             the full option record. *)
-          let job_of subset =
-            {
-              Distwork.job_options = options;
-              job_modules = List.map Ilcodec.encode_module subset;
-              job_called =
-                Hashtbl.fold (fun k () acc -> k :: acc) called []
-                |> List.sort String.compare;
-              job_stored =
-                Hashtbl.fold (fun k () acc -> k :: acc) stored []
-                |> List.sort String.compare;
-              job_hot =
-                Option.map
-                  (fun sel -> sel.Selectivity.hot_functions)
-                  !selection;
-              job_phase_cache = false (* run_job decides *);
-            }
-          in
-          (* Optimize a subset on a pooled worker process; the result
-             additionally carries the worker's own encoding of each
-             optimized module, stored verbatim so the worker's encoder
-             defines the artifact bytes.  Raises [Worker_lost]. *)
-          let run_dist pool ?phase_cache ~mem subset =
-            let payload = Distwork.run_job pool ?phase_cache (job_of subset) in
-            let precoded =
-              List.map
-                (fun bytes -> (Ilcodec.decode_module bytes, bytes))
-                payload.Distwork.done_modules
-            in
-            Memstats.merge mem
-              (Distwork.memstats_of_summary payload.Distwork.done_mem);
-            ( List.map fst precoded,
-              payload.Distwork.done_report,
-              payload.Distwork.done_lstats,
-              List.map
-                (fun ((m : Ilmod.t), bytes) -> (m.Ilmod.mname, bytes))
-                precoded )
-          in
-          let record_hlo (report, lstats) =
-            hlo_report :=
-              Some
-                (match !hlo_report with
-                | None -> report
-                | Some r -> Hlo.merge_reports r report);
-            loader_stats :=
-              Some
-                (match !loader_stats with
-                | None -> lstats
-                | Some s -> merge_loader_stats s lstats)
-          in
-          (* Per-component execution: each component runs in its own
-             loader and accountant (and store transaction when
-             caching) on the worker pool.  Results, reports,
-             accountants and transactions merge in deterministic
-             component order after the join, so every artifact — and
-             every cache byte — is independent of [jobs].  Whenever a
-             store is attached this is the code path at every job
-             count, j=1 included: the transaction logs, not the
-             interleaving, decide what the store sees. *)
-          let phase_cache_of txn =
-            Option.map
-              (fun txn ->
-                { Hlo.pc_find = Store.txn_find txn; pc_add = Store.txn_add txn })
-              txn
-          in
-          let run_components ~txns comps_names =
-            let comps =
-              List.map
-                (fun comp ->
-                  let txn =
-                    if txns then Option.map Store.txn_begin cache else None
-                  in
-                  (List.map (Hashtbl.find by_name) comp, has_root comp, txn))
-                comps_names
-            in
-            let results =
-              Parwork.with_pool ~jobs (fun pool ->
-                  Parwork.map pool
-                    (fun (subset, rooted, txn) ->
-                      Obs.with_span ~cat:"component"
-                        (List.hd subset).Ilmod.mname
-                      @@ fun () ->
-                      if not rooted then
-                        (* A rootless component (while roots exist
-                           elsewhere): the whole-set run's IPA removes
-                           every one of its functions as unreachable,
-                           so the optimized form is just the
-                           empty-bodied modules — running HLO here
-                           would instead hit IPA's keep-everything
-                           guard. *)
-                        ( List.map
-                            (fun (m : Ilmod.t) -> { m with Ilmod.funcs = [] })
-                            subset,
-                          None,
-                          Memstats.create (),
-                          txn,
-                          [] )
-                      else begin
-                        let local txn =
-                          let wmem = Memstats.create () in
-                          let optimized, report, lstats =
-                            run_cmo
-                              ?phase_cache:(phase_cache_of txn)
-                              ~mem:wmem subset
-                          in
-                          (optimized, Some (report, lstats), wmem, txn, [])
-                        in
-                        match dist_pool with
-                        | None -> local txn
-                        | Some dpool -> (
-                          match
-                            let wmem = Memstats.create () in
-                            let optimized, report, lstats, precoded =
-                              run_dist dpool
-                                ?phase_cache:(phase_cache_of txn)
-                                ~mem:wmem subset
-                            in
-                            (optimized, Some (report, lstats), wmem, txn,
-                             precoded)
-                          with
-                          | result -> result
-                          | exception Distwork.Worker_lost ->
-                            (* The partition's worker is gone; its
-                               transaction holds a partial op log that
-                               must never commit.  Abandon it and redo
-                               the component locally on a fresh one,
-                               whose log then matches the oracle's
-                               exactly. *)
-                            let txn =
-                              match txn with
-                              | Some _ -> Option.map Store.txn_begin cache
-                              | None -> None
-                            in
-                            local txn)
-                      end)
-                    comps)
-            in
-            (* The transaction each component actually used travels in
-               its result (a lost worker's replacement transaction is
-               the one to commit, not the abandoned original). *)
-            List.iter
-              (fun (_, stats, wmem, txn, _) ->
-                Memstats.merge mem wmem;
-                Option.iter record_hlo stats;
-                Option.iter Store.txn_commit txn)
-              results;
-            ( List.concat_map (fun (optimized, _, _, _, _) -> optimized) results,
-              List.concat_map (fun (_, _, _, _, precoded) -> precoded) results
-            )
-          in
-          (* The whole-set (non-decomposable) run: program-wide
-             decisions — profile-guided cloning counters, the
-             bug-isolation operation budgets, IPA's rootless
-             keep-everything guard — must be made once over the entire
-             set, so distribution ships the whole set as a single job
-             to one worker.  With a store attached the phase relay
-             lands in a transaction, committed on success and
-             abandoned on loss, so a lost worker leaves no trace and
-             the local redo replays the oracle's op log against the
-             store directly. *)
-          let run_whole ~mem subset =
-            let local () =
-              let phase_cache = Option.map Hlo.store_phase_cache cache in
-              let optimized, report, lstats = run_cmo ?phase_cache ~mem subset in
-              (optimized, report, lstats, [])
-            in
-            match dist_pool with
-            | None -> local ()
-            | Some dpool -> (
-              let txn = Option.map Store.txn_begin cache in
-              match
-                run_dist dpool ?phase_cache:(phase_cache_of txn) ~mem subset
-              with
-              | optimized, report, lstats, precoded ->
-                Option.iter Store.txn_commit txn;
-                (optimized, report, lstats, precoded)
-              | exception Distwork.Worker_lost -> local ())
-          in
-          let table_of optimized =
-            let opt_tbl = Hashtbl.create 16 in
-            List.iter
-              (fun (m' : Ilmod.t) -> Hashtbl.replace opt_tbl m'.Ilmod.mname m')
-              optimized;
-            opt_tbl
-          in
-          match cache with
-          | None ->
-            if decomposable && (jobs > 1 || Option.is_some dist_pool) then begin
-              (* Same partition as cache invalidation, used here as
-                 the unit of parallel/distributed link-time CMO (the
-                 WHOPR LTRANS analogy). *)
-              let part = Invalidate.compute cmo_set in
-              let optimized, _ =
-                run_components ~txns:false (Invalidate.components part)
-              in
-              let opt_tbl = table_of optimized in
-              List.map (fun name -> Hashtbl.find opt_tbl name) all_names
-              @ outside
-            end
-            else begin
-              let optimized, report, lstats, _ = run_whole ~mem cmo_set in
-              record_hlo (report, lstats);
-              optimized @ outside
-            end
-          | Some store ->
-            let part = Invalidate.compute cmo_set in
-            (* Snapshot digests before registration, like mod_funcs. *)
-            let il_fp = Hashtbl.create 16 in
-            List.iter
-              (fun (m : Ilmod.t) ->
-                Hashtbl.replace il_fp m.Ilmod.mname
-                  (Fingerprint.of_strings [ Ilcodec.encode_module m ]))
-              cmo_set;
-            let opt_fp = Options.cache_fingerprint options in
-            let sel_fp =
-              match !selection with
-              | None -> "nosel"
-              | Some sel ->
-                Fingerprint.of_strings
-                  (("sel" :: sel.Selectivity.cmo_modules)
-                  @ ("|" :: sel.Selectivity.hot_functions))
-            in
-            (* The key of a module: its component's (name, digest)
-               pairs plus the slice of the external context its
-               component can observe — external callers pin IPA
-               argument lattices and keep functions alive; external
-               stores block const-global folding. *)
-            let comp_parts_memo = Hashtbl.create 8 in
-            let component_parts comp =
-              let head = List.hd comp in
-              match Hashtbl.find_opt comp_parts_memo head with
-              | Some parts -> parts
-              | None ->
-                let ext_called =
-                  List.concat_map
-                    (fun n ->
-                      Option.value ~default:[] (Hashtbl.find_opt mod_funcs n)
-                      |> List.filter_map (fun (fname, _) ->
-                             if Hashtbl.mem called fname then Some fname
-                             else None))
-                    comp
-                  |> List.sort String.compare
-                in
-                let ext_stored =
-                  List.concat_map (Invalidate.global_refs part) comp
-                  |> List.sort_uniq String.compare
-                  |> List.filter (Hashtbl.mem stored)
-                in
-                let parts =
-                  List.concat_map
-                    (fun n ->
-                      [ n; Option.value ~default:"" (Hashtbl.find_opt il_fp n) ])
-                    comp
-                  @ ("|called" :: ext_called)
-                  @ ("|stored" :: ext_stored)
-                in
-                Hashtbl.replace comp_parts_memo head parts;
-                parts
-            in
-            let keys = Hashtbl.create 16 in
-            List.iter
-              (fun name ->
-                let comp =
-                  if decomposable then Invalidate.component part name
-                  else all_names
-                in
-                Hashtbl.replace keys name
-                  (Fingerprint.of_strings
-                     ("cmo1" :: opt_fp :: sel_fp :: name :: "|comp"
-                     :: component_parts comp)))
-              all_names;
-            let fetched = Hashtbl.create 16 in
-            let missing =
-              List.filter
-                (fun name ->
-                  match fetch_module store (Hashtbl.find keys name) name with
-                  | Some cached ->
-                    Hashtbl.replace fetched name cached;
-                    false
-                  | None -> true)
-                all_names
-            in
-            (* Persist (and publish) the fresh artifacts.  Modules a
-               worker process optimized are stored under the worker's
-               own encoding ([precoded]) — the bytes that crossed the
-               wire define the artifact, with no parent-side
-               re-encode in between. *)
-            let store_results ?(precoded = []) optimized =
-              let pre = Hashtbl.create 16 in
-              List.iter (fun (n, b) -> Hashtbl.replace pre n b) precoded;
-              List.iter
-                (fun (m' : Ilmod.t) ->
-                  match Hashtbl.find_opt keys m'.Ilmod.mname with
-                  | Some key ->
-                    let bytes =
-                      match Hashtbl.find_opt pre m'.Ilmod.mname with
-                      | Some b -> b
-                      | None -> Ilcodec.encode_module m'
-                    in
-                    Store.add store key bytes;
-                    remote_put key bytes
-                  | None -> ())
-                optimized
-            in
-            if missing = [] then begin
-              (* Every artifact current: the link step skips HLO
-                 entirely. *)
-              cmo_cached := all_names;
-              List.map (Hashtbl.find fetched) all_names @ outside
-            end
-            else begin
-              let rerun_names =
-                if decomposable then Invalidate.closure part ~changed:missing
-                else all_names
-              in
-              cmo_reoptimized := rerun_names;
-              cmo_cached :=
-                List.filter (fun n -> not (List.mem n rerun_names)) all_names;
-              let optimized, precoded =
-                if decomposable then
-                  (* Exactly the components holding a stale module
-                     rerun; every fetch above already happened, so the
-                     transactions' snapshot view of the store is fixed
-                     before any worker starts. *)
-                  run_components ~txns:true
-                    (List.filter
-                       (fun comp ->
-                         List.exists (fun n -> List.mem n missing) comp)
-                       (Invalidate.components part))
-                else begin
-                  let optimized, report, lstats, precoded =
-                    run_whole ~mem cmo_set
-                  in
-                  record_hlo (report, lstats);
-                  (optimized, precoded)
-                end
-              in
-              store_results ~precoded optimized;
-              let opt_tbl = table_of optimized in
-              List.map
-                (fun name ->
-                  match Hashtbl.find_opt opt_tbl name with
-                  | Some m' -> m'
-                  | None -> Hashtbl.find fetched name)
-                all_names
-              @ outside
-            end
-        end
-    in
-    let hlo_t1 = Sys.time () in
-    let hlo_w1 = Unix.gettimeofday () in
-    Log.info (fun m ->
-        m "%s: hlo %.3fs, cmo %d/%d lines" (Options.to_string options)
-          (hlo_t1 -. hlo_t0) !cmo_lines total_lines);
-    (* Code generation: per-module and independent.  Parallel workers
-       carry their own stats accumulator and accountant, merged in
-       module order after the join, so objects, stats and modeled
-       peaks match the sequential run. *)
-    let llo_stats = ref zero_llo_stats in
-    let layout = options.Options.pbo && options.Options.level <> Options.O1 in
-    (* Post-CMO view: clones present, IPA-removed routines gone — a
-       reference that dangles here would dangle at link time too. *)
-    let llo_check =
-      checker_of
-        (memo_locked (fun () -> Ilcheck.env_of_modules processed_modules))
-    in
-    let objects =
-      Obs.with_span ~cat:"stage" "llo" @@ fun () ->
-      if jobs > 1 then begin
-        let results =
-          Parwork.with_pool ~jobs (fun pool ->
-              Parwork.map pool
-                (fun m ->
-                  let wmem = Memstats.create () in
-                  let acc = ref zero_llo_stats in
-                  let obj =
-                    llo_module ?check:llo_check ~mem:(Some wmem) ~layout acc m
-                  in
-                  (obj, !acc, wmem))
-                processed_modules)
-        in
-        List.map
-          (fun (obj, stats, wmem) ->
-            llo_stats := add_llo_stats !llo_stats stats;
-            Memstats.merge mem wmem;
-            obj)
-          results
-      end
-      else
-        List.map
-          (llo_module ?check:llo_check ~mem:(Some mem) ~layout llo_stats)
-          processed_modules
-    in
-    let llo_t1 = Sys.time () in
-    let llo_w1 = Unix.gettimeofday () in
-    (* Link, clustering routines when profiled. *)
-    let image =
-      Obs.with_span ~cat:"stage" "link" @@ fun () ->
-      let routine_order =
-        if options.Options.pbo then begin
-          let weights = cluster_weights processed_modules in
-          if weights = [] then None
-          else
-            Some
-              (Obs.with_span ~cat:"link" "cluster" (fun () ->
-                   Cluster.order
-                     ~names:(all_func_names processed_modules)
-                     ~weights))
-        end
-        else None
-      in
-      link_or_fail ?routine_order objects
-    in
-    let link_t1 = Sys.time () in
-    Log.info (fun m ->
-        m "%s: llo %.3fs, link %.3fs, %d instrs"
-          (Options.to_string options) (llo_t1 -. hlo_t1) (link_t1 -. llo_t1)
-          (Array.length image.Image.code));
-    {
-      image;
-      objects;
-      manifest = None;
-      report =
-        {
-          options;
-          hlo = !hlo_report;
-          loader_stats = !loader_stats;
-          mem_peak = Memstats.peak mem;
-          mem_peak_hlo = Memstats.peak_hlo mem;
-          selection = !selection;
-          llo = !llo_stats;
-          frontend_seconds = 0.0;
-          hlo_seconds = hlo_t1 -. hlo_t0;
-          llo_seconds = llo_t1 -. hlo_t1;
-          link_seconds = link_t1 -. llo_t1;
-          frontend_wall_seconds = 0.0;
-          hlo_wall_seconds = hlo_w1 -. hlo_w0;
-          llo_wall_seconds = llo_w1 -. hlo_w1;
-          workers_used = jobs;
-          total_lines;
-          cmo_lines = !cmo_lines;
-          warm_lines = !warm_lines;
-          cold_lines = !cold_lines;
-          cache =
-            Option.map
-              (fun _ ->
-                {
-                  hits = !cache_hits;
-                  misses = !cache_misses;
-                  remote_hits = !remote_hits;
-                  remote_misses = !remote_misses;
-                  cmo_cached = !cmo_cached;
-                  cmo_reoptimized = !cmo_reoptimized;
-                })
-              cache;
-          obs = obs_summary ();
-        };
-    }
+    Some
+      (fun ~phase f ->
+        Ilcheck.check_func_exn ?env:(Option.map (fun e -> e ()) env) ~phase f)
   end
 
-let compile_modules ?profile ?cache ?naim_repo ?remote options modules =
-  try compile_modules_inner ?profile ?cache ?naim_repo ?remote options modules
+(* --- wpa: the serial whole-program step --------------------------- *)
+
+(* The module-artifact lookups of one build (local store, then remote
+   cache), with the running traffic the report shows. *)
+type lookups = {
+  store : Store.t;
+  remote : Distwork.remote option;
+  mutable usage : cache_usage;
+}
+
+let count lk series bump =
+  Obs.tick "cache.module" series 1;
+  lk.usage <- bump lk.usage
+
+(* Decode a stored module artifact; anything unexpected — corrupt
+   bytes, a key collision surfacing as the wrong module — is a miss. *)
+let decode_artifact bytes mname =
+  match Ilcodec.decode_module bytes with
+  | m when m.Ilmod.mname = mname -> Some m
+  | _ -> None
+  | exception Cmo_support.Codec.Reader.Corrupt _ -> None
+
+(* On a local non-hit, consult the remote cache; a validated remote
+   artifact is adopted into the local store so the next build hits
+   locally.  Lookups happen only on the serial WPA path, so their
+   effect on local store bytes is independent of [jobs]. *)
+let fetch lk key mname =
+  match
+    Option.bind (Store.find lk.store key) (fun bytes ->
+        decode_artifact bytes mname)
+  with
+  | Some m ->
+    count lk "hits" (fun u -> { u with hits = u.hits + 1 });
+    Some m
+  | None ->
+    let adopted =
+      Option.bind lk.remote (fun r ->
+          match
+            Option.bind (r.Distwork.remote_get key) (fun bytes ->
+                Option.map (fun m -> (m, bytes)) (decode_artifact bytes mname))
+          with
+          | Some (m, bytes) ->
+            Store.add lk.store key bytes;
+            count lk "remote_hits" (fun u ->
+                { u with remote_hits = u.remote_hits + 1 });
+            Some m
+          | None ->
+            count lk "remote_misses" (fun u ->
+                { u with remote_misses = u.remote_misses + 1 });
+            None)
+    in
+    if Option.is_none adopted then
+      count lk "misses" (fun u -> { u with misses = u.misses + 1 });
+    adopted
+
+(* Persist an artifact and publish it to the remote cache, whose own
+   wrapper absorbs failures (a dead daemon must not fail the build). *)
+let publish lk key bytes =
+  Store.add lk.store key bytes;
+  Option.iter (fun r -> r.Distwork.remote_put key bytes) lk.remote
+
+type component = { members : Ilmod.t list; rooted : bool }
+
+type work =
+  | Cached  (** Every artifact current: HLO does not run. *)
+  | Whole of Ilmod.t list
+  | Components of component list
+
+type cmo = {
+  order : string list;  (* the CMO set's module names, in link order *)
+  work : work;
+  fetched : (string, Ilmod.t) Hashtbl.t;  (* artifacts the store served *)
+  keys : (string, string) Hashtbl.t;  (* store key per module; caching only *)
+  called : Names.t;  (* the external context *)
+  stored : Names.t;
+  outside_env : unit -> Ilcheck.env;
+  dist : Distwork.pool option;
+}
+
+type plan = {
+  options : Options.t;
+  mem : Memstats.t;
+  naim_repo : Cmo_naim.Repository.t option;
+  lookups : lookups option;
+  selection : Selectivity.t option;
+  cmo_lines : int;
+  warm_lines : int;
+  cold_lines : int;
+  outside : Ilmod.t list;  (* done: optimized at the default level *)
+  cmo : cmo option;  (* link-time CMO still to run *)
+}
+
+(* Profile counts from [profile] under +P; cleared otherwise. *)
+let annotate ?profile (options : Options.t) modules =
+  match (options.Options.pbo, profile) with
+  | true, Some db -> ignore (Correlate.annotate db modules)
+  | true, None | false, _ -> Correlate.clear modules
+
+let optimize_default ~mem ?check (m : Ilmod.t) =
+  List.iter (fun f -> ignore (Phase.optimize_func ~mem ?check f)) m.Ilmod.funcs
+
+(* The CMO set and the modules outside it. *)
+let choose_cmo_set (options : Options.t) modules =
+  let among names =
+    List.partition (fun (m : Ilmod.t) -> List.mem m.Ilmod.mname names) modules
+  in
+  match (options.Options.cmo_modules, options.Options.selectivity) with
+  | Some names, _ ->
+    (* Explicit set: the bug-isolation driver's reduction axis. *)
+    (None, among names)
+  | None, Some percent when options.Options.pbo ->
+    let sel = Selectivity.select ~percent modules in
+    (Some sel, among sel.Selectivity.cmo_modules)
+  | None, (Some _ | None) -> (None, (modules, []))
+
+(* WHOPR-style distribution: one worker pool per build — remote
+   [--workers] endpoints dialed on demand, local processes spawned on
+   demand.  A missing worker binary (with no endpoints) degrades the
+   whole build to in-process execution, never an error — [dist] is a
+   behaviour-preserving knob like [jobs]. *)
+let dist_pool (options : Options.t) =
+  if not options.Options.dist then None
+  else
+    match
+      Distwork.create_pool ~workers:options.Options.workers
+        ?timeout_s:options.Options.dist_timeout ()
+    with
+    | pool -> Some pool
+    | exception Distwork.Unavailable msg ->
+      Log.warn (fun m -> m "dist: %s; building in-process" msg);
+      None
+
+(* The key of each module: the canonical options and selection, and its
+   component's (name, IL digest) pairs plus the slice of the external
+   context that component can observe — external callers pin IPA
+   argument lattices and keep functions alive; external stores block
+   const-global folding. *)
+let cache_keys (options : Options.t) ~selection ~part ~component_of ~mod_funcs
+    ~called ~stored cmo_set =
+  let il_fp = Hashtbl.create 16 in
+  List.iter
+    (fun (m : Ilmod.t) ->
+      Hashtbl.replace il_fp m.Ilmod.mname
+        (Fingerprint.of_strings [ Ilcodec.encode_module m ]))
+    cmo_set;
+  let opt_fp = Options.cache_fingerprint options in
+  let sel_fp =
+    match selection with
+    | None -> "nosel"
+    | Some sel ->
+      Fingerprint.of_strings
+        (("sel" :: sel.Selectivity.cmo_modules)
+        @ ("|" :: sel.Selectivity.hot_functions))
+  in
+  let comp_parts_memo = Hashtbl.create 8 in
+  let component_parts comp =
+    let head = List.hd comp in
+    match Hashtbl.find_opt comp_parts_memo head with
+    | Some parts -> parts
+    | None ->
+      let ext_called =
+        List.concat_map
+          (fun n ->
+            Option.value ~default:[] (Hashtbl.find_opt mod_funcs n)
+            |> List.filter_map (fun (fname, _) ->
+                   if Names.mem fname called then Some fname else None))
+          comp
+        |> List.sort String.compare
+      in
+      let ext_stored =
+        List.concat_map (Invalidate.global_refs part) comp
+        |> List.sort_uniq String.compare
+        |> List.filter (fun g -> Names.mem g stored)
+      in
+      let parts =
+        List.concat_map
+          (fun n -> [ n; Option.value ~default:"" (Hashtbl.find_opt il_fp n) ])
+          comp
+        @ ("|called" :: ext_called)
+        @ ("|stored" :: ext_stored)
+      in
+      Hashtbl.replace comp_parts_memo head parts;
+      parts
+  in
+  let keys = Hashtbl.create 16 in
+  List.iter
+    (fun (m : Ilmod.t) ->
+      let name = m.Ilmod.mname in
+      Hashtbl.replace keys name
+        (Fingerprint.of_strings
+           ("cmo1" :: opt_fp :: sel_fp :: name :: "|comp"
+           :: component_parts (component_of name))))
+    cmo_set;
+  keys
+
+(* Plan link-time CMO over [cmo_set]: the external context, the
+   partition into components, and — with a store — the cache keys and
+   the artifacts already current. *)
+let plan_cmo plan ~selection cmo_set =
+  let options = plan.options in
+  let called, stored = external_context plan.outside in
+  let order = List.map (fun (m : Ilmod.t) -> m.Ilmod.mname) cmo_set in
+  let by_name = Hashtbl.create 16 in
+  (* Snapshot function lists before any loader registration empties
+     the modules. *)
+  let mod_funcs = Hashtbl.create 16 in
+  List.iter
+    (fun (m : Ilmod.t) ->
+      Hashtbl.replace by_name m.Ilmod.mname m;
+      Hashtbl.replace mod_funcs m.Ilmod.mname
+        (List.map (fun (f : Func.t) -> (f.Func.name, f.Func.linkage)) m.Ilmod.funcs))
+    cmo_set;
+  let has_root names =
+    List.exists
+      (fun n ->
+        List.exists
+          (fun (fname, linkage) ->
+            fname = "main" || linkage = Func.Exported || Names.mem fname called)
+          (Option.value ~default:[] (Hashtbl.find_opt mod_funcs n)))
+      names
+  in
+  (* Per-component treatment (caching and parallelism alike) is exact
+     only when every global decision decomposes by component:
+     profile-guided cloning uses program-wide counters and name
+     allocation, and the bug-isolation operation limits are
+     program-wide budgets, so those modes fall back to whole-set,
+     sequential runs.  Likewise the degenerate rootless program, where
+     IPA's keep-everything guard is not component-local. *)
+  let decomposable =
+    (not options.Options.pbo)
+    && options.Options.inline_limit = None
+    && options.Options.rewrite_limit = None
+    && has_root order
+  in
+  let component names =
+    { members = List.map (Hashtbl.find by_name) names; rooted = has_root names }
+  in
+  let fetched = Hashtbl.create 16 in
+  let keys, work, dist =
+    match plan.lookups with
+    | None ->
+      (* The same partition as cache invalidation is the unit of
+         parallel and distributed link-time CMO (the WHOPR LTRANS
+         analogy). *)
+      let dist = dist_pool options in
+      if decomposable && (options.Options.jobs > 1 || Option.is_some dist) then
+        let part = Invalidate.compute cmo_set in
+        ( Hashtbl.create 1,
+          Components (List.map component (Invalidate.components part)),
+          dist )
+      else (Hashtbl.create 1, Whole cmo_set, dist)
+    | Some lk ->
+      let part = Invalidate.compute cmo_set in
+      let component_of name =
+        if decomposable then Invalidate.component part name else order
+      in
+      let keys =
+        cache_keys options ~selection ~part ~component_of ~mod_funcs ~called
+          ~stored cmo_set
+      in
+      let missing =
+        List.filter
+          (fun name ->
+            match fetch lk (Hashtbl.find keys name) name with
+            | Some cached ->
+              Hashtbl.replace fetched name cached;
+              false
+            | None -> true)
+          order
+      in
+      let rerun =
+        if missing = [] then []
+        else if decomposable then Invalidate.closure part ~changed:missing
+        else order
+      in
+      lk.usage <-
+        {
+          lk.usage with
+          cmo_cached = List.filter (fun n -> not (List.mem n rerun)) order;
+          cmo_reoptimized = rerun;
+        };
+      if missing = [] then (keys, Cached, None)
+      else if decomposable then
+        (* Exactly the components holding a stale module rerun; every
+           fetch above already happened, so the transactions' view of
+           the store is fixed before any worker starts. *)
+        ( keys,
+          Components
+            (Invalidate.components part
+            |> List.filter (List.exists (fun n -> List.mem n missing))
+            |> List.map component),
+          dist_pool options )
+      else (keys, Whole cmo_set, dist_pool options)
+  in
+  {
+    order;
+    work;
+    fetched;
+    keys;
+    called;
+    stored;
+    (* What link-time CMO may reference beyond its own loader: the
+       non-CMO modules' functions and globals, snapshot once and
+       shared read-only by component workers. *)
+    outside_env =
+      Parwork.memo_locked (fun () -> Ilcheck.env_of_modules plan.outside);
+    dist;
+  }
+
+(* The paper, section 5: "The remaining modules bypass HLO entirely,
+   and are optimized at the default optimization level using PBO."
+   Under the tiered mode (the section-8 multi-layered future work),
+   modules the profile never saw execute also skip the default-level
+   scalar optimization.  With a store, the +O2 result of a module is
+   an artifact keyed on its annotated IL alone. *)
+let plan_o4 plan ?check modules =
+  let options = plan.options in
+  let selection, (cmo_set, outside) = choose_cmo_set options modules in
+  let is_cold (m : Ilmod.t) =
+    options.Options.tiered
+    && List.for_all
+         (fun (f : Func.t) ->
+           List.for_all (fun (b : Func.block) -> b.Func.freq = 0.0) f.Func.blocks)
+         m.Ilmod.funcs
+  in
+  let cold, warm = List.partition is_cold outside in
+  let optimize_outside (m : Ilmod.t) =
+    let optimize () = optimize_default ~mem:plan.mem ?check m in
+    match plan.lookups with
+    | _ when is_cold m -> m
+    | None ->
+      optimize ();
+      m
+    | Some lk -> (
+      let key = Fingerprint.of_strings [ "o2out1"; Ilcodec.encode_module m ] in
+      match fetch lk key m.Ilmod.mname with
+      | Some cached -> cached
+      | None ->
+        optimize ();
+        publish lk key (Ilcodec.encode_module m);
+        m)
+  in
+  let plan =
+    {
+      plan with
+      selection;
+      cmo_lines = src_lines cmo_set;
+      warm_lines = src_lines warm;
+      cold_lines = src_lines cold;
+      outside = List.map optimize_outside outside;
+    }
+  in
+  if cmo_set = [] then plan
+  else { plan with cmo = Some (plan_cmo plan ~selection cmo_set) }
+
+let wpa ?profile ?cache ?naim_repo ?remote ?(closed = true) ~mem
+    (options : Options.t) modules =
+  annotate ?profile options modules;
+  (* The whole-program view as the frontends delivered it: valid for
+     every check until HLO starts adding and removing functions. *)
+  let check = checker options ~closed modules in
+  let plan =
+    {
+      options;
+      mem;
+      naim_repo;
+      lookups =
+        Option.map
+          (fun store ->
+            {
+              store;
+              remote;
+              usage =
+                {
+                  hits = 0;
+                  misses = 0;
+                  remote_hits = 0;
+                  remote_misses = 0;
+                  cmo_cached = [];
+                  cmo_reoptimized = [];
+                };
+            })
+          cache;
+      selection = None;
+      cmo_lines = 0;
+      warm_lines = 0;
+      cold_lines = 0;
+      outside = modules;
+      cmo = None;
+    }
+  in
+  match options.Options.level with
+  | Options.O1 -> plan
+  | Options.O2 ->
+    List.iter (optimize_default ~mem ?check) modules;
+    plan
+  | Options.O4 -> plan_o4 plan ?check modules
+
+(* --- optimize: run the plan --------------------------------------- *)
+
+type placed = {
+  optimized : (Ilmod.t * string option) list;
+      (* With a worker process's own encoding of each module, stored
+         verbatim so the bytes that crossed the wire define the
+         artifact, with no parent-side re-encode in between. *)
+  stats : (Hlo.report * Loader.stats) option;  (* None: HLO did not run *)
+  txn : Store.txn option;  (* for the caller to commit *)
+}
+
+(* Run link-time CMO over [subset] (the whole set, or one component)
+   where the plan places it: on a pooled [cmoc-worker] process when the
+   build has workers, else in the calling domain.  Both run
+   {!Distwork.optimize_subset} on the same inputs, which is what keeps
+   distribution byte-invisible.  The external context is always the
+   non-CMO modules: components are closed under calls and shared
+   globals, so modules of other components cannot observe this subset.
+   With [~txn:true] and a store, the phase cache works in a fresh
+   store transaction; otherwise it uses the store directly.
+
+   This is the one recovery from a lost worker: its transaction holds a
+   partial op log that must never commit, so it is abandoned and the
+   subset redone locally on a fresh one, whose log then matches the
+   oracle's exactly. *)
+let place plan cmo ~txn ~mem subset =
+  let begin_txn () =
+    if txn then Option.map (fun lk -> Store.txn_begin lk.store) plan.lookups
+    else None
+  in
+  let phase_cache txn =
+    match (txn, plan.lookups) with
+    | Some txn, _ ->
+      Some { Hlo.pc_find = Store.txn_find txn; pc_add = Store.txn_add txn }
+    | None, Some lk -> Some (Hlo.store_phase_cache lk.store)
+    | None, None -> None
+  in
+  let local txn =
+    let optimized, report, lstats =
+      Distwork.optimize_subset ?phase_cache:(phase_cache txn)
+        ?naim_repo:plan.naim_repo
+        ?hot_filter:(Option.map Selectivity.is_hot_function plan.selection)
+        ~check_base:cmo.outside_env ~options:plan.options
+        ~externally_called:(fun n -> Names.mem n cmo.called)
+        ~externally_stored:(fun n -> Names.mem n cmo.stored)
+        ~mem subset
+    in
+    {
+      optimized = List.map (fun m -> (m, None)) optimized;
+      stats = Some (report, lstats);
+      txn;
+    }
+  in
+  let txn = begin_txn () in
+  match cmo.dist with
+  | None -> local txn
+  | Some pool -> (
+    let job =
+      {
+        Distwork.job_options = plan.options;
+        job_modules = List.map Ilcodec.encode_module subset;
+        job_called = Names.elements cmo.called;
+        job_stored = Names.elements cmo.stored;
+        job_hot =
+          Option.map (fun sel -> sel.Selectivity.hot_functions) plan.selection;
+        job_phase_cache = false (* run_job decides *);
+      }
+    in
+    match Distwork.run_job pool ?phase_cache:(phase_cache txn) job with
+    | done_ ->
+      Memstats.merge mem (Distwork.memstats_of_summary done_.Distwork.done_mem);
+      {
+        optimized =
+          List.map
+            (fun bytes -> (Ilcodec.decode_module bytes, Some bytes))
+            done_.Distwork.done_modules;
+        stats = Some (done_.Distwork.done_report, done_.Distwork.done_lstats);
+        txn;
+      }
+    | exception Distwork.Worker_lost -> local (begin_txn ()))
+
+(* Per-component execution: each component runs in its own loader and
+   accountant (and store transaction when caching) on the worker pool.
+   Accountants and transactions merge in deterministic component order
+   after the join, so every artifact — and every cache byte — is
+   independent of [jobs].  Whenever a store is attached this is the
+   code path at every job count, j=1 included: the transaction logs,
+   not the interleaving, decide what the store sees. *)
+let run_components plan cmo comps =
+  Parwork.with_pool ~jobs:(max 1 plan.options.Options.jobs) (fun pool ->
+      Parwork.map pool
+        (fun c ->
+          Obs.with_span ~cat:"component" (List.hd c.members).Ilmod.mname
+          @@ fun () ->
+          let wmem = Memstats.create () in
+          if c.rooted then (wmem, place plan cmo ~txn:true ~mem:wmem c.members)
+          else
+            (* A rootless component (while roots exist elsewhere): the
+               whole-set run's IPA removes every one of its functions
+               as unreachable, so the optimized form is just the
+               empty-bodied modules — running HLO here would instead
+               hit IPA's keep-everything guard. *)
+            ( wmem,
+              {
+                optimized =
+                  List.map
+                    (fun (m : Ilmod.t) -> ({ m with Ilmod.funcs = [] }, None))
+                    c.members;
+                stats = None;
+                txn = None;
+              } ))
+        comps)
+  |> List.map (fun (wmem, p) ->
+         Memstats.merge plan.mem wmem;
+         Option.iter Store.txn_commit p.txn;
+         p)
+
+let optimize plan =
+  match plan.cmo with
+  | None -> (plan.outside, None)
+  | Some cmo ->
+    Fun.protect ~finally:(fun () -> Option.iter Distwork.close_pool cmo.dist)
+    @@ fun () ->
+    let placed =
+      match cmo.work with
+      | Cached -> []
+      | Whole subset ->
+        (* Program-wide decisions — profile-guided cloning counters,
+           the bug-isolation operation budgets, IPA's rootless
+           keep-everything guard — are made once over the entire set,
+           so distribution ships it as a single job to one worker,
+           under a transaction that a lost worker never commits. *)
+        let p =
+          place plan cmo ~txn:(Option.is_some cmo.dist) ~mem:plan.mem subset
+        in
+        Option.iter Store.txn_commit p.txn;
+        [ p ]
+      | Components comps -> run_components plan cmo comps
+    in
+    let by_name = Hashtbl.create 16 in
+    List.iter
+      (fun p ->
+        List.iter
+          (fun ((m : Ilmod.t), wire) ->
+            Hashtbl.replace by_name m.Ilmod.mname m;
+            match (plan.lookups, Hashtbl.find_opt cmo.keys m.Ilmod.mname) with
+            | Some lk, Some key ->
+              publish lk key
+                (match wire with
+                | Some bytes -> bytes
+                | None -> Ilcodec.encode_module m)
+            | _ -> ())
+          p.optimized)
+      placed;
+    let stats =
+      List.fold_left
+        (fun acc p ->
+          match (acc, p.stats) with
+          | Some (r, l), Some (r', l') ->
+            Some (Hlo.merge_reports r r', Loader.merge_stats l l')
+          | None, s | s, None -> s)
+        None placed
+    in
+    ( List.map
+        (fun n ->
+          match Hashtbl.find_opt by_name n with
+          | Some m -> m
+          | None -> Hashtbl.find cmo.fetched n)
+        cmo.order
+      @ plan.outside,
+      stats )
+
+(* --- llo and link ------------------------------------------------- *)
+
+(* Code generation: per-module and independent.  Parallel workers
+   carry their own accountant, merged in module order after the join,
+   so objects, stats and modeled peaks match the sequential run. *)
+let llo ?(closed = true) ~mem (options : Options.t) modules =
+  let layout =
+    options.Options.pbo
+    && options.Options.level <> Options.O1
+    && not options.Options.instrument
+  in
+  (* Post-CMO view: clones present, IPA-removed routines gone — a
+     reference that dangles here would dangle at link time too. *)
+  let check = checker options ~closed modules in
+  let compile mem (m : Ilmod.t) =
+    let codes, stats = Llo.compile_module ~mem ?check ~layout m in
+    ( Objfile.of_code ~module_name:m.Ilmod.mname ~globals:m.Ilmod.globals
+        ~source_digest:"" codes,
+      stats )
+  in
+  let jobs = max 1 options.Options.jobs in
+  let results =
+    if jobs > 1 then
+      Parwork.with_pool ~jobs (fun pool ->
+          Parwork.map pool
+            (fun m ->
+              let wmem = Memstats.create () in
+              (compile wmem m, Some wmem))
+            modules)
+    else List.map (fun m -> (compile mem m, None)) modules
+  in
+  let stats, objects =
+    List.fold_left_map
+      (fun acc ((obj, stats), wmem) ->
+        Option.iter (Memstats.merge mem) wmem;
+        (Llo.add_stats acc stats, obj))
+      Llo.zero_stats results
+  in
+  (objects, stats)
+
+let link ?cluster objects =
+  let routine_order =
+    match Option.map (fun ms -> (ms, cluster_weights ms)) cluster with
+    | None | Some (_, []) -> None
+    | Some (modules, weights) ->
+      Some
+        (Obs.with_span ~cat:"link" "cluster" (fun () ->
+             Cluster.order ~names:(all_func_names modules) ~weights))
+  in
+  match Linker.link ?routine_order objects with
+  | Ok image -> image
+  | Error errs ->
+    error "@[<v>link failed:@,%a@]"
+      (Format.pp_print_list ~pp_sep:Format.pp_print_cut Linker.pp_error)
+      errs
+
+let make_report ?(frontend = no_clock) ?(hlo = no_clock) ?(llo = no_clock)
+    ?(link = no_clock) ?plan ?hlo_stats ~mem ~lines ~llo_stats
+    (options : Options.t) =
+  let of_plan f default = match plan with Some p -> f p | None -> default in
+  {
+    options;
+    hlo = Option.map fst hlo_stats;
+    loader_stats = Option.map snd hlo_stats;
+    mem_peak = Memstats.peak mem;
+    mem_peak_hlo = Memstats.peak_hlo mem;
+    selection = of_plan (fun p -> p.selection) None;
+    llo = llo_stats;
+    frontend_seconds = frontend.cpu;
+    hlo_seconds = hlo.cpu;
+    llo_seconds = llo.cpu;
+    link_seconds = link.cpu;
+    frontend_wall_seconds = frontend.wall;
+    hlo_wall_seconds = hlo.wall;
+    llo_wall_seconds = llo.wall;
+    workers_used = max 1 options.Options.jobs;
+    total_lines = lines;
+    cmo_lines = of_plan (fun p -> p.cmo_lines) 0;
+    warm_lines = of_plan (fun p -> p.warm_lines) 0;
+    cold_lines = of_plan (fun p -> p.cold_lines) 0;
+    cache = of_plan (fun p -> Option.map (fun lk -> lk.usage) p.lookups) None;
+    obs = obs_summary ();
+  }
+
+let compile_modules ?profile ?cache ?naim_repo ?remote ?frontend
+    (options : Options.t) modules =
+  try
+    let mem = Memstats.create () in
+    let lines = src_lines modules in
+    let manifest, plan, (optimized, hlo_stats), hlo =
+      if options.Options.instrument then begin
+        (* +I: probes in, optimization suppressed. *)
+        let instrumented, manifest = Probe.instrument modules in
+        (Some manifest, None, (instrumented, None), None)
+      end
+      else begin
+        let (plan, optimized), hlo =
+          stage "hlo" (fun () ->
+              let plan =
+                wpa ?profile ?cache ?naim_repo ?remote ~mem options modules
+              in
+              (plan, optimize plan))
+        in
+        (None, Some plan, optimized, Some hlo)
+      end
+    in
+    let (objects, llo_stats), llo_clock =
+      stage "llo" (fun () -> llo ~mem options optimized)
+    in
+    (* Link, clustering routines when profiled. *)
+    let image, link_clock =
+      stage "link" (fun () ->
+          link
+            ?cluster:
+              (if options.Options.pbo && not options.Options.instrument then
+                 Some optimized
+               else None)
+            objects)
+    in
+    let report =
+      make_report ?frontend ?hlo ~llo:llo_clock ~link:link_clock ?plan
+        ?hlo_stats ~mem ~lines ~llo_stats options
+    in
+    Log.info (fun m ->
+        m "%s: hlo %.3fs, llo %.3fs, link %.3fs; cmo %d/%d lines, %d instrs"
+          (Options.to_string options) report.hlo_seconds report.llo_seconds
+          report.link_seconds report.cmo_lines lines
+          (Array.length image.Image.code));
+    { image; objects; manifest; report }
   with Ilcheck.Violation vs -> error "%s" (render_violations vs)
 
 (* The trace lifecycle lives with whoever owns the whole build
@@ -1070,26 +969,11 @@ let with_tracing (options : Options.t) f =
 
 let compile ?profile ?cache ?naim_repo ?remote options sources =
   with_tracing options @@ fun () ->
-  let t0 = Sys.time () in
-  let w0 = Unix.gettimeofday () in
-  let modules =
-    Obs.with_span ~cat:"stage" "frontend" (fun () ->
+  let modules, frontend =
+    stage "frontend" (fun () ->
         frontend ~jobs:(max 1 options.Options.jobs) sources)
   in
-  let t1 = Sys.time () in
-  let w1 = Unix.gettimeofday () in
-  let build =
-    compile_modules ?profile ?cache ?naim_repo ?remote options modules
-  in
-  {
-    build with
-    report =
-      {
-        build.report with
-        frontend_seconds = t1 -. t0;
-        frontend_wall_seconds = w1 -. w0;
-      };
-  }
+  compile_modules ?profile ?cache ?naim_repo ?remote ~frontend options modules
 
 let run ?input ?fuel ?attribute build = Vm.run ?input ?fuel ?attribute build.image
 
@@ -1108,7 +992,7 @@ let train ?(inputs = [ [||] ]) sources =
     inputs;
   db
 
-let pp_report ppf r =
+let pp_report ppf (r : report) =
   Format.fprintf ppf "@[<v>%s" (Options.to_string r.options);
   Format.fprintf ppf "@,lines: %d total, %d in CMO set%s" r.total_lines
     r.cmo_lines
@@ -1154,7 +1038,7 @@ let pp_report ppf r =
    cpu/wall aggregates, so downstream consumers (the bench tables,
    scripts diffing two builds) stop re-deriving arithmetic from the
    pretty-printer. *)
-let report_to_json r =
+let report_to_json (r : report) =
   let num_i n = Json.Num (float_of_int n) in
   let opt f = function Some v -> f v | None -> Json.Null in
   Json.Obj

@@ -1,21 +1,32 @@
-(** The compilation pipeline (the paper's Figure 2, end to end).
+(** The compilation pipeline (the paper's Figure 2, end to end), as
+    five stages in the shape of GCC's WHOPR (LGEN → WPA → LTRANS):
 
-    - [O1]/[O2] (+P): per-module frontend, intraprocedural HLO phases
-      ([O2] only), LLO with profile-guided block positioning under
-      +P, code object files, link (with profile-guided routine
-      clustering under +P).
-    - [O4] (+P): frontends produce IL object payloads; at link time
-      the CMO set (all modules, or the selectivity-chosen subset) is
-      registered with a NAIM loader and optimized by HLO
-      (cloning/inlining/IPA/phases), then code-generated; modules
-      outside the set take the [O2]+P path.  The interprocedural
-      context for a partial set is derived by scanning the outside
-      modules for calls into and stores into the set.
-    - [+I]: probes are inserted and optimization suppressed; the
-      returned manifest ties VM counters to profile-database keys.
+    - {!frontend}: sources to verified IL modules.
+    - {!wpa}: the serial whole-program step.  It annotates the profile,
+      runs [O2]'s intraprocedural phases (all modules) or, under
+      [O4], picks the CMO set (all modules, or the selectivity-chosen
+      subset), takes the modules outside it through the [O2]+P path,
+      scans them for the external context (calls and stores into the
+      set), partitions the set into invalidation components and
+      computes and fetches cache keys.  All of it lands in a {!plan}.
+    - {!optimize}: runs the plan's link-time CMO — the whole set, or
+      the stale components — registering each subset with a NAIM
+      loader and running HLO (cloning/inlining/IPA/phases) in-process,
+      on a worker domain or on a [cmoc-worker] process.
+    - {!llo}: per-module code generation, with profile-guided block
+      positioning under +P, to code objects.
+    - {!link}: the image, with profile-guided routine clustering
+      under +P.
 
-    The pipeline works on in-memory values; {!Buildsys} adds the
-    on-disk object-file workflow. *)
+    [+I] skips [wpa] and [optimize]: probes are inserted and the
+    returned manifest ties VM counters to profile-database keys.
+
+    Each stage runs under {!stage}, which opens its [frontend]/[hlo]
+    ([wpa] and [optimize] together)/[llo]/[link] trace span and
+    returns the cpu and wall seconds the report books for it; one
+    {!make_report} builds every report.  {!compile} and
+    {!compile_modules} chain the stages over in-memory values;
+    {!Buildsys} runs the same stages over on-disk object files. *)
 
 type source = { name : string; text : string }
 
@@ -56,8 +67,8 @@ type report = {
       (** Wall clock for the phases that run on the worker pool; the
           [*_seconds] fields above are process CPU time across every
           domain, so cpu/wall is the realized parallel speedup (see
-          {!par_speedup}).  Zero when measured via {!compile_modules}
-          directly (the frontend ran elsewhere). *)
+          {!par_speedup}).  Zero when {!compile_modules} was given no
+          frontend clock. *)
   hlo_wall_seconds : float;
   llo_wall_seconds : float;
   workers_used : int;  (** The [jobs] the build ran with. *)
@@ -117,6 +128,81 @@ val frontend_one : source -> Cmo_il.Ilmod.t
     separate-compilation discipline the build system relies on.
     @raise Compile_error on any error. *)
 
+(** {2 Stages} *)
+
+type clock = { cpu : float; wall : float }
+(** Seconds a stage took: process cpu time across every domain, and
+    wall time. *)
+
+val stage : string -> (unit -> 'a) -> 'a * clock
+(** [stage name f] runs [f] inside the [~cat:"stage"] trace span
+    [name] and returns its result with the time it took — the one
+    source of both the trace's stage spans and the report's stage
+    timings. *)
+
+type plan
+(** What the serial WPA step decided: the CMO set and its external
+    context, the modules outside it (already optimized), the cache
+    keys and the artifacts the store already holds, how the rest is
+    placed (whole set or components; in-process or on workers), and
+    the line counts, selection and cache traffic the report shows. *)
+
+val wpa :
+  ?profile:Cmo_profile.Db.t ->
+  ?cache:Cmo_cache.Store.t ->
+  ?naim_repo:Cmo_naim.Repository.t ->
+  ?remote:Distwork.remote ->
+  ?closed:bool ->
+  mem:Cmo_naim.Memstats.t ->
+  Options.t ->
+  Cmo_il.Ilmod.t list ->
+  plan
+(** Annotate, optimize what is not link-time CMO, and plan the rest.
+    Takes ownership of [modules].  [closed] (default [true]) says
+    [modules] are the whole program; when [false] (an incremental
+    build's changed modules) the between-phase verifier skips the
+    linkage checks, which need every definition.  The other optional
+    arguments are those of {!compile_modules}. *)
+
+val optimize :
+  plan ->
+  Cmo_il.Ilmod.t list * (Cmo_hlo.Hlo.report * Cmo_naim.Loader.stats) option
+(** Run the plan: every module, CMO set first (in set order) then the
+    outside modules, with the merged HLO report and loader counters
+    when HLO ran. *)
+
+val llo :
+  ?closed:bool ->
+  mem:Cmo_naim.Memstats.t ->
+  Options.t ->
+  Cmo_il.Ilmod.t list ->
+  Cmo_link.Objfile.t list * Cmo_llo.Llo.stats
+(** Code objects (with an empty source digest), one per module in
+    order, on [jobs] worker domains; [closed] as for {!wpa}. *)
+
+val link :
+  ?cluster:Cmo_il.Ilmod.t list -> Cmo_link.Objfile.t list -> Cmo_link.Image.t
+(** Link [objects] in order; with [cluster] (the annotated IL behind
+    them) routines are ordered by their profiled call weights.
+    @raise Compile_error with the rendered link errors. *)
+
+val make_report :
+  ?frontend:clock ->
+  ?hlo:clock ->
+  ?llo:clock ->
+  ?link:clock ->
+  ?plan:plan ->
+  ?hlo_stats:Cmo_hlo.Hlo.report * Cmo_naim.Loader.stats ->
+  mem:Cmo_naim.Memstats.t ->
+  lines:int ->
+  llo_stats:Cmo_llo.Llo.stats ->
+  Options.t ->
+  report
+(** The report of a build: a missing stage clock books zero seconds,
+    a missing plan zero CMO/warm/cold lines and no cache traffic. *)
+
+(** {2 Whole builds} *)
+
 val compile :
   ?profile:Cmo_profile.Db.t ->
   ?cache:Cmo_cache.Store.t ->
@@ -131,11 +217,14 @@ val compile_modules :
   ?cache:Cmo_cache.Store.t ->
   ?naim_repo:Cmo_naim.Repository.t ->
   ?remote:Distwork.remote ->
+  ?frontend:clock ->
   Options.t ->
   Cmo_il.Ilmod.t list ->
   build
-(** Takes ownership of [modules]: profile annotation and optimization
-    mutate them.
+(** {!wpa}, {!optimize}, {!llo} and {!link} over [modules], which the
+    build takes ownership of: profile annotation and optimization
+    mutate them.  [frontend] is the clock of the frontend stage that
+    produced them, booked in the report (zero when absent).
 
     With [Options.dist], link-time CMO partitions run in isolated
     [cmoc-worker] processes ({!Distwork}) instead of worker domains;

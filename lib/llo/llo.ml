@@ -8,6 +8,24 @@ type stats = {
   layout_changes : int;
 }
 
+let zero_stats =
+  {
+    routines = 0;
+    mach_instrs = 0;
+    spilled_vregs = 0;
+    peephole_rewrites = 0;
+    layout_changes = 0;
+  }
+
+let add_stats a b =
+  {
+    routines = a.routines + b.routines;
+    mach_instrs = a.mach_instrs + b.mach_instrs;
+    spilled_vregs = a.spilled_vregs + b.spilled_vregs;
+    peephole_rewrites = a.peephole_rewrites + b.peephole_rewrites;
+    layout_changes = a.layout_changes + b.layout_changes;
+  }
+
 (* Linear term: per-instruction structures (dependence graph nodes,
    live ranges).  Quadratic term: interference/dependence edges. *)
 let modeled_llo_bytes n = (300 * n) + (n * n)
@@ -49,16 +67,7 @@ let compile_module ?mem ?check ?(layout = false) ?(schedule = true)
   (* Per-module codegen span; instruction count attached at close. *)
   let traced = Cmo_obs.Obs.enabled () in
   if traced then Cmo_obs.Obs.span_begin ~cat:"llo" m.Cmo_il.Ilmod.mname;
-  let stats =
-    ref
-      {
-        routines = 0;
-        mach_instrs = 0;
-        spilled_vregs = 0;
-        peephole_rewrites = 0;
-        layout_changes = 0;
-      }
-  in
+  let stats = ref zero_stats in
   let codes =
     List.map
       (fun f ->
@@ -67,13 +76,14 @@ let compile_module ?mem ?check ?(layout = false) ?(schedule = true)
             ~module_name:m.Cmo_il.Ilmod.mname f
         in
         stats :=
-          {
-            routines = !stats.routines + 1;
-            mach_instrs = !stats.mach_instrs + Array.length code.Mach.code;
-            spilled_vregs = !stats.spilled_vregs + spills;
-            peephole_rewrites = !stats.peephole_rewrites + peeps;
-            layout_changes = !stats.layout_changes + (if layout_changed then 1 else 0);
-          };
+          add_stats !stats
+            {
+              routines = 1;
+              mach_instrs = Array.length code.Mach.code;
+              spilled_vregs = spills;
+              peephole_rewrites = peeps;
+              layout_changes = (if layout_changed then 1 else 0);
+            };
         code)
       m.Cmo_il.Ilmod.funcs
   in

@@ -23,6 +23,11 @@ type stats = {
   layout_changes : int;
 }
 
+val zero_stats : stats
+
+val add_stats : stats -> stats -> stats
+(** Field-wise sum: per-module stats fold into a program's. *)
+
 val compile_func :
   ?mem:Cmo_naim.Memstats.t ->
   ?check:(phase:string -> Cmo_il.Func.t -> unit) ->

@@ -41,6 +41,17 @@ type stats = {
   symtab_compactions : int;
 }
 
+let merge_stats a b =
+  {
+    acquires = a.acquires + b.acquires;
+    cache_hits = a.cache_hits + b.cache_hits;
+    uncompactions = a.uncompactions + b.uncompactions;
+    repo_loads = a.repo_loads + b.repo_loads;
+    compactions = a.compactions + b.compactions;
+    offloads = a.offloads + b.offloads;
+    symtab_compactions = a.symtab_compactions + b.symtab_compactions;
+  }
+
 type pool_state =
   | Expanded of Func.t
   | Compacted of string

@@ -67,6 +67,9 @@ type stats = {
   symtab_compactions : int;
 }
 
+val merge_stats : stats -> stats -> stats
+(** Field-wise sum: per-component loaders' counters fold into one. *)
+
 type t
 
 val create : ?repo:Repository.t -> config -> Memstats.t -> t

@@ -425,7 +425,9 @@ let test_buildsys_clean () =
 
 let test_buildsys_reports_frontend_time () =
   (* A cold build times its frontend loop on both the code-object and
-     the IL (+O4) paths; timing it changes no artifact byte. *)
+     the IL (+O4) paths; timing it changes no artifact byte.  Its
+     report counts what it compiled exactly as a one-shot build of the
+     same sources does. *)
   List.iter
     (fun options ->
       let label = Options.to_string options in
@@ -435,7 +437,8 @@ let test_buildsys_reports_frontend_time () =
           (fun o -> Cmo_link.Objfile.encode { o with Cmo_link.Objfile.source_digest = "" })
           objs
       in
-      let oracle = encode (Pipeline.compile options app_sources).Pipeline.objects in
+      let one_shot = Pipeline.compile options app_sources in
+      let oracle = encode one_shot.Pipeline.objects in
       with_workspace (fun ws ->
           let cold = Buildsys.build ws options app_sources in
           Alcotest.(check int) (label ^ " all recompiled") 4
@@ -444,8 +447,20 @@ let test_buildsys_reports_frontend_time () =
           Alcotest.(check bool) (label ^ " frontend wall > 0") true
             (report.Pipeline.frontend_wall_seconds > 0.0);
           Alcotest.(check (list string)) (label ^ " objects match one-shot") oracle
-            (encode cold.Buildsys.build.Pipeline.objects)))
-    [ Options.o2; Options.o4 ]
+            (encode cold.Buildsys.build.Pipeline.objects);
+          let expected = one_shot.Pipeline.report in
+          Alcotest.(check int) (label ^ " total lines") expected.Pipeline.total_lines
+            report.Pipeline.total_lines;
+          let llo (r : Pipeline.report) =
+            let s = r.Pipeline.llo in
+            Cmo_llo.Llo.
+              [ s.routines; s.mach_instrs; s.spilled_vregs; s.peephole_rewrites;
+                s.layout_changes ]
+          in
+          Alcotest.(check (list int))
+            (label ^ " llo routines, instrs, spills, peeps, layout changes")
+            (llo expected) (llo report)))
+    [ Options.o1; Options.o2; Options.o2_pbo; Options.o4 ]
 
 (* ---------- bug isolation ---------- *)
 

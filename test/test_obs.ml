@@ -222,16 +222,35 @@ let test_traced_build_byte_identical () =
     (plain.Pipeline.report.Pipeline.obs = None)
 
 let test_traced_o4_structure () =
-  with_sink @@ fun () ->
-  ignore (Pipeline.compile { Options.o4 with Options.jobs = 4 } sources);
-  let s = Obs.summary () in
-  Alcotest.(check int) "all spans closed" 0 s.Obs.open_spans;
-  let labels = List.map (fun st -> st.Obs.label) s.Obs.span_stats in
-  List.iter
-    (fun stage ->
-      Alcotest.(check bool) (stage ^ " stage present") true
-        (List.mem stage labels))
-    [ "frontend"; "hlo"; "llo"; "link" ];
+  (* Every way to build shows the four pipeline stages as spans and
+     leaves no span open; [k] checks the rest inside the same sink. *)
+  let traced label build k =
+    with_sink @@ fun () ->
+    build ();
+    let s = Obs.summary () in
+    Alcotest.(check int) (label ^ ": all spans closed") 0 s.Obs.open_spans;
+    let labels = List.map (fun st -> st.Obs.label) s.Obs.span_stats in
+    List.iter
+      (fun stage ->
+        Alcotest.(check bool) (label ^ ": " ^ stage ^ " stage present") true
+          (List.mem stage labels))
+      [ "frontend"; "hlo"; "llo"; "link" ];
+    k s
+  in
+  traced "one-shot +O2"
+    (fun () -> ignore (Pipeline.compile Options.o2 sources))
+    ignore;
+  traced "cold Buildsys +O2"
+    (fun () ->
+      Helpers.with_dir ~prefix:"cmo_obs" (fun dir ->
+          ignore
+            (Cmo_driver.Buildsys.build
+               (Cmo_driver.Buildsys.create ~dir ())
+               Options.o2 sources)))
+    ignore;
+  traced "one-shot +O4 j=4"
+    (fun () -> ignore (Pipeline.compile { Options.o4 with Options.jobs = 4 } sources))
+  @@ fun s ->
   Alcotest.(check bool) "a worker track exists" true
     (List.exists
        (fun (name, _) ->
