@@ -381,8 +381,10 @@ let micro () =
    guided inlining (the shape of perfbench's cold builds), each put
    through the CFG analyses alone, the scalar ladder as
    [Phase.optimize_func] runs it (with the Derived memory charge), the
-   same ladder pass by pass, and the LLO stages; and the program's
-   sources through the lexer and parser.  Ten repeats; the median per
+   same ladder pass by pass, and the LLO stages; all of them through
+   NAIM's encoder, decoder and size model and through profile
+   correlation; and the program's sources through the lexer and
+   parser.  Ten repeats; the median per
    item of its time and of the minor-heap words it allocated.  Only
    long-standing interfaces are used, so the leg runs unchanged on
    older trees for a before/after table. *)
@@ -460,6 +462,21 @@ let passes () =
         ignore (timed "llo: Sched.run" (fun () -> Llo.Sched.run vc));
         ignore (timed "llo: Regalloc.run" (fun () -> Llo.Regalloc.run vc)))
       funcs;
+    (* NAIM's round trip and size charge, and profile correlation, over
+       all the routines at once.  Correlation annotates copies, so the
+       routines above keep their counts. *)
+    let names = Cmo_support.Intern.create () in
+    let encoded =
+      timed "naim: Ilcodec.encode_func" (fun () -> List.map (Ilcodec.encode_func ~names) funcs)
+    in
+    timed "naim: Ilcodec.decode_func" (fun () ->
+        List.iter (fun b -> ignore (Ilcodec.decode_func ~names b)) encoded);
+    timed "Size.func_expanded_bytes" (fun () ->
+        List.iter (fun f -> ignore (Cmo_il.Size.func_expanded_bytes f)) funcs);
+    let program = Ilmod.create "program" in
+    program.Ilmod.funcs <- List.map Func.copy funcs;
+    timed "Correlate.annotate" (fun () ->
+        ignore (Cmo_profile.Correlate.annotate db [ program ]));
     Hashtbl.iter
       (fun name t ->
         Hashtbl.replace samples name

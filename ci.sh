@@ -20,15 +20,19 @@
 # intervals held to the reference implementations in
 # test/ref_analyses.ml) and the transform-oracle properties (suite
 # "xforms": value numbering, copy and constant propagation, CFG
-# cleanup and scheduling held to test/ref_transforms.ml), each at ten
-# times its default case count (QCHECK_LONG=1).  Finally the build
-# server is exercised twice: the in-process edit-storm smoke (concurrent
-# clients held byte-identical to one-shot builds, warm-cache hit
-# rate rising, per-request crash isolation), and a process-level
-# cmocd smoke — daemon start, concurrent cmoc --remote builds at j=1
-# and j=4 compared against a local one-shot, one $CMO_FAULT chaos
-# request that must fail alone, and a SIGTERM shutdown that must
-# remove the socket.  The distributed build is gated the same way:
+# cleanup and scheduling held to test/ref_transforms.ml) and the
+# codec-oracle properties (suite "codec": random primitive streams and
+# IL routines written, read, truncated and garbled by the codec and by
+# test/ref_codec.ml must give the same bytes, values and Corrupt
+# cases), each at ten times its default case count (QCHECK_LONG=1).
+# Finally the build server is exercised twice: the in-process
+# edit-storm smoke (concurrent clients held byte-identical to one-shot
+# builds, warm-cache hit rate rising, per-request crash isolation),
+# and a process-level cmocd smoke — daemon start, concurrent cmoc
+# --remote builds at j=1 and j=4 compared against a local one-shot,
+# one $CMO_FAULT chaos request that must fail alone, and a SIGTERM
+# shutdown that must remove the socket.  The distributed build is
+# gated the same way:
 # the dist-smoke benchmark (partition jobs on worker processes and a
 # remote artifact cache, all held byte-identical to the one-shot
 # oracle), then a process-level smoke — cmocd as the remote cache,
@@ -126,6 +130,9 @@ CMO_FUZZ_SEED=1 QCHECK_LONG=1 dune exec test/test_main.exe -- test analyses
 
 echo "== transform-oracle property (fixed seed, 10x cases) =="
 CMO_FUZZ_SEED=1 QCHECK_LONG=1 dune exec test/test_main.exe -- test xforms
+
+echo "== codec-oracle property (fixed seed, 10x cases) =="
+CMO_FUZZ_SEED=1 QCHECK_LONG=1 dune exec test/test_main.exe -- test codec
 
 echo "== edit-storm smoke (in-process daemon, concurrent clients) =="
 dune exec bench/main.exe -- storm-smoke

@@ -6,8 +6,14 @@ type value = Top | Const of int64 | Bottom
 let meet a b =
   match (a, b) with
   | Top, x | x, Top -> x
-  | Const x, Const y when Int64.equal x y -> Const x
+  | Const x, Const y when Int64.equal x y -> a
   | Const _, Const _ | Bottom, _ | _, Bottom -> Bottom
+
+let equal_value a b =
+  match (a, b) with
+  | Top, Top | Bottom, Bottom -> true
+  | Const x, Const y -> Int64.equal x y
+  | (Top | Const _ | Bottom), _ -> false
 
 let transfer_instr state i =
   let operand_value = function
@@ -86,10 +92,14 @@ let run (f : Func.t) =
                 end
                 else
                   for r = 0 to nregs - 1 do
-                    let m = meet succ_state.(r) state.(r) in
-                    if m <> succ_state.(r) then begin
-                      succ_state.(r) <- m;
-                      changed := true
+                    (* A cell met with itself is unchanged. *)
+                    let old = succ_state.(r) and v = state.(r) in
+                    if old != v then begin
+                      let m = meet old v in
+                      if not (equal_value m old) then begin
+                        succ_state.(r) <- m;
+                        changed := true
+                      end
                     end
                   done)
               (feasible_successors state b))

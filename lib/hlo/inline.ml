@@ -1,7 +1,6 @@
 module Instr = Cmo_il.Instr
 module Func = Cmo_il.Func
 module Callgraph = Cmo_il.Callgraph
-module Size = Cmo_il.Size
 module Loader = Cmo_naim.Loader
 
 type config = {
@@ -293,7 +292,7 @@ let run ?on_final loader cg config =
         let total, max_total = budget_of caller_name in
         let caller = Loader.acquire loader caller_name in
         let caller_module = Loader.module_of_func loader caller_name in
-        let bytes_before = Size.func_expanded_bytes caller in
+        let bytes_before = Loader.expanded_bytes loader caller_name in
         let caller_size = ref (Func.instr_count caller) in
         let inlined = ref false in
         let progress = ref true in
@@ -356,7 +355,8 @@ let run ?on_final loader cg config =
         | Some n -> n.Callgraph.instr_count <- !caller_size
         | None -> ());
         if !inlined || simplified then Loader.update loader caller;
-        bytes_grown := !bytes_grown + Size.func_expanded_bytes caller - bytes_before;
+        bytes_grown :=
+          !bytes_grown + Loader.expanded_bytes loader caller_name - bytes_before;
         Option.iter (fun k -> k caller) on_final;
         Loader.release loader caller_name
       end)

@@ -125,7 +125,7 @@ let remove_dead_functions loader ctx summary_of names =
   if Hashtbl.length reachable = 0 then []
   else begin
     let dead = List.filter (fun n -> not (Hashtbl.mem reachable n)) names in
-    List.iter (fun n -> Loader.remove_func loader n) dead;
+    Loader.remove_funcs loader dead;
     dead
   end
 

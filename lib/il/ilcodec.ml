@@ -12,12 +12,15 @@ let binop_tag = function
   | Instr.Shl -> 8 | Instr.Shr -> 9 | Instr.Eq -> 10 | Instr.Ne -> 11
   | Instr.Lt -> 12 | Instr.Le -> 13 | Instr.Gt -> 14 | Instr.Ge -> 15
 
-let binop_of_tag = function
-  | 0 -> Instr.Add | 1 -> Instr.Sub | 2 -> Instr.Mul | 3 -> Instr.Div
-  | 4 -> Instr.Rem | 5 -> Instr.And | 6 -> Instr.Or | 7 -> Instr.Xor
-  | 8 -> Instr.Shl | 9 -> Instr.Shr | 10 -> Instr.Eq | 11 -> Instr.Ne
-  | 12 -> Instr.Lt | 13 -> Instr.Le | 14 -> Instr.Gt | 15 -> Instr.Ge
-  | t -> R.corrupt (Printf.sprintf "bad binop tag %d" t)
+(* Indexed by tag: the inverse of [binop_tag]. *)
+let binop_table =
+  [| Instr.Add; Instr.Sub; Instr.Mul; Instr.Div; Instr.Rem; Instr.And; Instr.Or;
+     Instr.Xor; Instr.Shl; Instr.Shr; Instr.Eq; Instr.Ne; Instr.Lt; Instr.Le;
+     Instr.Gt; Instr.Ge |]
+
+let binop_of_tag t =
+  if t >= 0 && t < Array.length binop_table then Array.unsafe_get binop_table t
+  else R.corrupt (Printf.sprintf "bad binop tag %d" t)
 
 let write_operand w = function
   | Instr.Reg r ->
@@ -44,6 +47,21 @@ let read_operand r =
     | 1 -> Instr.Imm (R.int64 r)
     | t -> R.corrupt (Printf.sprintf "bad imm tag %d" t))
   | t -> R.corrupt (Printf.sprintf "bad operand tag %d" t)
+
+(* Lists are a length prefix followed by the elements, as
+   [Codec.Writer.list] writes them; the walks below do the same
+   without a closure per element. *)
+let rec write_operands w = function
+  | [] -> ()
+  | a :: rest ->
+    write_operand w a;
+    write_operands w rest
+
+let rec read_operands r n =
+  if n = 0 then []
+  else
+    let a = read_operand r in
+    a :: read_operands r (n - 1)
 
 let write_addr ~names w { Instr.base; index } =
   W.uvarint w (Intern.intern names base);
@@ -86,7 +104,8 @@ let write_instr ~names w = function
       W.byte w 1;
       W.uvarint w d);
     W.uvarint w (Intern.intern names callee);
-    W.list w (write_operand w) args;
+    W.uvarint w (List.length args);
+    write_operands w args;
     W.uvarint w site;
     W.float w call_count
   | Instr.Probe p ->
@@ -125,12 +144,24 @@ let read_instr ~names r =
       | t -> R.corrupt (Printf.sprintf "bad call dst tag %d" t)
     in
     let callee = Intern.name names (R.uvarint r) in
-    let args = R.list r read_operand in
+    let args = read_operands r (R.seq_length r) in
     let site = R.uvarint r in
     let call_count = R.float r in
     Instr.Call { dst; callee; args; site; call_count }
   | 6 -> Instr.Probe (R.uvarint r)
   | t -> R.corrupt (Printf.sprintf "bad instr tag %d" t)
+
+let rec write_instrs ~names w = function
+  | [] -> ()
+  | i :: rest ->
+    write_instr ~names w i;
+    write_instrs ~names w rest
+
+let rec read_instrs ~names r n =
+  if n = 0 then []
+  else
+    let i = read_instr ~names r in
+    i :: read_instrs ~names r (n - 1)
 
 let write_term w = function
   | Instr.Ret None -> W.byte w 0
@@ -158,18 +189,25 @@ let read_term r =
     Instr.Br { cond; ifso; ifnot }
   | t -> R.corrupt (Printf.sprintf "bad terminator tag %d" t)
 
-let write_block ~names w (b : Func.block) =
-  W.uvarint w b.Func.label;
-  W.float w b.Func.freq;
-  W.list w (write_instr ~names w) b.Func.instrs;
-  write_term w b.Func.term
+let rec write_blocks ~names w = function
+  | [] -> ()
+  | (b : Func.block) :: rest ->
+    W.uvarint w b.Func.label;
+    W.float w b.Func.freq;
+    W.uvarint w (List.length b.Func.instrs);
+    write_instrs ~names w b.Func.instrs;
+    write_term w b.Func.term;
+    write_blocks ~names w rest
 
-let read_block ~names r : Func.block =
-  let label = R.uvarint r in
-  let freq = R.float r in
-  let instrs = R.list r (read_instr ~names) in
-  let term = read_term r in
-  { Func.label; instrs; term; freq }
+let rec read_blocks ~names r n : Func.block list =
+  if n = 0 then []
+  else
+    let label = R.uvarint r in
+    let freq = R.float r in
+    let instrs = read_instrs ~names r (R.seq_length r) in
+    let term = read_term r in
+    let b = { Func.label; instrs; term; freq } in
+    b :: read_blocks ~names r (n - 1)
 
 let write_func ~names w (f : Func.t) =
   W.uvarint w (Intern.intern names f.Func.name);
@@ -180,7 +218,8 @@ let write_func ~names w (f : Func.t) =
   W.uvarint w f.Func.next_label;
   W.uvarint w f.Func.next_site;
   W.uvarint w f.Func.src_lines;
-  W.list w (write_block ~names w) f.Func.blocks
+  W.uvarint w (List.length f.Func.blocks);
+  write_blocks ~names w f.Func.blocks
 
 let read_func ~names r : Func.t =
   let name = Intern.name names (R.uvarint r) in
@@ -195,7 +234,7 @@ let read_func ~names r : Func.t =
   let next_label = R.uvarint r in
   let next_site = R.uvarint r in
   let src_lines = R.uvarint r in
-  let blocks = R.list r (read_block ~names) in
+  let blocks = read_blocks ~names r (R.seq_length r) in
   {
     Func.name;
     arity;

@@ -43,6 +43,10 @@ val func_compacted_bytes : Func.t -> int
     serialized byte stream ({!Ilcodec}) is denser and is what reaches
     the repository and object files. *)
 
+val func_charges : Func.t -> int * int
+(** [(func_expanded_bytes f, func_compacted_bytes f)] from one walk
+    over the routine: what the NAIM loader records per mutation. *)
+
 val module_symtab_expanded_bytes : Ilmod.t -> int
 (** Expanded footprint of the module symbol table pool: globals,
     function entries and their names. *)

@@ -63,7 +63,10 @@ type pool = {
   arity : int;  (* interface datum: readable without expanding *)
   mutable state : pool_state;
   mutable expanded_bytes : int;  (* modeled size of the expanded form *)
-  mutable compact_charge : int;  (* modeled resident size when Compacted *)
+  mutable compacted_bytes : int;
+      (* modeled resident size of the compacted form, charged while
+         Compacted.  Both sizes are measured together, once per
+         mutation: at registration and at every [update]. *)
   mutable retained : string option;
       (* While Expanded: the bytes it was decoded from, as long as the
          routine is unmodified since.  Charged to [Ir_compacted] at
@@ -252,9 +255,8 @@ let compact_pool t pool =
     in
     (* The resident compacted form is charged at its modeled
        relocatable size, not the (much denser) serialized stream. *)
-    pool.compact_charge <- Size.func_compacted_bytes f;
     Memstats.release t.mem Memstats.Ir_expanded pool.expanded_bytes;
-    Memstats.charge t.mem Memstats.Ir_compacted pool.compact_charge;
+    Memstats.charge t.mem Memstats.Ir_compacted pool.compacted_bytes;
     pool.state <- Compacted bytes;
     clear_pending t pool;
     m.expanded_count <- m.expanded_count - 1;
@@ -263,7 +265,7 @@ let compact_pool t pool =
     Obs.tick "naim.loader" "compactions" 1;
     Log.debug (fun log ->
         log "compacted %s (%d -> %d bytes)" pool.fname pool.expanded_bytes
-          pool.compact_charge)
+          pool.compacted_bytes)
   | Compacted _ | Offloaded _ -> ()
 
 let offload_pool t pool =
@@ -272,8 +274,7 @@ let offload_pool t pool =
   | Compacted bytes -> (
     match Repository.store t.repo bytes with
     | handle ->
-      Memstats.release t.mem Memstats.Ir_compacted pool.compact_charge;
-      pool.compact_charge <- 0;
+      Memstats.release t.mem Memstats.Ir_compacted pool.compacted_bytes;
       pool.state <- Offloaded handle;
       t.s_offloads <- t.s_offloads + 1;
       Obs.tick "naim.loader" "offloads" 1;
@@ -296,8 +297,7 @@ let expand_pool t pool =
     let m = find_module t pool.pool_module in
     expand_symtab t m;
     let f = Ilcodec.decode_func ~names:m.names bytes in
-    Memstats.release t.mem Memstats.Ir_compacted pool.compact_charge;
-    pool.compact_charge <- 0;
+    Memstats.release t.mem Memstats.Ir_compacted pool.compacted_bytes;
     Memstats.charge t.mem Memstats.Ir_expanded pool.expanded_bytes;
     retain t pool bytes;
     pool.state <- Expanded f;
@@ -354,6 +354,21 @@ let evict t =
     | Off | Ir_compaction -> ()
   end
 
+let new_pool t ~module_name (f : Func.t) =
+  let expanded_bytes, compacted_bytes = Size.func_charges f in
+  {
+    fname = f.Func.name;
+    pool_module = module_name;
+    arity = f.Func.arity;
+    state = Expanded f;
+    expanded_bytes;
+    compacted_bytes;
+    retained = None;
+    pins = 0;
+    last_touch = tick t;
+    pending = false;
+  }
+
 (* --- public API --- *)
 
 let register_module t (m : Ilmod.t) =
@@ -379,20 +394,7 @@ let register_module t (m : Ilmod.t) =
     (fun (f : Func.t) ->
       if Hashtbl.mem t.pools f.Func.name then
         invalid_arg (Printf.sprintf "Loader: function %s already registered" f.Func.name);
-      let pool =
-        {
-          fname = f.Func.name;
-          pool_module = m.Ilmod.mname;
-          arity = f.Func.arity;
-          state = Expanded f;
-          expanded_bytes = Size.func_expanded_bytes f;
-          compact_charge = 0;
-          retained = None;
-          pins = 0;
-          last_touch = tick t;
-          pending = false;
-        }
-      in
+      let pool = new_pool t ~module_name:m.Ilmod.mname f in
       Hashtbl.replace t.pools f.Func.name pool;
       set_pending t pool;
       t.func_order_rev <- f.Func.name :: t.func_order_rev;
@@ -434,34 +436,22 @@ let update t (f : Func.t) =
   | Compacted _ | Offloaded _ ->
     invalid_arg (Printf.sprintf "Loader.update: %s is not expanded" f.Func.name));
   drop_retained t pool;
-  let new_bytes = Size.func_expanded_bytes f in
+  let new_bytes, compacted_bytes = Size.func_charges f in
   if new_bytes > pool.expanded_bytes then
     Memstats.charge t.mem Memstats.Ir_expanded (new_bytes - pool.expanded_bytes)
   else
     Memstats.release t.mem Memstats.Ir_expanded (pool.expanded_bytes - new_bytes);
   if pool.pending then
     t.pending_total <- t.pending_total + new_bytes - pool.expanded_bytes;
-  pool.expanded_bytes <- new_bytes
+  pool.expanded_bytes <- new_bytes;
+  pool.compacted_bytes <- compacted_bytes
 
 let add_func t ~module_name (f : Func.t) =
   let m = find_module t module_name in
   if Hashtbl.mem t.pools f.Func.name then
     invalid_arg (Printf.sprintf "Loader.add_func: %s already exists" f.Func.name);
   expand_symtab t m;
-  let pool =
-    {
-      fname = f.Func.name;
-      pool_module = module_name;
-      arity = f.Func.arity;
-      state = Expanded f;
-      expanded_bytes = Size.func_expanded_bytes f;
-      compact_charge = 0;
-      retained = None;
-      pins = 0;
-      last_touch = tick t;
-      pending = false;
-    }
-  in
+  let pool = new_pool t ~module_name f in
   Hashtbl.replace t.pools f.Func.name pool;
   set_pending t pool;
   t.func_order_rev <- f.Func.name :: t.func_order_rev;
@@ -471,10 +461,9 @@ let add_func t ~module_name (f : Func.t) =
   Memstats.charge t.mem Memstats.Ir_expanded pool.expanded_bytes;
   evict t
 
-let remove_func t fname =
-  let pool = find_pool t fname in
-  if pool.pins > 0 then
-    invalid_arg (Printf.sprintf "Loader.remove_func: %s is pinned" fname);
+(* Discharge a pool and drop it from the table; the name lists are
+   filtered by the caller. *)
+let discard_pool t pool =
   let m = find_module t pool.pool_module in
   clear_pending t pool;
   (match pool.state with
@@ -484,17 +473,41 @@ let remove_func t fname =
     m.expanded_count <- m.expanded_count - 1;
     sync_idle t m
   | Compacted _ ->
-    Memstats.release t.mem Memstats.Ir_compacted pool.compact_charge
+    Memstats.release t.mem Memstats.Ir_compacted pool.compacted_bytes
   | Offloaded _ -> ());
-  Hashtbl.remove t.pools fname;
-  m.funcs_rev <- List.filter (fun n -> n <> fname) m.funcs_rev;
-  t.func_order_rev <- List.filter (fun n -> n <> fname) t.func_order_rev
+  Hashtbl.remove t.pools pool.fname;
+  m
+
+let remove_funcs t fnames =
+  let pools =
+    List.map
+      (fun fname ->
+        let pool = find_pool t fname in
+        if pool.pins > 0 then
+          invalid_arg (Printf.sprintf "Loader.remove_func: %s is pinned" fname);
+        pool)
+      fnames
+  in
+  let modules = Hashtbl.create 8 in
+  List.iter
+    (fun pool ->
+      let m = discard_pool t pool in
+      Hashtbl.replace modules m.mname m)
+    pools;
+  (* One pass over each name list: a name is gone iff its pool is. *)
+  let live n = Hashtbl.mem t.pools n in
+  Hashtbl.iter (fun _ m -> m.funcs_rev <- List.filter live m.funcs_rev) modules;
+  if fnames <> [] then t.func_order_rev <- List.filter live t.func_order_rev
+
+let remove_func t fname = remove_funcs t [ fname ]
 
 let with_func t fname f =
   let func = acquire t fname in
   Fun.protect ~finally:(fun () -> release t fname) (fun () -> f func)
 
 let func_names t = List.rev t.func_order_rev
+
+let expanded_bytes t fname = (find_pool t fname).expanded_bytes
 
 let arity_of t fname =
   Option.map (fun p -> p.arity) (Hashtbl.find_opt t.pools fname)
@@ -617,12 +630,20 @@ let check_index t =
     Hashtbl.fold
       (fun _ p acc ->
         match (p.state, p.retained) with
-        | _, None -> acc + p.compact_charge
-        | Expanded f, Some bytes ->
-          let names = (find_module t p.pool_module).names in
-          if Ilcodec.encode_func ~names f <> bytes then
-            fail "%s was modified without Loader.update" p.fname;
-          acc + p.compact_charge + String.length bytes
+        | Expanded f, retained -> (
+          let expanded, compacted = Size.func_charges f in
+          if expanded <> p.expanded_bytes || compacted <> p.compacted_bytes then
+            fail "%s was modified without Loader.update (charges %d/%d, measured %d/%d)"
+              p.fname p.expanded_bytes p.compacted_bytes expanded compacted;
+          match retained with
+          | None -> acc
+          | Some bytes ->
+            let names = (find_module t p.pool_module).names in
+            if Ilcodec.encode_func ~names f <> bytes then
+              fail "%s was modified without Loader.update" p.fname;
+            acc + String.length bytes)
+        | Compacted _, None -> acc + p.compacted_bytes
+        | Offloaded _, None -> acc
         | (Compacted _ | Offloaded _), Some _ ->
           fail "%s retains an encoding but is not expanded" p.fname)
       t.pools 0

@@ -7,7 +7,8 @@
     - {b Expanded}: ordinary pointer-rich [Func.t], charged to the
       accountant at its modeled expanded size;
     - {b Compacted}: the relocatable byte form ({!Cmo_il.Ilcodec}),
-      charged at its measured encoded length;
+      charged at its modeled relocatable size
+      ({!Cmo_il.Size.func_compacted_bytes});
     - {b Offloaded}: stored in the disk {!Repository}, charging
       nothing.
 
@@ -22,6 +23,12 @@
     {!update} marks the routine modified.  Compacting a pool that
     still holds them reuses the bytes instead of encoding again, so
     a routine that is only read costs one decode per round trip.
+
+    A pool's expanded and compacted charges are measured together,
+    once per mutation: at registration, at {!add_func} and at every
+    {!update}.  Compaction and expansion move the recorded charges
+    between the accountant's categories without walking the routine
+    again.
 
     Whether eviction compacts, also compacts module symbol tables, or
     offloads to disk depends on the current {!level}, which is derived
@@ -94,9 +101,9 @@ val release : t -> string -> unit
     compacted. *)
 
 val update : t -> Cmo_il.Func.t -> unit
-(** Record that an expanded routine was mutated: re-measure it,
-    adjust the accountant by the size delta and drop its retained
-    encoding.  Every mutation of an acquired routine must be followed
+(** Record that an expanded routine was mutated: re-measure both of
+    its charges, adjust the accountant by the expanded delta and drop
+    its retained encoding.  Every mutation of an acquired routine must be followed
     by [update] before the routine is released — a routine compacted
     without it would be stored as its stale retained bytes.  The
     argument must be the exact value returned by {!acquire} (checked
@@ -107,7 +114,17 @@ val add_func : t -> module_name:string -> Cmo_il.Func.t -> unit
 
 val remove_func : t -> string -> unit
 (** Delete a routine (dead-function elimination); discharges its
-    bytes. *)
+    bytes.  @raise Invalid_argument when it is pinned. *)
+
+val remove_funcs : t -> string list -> unit
+(** [remove_func] for each name, in one pass over the name lists:
+    {!func_names} and {!funcs_of_module} keep the survivors in their
+    order.  Nothing is removed when any of the routines is pinned. *)
+
+val expanded_bytes : t -> string -> int
+(** The routine's recorded expanded charge ({!Cmo_il.Size.func_expanded_bytes}
+    as of registration or the last {!update}), without walking it.
+    @raise Not_found for an unknown name. *)
 
 val with_func : t -> string -> (Cmo_il.Func.t -> 'a) -> 'a
 (** [acquire] / f / [release], exception-safe. *)
@@ -159,9 +176,10 @@ val check_index : t -> unit
     byte total, the LRU victim (the pending pool with the oldest
     acquire tick) and the set of idle modules (no expanded routine,
     symbol table not compacted), and compares them with the
-    incrementally maintained indexes.  It also re-encodes every
-    expanded routine that holds a retained encoding and compares the
-    bytes (a mismatch means a mutation skipped {!update}), and checks
-    that [Ir_compacted] residency equals the compacted charges plus
-    the retained lengths.
+    incrementally maintained indexes.  It re-measures every expanded
+    routine and compares both sizes with its recorded charges, and
+    re-encodes every expanded routine that holds a retained encoding
+    and compares the bytes (a mismatch in either means a mutation
+    skipped {!update}).  It checks that [Ir_compacted] residency
+    equals the compacted pools' charges plus the retained lengths.
     @raise Failure on any mismatch. *)

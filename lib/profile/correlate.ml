@@ -31,22 +31,18 @@ let unmatched db modules =
             f.Func.blocks)
         m.Ilmod.funcs)
     modules;
-  let keys = ref 0 and weight = ref 0.0 in
-  List.iter
-    (fun (key, count) ->
-      let matched =
-        match key with
-        | Db.Fentry f -> Hashtbl.mem fnames f
-        | Db.Block (f, l) -> Hashtbl.mem blocks (f, l)
-        | Db.Edge (f, a, b) ->
-          Hashtbl.mem blocks (f, a) && Hashtbl.mem blocks (f, b)
-      in
-      if not matched then begin
-        incr keys;
-        weight := !weight +. count
-      end)
-    (Db.entries db);
-  (!keys, !weight)
+  let matched = function
+    | Db.Fentry f -> Hashtbl.mem fnames f
+    | Db.Block (f, l) -> Hashtbl.mem blocks (f, l)
+    | Db.Edge (f, a, b) -> Hashtbl.mem blocks (f, a) && Hashtbl.mem blocks (f, b)
+  in
+  (* Only the misses are sorted: the weight adds up in key order, the
+     order of [Db.entries], so the float sum is the same to the bit. *)
+  let misses =
+    Db.fold (fun key count acc -> if matched key then acc else (key, count) :: acc) db []
+    |> List.sort (fun (a, _) (b, _) -> Db.compare_key a b)
+  in
+  (List.length misses, List.fold_left (fun acc (_, count) -> acc +. count) 0.0 misses)
 
 let annotate db modules =
   let functions = ref 0 in

@@ -19,9 +19,26 @@ let mem t key = Hashtbl.mem t.counts key
 
 let is_empty t = Hashtbl.length t.counts = 0
 
+let compare_key a b =
+  match (a, b) with
+  | Fentry f, Fentry g -> String.compare f g
+  | Block (f, l), Block (g, m) ->
+    let c = String.compare f g in
+    if c <> 0 then c else Int.compare l m
+  | Edge (f, a1, b1), Edge (g, a2, b2) ->
+    let c = String.compare f g in
+    if c <> 0 then c
+    else
+      let c = Int.compare a1 a2 in
+      if c <> 0 then c else Int.compare b1 b2
+  | Fentry _, (Block _ | Edge _) | Block _, Edge _ -> -1
+  | Block _, Fentry _ | Edge _, (Fentry _ | Block _) -> 1
+
 let entries t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.counts []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.sort (fun (a, _) (b, _) -> compare_key a b)
+
+let fold f t init = Hashtbl.fold f t.counts init
 
 let merge ~into src = Hashtbl.iter (fun k v -> add into k v) src.counts
 

@@ -31,8 +31,15 @@ val mem : t -> key -> bool
 
 val is_empty : t -> bool
 
+val compare_key : key -> key -> int
+(** The total order of {!entries}: the same as polymorphic [compare]
+    on keys (constructor, then fields left to right). *)
+
 val entries : t -> (key * float) list
-(** Deterministically ordered (by key). *)
+(** Deterministically ordered (by {!compare_key}). *)
+
+val fold : (key -> float -> 'a -> 'a) -> t -> 'a -> 'a
+(** Every entry, in unspecified order. *)
 
 val merge : into:t -> t -> unit
 (** Accumulate every count of the second database into [into]. *)

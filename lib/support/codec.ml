@@ -1,22 +1,41 @@
 module Writer = struct
-  type t = Buffer.t
+  (* A growable byte buffer: [buf] holds [len] bytes written so far. *)
+  type t = { mutable buf : Bytes.t; mutable len : int }
 
-  let create () = Buffer.create 256
+  let create () = { buf = Bytes.create 256; len = 0 }
 
-  let byte t b = Buffer.add_char t (Char.chr (b land 0xff))
+  let grow t need =
+    let cap = ref (2 * Bytes.length t.buf) in
+    while !cap < t.len + need do
+      cap := 2 * !cap
+    done;
+    let buf = Bytes.create !cap in
+    Bytes.blit t.buf 0 buf 0 t.len;
+    t.buf <- buf
+
+  let[@inline] reserve t need =
+    if t.len + need > Bytes.length t.buf then grow t need
+
+  let byte t b =
+    reserve t 1;
+    Bytes.unsafe_set t.buf t.len (Char.unsafe_chr (b land 0xff));
+    t.len <- t.len + 1
 
   (* Writes the int's bit pattern as an unsigned base-128 quantity;
      works for any int including those whose top bit is set (the
-     zig-zag image of min_int). *)
+     zig-zag image of min_int).  A 63-bit pattern takes at most nine
+     bytes. *)
   let raw_base128 t v =
-    let rec go v =
-      if v >= 0 && v < 0x80 then byte t v
-      else begin
-        byte t (0x80 lor (v land 0x7f));
-        go (v lsr 7)
-      end
-    in
-    go v
+    reserve t 10;
+    let buf = t.buf in
+    let v = ref v and pos = ref t.len in
+    while !v land lnot 0x7f <> 0 do
+      Bytes.unsafe_set buf !pos (Char.unsafe_chr (0x80 lor (!v land 0x7f)));
+      incr pos;
+      v := !v lsr 7
+    done;
+    Bytes.unsafe_set buf !pos (Char.unsafe_chr !v);
+    t.len <- !pos + 1
 
   let uvarint t v =
     assert (v >= 0);
@@ -28,13 +47,16 @@ module Writer = struct
     raw_base128 t z
 
   let int64 t v =
-    for i = 0 to 7 do
-      byte t (Int64.to_int (Int64.shift_right_logical v (8 * i)) land 0xff)
-    done
+    reserve t 8;
+    Bytes.set_int64_le t.buf t.len v;
+    t.len <- t.len + 8
 
   let string t s =
-    uvarint t (String.length s);
-    Buffer.add_string t s
+    let n = String.length s in
+    uvarint t n;
+    reserve t n;
+    Bytes.unsafe_blit_string s 0 t.buf t.len n;
+    t.len <- t.len + n
 
   let bool t b = byte t (if b then 1 else 0)
 
@@ -48,9 +70,9 @@ module Writer = struct
     uvarint t (Array.length items);
     Array.iter write_elem items
 
-  let length t = Buffer.length t
+  let length t = t.len
 
-  let contents t = Buffer.contents t
+  let contents t = Bytes.sub_string t.buf 0 t.len
 end
 
 module Reader = struct
@@ -64,11 +86,11 @@ module Reader = struct
 
   let byte t =
     if t.pos >= String.length t.data then corrupt "unexpected end of input";
-    let b = Char.code t.data.[t.pos] in
+    let b = Char.code (String.unsafe_get t.data t.pos) in
     t.pos <- t.pos + 1;
     b
 
-  let uvarint t =
+  let uvarint_slow t =
     let rec go shift acc =
       if shift > Sys.int_size then corrupt "varint too long";
       let b = byte t in
@@ -77,16 +99,29 @@ module Reader = struct
     in
     go 0 0
 
+  (* Most varints (registers, labels, tags, short lengths) are one
+     byte. *)
+  let uvarint t =
+    let pos = t.pos in
+    if pos < String.length t.data then begin
+      let b = Char.code (String.unsafe_get t.data pos) in
+      if b < 0x80 then begin
+        t.pos <- pos + 1;
+        b
+      end
+      else uvarint_slow t
+    end
+    else uvarint_slow t
+
   let varint t =
     let z = uvarint t in
     (z lsr 1) lxor (- (z land 1))
 
   let int64 t =
-    let v = ref 0L in
-    for i = 0 to 7 do
-      v := Int64.logor !v (Int64.shift_left (Int64.of_int (byte t)) (8 * i))
-    done;
-    !v
+    if t.pos + 8 > String.length t.data then corrupt "unexpected end of input";
+    let v = String.get_int64_le t.data t.pos in
+    t.pos <- t.pos + 8;
+    v
 
   let string t =
     let len = uvarint t in
@@ -112,9 +147,20 @@ module Reader = struct
       corrupt "sequence length overruns input";
     len
 
+  (* Elements are read in order; long lists are built reversed so
+     the stack stays shallow. *)
   let list t read_elem =
     let len = seq_length t in
-    List.init len (fun _ -> read_elem t)
+    let rec direct n =
+      if n = 0 then []
+      else
+        let x = read_elem t in
+        x :: direct (n - 1)
+    in
+    let rec reversed n acc =
+      if n = 0 then List.rev acc else reversed (n - 1) (read_elem t :: acc)
+    in
+    if len <= 1000 then direct len else reversed len []
 
   let array t read_elem =
     let len = seq_length t in

@@ -52,6 +52,12 @@ module Reader : sig
   val float : t -> float
   val list : t -> (t -> 'a) -> 'a list
   val array : t -> (t -> 'a) -> 'a array
+
+  val seq_length : t -> int
+  (** The length prefix {!list} and {!array} read first, for client
+      decoders that read the elements themselves.  @raise Corrupt when
+      it exceeds the remaining input. *)
+
   val at_end : t -> bool
   val corrupt : string -> 'a
   (** [corrupt msg] raises {!Corrupt}; for use by client decoders. *)

@@ -1,10 +1,18 @@
+(* Typed string keys: equality without the polymorphic compare. *)
+module Table = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 type t = {
-  table : (string, int) Hashtbl.t;
+  table : int Table.t;
   mutable names : string array;
   mutable count : int;
 }
 
-let create () = { table = Hashtbl.create 64; names = Array.make 64 ""; count = 0 }
+let create () = { table = Table.create 64; names = Array.make 64 ""; count = 0 }
 
 let grow t =
   let cap = Array.length t.names in
@@ -15,17 +23,17 @@ let grow t =
   end
 
 let intern t s =
-  match Hashtbl.find_opt t.table s with
+  match Table.find_opt t.table s with
   | Some id -> id
   | None ->
     let id = t.count in
     grow t;
     t.names.(id) <- s;
     t.count <- t.count + 1;
-    Hashtbl.add t.table s id;
+    Table.add t.table s id;
     id
 
-let find_opt t s = Hashtbl.find_opt t.table s
+let find_opt t s = Table.find_opt t.table s
 
 let name t id =
   if id < 0 || id >= t.count then invalid_arg "Intern.name: unknown id";

@@ -26,4 +26,5 @@ let () =
       ("anchor", Test_anchor.suite);
       ("analyses", Test_analyses.suite);
       ("xforms", Test_transforms.suite);
+      ("codec", Test_codec.suite);
     ]

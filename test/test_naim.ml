@@ -343,6 +343,66 @@ let test_loader_add_remove_func () =
   Alcotest.(check (list string)) "clone gone"
     [ "alpha_f0"; "alpha_f1" ]
     (Loader.func_names t);
+  Loader.close t;
+  (* Several routines at once, from two modules and in an order unlike
+     registration, one of them compacted: the survivors keep their
+     order, exactly as removing them one by one leaves it. *)
+  let populate () =
+    let t = new_loader ~machine_memory:(1 lsl 30) ~forced_level:Loader.Ir_compaction () in
+    Loader.register_module t (make_module "alpha" 5);
+    Loader.register_module t (make_module "beta" 3);
+    Loader.add_func t ~module_name:"alpha" (Helpers.make_linear_func "clone_1");
+    Loader.add_func t ~module_name:"beta" (Helpers.make_linear_func "clone_2");
+    Loader.unload_all t;
+    ignore (Loader.acquire t "alpha_f3");
+    Loader.release t "alpha_f3";
+    t
+  in
+  let dead = [ "clone_2"; "alpha_f3"; "beta_f0"; "alpha_f0"; "clone_1" ] in
+  let one_by_one = populate () and at_once = populate () in
+  List.iter (Loader.remove_func one_by_one) dead;
+  Loader.remove_funcs at_once dead;
+  Loader.check_index at_once;
+  let view t =
+    (Loader.func_names t, Loader.funcs_of_module t "alpha", Loader.funcs_of_module t "beta")
+  in
+  Alcotest.(check (triple (list string) (list string) (list string)))
+    "survivors in registration order"
+    ( [ "alpha_f1"; "alpha_f2"; "alpha_f4"; "beta_f1"; "beta_f2" ],
+      [ "alpha_f1"; "alpha_f2"; "alpha_f4" ],
+      [ "beta_f1"; "beta_f2" ] )
+    (view at_once);
+  Alcotest.(check (triple (list string) (list string) (list string)))
+    "same as one by one" (view one_by_one) (view at_once);
+  Alcotest.(check int) "same residency"
+    (Memstats.resident (Loader.memstats one_by_one))
+    (Memstats.resident (Loader.memstats at_once));
+  Loader.close one_by_one;
+  Loader.close at_once
+
+(* A mutation of an already-updated routine holds no retained encoding
+   to compare against, so only the recorded charges can reveal that it
+   skipped [Loader.update]. *)
+let test_loader_check_index_catches_skipped_update () =
+  let t = new_loader ~machine_memory:(1 lsl 30) () in
+  Loader.register_module t (make_module "alpha" 1);
+  let f = Loader.acquire t "alpha_f0" in
+  let grow () =
+    let r = Func.new_reg f in
+    ignore
+      (Func.add_block f
+         [ Cmo_il.Instr.Move (r, Cmo_il.Instr.Imm 1L) ]
+         (Cmo_il.Instr.Ret None))
+  in
+  grow ();
+  Loader.update t f;
+  Loader.check_index t;
+  grow ();
+  Alcotest.(check bool) "skipped update detected" true
+    (match Loader.check_index t with () -> false | exception Failure _ -> true);
+  Loader.update t f;
+  Loader.check_index t;
+  Loader.release t "alpha_f0";
   Loader.close t
 
 let test_loader_symtab_compaction () =
@@ -458,6 +518,8 @@ let suite =
     ("loader update accounting", `Quick, test_loader_update_adjusts_accounting);
     ("loader update impostor rejected", `Quick, test_loader_update_requires_acquired_value);
     ("loader add/remove function", `Quick, test_loader_add_remove_func);
+    ("loader check_index catches a skipped update", `Quick,
+      test_loader_check_index_catches_skipped_update);
     ("loader symtab compaction", `Quick, test_loader_symtab_compaction);
     ("loader dynamic thresholds", `Quick, test_loader_dynamic_thresholds);
     ("loader extract modules", `Quick, test_loader_extract_modules);

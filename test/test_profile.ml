@@ -185,6 +185,59 @@ let test_correlate_stale_profile_graceful () =
   Alcotest.(check (float 0.0)) "fresh profile: no unmatched weight" 0.0
     fresh_stats.Correlate.unmatched_weight
 
+(* A stale profile with many keys that match nothing: keys of routines
+   that no longer exist, blocks past the end of live routines, and
+   edges with one dead end, with counts of mixed magnitude so the
+   float sum depends on its order.  The count and the exact weight
+   must equal the fold over [Db.entries] (key order) that correlation
+   used to run. *)
+let test_correlate_unmatched_weight () =
+  let m = Helpers.compile loop_program in
+  let db = Db.create () in
+  let _ = Train.run [ m ] db in
+  let rng = Random.State.make [| 20 |] in
+  let count () =
+    Random.State.float rng 1.0 *. (10.0 ** float_of_int (Random.State.int rng 12))
+  in
+  let fnames = [| "work"; "main"; "rare"; "gone"; "old_main"; "helper_7" |] in
+  for i = 0 to 2_999 do
+    let f = fnames.(Random.State.int rng (Array.length fnames)) in
+    let l = Random.State.int rng 40 in
+    let key =
+      match i mod 3 with
+      | 0 -> Db.Fentry (Printf.sprintf "%s_%d" f (i mod 50))
+      | 1 -> Db.Block (f, l)
+      | _ -> Db.Edge (f, l, Random.State.int rng 40)
+    in
+    Db.add db key (count ())
+  done;
+  let funcs = Hashtbl.create 8 and blocks = Hashtbl.create 64 in
+  List.iter
+    (fun (f : Func.t) ->
+      Hashtbl.replace funcs f.Func.name ();
+      List.iter
+        (fun (b : Func.block) -> Hashtbl.replace blocks (f.Func.name, b.Func.label) ())
+        f.Func.blocks)
+    m.Cmo_il.Ilmod.funcs;
+  let expected_keys, expected_weight =
+    List.fold_left
+      (fun (keys, weight) (key, count) ->
+        let matched =
+          match key with
+          | Db.Fentry f -> Hashtbl.mem funcs f
+          | Db.Block (f, l) -> Hashtbl.mem blocks (f, l)
+          | Db.Edge (f, a, b) -> Hashtbl.mem blocks (f, a) && Hashtbl.mem blocks (f, b)
+        in
+        if matched then (keys, weight) else (keys + 1, weight +. count))
+      (0, 0.0) (Db.entries db)
+  in
+  let stats = Correlate.annotate db [ m ] in
+  Alcotest.(check bool) "many keys unmatched" true (expected_keys > 1_000);
+  Alcotest.(check int) "unmatched keys" expected_keys stats.Correlate.unmatched_keys;
+  Alcotest.(check int64) "unmatched weight, to the bit"
+    (Int64.bits_of_float expected_weight)
+    (Int64.bits_of_float stats.Correlate.unmatched_weight)
+
 let test_correlate_clear () =
   let m = Helpers.compile loop_program in
   let db = Db.create () in
@@ -250,6 +303,7 @@ let suite =
     ("correlate annotates blocks", `Quick, test_correlate_annotates_blocks);
     ("correlate call counts", `Quick, test_correlate_call_counts);
     ("correlate stale profile", `Quick, test_correlate_stale_profile_graceful);
+    ("correlate unmatched weight", `Quick, test_correlate_unmatched_weight);
     ("correlate clear", `Quick, test_correlate_clear);
     ("correlate edge counts", `Quick, test_correlate_edge_counts);
     ("unknown probes ignored", `Quick, test_record_counters_unknown_probe_ignored);
