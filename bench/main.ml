@@ -383,8 +383,9 @@ let micro () =
    [Phase.optimize_func] runs it (with the Derived memory charge), the
    same ladder pass by pass, and the LLO stages; all of them through
    NAIM's encoder, decoder and size model and through profile
-   correlation; and the program's sources through the lexer and
-   parser.  Ten repeats; the median per
+   correlation; the program's sources through the lexer and parser;
+   and its +O4 +P image (6 MB machine) and instrumented training image
+   through the VM on the training input.  Ten repeats; the median per
    item of its time and of the minor-heap words it allocated.  Only
    long-standing interfaces are used, so the leg runs unchanged on
    older trees for a before/after table. *)
@@ -417,6 +418,14 @@ let passes () =
   Printf.printf "%d routines, %d blocks
 " (List.length funcs)
     (List.fold_left (fun acc f -> acc + List.length f.Func.blocks) 0 funcs);
+  let input = Genprog.training_input cfg in
+  let o4_image =
+    (Pipeline.compile ~profile:db
+       { Options.o4_pbo with Options.machine_memory = 6 lsl 20 }
+       sources)
+      .Pipeline.image
+  in
+  let training_image = (Pipeline.compile Options.instrumented sources).Pipeline.image in
   let reps = 10 in
   (* name -> (seconds, minor words) per repeat *)
   let samples : (string, (float * float) list) Hashtbl.t = Hashtbl.create 16 in
@@ -477,6 +486,8 @@ let passes () =
     program.Ilmod.funcs <- List.map Func.copy funcs;
     timed "Correlate.annotate" (fun () ->
         ignore (Cmo_profile.Correlate.annotate db [ program ]));
+    timed "vm: Vm.run (O4 image)" (fun () -> ignore (Vm.run ~input o4_image));
+    timed "vm: Vm.run (training image)" (fun () -> ignore (Vm.run ~input training_image));
     Hashtbl.iter
       (fun name t ->
         Hashtbl.replace samples name

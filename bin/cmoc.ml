@@ -621,14 +621,18 @@ let link_cmd =
   let map_flag =
     Arg.(value & flag & info [ "map" ] ~doc:"Print the linker map.")
   in
+  let load path =
+    try Cmo_link.Objfile.load path
+    with Cmo_support.Codec.Reader.Corrupt m ->
+      raise (Cmo_support.Codec.Reader.Corrupt (Printf.sprintf "%s: corrupt object file (%s)" path m))
+  in
   let action paths input run_it map_it =
-    let objects = List.map Cmo_link.Objfile.load paths in
-    match Pipeline.link objects with
-    | exception Pipeline.Compile_error msg -> `Error (false, msg)
-    | image ->
+    try
+      let objects = List.map load paths in
+      let image = Pipeline.link objects in
       if map_it then Format.printf "%a@." Cmo_link.Image.pp_map image;
       if run_it then begin
-        let o = Cmo_vm.Vm.run ~input:(parse_input input) image in
+        let o = Vm.run ~input:(parse_input input) image in
         List.iter (Printf.printf "%Ld\n") o.Vm.output;
         Printf.printf "exit: %Ld  (%d cycles)\n" o.Vm.ret o.Vm.cycles
       end
@@ -637,6 +641,10 @@ let link_cmd =
           (Array.length image.Cmo_link.Image.code)
           (List.length objects);
       `Ok ()
+    with
+    | Pipeline.Compile_error m | Sys_error m | Cmo_support.Codec.Reader.Corrupt m ->
+      `Error (false, m)
+    | Vm.Fault msg -> `Error (false, "runtime fault: " ^ msg)
   in
   let doc = "Link object files into an image (and optionally run it)." in
   Cmd.v (Cmd.info "link" ~doc)

@@ -24,7 +24,11 @@
 # codec-oracle properties (suite "codec": random primitive streams and
 # IL routines written, read, truncated and garbled by the codec and by
 # test/ref_codec.ml must give the same bytes, values and Corrupt
-# cases), each at ten times its default case count (QCHECK_LONG=1).
+# cases) and the VM-oracle properties (suite "vm": random machine
+# images run by the pre-decoded VM and by test/ref_vm.ml under five
+# cost models, with attribution on and off, must give equal outcomes
+# or the same Fault messages), each at ten times its default case
+# count (QCHECK_LONG=1).
 # Finally the build server is exercised twice: the in-process
 # edit-storm smoke (concurrent clients held byte-identical to one-shot
 # builds, warm-cache hit rate rising, per-request crash isolation),
@@ -133,6 +137,9 @@ CMO_FUZZ_SEED=1 QCHECK_LONG=1 dune exec test/test_main.exe -- test xforms
 
 echo "== codec-oracle property (fixed seed, 10x cases) =="
 CMO_FUZZ_SEED=1 QCHECK_LONG=1 dune exec test/test_main.exe -- test codec
+
+echo "== vm-oracle property (fixed seed, 10x cases) =="
+CMO_FUZZ_SEED=1 QCHECK_LONG=1 dune exec test/test_main.exe -- test vm
 
 echo "== edit-storm smoke (in-process daemon, concurrent clients) =="
 dune exec bench/main.exe -- storm-smoke

@@ -293,8 +293,3 @@ let check_modules ?env ~phase modules =
       (fun (m : Ilmod.t) ->
         List.concat_map (fun f -> check_func ~env ~phase f) m.Ilmod.funcs)
       modules
-
-let check_modules_exn ?env ~phase modules =
-  match check_modules ?env ~phase modules with
-  | [] -> ()
-  | vs -> raise (Violation vs)

@@ -62,6 +62,4 @@ val check_modules :
     uniqueness of function and global names.  [env] defaults to
     [env_of_modules modules] (the closed program). *)
 
-val check_modules_exn : ?env:env -> phase:string -> Cmo_il.Ilmod.t list -> unit
-
 val pp_violation : Format.formatter -> violation -> unit

@@ -28,17 +28,6 @@ type options = {
   check : (phase:string -> Func.t -> unit) option;
 }
 
-let o2_options =
-  {
-    clone = None;
-    inline = None;
-    ipa = false;
-    hot_filter = None;
-    rewrite_limit = None;
-    phase_cache = None;
-    check = None;
-  }
-
 let o4_options ~profile =
   {
     clone = (if profile then Some Clone.default_config else None);

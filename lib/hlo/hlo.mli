@@ -59,9 +59,6 @@ type options = {
           ([phase-cache]).  Should raise to stop compilation. *)
 }
 
-val o2_options : options
-(** Intraprocedural only: the default (+O2) optimization level. *)
-
 val o4_options : profile:bool -> options
 (** Full CMO: cloning (profile mode only), inlining (profile-guided
     or aggressive), IPA. *)

@@ -24,8 +24,6 @@ let add_func t f = t.funcs <- t.funcs @ [ f ]
 
 let find_func t name = List.find_opt (fun f -> f.Func.name = name) t.funcs
 
-let find_global t name = List.find_opt (fun g -> g.gname = name) t.globals
-
 let src_lines t =
   List.fold_left (fun acc f -> acc + f.Func.src_lines) 0 t.funcs
 

@@ -30,7 +30,6 @@ val add_global :
 val add_func : t -> Func.t -> unit
 
 val find_func : t -> string -> Func.t option
-val find_global : t -> string -> global option
 
 val src_lines : t -> int
 (** Total modeled source lines over the module's functions. *)

@@ -75,15 +75,6 @@ let term_uses = function
   | Ret None | Jmp _ -> []
   | Br { cond; _ } -> operand_reg cond
 
-let rename_def f instr =
-  match instr with
-  | Move (d, a) -> Move (f d, a)
-  | Unop (op, d, a) -> Unop (op, f d, a)
-  | Binop (op, d, a, b) -> Binop (op, f d, a, b)
-  | Load (d, addr) -> Load (f d, addr)
-  | Call ({ dst = Some d; _ } as c) -> Call { c with dst = Some (f d) }
-  | Call { dst = None; _ } | Store _ | Probe _ -> instr
-
 let is_pure = function
   | Move _ | Unop _ | Binop _ -> true
   | Load _ | Store _ | Call _ | Probe _ -> false

@@ -82,9 +82,6 @@ val uses : instr -> reg list
 
 val term_uses : terminator -> reg list
 
-val rename_def : (reg -> reg) -> instr -> instr
-(** Rewrite the destination register. *)
-
 val is_pure : instr -> bool
 (** True when the instruction has no side effect and its result is
     fully determined by its operands — candidates for DCE and CSE.

@@ -97,11 +97,3 @@ let emit (r : Regalloc.result) =
     code;
     src_lines = vc.Isel.vsrc_lines;
   }
-
-let pp_frame_comment ppf (r : Regalloc.result) =
-  Format.fprintf ppf
-    "frame %d cells (outgoing %d, spills %d, saves %d), %d vregs spilled"
-    (frame_size r)
-    r.Regalloc.vcode.Isel.max_outgoing r.Regalloc.spill_slots
-    (List.length r.Regalloc.used_callee_saved)
-    r.Regalloc.spilled_vregs

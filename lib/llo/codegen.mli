@@ -22,5 +22,3 @@
 val emit : Regalloc.result -> Mach.func_code
 (** Emits final, allocator-processed code.  The result still contains
     symbolic [Lga]/[Call_sym] references; the linker resolves them. *)
-
-val pp_frame_comment : Format.formatter -> Regalloc.result -> unit

@@ -1,17 +1,6 @@
 module Instr = Cmo_il.Instr
 module Func = Cmo_il.Func
 
-let cold_fraction (f : Func.t) =
-  let n = List.length f.Func.blocks in
-  if n = 0 then 0.0
-  else begin
-    let cold =
-      List.length
-        (List.filter (fun (b : Func.block) -> b.Func.freq = 0.0) f.Func.blocks)
-    in
-    float_of_int cold /. float_of_int n
-  end
-
 (* Chains are lists of labels; we keep, per chain id, the label list
    plus head/tail for O(1) merging decisions. *)
 type chain = { mutable labels : Instr.label list (* in order *) }

@@ -18,7 +18,3 @@
 
 val run : Cmo_il.Func.t -> bool
 (** Returns [true] when the order changed. *)
-
-val cold_fraction : Cmo_il.Func.t -> float
-(** Fraction of blocks with zero frequency — reporting aid for the
-    layout experiments. *)

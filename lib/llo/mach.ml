@@ -69,19 +69,13 @@ let uses = function
   | Sys _ -> [ reg_arg 0 ]
   | Ret -> [ reg_rv ]
 
-let map_regs f = function
-  | Li (d, i) -> Li (f d, i)
-  | Mv (d, s) -> Mv (f d, f s)
-  | Op (op, d, a, b) -> Op (op, f d, f a, f b)
-  | Opi (op, d, s, i) -> Opi (op, f d, f s, i)
-  | Un (op, d, s) -> Un (op, f d, f s)
-  | Ld (d, b, o) -> Ld (f d, f b, o)
-  | St (v, b, o) -> St (f v, f b, o)
-  | Lga (d, s) -> Lga (f d, s)
-  | Bz (r, t) -> Bz (f r, t)
-  | Bnz (r, t) -> Bnz (f r, t)
-  | (B _ | Call_sym _ | Call_abs _ | Sys _ | Ret | Adjsp _ | Cnt _ | Halt) as i
-    -> i
+let uses_mask = function
+  | Li _ | Lga _ | B _ | Call_sym _ | Call_abs _ | Adjsp _ | Cnt _ | Halt -> 0
+  | Mv (_, s) | Un (_, _, s) | Opi (_, _, s, _) | Ld (_, s, _) | Bz (s, _) | Bnz (s, _) ->
+    1 lsl s
+  | Op (_, _, a, b) | St (a, b, _) -> (1 lsl a) lor (1 lsl b)
+  | Sys _ -> 1 lsl reg_arg 0
+  | Ret -> 1 lsl reg_rv
 
 let map_defs_uses ~fdef ~fuse = function
   | Li (d, i) -> Li (fdef d, i)
@@ -182,19 +176,27 @@ let write_instr w = function
   | Cnt p -> W.byte w 17; W.uvarint w p
   | Halt -> W.byte w 18
 
+(* Registers in an object are physical: a virtual one (or a value no
+   register can have) would name storage the machine lacks. *)
+let read_reg r =
+  let reg = R.uvarint r in
+  if reg < 0 || reg >= first_vreg then
+    R.corrupt (Printf.sprintf "bad mach register %d" reg);
+  reg
+
 let read_instr r =
   match R.byte r with
-  | 0 -> let d = R.uvarint r in Li (d, R.int64 r)
-  | 1 -> let d = R.uvarint r in Mv (d, R.uvarint r)
+  | 0 -> let d = read_reg r in Li (d, R.int64 r)
+  | 1 -> let d = read_reg r in Mv (d, read_reg r)
   | 2 ->
     let op = binop_of_tag (R.byte r) in
-    let d = R.uvarint r in
-    let a = R.uvarint r in
-    Op (op, d, a, R.uvarint r)
+    let d = read_reg r in
+    let a = read_reg r in
+    Op (op, d, a, read_reg r)
   | 3 ->
     let op = binop_of_tag (R.byte r) in
-    let d = R.uvarint r in
-    let s = R.uvarint r in
+    let d = read_reg r in
+    let s = read_reg r in
     Opi (op, d, s, R.int64 r)
   | 4 ->
     let op = match R.byte r with
@@ -202,14 +204,14 @@ let read_instr r =
       | 1 -> Instr.Not
       | t -> R.corrupt (Printf.sprintf "bad mach unop tag %d" t)
     in
-    let d = R.uvarint r in
-    Un (op, d, R.uvarint r)
-  | 5 -> let d = R.uvarint r in let b = R.uvarint r in Ld (d, b, R.varint r)
-  | 6 -> let v = R.uvarint r in let b = R.uvarint r in St (v, b, R.varint r)
-  | 7 -> let d = R.uvarint r in Lga (d, R.string r)
+    let d = read_reg r in
+    Un (op, d, read_reg r)
+  | 5 -> let d = read_reg r in let b = read_reg r in Ld (d, b, R.varint r)
+  | 6 -> let v = read_reg r in let b = read_reg r in St (v, b, R.varint r)
+  | 7 -> let d = read_reg r in Lga (d, R.string r)
   | 8 -> B (R.varint r)
-  | 9 -> let reg = R.uvarint r in Bz (reg, R.varint r)
-  | 10 -> let reg = R.uvarint r in Bnz (reg, R.varint r)
+  | 9 -> let reg = read_reg r in Bz (reg, R.varint r)
+  | 10 -> let reg = read_reg r in Bnz (reg, R.varint r)
   | 11 -> Call_sym (R.string r)
   | 12 -> Call_abs (R.varint r)
   | 13 -> Sys Sys_print

@@ -82,8 +82,9 @@ val defs : instr -> reg list
 
 val uses : instr -> reg list
 
-val map_regs : (reg -> reg) -> instr -> instr
-(** Rewrite every register operand (defs and uses). *)
+val uses_mask : instr -> int
+(** [uses] as a bitmask (bit [r] for register [r]), built without a
+    list; meaningful for physical registers only. *)
 
 val map_defs_uses : fdef:(reg -> reg) -> fuse:(reg -> reg) -> instr -> instr
 (** Rewrite destination and source registers through different
@@ -103,4 +104,5 @@ val pp_func : Format.formatter -> func_code -> unit
 val encode_func : func_code -> string
 val decode_func : string -> func_code
 (** Object-file payload codec.
-    @raise Cmo_support.Codec.Reader.Corrupt on malformed input. *)
+    @raise Cmo_support.Codec.Reader.Corrupt on malformed input,
+    including a register at or above {!first_vreg}. *)

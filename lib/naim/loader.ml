@@ -530,8 +530,6 @@ let funcs_of_module t mname = List.rev (find_module t mname).funcs_rev
 
 let module_of_func t fname = (find_pool t fname).pool_module
 
-let globals_of_module t mname = (find_module t mname).globals
-
 let all_globals t =
   List.concat_map (fun mname -> (find_module t mname).globals) (module_names t)
 

@@ -146,8 +146,6 @@ val funcs_of_module : t -> string -> string list
 
 val module_of_func : t -> string -> string
 
-val globals_of_module : t -> string -> Cmo_il.Ilmod.global list
-
 val all_globals : t -> Cmo_il.Ilmod.global list
 (** Every module's globals, in deterministic module order.  Global
     data is part of the always-available module records (reading it

@@ -253,9 +253,6 @@ module Diff = struct
     hs_functions : (string * float) list;
   }
 
-  let empty_hot_set label =
-    { hs_label = label; hs_modules = []; hs_functions = [] }
-
   type delta = { d_name : string; d_base : float; d_canary : float }
 
   type verdict = Flip | No_flip

@@ -133,8 +133,6 @@ module Diff : sig
     hs_functions : (string * float) list;
   }
 
-  val empty_hot_set : string -> hot_set
-
   type delta = {
     d_name : string;
     d_base : float;  (** Share in the base cohort's hot set (0 if out). *)

@@ -112,8 +112,6 @@ let clear modules =
         m.Ilmod.funcs)
     modules
 
-let edge_count db ~fname ~src ~dst = Db.get db (Db.Edge (fname, src, dst))
-
 let pp_stats ppf s =
   Format.fprintf ppf
     "functions %d/%d with profile, blocks %d/%d matched, total count %.0f, \

@@ -32,7 +32,4 @@ val annotate : Db.t -> Cmo_il.Ilmod.t list -> stats
 val clear : Cmo_il.Ilmod.t list -> unit
 (** Reset all annotations to 0 (an unprofiled compilation). *)
 
-val edge_count : Db.t -> fname:string -> src:int -> dst:int -> float
-(** Measured traversal count of a conditional edge, 0 when absent. *)
-
 val pp_stats : Format.formatter -> stats -> unit

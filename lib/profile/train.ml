@@ -3,6 +3,3 @@ let run ?input ?fuel modules db =
   let outcome = Cmo_il.Interp.run ?input ?fuel instrumented in
   Probe.record_counters manifest outcome.Cmo_il.Interp.probes db;
   outcome
-
-let run_many ~inputs modules db =
-  List.iter (fun input -> ignore (run ~input modules db)) inputs

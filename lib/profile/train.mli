@@ -18,7 +18,3 @@ val run :
     outcome (so callers can cross-check observable behaviour against
     an uninstrumented run).
     @raise Cmo_il.Interp.Runtime_error as the interpreter does. *)
-
-val run_many : inputs:int64 array list -> Cmo_il.Ilmod.t list -> Db.t -> unit
-(** Accumulate several training runs into one database — the paper's
-    "added to, if data from an earlier run already exists". *)

@@ -31,8 +31,10 @@ type outcome = {
 }
 
 exception Fault of string
-(** Memory out of bounds, stack overflow, halt in the middle of a
-    call, fuel exhaustion, unresolved symbolic instruction. *)
+(** Memory out of bounds, stack overflow or underflow, call stack
+    overflow, pc outside the code, fuel exhaustion, unresolved symbolic
+    instruction, or an instruction naming a register outside r0-r31
+    (each when it executes). *)
 
 val run :
   ?input:int64 array ->
@@ -45,4 +47,8 @@ val run :
 (** [fuel] bounds retired instructions (default 500 million);
     [stack_cells] default 65536; [attribute] (default false) turns on
     per-routine cycle attribution — the flat-profile view performance
-    analysts read. *)
+    analysts read.
+
+    The image is decoded once per call into flat tables (see
+    DESIGN.md, "The pre-decoded VM"); the interpreter loop then
+    allocates nothing per instruction. *)

@@ -27,4 +27,5 @@ let () =
       ("analyses", Test_analyses.suite);
       ("xforms", Test_transforms.suite);
       ("codec", Test_codec.suite);
+      ("vm", Test_vm.suite);
     ]
