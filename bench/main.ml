@@ -24,6 +24,7 @@ module Buildsys = Cmo_driver.Buildsys
 module Phase = Cmo_hlo.Phase
 module Store = Cmo_cache.Store
 module Fsio = Cmo_support.Fsio
+module Faults = Cmo_support.Faults
 
 let mb bytes = float_of_int bytes /. 1024.0 /. 1024.0
 
@@ -1142,7 +1143,7 @@ let fault_sweep_over label sources =
   in
   let build () = Buildsys.build (Buildsys.create ~dir ()) options sources in
   let install spec =
-    match Fsio.install_plan spec with
+    match Faults.install spec with
     | Ok () -> ()
     | Error m -> failwith ("fault-sweep: bad plan: " ^ m)
   in
@@ -1153,7 +1154,7 @@ let fault_sweep_over label sources =
   in
   Fun.protect
     ~finally:(fun () ->
-      Fsio.clear_plan ();
+      Faults.clear ();
       remove_tree dir)
   @@ fun () ->
   fresh ();
@@ -1168,8 +1169,8 @@ let fault_sweep_over label sources =
   fresh ();
   install "count";
   ignore (build ());
-  let n = Fsio.op_count () in
-  Fsio.clear_plan ();
+  let n = Faults.op_count Faults.fs in
+  Faults.clear ();
   Printf.printf "cold build: %d injection sites\n%!" n;
   let t0 = Unix.gettimeofday () in
   for k = 1 to n do
@@ -1178,7 +1179,7 @@ let fault_sweep_over label sources =
     (match build () with
     | _ -> fail "crash@%d: the planned crash never fired\n" k
     | exception e when is_crash e -> ());
-    Fsio.clear_plan ();
+    Faults.clear ();
     (* Recovery: a fresh "process" over the torn workspace. *)
     match build () with
     | recovered ->
@@ -1201,7 +1202,7 @@ let fault_sweep_over label sources =
     | exception e ->
       fail "%s@%d: build failed instead of degrading: %s\n" kind k
         (Printexc.to_string e));
-    Fsio.clear_plan ()
+    Faults.clear ()
   done;
   Printf.printf
     "degradation sweep: %d sites (kinds cycled), %.1fs, %s\n%!" n
@@ -1425,7 +1426,7 @@ let storm_smoke () = storm_for ~label:"smoke" ~clients:3 ~per_client:12 ~steps:8
    ephemeral ports; the atomically-written port file is the ready
    signal. *)
 let with_worker_fleet n f =
-  let bin = Cmo_driver.Distwork.resolve_worker () in
+  let bin = Cmo_driver.Distwork.resolve_worker (Options.from_env ()) in
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "cmo-bench-fleet-%d" (Unix.getpid ()))
@@ -1482,10 +1483,15 @@ let with_worker_fleet n f =
 
 let dist_for name ~shards =
   let module Distwork = Cmo_driver.Distwork in
-  let module Netio = Cmo_support.Netio in
   let module Json = Cmo_obs.Json in
   let module Server = Cmo_server.Server in
   let module Client = Cmo_server.Client in
+  let with_plan spec f =
+    (match Faults.install spec with
+    | Ok () -> ()
+    | Error m -> failwith (Printf.sprintf "plan %s rejected: %s" spec m));
+    Fun.protect ~finally:Faults.clear f
+  in
   header
     (Printf.sprintf "Distributed link-time CMO (%s x %d shards, +O4)" name
        shards);
@@ -1493,7 +1499,7 @@ let dist_for name ~shards =
   Printf.printf "%d modules, %d lines; worker binary %s\n"
     (List.length listing)
     (Genprog.source_lines listing)
-    (Distwork.resolve_worker ());
+    (Distwork.resolve_worker (Options.from_env ()));
   let sources =
     List.map (fun (name, text) -> { Pipeline.name; text }) listing
   in
@@ -1569,10 +1575,7 @@ let dist_for name ~shards =
                (Printf.sprintf "tcp-j%d" jobs)
                { options with Options.jobs = jobs; dist = true; workers }))
         [ 2; 4 ];
-      (match Netio.install_plan "partition@5" with
-      | Ok () -> ()
-      | Error m -> failwith ("partition plan rejected: " ^ m));
-      Fun.protect ~finally:Netio.clear_plan (fun () ->
+      with_plan "partition@5" (fun () ->
           let lost =
             run_leg "tcp-partition@5"
               { options with Options.jobs = 2; dist = true; workers }
@@ -1650,12 +1653,10 @@ let dist_for name ~shards =
   end;
   (* Chaos tail: a worker SIGKILLed mid-protocol degrades one
      partition to local recompute, invisibly. *)
-  Unix.putenv "CMO_DIST_CHAOS" "kill@3";
   let j0 = Distwork.jobs_total () and l0 = Distwork.lost_total () in
   let chaos, chaos_wall =
     timed (fun () ->
-        Fun.protect
-          ~finally:(fun () -> Unix.putenv "CMO_DIST_CHAOS" "")
+        with_plan "kill@3"
           (fun () ->
             Pipeline.compile
               { options with Options.jobs = 2; dist = true }

@@ -18,7 +18,7 @@ module Vm = Cmo_vm.Vm
 module Genprog = Cmo_workload.Genprog
 module Suite = Cmo_workload.Suite
 module Fsio = Cmo_support.Fsio
-module Netio = Cmo_support.Netio
+module Faults = Cmo_support.Faults
 module Json = Cmo_obs.Json
 module Proto = Cmo_server.Proto
 module Client = Cmo_server.Client
@@ -96,37 +96,30 @@ let trace_arg =
 
 let fault_plan_arg =
   Arg.(value & opt (some string) None & info [ "fault-plan" ] ~docv:"SPEC"
-         ~doc:"Install a deterministic I/O fault plan before building: \
+         ~doc:"Install a deterministic fault plan before building: \
                a comma-separated spec such as $(b,count), \
-               $(b,crash@12,seed=3) or $(b,enospc@5) (grammar in \
-               lib/support/fsio.mli).  Also read from \\$CMO_FAULT; \
-               the flag wins.  When a plan is active the operation and \
-               injection counts are reported on stderr after the \
-               build.")
+               $(b,crash@12,seed=3), $(b,partition@5) or $(b,kill@4) \
+               covering disk, wire and worker-kill faults (grammar in \
+               lib/support/faults.mli).  Also read from \\$CMO_FAULT; \
+               the flag wins.  When a plan is active each site's \
+               operation and injection counts are reported on stderr \
+               after the build.")
 
-let install_fault_plan flag =
-  match (match flag with Some _ -> flag | None -> Options.env.Options.env_fault) with
-  | None -> ()
-  | Some spec -> (
-    match Fsio.install_plan spec with
-    | Ok () -> ()
-    | Error m ->
-      raise (Pipeline.Compile_error (Printf.sprintf "bad fault plan %S: %s" spec m)))
+(* The flag wins over $CMO_FAULT. *)
+let fault_spec flag =
+  match flag with Some _ -> flag | None -> Options.env.Options.env_fault
 
-(* The network counterpart ($CMO_NET_FAULT, grammar in
-   lib/support/netio.mli).  Only the parent build process installs it:
-   cmoc-worker and cmocd never read the variable, so a plan exercises
-   the dialing side of every link exactly once. *)
-let install_net_fault_plan () =
-  match Options.env.Options.env_net_fault with
-  | None -> ()
-  | Some spec -> (
-    match Netio.install_plan spec with
-    | Ok () -> ()
-    | Error m ->
-      raise
-        (Pipeline.Compile_error
-           (Printf.sprintf "bad net fault plan %S: %s" spec m)))
+(* Only the parent build process installs a plan: cmoc-worker never
+   does, so a plan exercises the dialing side of every link once. *)
+let install_fault_plan spec =
+  Option.iter
+    (fun spec ->
+      match Faults.install spec with
+      | Ok () -> ()
+      | Error m ->
+        raise
+          (Pipeline.Compile_error (Printf.sprintf "bad fault plan %S: %s" spec m)))
+    spec
 
 (* A planned crash can fire inside an unwind-time finalizer, where
    [Fun.protect] wraps it; either way it is the simulated power cut. *)
@@ -136,12 +129,16 @@ let rec is_crash = function
   | _ -> false
 
 let report_fault_plan () =
-  if Fsio.plan_active () then
-    Printf.eprintf "fault plan: %d io ops, %d injected, %d retries\n%!"
-      (Fsio.op_count ()) (Fsio.injected ()) (Fsio.retries ());
-  if Netio.plan_active () then
-    Printf.eprintf "net fault plan: %d net ops, %d injected, %d retries\n%!"
-      (Netio.op_count ()) (Netio.injected ()) (Netio.retries ())
+  let site : 'k. string -> string -> 'k Faults.site -> unit =
+   fun label unit s ->
+    Printf.eprintf "%s: %d %s ops, %d injected, %d retries\n%!" label
+      (Faults.op_count s) unit (Faults.injected s) (Faults.retries s)
+  in
+  if Faults.active () then begin
+    site "fault plan" "io" Faults.fs;
+    site "net fault plan" "net" Faults.net;
+    site "proc fault plan" "proc" Faults.proc
+  end
 
 let make_options level pbo selectivity machine_mb jobs check trace =
   let base =
@@ -339,12 +336,7 @@ let compile_cmd =
       let options =
         if workers = [] then options else { options with Options.workers }
       in
-      (* The flag wins over $CMO_FAULT, like the local path. *)
-      let fault =
-        match fault with
-        | Some _ -> fault
-        | None -> Options.env.Options.env_fault
-      in
+      let fault = fault_spec fault in
       if remote then begin
         let socket = resolve_socket socket in
         let image, report = remote_compile ~socket ~options ~fault sources in
@@ -360,7 +352,6 @@ let compile_cmd =
       end
       else begin
         install_fault_plan fault;
-        install_net_fault_plan ();
         let build = Pipeline.compile ?profile:(load_profile profile) options sources in
         write_report_json report_json
           (Json.to_string (Pipeline.report_to_json build.Pipeline.report));
@@ -867,6 +858,16 @@ let cohort_opt_arg =
                instead of the anonymous fleet pack.  Defaults to \
                \\$CMO_COHORT when set.")
 
+(* What a command talking to cmocd (or its offline registry) reports
+   for each failure. *)
+let daemon_errors = function
+  | Pipeline.Compile_error m | Sys_error m | Client.Protocol_error m ->
+    `Error (false, m)
+  | Cmo_profile.Cohort.Bad_name n -> `Error (false, "bad cohort name: " ^ n)
+  | Unix.Unix_error (e, _, _) ->
+    `Error (false, "cannot reach cmocd: " ^ Unix.error_message e)
+  | e -> raise e
+
 let resolve_cohort = function
   | Some name -> Some name
   | None -> Options.env.Options.env_cohort
@@ -906,11 +907,7 @@ let profile_push_cmd =
         | None -> "daemon")
         !stored;
       `Ok ()
-    with
-    | Pipeline.Compile_error m | Sys_error m | Client.Protocol_error m ->
-      `Error (false, m)
-    | Unix.Unix_error (e, _, _) ->
-      `Error (false, "cannot reach cmocd: " ^ Unix.error_message e)
+    with e -> daemon_errors e
   in
   let doc = "Upload fleet shards to a cmocd daemon." in
   Cmd.v (Cmd.info "push" ~doc)
@@ -936,11 +933,7 @@ let profile_pull_cmd =
       Printf.printf "wrote %s (%d shards merged, %d skipped)\n" out shards
         skipped;
       `Ok ()
-    with
-    | Pipeline.Compile_error m | Sys_error m | Client.Protocol_error m ->
-      `Error (false, m)
-    | Unix.Unix_error (e, _, _) ->
-      `Error (false, "cannot reach cmocd: " ^ Unix.error_message e)
+    with e -> daemon_errors e
   in
   let doc = "Fetch the daemon's merged fleet profile." in
   Cmd.v (Cmd.info "pull" ~doc)
@@ -1044,14 +1037,6 @@ let cohort_name_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"COHORT"
          ~doc:"Cohort name ([A-Za-z0-9_.-], not starting with . or -).")
 
-let cohort_errors = function
-  | Pipeline.Compile_error m | Sys_error m | Client.Protocol_error m ->
-    `Error (false, m)
-  | Cmo_profile.Cohort.Bad_name n -> `Error (false, "bad cohort name: " ^ n)
-  | Unix.Unix_error (e, _, _) ->
-    `Error (false, "cannot reach cmocd: " ^ Unix.error_message e)
-  | e -> raise e
-
 let cohort_create_cmd =
   let action name socket state_dir =
     try
@@ -1065,7 +1050,7 @@ let cohort_create_cmd =
         Cmo_profile.Cohort.create reg name);
       Printf.printf "created cohort %s\n" name;
       `Ok ()
-    with e -> cohort_errors e
+    with e -> daemon_errors e
   in
   let doc = "Create an empty named cohort (idempotent)." in
   Cmd.v (Cmd.info "create" ~doc)
@@ -1100,7 +1085,7 @@ let cohort_ingest_cmd =
         "cohort %s holds %d shards (%d ingested, %d damaged skipped on read)\n"
         name stored (List.length !shards) !damaged;
       `Ok ()
-    with e -> cohort_errors e
+    with e -> daemon_errors e
   in
   let doc = "Append fleet shards to a named cohort (created as needed)." in
   Cmd.v (Cmd.info "ingest" ~doc)
@@ -1128,7 +1113,7 @@ let cohort_list_cmd =
               | tags -> "  tags: " ^ String.concat "," tags))
           infos;
       `Ok ()
-    with e -> cohort_errors e
+    with e -> daemon_errors e
   in
   let doc = "List the registry's named cohorts." in
   Cmd.v (Cmd.info "list" ~doc)
@@ -1203,7 +1188,7 @@ let cohort_diff_cmd =
       if fail_on_flip && report.Cmo_profile.Cohort.Diff.r_verdict = Flip then
         `Error (false, "canary would flip the hot set")
       else `Ok ()
-    with e -> cohort_errors e
+    with e -> daemon_errors e
   in
   let doc =
     "Compare the module/function hot sets two cohorts induce on a \
@@ -1236,7 +1221,7 @@ let cohort_gc_cmd =
         st.Cmo_profile.Cohort.gc_cohorts st.gc_kept_shards st.gc_removed
         st.gc_damage_dropped st.gc_bytes_reclaimed;
       `Ok ()
-    with e -> cohort_errors e
+    with e -> daemon_errors e
   in
   let doc =
     "Sweep the cohort registry offline: drop named cohorts, compact \
@@ -1292,8 +1277,7 @@ let build_cmd =
       dist workers socket report_json =
     try
       setup_logs log;
-      install_fault_plan fault;
-      install_net_fault_plan ();
+      install_fault_plan (fault_spec fault);
       let workers = resolve_workers workers in
       let dist = dist || workers <> [] in
       let sources = List.map source_of_path paths in

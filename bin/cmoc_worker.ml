@@ -26,7 +26,7 @@ let () =
      toolchain prints must not corrupt it, so diagnostics go to
      stderr. *)
   Logs.set_reporter (Logs.format_reporter ~app:Format.err_formatter ());
-  (match Sys.getenv_opt "CMO_WORKER_LOG" with
+  (match Cmo_driver.Options.env.Cmo_driver.Options.env_worker_log with
   | Some "debug" -> Logs.set_level (Some Logs.Debug)
   | Some "info" -> Logs.set_level (Some Logs.Info)
   | Some _ | None -> Logs.set_level None);

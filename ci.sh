@@ -41,7 +41,7 @@
 # remote artifact cache, all held byte-identical to the one-shot
 # oracle), then a process-level smoke — cmocd as the remote cache,
 # two checkouts built with cmoc build --dist at j=2, one worker
-# SIGKILLed mid-protocol via $CMO_DIST_CHAOS, object files compared
+# killed mid-protocol via $CMO_FAULT=kill@4, object files compared
 # byte-for-byte across all three builds, and a SIGTERM teardown that
 # must remove both the socket and the pid file.  Fleet-scale profile
 # ingestion is gated twice: the pgo-smoke benchmark (sampling x
@@ -62,7 +62,7 @@
 # is gated by a TCP worker-fleet smoke: two cmoc-worker --listen
 # processes on loopback ephemeral ports serve a cmoc build --dist
 # --workers over real sockets, a second build severs the network with
-# a sticky $CMO_NET_FAULT partition mid-protocol, and every object
+# a sticky $CMO_FAULT=partition@5 mid-protocol, and every object
 # file of both fleet builds must match a never-distributed local
 # oracle byte for byte before the workers are torn down.  The clean
 # fleet build runs 20 times from an empty directory, each compared
@@ -72,12 +72,21 @@
 # must print the same output and linker map, and the 5 MB report must
 # show IR compactions, symbol-table compactions and offloads.  A length
 # check keeps the pipeline split into stages: no top-level let/and in
-# lib/driver/pipeline.ml may span more than 150 lines.  Run from the
-# repository root.
+# lib/driver/pipeline.ml may span more than 150 lines, and a knob
+# check keeps one knob plane: no code in lib/ or bin/ but
+# lib/driver/options.ml may call Sys.getenv.  Run from the repository
+# root.
 set -eu
 
 echo "== dune build =="
 dune build
+
+echo "== one knob plane (Sys.getenv only in lib/driver/options.ml) =="
+if grep -rn --include='*.ml' --include='*.mli' 'Sys\.getenv' lib bin \
+  | grep -v '^lib/driver/options\.ml:'; then
+  echo "environment read outside Options.from_env (see HACKING's knob table)"
+  exit 1
+fi
 
 echo "== pipeline stage length (top-level definitions <= 150 lines) =="
 # A definition runs from its column-0 let/and to the last non-blank line
@@ -361,9 +370,9 @@ while [ ! -S "$DSOCK" ] && [ "$i" -lt 100 ]; do sleep 0.1; i=$((i + 1)); done
   "$DIST_DIR"/co1/src/*.mc > "$DIST_DIR/oracle.out"
 
 # Checkout 1: distributed build on two worker processes, publishing
-# every module artifact to the daemon; chaos SIGKILLs one worker
-# mid-protocol and the build must degrade invisibly.
-CMO_DIST_CHAOS=kill@4 "$CMOC" build -O 4 -j 2 --dist --socket "$DSOCK" \
+# every module artifact to the daemon; a planned kill destroys one
+# worker mid-protocol and the build must degrade invisibly.
+CMO_FAULT=kill@4 "$CMOC" build -O 4 -j 2 --dist --socket "$DSOCK" \
   --dir "$DIST_DIR/co1" --run --input 64,3 \
   "$DIST_DIR"/co1/src/*.mc > "$DIST_DIR/co1.out"
 
@@ -384,7 +393,7 @@ grep -q " 0 re-optimized" "$DIST_DIR/co2.out" || {
 }
 
 # Byte-identity: every object file of both distributed checkouts
-# matches the oracle's, chaos kill and all; so does the VM outcome.
+# matches the oracle's, planned kill and all; so does the VM outcome.
 for f in "$DIST_DIR"/oracle/*.o; do
   cmp "$f" "$DIST_DIR/co1/$(basename "$f")"
   cmp "$f" "$DIST_DIR/co2/$(basename "$f")"
@@ -414,7 +423,7 @@ echo "== TCP worker fleet smoke (process level) =="
 # Two cmoc-worker fleet members on loopback ephemeral ports serve a
 # distributed build over real TCP (version handshake, heartbeats,
 # framed jobs); a second build severs the network with a sticky
-# $CMO_NET_FAULT partition mid-protocol and must degrade invisibly
+# $CMO_FAULT partition mid-protocol and must degrade invisibly
 # to in-process recompute, reporting the injection.  Every object
 # file of both fleet builds must match a never-distributed local
 # oracle byte for byte, and tearing the workers down must leave no
@@ -469,7 +478,7 @@ done
 # Checkout 2: the network is severed at the fifth wire operation —
 # live conversations die and later dials are refused; the build must
 # finish from in-process recompute and report the injection.
-CMO_NET_FAULT=partition@5 "$CMOC" build -O 4 -j 2 --dist \
+CMO_FAULT=partition@5 "$CMOC" build -O 4 -j 2 --dist \
   --workers "$W1,$W2" --dir "$FLEET_DIR/co2" --run --input 64,3 \
   "$FLEET_DIR"/co2/src/*.mc \
   > "$FLEET_DIR/co2.out" 2> "$FLEET_DIR/co2.err"

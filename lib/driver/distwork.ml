@@ -5,6 +5,7 @@ module Ilcodec = Cmo_il.Ilcodec
 module Codec = Cmo_support.Codec
 module Fsio = Cmo_support.Fsio
 module Netio = Cmo_support.Netio
+module Faults = Cmo_support.Faults
 module Obs = Cmo_obs.Obs
 module Loader = Cmo_naim.Loader
 module Memstats = Cmo_naim.Memstats
@@ -445,16 +446,11 @@ let run_job_local ~phase_cache (job : job) =
    environment, so the override makes the {e reported} fingerprint
    diverge from the binary the parent expects). *)
 let self_fingerprint () =
-  match Sys.getenv_opt "CMO_WORKER_FP" with
-  | Some fp when fp <> "" -> fp
-  | _ -> (
+  match Options.env.Options.env_worker_fp with
+  | Some fp -> fp
+  | None -> (
     try Digest.to_hex (Digest.file Sys.executable_name)
     with Sys_error _ | Unix.Unix_error _ -> "unknown")
-
-let env_float name default =
-  match Option.bind (Sys.getenv_opt name) float_of_string_opt with
-  | Some f when f >= 0.0 -> f
-  | _ -> default
 
 (* Run [f] while a background thread sends [Pulse] every [hb] seconds
    — proof of life during a long optimization, so the parent can tell
@@ -532,8 +528,8 @@ let serve_conn ~fp in_fd out_fd =
           | Some _ | None -> raise Relay_broken);
     }
   in
-  let hb = env_float "CMO_WORKER_HB" 5.0 in
-  let slow = env_float "CMO_WORKER_SLOW_S" 0.0 in
+  let hb = Options.env.Options.env_worker_hb in
+  let slow = Options.env.Options.env_worker_slow_s in
   let rec serve () =
     match recv () with
     | None | Some Bye -> 0
@@ -630,9 +626,6 @@ type pool = {
   deadline_s : float option;  (* straggler redo bound per job *)
   endpoints : endpoint list;
   rr : int Atomic.t;  (* round-robin dial cursor *)
-  chaos_at : int option;  (* kill the active worker at this event *)
-  chaos_fired : bool Atomic.t;
-  events : int Atomic.t;  (* this pool's protocol-event clock *)
   lock : Mutex.t;
   mutable local_refused : bool;  (* the local binary failed handshake *)
   mutable idle : worker_conn list;
@@ -642,10 +635,10 @@ type pool = {
 exception Worker_lost
 exception Unavailable of string
 
-let resolve_worker () =
-  match Sys.getenv_opt "CMO_DIST_WORKER" with
-  | Some p when p <> "" -> p
-  | _ ->
+let resolve_worker (env : Options.env) =
+  match env.Options.env_dist_worker with
+  | Some p -> p
+  | None ->
     let dir = Filename.dirname Sys.executable_name in
     let sibling = Filename.concat dir "cmoc_worker.exe" in
     if Sys.file_exists sibling then sibling
@@ -654,46 +647,32 @@ let resolve_worker () =
         (Filename.concat (Filename.concat dir Filename.parent_dir_name) "bin")
         "cmoc_worker.exe"
 
-let parse_chaos = function
-  | None -> None
-  | Some spec -> (
-    match String.index_opt spec '@' with
-    | Some i
-      when String.sub spec 0 i = "kill" ->
-      int_of_string_opt (String.sub spec (i + 1) (String.length spec - i - 1))
-    | _ -> None)
-
 (* The fingerprint the parent demands in every [Hello]:
    [$CMO_DIST_EXPECT_FP] when set (fleet deployments pin it), else the
    local worker binary's digest (spawned workers and same-build remote
    workers match it), else nothing to compare against — only the wire
    version is checked. *)
-let expected_fingerprint bin =
-  match Sys.getenv_opt "CMO_DIST_EXPECT_FP" with
-  | Some fp when fp <> "" -> Some fp
-  | _ -> (
+let expected_fingerprint (env : Options.env) bin =
+  match env.Options.env_dist_expect_fp with
+  | Some _ as fp -> fp
+  | None -> (
     match bin with
     | None -> None
     | Some b -> (
       try Some (Digest.to_hex (Digest.file b))
       with Sys_error _ | Unix.Unix_error _ -> None))
 
-let create_pool ?worker ?timeout_s ?deadline_s ?workers ?chaos () =
+let create_pool ?timeout_s ?workers () =
   if Sys.os_type <> "Win32" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (* Env knobs are re-read per pool (not the process-start snapshot in
-     [Options.env]) — like [$CMO_DIST_CHAOS], the fault/robustness
-     suites flip them between builds inside one process. *)
+     [Options.env]): the robustness suites flip them between builds
+     inside one process. *)
   let dyn = Options.from_env () in
   let timeout_s =
     match timeout_s with
     | Some t -> t
     | None -> (
       match dyn.Options.env_dist_timeout with Some t -> t | None -> 60.0)
-  in
-  let deadline_s =
-    match deadline_s with
-    | Some _ as d -> d
-    | None -> dyn.Options.env_dist_deadline
   in
   let workers =
     match workers with
@@ -713,26 +692,20 @@ let create_pool ?worker ?timeout_s ?deadline_s ?workers ?chaos () =
           None)
       workers
   in
-  let bin = match worker with Some b -> b | None -> resolve_worker () in
-  let bin = if Sys.file_exists bin then Some bin else None in
+  let path = resolve_worker dyn in
+  let bin = if Sys.file_exists path then Some path else None in
   if bin = None && endpoints = [] then
     raise
       (Unavailable
          (Printf.sprintf "worker binary %s not found and no --workers given"
-            (match worker with Some b -> b | None -> resolve_worker ())));
-  let chaos =
-    match chaos with Some _ as c -> c | None -> Sys.getenv_opt "CMO_DIST_CHAOS"
-  in
+            path));
   {
     bin;
-    expect_fp = expected_fingerprint bin;
+    expect_fp = expected_fingerprint dyn bin;
     timeout_s;
-    deadline_s;
+    deadline_s = dyn.Options.env_dist_deadline;
     endpoints;
     rr = Atomic.make 0;
-    chaos_at = parse_chaos chaos;
-    chaos_fired = Atomic.make false;
-    events = Atomic.make 0;
     lock = Mutex.create ();
     local_refused = false;
     idle = [];
@@ -890,20 +863,18 @@ let checkout pool =
 
 let checkin pool w = locked pool (fun () -> pool.idle <- w :: pool.idle)
 
-(* One protocol event on the pool's clock; at the chaos mark, the
-   active worker dies mid-conversation — exactly what a machine loss
-   at that protocol step looks like to the parent. *)
-let chaos_tick pool w =
+(* One protocol event, numbered on the plan's proc clock; at a
+   planned [kill@K] the active worker dies mid-conversation — exactly
+   what a machine loss at that protocol step looks like to the
+   parent. *)
+let protocol_event pool w =
   Atomic.incr events_counter;
-  let n = Atomic.fetch_and_add pool.events 1 + 1 in
-  match pool.chaos_at with
-  | Some at
-    when n = at
-         && not (Atomic.exchange pool.chaos_fired true) ->
-    Log.debug (fun m -> m "chaos: killing active worker at event %d" n);
+  match Faults.check Faults.proc with
+  | Pass | Tripped -> ()
+  | Fire (Kill, k) ->
+    Log.debug (fun m -> m "injected kill of the active worker at event %d" k);
     destroy pool w;
     raise Worker_lost
-  | _ -> ()
 
 let run_job pool ?phase_cache job =
   let w = checkout pool in
@@ -926,12 +897,12 @@ let run_job pool ?phase_cache job =
     | _ -> ()
   in
   let send msg =
-    chaos_tick pool w;
+    protocol_event pool w;
     try Netio.send w.fd (encode_parent msg)
     with Unix.Unix_error _ | Sys_error _ -> lose ()
   in
   let recv () =
-    chaos_tick pool w;
+    protocol_event pool w;
     match Netio.recv ~timeout_s:pool.timeout_s w.fd with
     | Ok payload -> (
       try decode_worker payload with Codec.Reader.Corrupt _ -> lose ())

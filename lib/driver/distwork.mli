@@ -25,9 +25,9 @@
       proves a slow worker alive; a job past [$CMO_DIST_DEADLINE] is
       redone locally anyway — straggler redo), a consecutive-loss
       circuit breaker that retires a flaky endpoint, bounded read
-      timeouts (the distributed hang bound), and a deterministic
-      chaos hook ([$CMO_DIST_CHAOS=kill@K] SIGKILLs the worker at the
-      K-th protocol event) for the kill-sweep suite.
+      timeouts (the distributed hang bound), and the [proc] site of
+      the {!Cmo_support.Faults} plan ([kill@K] destroys the active
+      worker at the K-th protocol event) for the kill-sweep suite.
 
     Failure model (the PR-5 taxonomy applied to the wire): any worker
     loss — death, EOF, framing violation, oversized frame, stalled
@@ -158,10 +158,11 @@ val worker_main : Unix.file_descr -> Unix.file_descr -> 'a
     or EOF, then exit 0; exit 2 on a protocol violation.
     [bin/cmoc_worker] calls this on stdin/stdout.  The binary digest
     the {!worker_msg.Hello} reports is hashed once, at start.
-    Environment levers: [$CMO_WORKER_FP] overrides the reported binary
-    digest (skew tests), [$CMO_WORKER_HB] the heartbeat period in seconds
-    (default 5, 0 disables), [$CMO_WORKER_SLOW_S] sleeps that long
-    before each job (straggler tests).  Never returns. *)
+    Environment levers, read through {!Options.env}: [$CMO_WORKER_FP]
+    overrides the reported binary digest (skew tests), [$CMO_WORKER_HB]
+    the heartbeat period in seconds (default 5, 0 disables),
+    [$CMO_WORKER_SLOW_S] sleeps that long before each job (straggler
+    tests).  Never returns. *)
 
 val worker_listen : ?port_file:string -> string -> int -> 'a
 (** [cmoc-worker --listen HOST:PORT]: bind (port 0 picks an ephemeral
@@ -187,8 +188,8 @@ val with_pulses : hb:float -> send:(worker_msg -> unit) -> (unit -> 'a) -> 'a
 type pool
 
 exception Worker_lost
-(** The partition's worker is gone (or reported failure): SIGKILLed
-    by chaos, dead, stalled past the timeout, past its straggler
+(** The partition's worker is gone (or reported failure): killed by
+    a planned [kill@K], dead, stalled past the timeout, past its straggler
     deadline, version-refused, severed by a partition, or speaking
     garbage.  The worker has been reaped (or its endpoint charged a
     loss); the caller must redo the partition locally on a fresh
@@ -198,35 +199,28 @@ exception Unavailable of string
 (** [create_pool] could find neither a worker binary nor any remote
     endpoint. *)
 
-val resolve_worker : unit -> string
-(** [$CMO_DIST_WORKER] when set, else [cmoc_worker.exe] next to the
+val resolve_worker : Options.env -> string
+(** [env_dist_worker] ([$CMO_DIST_WORKER]) when set, else [cmoc_worker.exe] next to the
     running executable, else [../bin/cmoc_worker.exe] from there (the
     dune layout seen from test and bench executables).  The result may
     not exist — {!create_pool} checks. *)
 
-val create_pool :
-  ?worker:string ->
-  ?timeout_s:float ->
-  ?deadline_s:float ->
-  ?workers:string list ->
-  ?chaos:string ->
-  unit ->
-  pool
+val create_pool : ?timeout_s:float -> ?workers:string list -> unit -> pool
 (** Prepare a worker pool: no connections yet; each concurrent
     {!run_job} checks out an idle worker, else dials a [workers]
     endpoint (round-robin, skipping breaker-retired ones), else
     spawns a local process — all verified by handshake before their
     first job, all reused across jobs.  [timeout_s] (default
     [$CMO_DIST_TIMEOUT], else 60) bounds every parent-side read — the
-    distributed build's hang bound.  [deadline_s] (default
-    [$CMO_DIST_DEADLINE], else none) is the straggler bound: a job
-    unfinished after this long is redone locally even while
-    heartbeats prove its worker alive.  [workers] defaults to
-    [$CMO_DIST_WORKERS].  An endpoint is retired for the pool's life
-    after 3 consecutive losses (any completed job resets the count)
-    or a version refusal.  [chaos] (default [$CMO_DIST_CHAOS])
-    accepts [kill@K]: kill the active worker at the K-th protocol
-    event (each send and each receive counts), once.
+    distributed build's hang bound.  [$CMO_DIST_DEADLINE] (default
+    none) is the straggler bound: a job unfinished after this long is
+    redone locally even while heartbeats prove its worker alive.
+    [workers] defaults to [$CMO_DIST_WORKERS].  Every knob is parsed
+    by {!Options.from_env} afresh for each pool.  An endpoint is
+    retired for the pool's life after 3 consecutive losses (any
+    completed job resets the count) or a version refusal.  Each send
+    and each receive of {!run_job} is one event on the fault plan's
+    [proc] clock, where [kill@K] destroys the active worker.
     @raise Unavailable when the worker binary does not exist and no
     endpoint was given. *)
 
@@ -259,7 +253,7 @@ val jobs_total : unit -> int
 (** Partition jobs completed on worker processes. *)
 
 val lost_total : unit -> int
-(** Workers lost (chaos kills included) plus remote failure reports —
+(** Workers lost (injected kills included) plus remote failure reports —
     each one a partition degraded to local recompute. *)
 
 val events_total : unit -> int

@@ -31,7 +31,7 @@ type env = {
   env_check : bool;  (* CMO_CHECK: anything but unset/""/"0" *)
   env_trace : string option;  (* CMO_TRACE: trace output path *)
   env_fuzz_seed : int option;  (* CMO_FUZZ_SEED, else QCHECK_SEED *)
-  env_fault : string option;  (* CMO_FAULT: fsio fault-plan spec *)
+  env_fault : string option;  (* CMO_FAULT: fault-plan spec, every site *)
   env_socket : string option;  (* CMO_SOCKET: cmocd socket path *)
   env_daemon_jobs : int;  (* CMO_DAEMON_JOBS, >= 1; else 2 *)
   env_queue_max : int;  (* CMO_QUEUE_MAX, >= 1; else 64 *)
@@ -40,7 +40,11 @@ type env = {
   env_dist_workers : string list;  (* CMO_DIST_WORKERS: host:port,... *)
   env_dist_timeout : float option;  (* CMO_DIST_TIMEOUT: read deadline, s *)
   env_dist_deadline : float option;  (* CMO_DIST_DEADLINE: straggler bound, s *)
-  env_net_fault : string option;  (* CMO_NET_FAULT: netio fault-plan spec *)
+  env_dist_expect_fp : string option;  (* CMO_DIST_EXPECT_FP: pinned Hello fp *)
+  env_worker_fp : string option;  (* CMO_WORKER_FP: fp a worker reports *)
+  env_worker_hb : float;  (* CMO_WORKER_HB, >= 0; else 5 *)
+  env_worker_slow_s : float;  (* CMO_WORKER_SLOW_S, >= 0; else 0 *)
+  env_worker_log : string option;  (* CMO_WORKER_LOG: worker log level *)
   env_cohort : string option;  (* CMO_COHORT: default profile cohort *)
   env_flip_threshold : float option;  (* CMO_FLIP_THRESHOLD, in (0,1] *)
 }
@@ -49,26 +53,30 @@ let from_env ?(get = Sys.getenv_opt) () =
   let int_of name =
     Option.bind (get name) (fun s -> int_of_string_opt (String.trim s))
   in
+  let float_of name =
+    Option.bind (get name) (fun s -> float_of_string_opt (String.trim s))
+  in
+  let string_of name = match get name with Some "" | None -> None | some -> some in
+  let flag name = match get name with Some ("" | "0") | None -> false | Some _ -> true in
+  let nonneg name default =
+    match float_of name with Some f when f >= 0.0 -> f | _ -> default
+  in
   {
     env_jobs = (match int_of "CMO_JOBS" with Some n when n >= 1 -> n | _ -> 1);
-    env_check =
-      (match get "CMO_CHECK" with Some ("" | "0") | None -> false | Some _ -> true);
-    env_trace = (match get "CMO_TRACE" with Some "" | None -> None | some -> some);
+    env_check = flag "CMO_CHECK";
+    env_trace = string_of "CMO_TRACE";
     env_fuzz_seed =
       (match int_of "CMO_FUZZ_SEED" with
       | Some _ as s -> s
       | None -> int_of "QCHECK_SEED");
-    env_fault = (match get "CMO_FAULT" with Some "" | None -> None | some -> some);
-    env_socket =
-      (match get "CMO_SOCKET" with Some "" | None -> None | some -> some);
+    env_fault = string_of "CMO_FAULT";
+    env_socket = string_of "CMO_SOCKET";
     env_daemon_jobs =
       (match int_of "CMO_DAEMON_JOBS" with Some n when n >= 1 -> n | _ -> 2);
     env_queue_max =
       (match int_of "CMO_QUEUE_MAX" with Some n when n >= 1 -> n | _ -> 64);
-    env_dist =
-      (match get "CMO_DIST" with Some ("" | "0") | None -> false | Some _ -> true);
-    env_dist_worker =
-      (match get "CMO_DIST_WORKER" with Some "" | None -> None | some -> some);
+    env_dist = flag "CMO_DIST";
+    env_dist_worker = string_of "CMO_DIST_WORKER";
     env_dist_workers =
       (match get "CMO_DIST_WORKERS" with
       | Some s ->
@@ -77,28 +85,21 @@ let from_env ?(get = Sys.getenv_opt) () =
         |> List.filter (fun a -> a <> "")
       | None -> []);
     env_dist_timeout =
-      (match
-         Option.bind (get "CMO_DIST_TIMEOUT") (fun s ->
-             float_of_string_opt (String.trim s))
-       with
+      (match float_of "CMO_DIST_TIMEOUT" with
       | Some t when t > 0.0 -> Some t
       | _ -> None);
     env_dist_deadline =
-      (match
-         Option.bind (get "CMO_DIST_DEADLINE") (fun s ->
-             float_of_string_opt (String.trim s))
-       with
+      (match float_of "CMO_DIST_DEADLINE" with
       | Some t when t > 0.0 -> Some t
       | _ -> None);
-    env_net_fault =
-      (match get "CMO_NET_FAULT" with Some "" | None -> None | some -> some);
-    env_cohort =
-      (match get "CMO_COHORT" with Some "" | None -> None | some -> some);
+    env_dist_expect_fp = string_of "CMO_DIST_EXPECT_FP";
+    env_worker_fp = string_of "CMO_WORKER_FP";
+    env_worker_hb = nonneg "CMO_WORKER_HB" 5.0;
+    env_worker_slow_s = nonneg "CMO_WORKER_SLOW_S" 0.0;
+    env_worker_log = string_of "CMO_WORKER_LOG";
+    env_cohort = string_of "CMO_COHORT";
     env_flip_threshold =
-      (match
-         Option.bind (get "CMO_FLIP_THRESHOLD") (fun s ->
-             float_of_string_opt (String.trim s))
-       with
+      (match float_of "CMO_FLIP_THRESHOLD" with
       | Some f when f > 0.0 && f <= 1.0 -> Some f
       | _ -> None);
   }

@@ -89,9 +89,12 @@ type t = {
           pool default, 60).  Defaults to [$CMO_DIST_TIMEOUT]. *)
 }
 
-(** Process-tree environment defaults, parsed once by {!from_env}.
-    Every [CMO_*] knob resolves here so [cmoc], the test helpers and
-    the bench campaigns agree on the parse. *)
+(** Process-tree environment defaults, parsed by {!from_env}.  Every
+    [CMO_*] knob resolves here — nothing else in [lib/] or [bin/]
+    reads the environment — so [cmoc], [cmocd], [cmoc-worker], the
+    test helpers and the bench campaigns agree on the parse.  The
+    distributed pool re-parses at pool creation, so a process can flip
+    its knobs between builds. *)
 type env = {
   env_jobs : int;  (** [$CMO_JOBS] when >= 1, else 1. *)
   env_check : bool;  (** [$CMO_CHECK]: any value but unset, [""], ["0"]. *)
@@ -100,9 +103,9 @@ type env = {
       (** [$CMO_FUZZ_SEED], else [$QCHECK_SEED] — the shared seed for
           every property-based suite and the fuzz campaign. *)
   env_fault : string option;
-      (** [$CMO_FAULT] when non-empty: an {!Cmo_support.Fsio}
-          fault-plan spec the driver installs before building
-          ([cmoc --fault-plan] overrides it). *)
+      (** [$CMO_FAULT] when non-empty: a {!Cmo_support.Faults} plan
+          spec (disk, wire and worker-kill faults) the driver installs
+          before building ([cmoc --fault-plan] overrides it). *)
   env_socket : string option;
       (** [$CMO_SOCKET] when non-empty: the Unix-domain socket path
           [cmocd] listens on and [cmoc --remote] connects to. *)
@@ -131,12 +134,24 @@ type env = {
           straggler bound in seconds — a job still unfinished after
           this long is redone locally even while the worker's
           heartbeats prove it alive.  Unset = no straggler redo. *)
-  env_net_fault : string option;
-      (** [$CMO_NET_FAULT] when non-empty: a {!Cmo_support.Netio}
-          fault-plan spec [cmoc] installs before building.  Installed
-          by the parent only — worker and daemon binaries ignore it,
-          so the plan models a flaky network as seen from the
-          build. *)
+  env_dist_expect_fp : string option;
+      (** [$CMO_DIST_EXPECT_FP] when non-empty: the fingerprint every
+          worker's [Hello] must report (fleet deployments pin it);
+          otherwise the local worker binary's digest. *)
+  env_worker_fp : string option;
+      (** [$CMO_WORKER_FP] when non-empty: the fingerprint a worker
+          reports in its [Hello] instead of its binary's digest (the
+          version-skew tests' lever). *)
+  env_worker_hb : float;
+      (** [$CMO_WORKER_HB] when a float >= 0, else 5: a worker's
+          heartbeat period in seconds while a job runs (0 disables). *)
+  env_worker_slow_s : float;
+      (** [$CMO_WORKER_SLOW_S] when a float >= 0, else 0: a worker
+          sleeps this long before each job (the straggler tests'
+          lever). *)
+  env_worker_log : string option;
+      (** [$CMO_WORKER_LOG] when non-empty: [cmoc-worker]'s stderr log
+          level ([debug] or [info]). *)
   env_cohort : string option;
       (** [$CMO_COHORT] when non-empty: the default cohort name for
           [cmoc profile push/pull --cohort]. *)

@@ -1,5 +1,6 @@
 module Obs = Cmo_obs.Obs
 module Fsio = Cmo_support.Fsio
+module Faults = Cmo_support.Faults
 module Netio = Cmo_support.Netio
 module Codec = Cmo_support.Codec
 module Store = Cmo_cache.Store
@@ -201,12 +202,12 @@ let execute t (b : Proto.build_req) =
     | None -> with_shared t.gate build
     | Some spec ->
       with_exclusive t.gate @@ fun () ->
-      (match Fsio.install_plan spec with
+      (match Faults.install spec with
       | Error m ->
         raise (Pipeline.Compile_error (Printf.sprintf "bad fault plan: %s" m))
       | Ok () -> ());
       Fun.protect build ~finally:(fun () ->
-          Fsio.clear_plan ();
+          Faults.clear ();
           Mutex.lock t.session_lock;
           Fun.protect
             ~finally:(fun () -> Mutex.unlock t.session_lock)

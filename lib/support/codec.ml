@@ -125,7 +125,7 @@ module Reader = struct
 
   let string t =
     let len = uvarint t in
-    if t.pos + len > String.length t.data then corrupt "string overruns input";
+    if len < 0 || len > String.length t.data - t.pos then corrupt "string overruns input";
     let s = String.sub t.data t.pos len in
     t.pos <- t.pos + len;
     s

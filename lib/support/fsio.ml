@@ -26,113 +26,20 @@ let crc32 s =
 
 let crc_bits c = Int32.to_int c land 0xffffffff
 
-(* ---- fault plans ---- *)
-
-type kind = Enospc | Eio | Short | Transient | Crash_op
-
-type plan = {
-  seed : int;
-  faults : (int * kind) list;
-  ops : int Atomic.t;
-  injections : int Atomic.t;
-  mutable crashed : bool;
-}
-
-let active : plan option Atomic.t = Atomic.make None
-
-let parse spec =
-  let tokens =
-    String.split_on_char ',' spec
-    |> List.map String.trim
-    |> List.filter (fun s -> s <> "")
-  in
-  if tokens = [] then Error "empty fault plan"
-  else
-    let seed = ref 0 in
-    let faults = ref [] in
-    let err = ref None in
-    let fail fmt = Printf.ksprintf (fun m -> err := Some m) fmt in
-    List.iter
-      (fun tok ->
-        if !err <> None then ()
-        else if tok = "count" then ()
-        else
-          match String.index_opt tok '@' with
-          | Some i -> (
-            let kind = String.sub tok 0 i in
-            let at = String.sub tok (i + 1) (String.length tok - i - 1) in
-            match (int_of_string_opt at, kind) with
-            | None, _ | Some 0, _ ->
-              fail "bad operation index in %S (want kind@K, K >= 1)" tok
-            | Some k, _ when k < 1 ->
-              fail "bad operation index in %S (want kind@K, K >= 1)" tok
-            | Some k, "crash" -> faults := (k, Crash_op) :: !faults
-            | Some k, "enospc" -> faults := (k, Enospc) :: !faults
-            | Some k, "eio" -> faults := (k, Eio) :: !faults
-            | Some k, "short" -> faults := (k, Short) :: !faults
-            | Some k, "transient" -> faults := (k, Transient) :: !faults
-            | Some _, _ ->
-              fail
-                "unknown fault kind %S (want crash, enospc, eio, short or \
-                 transient)"
-                kind)
-          | None -> (
-            match String.index_opt tok '=' with
-            | Some i when String.sub tok 0 i = "seed" -> (
-              match
-                int_of_string_opt
-                  (String.sub tok (i + 1) (String.length tok - i - 1))
-              with
-              | Some s -> seed := s
-              | None -> fail "bad seed in %S" tok)
-            | _ -> fail "unknown fault-plan token %S" tok))
-      tokens;
-    match !err with
-    | Some m -> Error m
-    | None ->
-      Ok
-        {
-          seed = !seed;
-          faults = List.rev !faults;
-          ops = Atomic.make 0;
-          injections = Atomic.make 0;
-          crashed = false;
-        }
-
-let install_plan spec =
-  match parse spec with
-  | Ok p ->
-    Atomic.set active (Some p);
-    Ok ()
-  | Error _ as e -> e
-
-let clear_plan () = Atomic.set active None
-
-let plan_active () = Atomic.get active <> None
-
-let op_count () =
-  match Atomic.get active with Some p -> Atomic.get p.ops | None -> 0
-
-let injected () =
-  match Atomic.get active with Some p -> Atomic.get p.injections | None -> 0
-
-let retries_total = Atomic.make 0
-
-let retries () = Atomic.get retries_total
+(* ---- fault injection (the [fs] site of {!Faults}) ---- *)
 
 (* How much of a torn write survived: a deterministic function of the
    plan seed and the operation index, covering the full [0, len]
    range so a sweep reaches "nothing written" and "everything written
    but not yet durable" as well as every cut in between. *)
-let prefix_len plan k len =
-  if len <= 0 then 0
-  else
-    let g = Prng.create (plan.seed lxor ((k * 0x9e3779b9) land max_int)) in
-    Prng.int g (len + 1)
+let prefix_len k len = if len <= 0 then 0 else Prng.int (Faults.draw k) (len + 1)
 
-(* What the injection layer tells a primitive to do about the
-   operation it is about to perform.  With no plan installed the
-   check is the single [Atomic.get]. *)
+let injected_error path msg name k op =
+  Sys_error
+    (Printf.sprintf "%s: %s (injected %s at io op %d, %s)" path msg name k op)
+
+(* What the injection layer tells a write-class primitive to do about
+   the operation it is about to perform. *)
 type verdict =
   | Proceed
   | Inert  (* post-crash write: do nothing, report success *)
@@ -140,40 +47,26 @@ type verdict =
   | Shortw of int  (* write this prefix, then raise [Sys_error] *)
   | Flaky of int  (* fail this many attempts transiently, then proceed *)
 
-let verdict ~read op path len =
-  match Atomic.get active with
-  | None -> Proceed
-  | Some p ->
-    if p.crashed then if read then raise Crash else Inert
-    else begin
-      let k = 1 + Atomic.fetch_and_add p.ops 1 in
-      match List.assoc_opt k p.faults with
-      | None -> Proceed
-      | Some f -> (
-        Atomic.incr p.injections;
-        Obs.tick "io" "injected" 1;
-        let fail msg name =
-          raise
-            (Sys_error
-               (Printf.sprintf "%s: %s (injected %s at io op %d, %s)" path msg
-                  name k op))
-        in
-        match f with
-        | Enospc -> fail "No space left on device" "enospc"
-        | Eio -> fail "Input/output error" "eio"
-        | Transient -> Flaky 2
-        | Crash_op ->
-          p.crashed <- true;
-          if read then raise Crash else Cut (prefix_len p k len)
-        | Short ->
-          if read then fail "Input/output error" "short"
-          else Shortw (prefix_len p k len))
-    end
+let verdict op path len =
+  match Faults.check Faults.fs with
+  | Pass -> Proceed
+  | Tripped -> Inert
+  | Fire (Enospc, k) -> raise (injected_error path "No space left on device" "enospc" k op)
+  | Fire (Eio, k) -> raise (injected_error path "Input/output error" "eio" k op)
+  | Fire (Transient, _) -> Flaky 2
+  | Fire (Crash, k) -> Cut (prefix_len k len)
+  | Fire (Short, k) -> Shortw (prefix_len k len)
 
-let flaky_of = function
-  | Proceed -> 0
-  | Flaky n -> n
-  | Inert | Cut _ | Shortw _ -> assert false (* impossible for reads *)
+(* The read-class check: how many attempts fail transiently.  A
+   crashed process cannot read, so the sticky state re-raises. *)
+let read_flaky op path =
+  match Faults.check Faults.fs with
+  | Pass -> 0
+  | Tripped | Fire (Crash, _) -> raise Crash
+  | Fire (Transient, _) -> 2
+  | Fire (Enospc, k) -> raise (injected_error path "No space left on device" "enospc" k op)
+  | Fire (Eio, k) -> raise (injected_error path "Input/output error" "eio" k op)
+  | Fire (Short, k) -> raise (injected_error path "Input/output error" "short" k op)
 
 (* ---- bounded retries with seeded-jitter backoff ---- *)
 
@@ -190,15 +83,6 @@ let is_transient_msg m =
   || contains m "Resource temporarily"
   || contains m "injected transient"
 
-let backoff attempt =
-  let seed = match Atomic.get active with Some p -> p.seed | None -> 0 in
-  let g = Prng.create (seed lxor ((attempt * 0x85ebca6b) land max_int)) in
-  Unix.sleepf (0.0005 *. float_of_int (1 lsl attempt) *. (1.0 +. Prng.float g 1.0))
-
-let note_retry () =
-  Atomic.incr retries_total;
-  Obs.tick "io" "retries" 1
-
 (* One logical operation's syscall, with up to [max_attempts] tries
    for transient failures.  The first [flaky] attempts fail by
    injection; a real error retries only when it looks EINTR/EAGAIN
@@ -212,15 +96,15 @@ let with_retries ~flaky ~path ~op f =
           (Sys_error
              (Printf.sprintf "%s: persistent transient failure (%s)" path op))
       else begin
-        note_retry ();
-        backoff attempt;
+        Faults.note_retry Faults.fs;
+        Faults.backoff attempt;
         go (attempt + 1)
       end
     else
       try f ()
       with Sys_error m when attempt < max_attempts && is_transient_msg m ->
-        note_retry ();
-        backoff attempt;
+        Faults.note_retry Faults.fs;
+        Faults.backoff attempt;
         go (attempt + 1)
   in
   go 1
@@ -228,7 +112,7 @@ let with_retries ~flaky ~path ~op f =
 (* Write-class operation with no meaningful partial state: fsync,
    rename, remove, mkdir, truncate. *)
 let simple_op op path f =
-  match verdict ~read:false op path 0 with
+  match verdict op path 0 with
   | Inert -> ()
   | Proceed -> with_retries ~flaky:0 ~path ~op f
   | Flaky n -> with_retries ~flaky:n ~path ~op f
@@ -241,7 +125,7 @@ let sys_error_of_unix path e = Sys_error (path ^ ": " ^ Unix.error_message e)
 (* ---- whole files ---- *)
 
 let read_file path =
-  let flaky = flaky_of (verdict ~read:true "read" path 0) in
+  let flaky = read_flaky "read" path in
   with_retries ~flaky ~path ~op:"read" @@ fun () ->
   let ic = open_in_bin path in
   Fun.protect
@@ -271,7 +155,7 @@ let atomic_write path data =
         flush oc)
   in
   let inert = ref false in
-  (match verdict ~read:false "write" tmp (String.length data) with
+  (match verdict "write" tmp (String.length data) with
   | Inert -> inert := true
   | Proceed -> with_retries ~flaky:0 ~path:tmp ~op:"write" (fun () -> write_tmp None)
   | Flaky n -> with_retries ~flaky:n ~path:tmp ~op:"write" (fun () -> write_tmp None)
@@ -362,18 +246,19 @@ let valid_prefix_string s =
    it.  Shared by the build-server wire protocol and the distributed
    partition-worker pipes. *)
 
-let rec write_all fd s off len =
-  if len > 0 then begin
-    let n =
-      try Unix.write_substring fd s off len
-      with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-    in
-    write_all fd s (off + n) (len - n)
-  end
+let write_all fd s =
+  let rec go off len =
+    if len > 0 then begin
+      let n =
+        try Unix.write_substring fd s off len
+        with Unix.Unix_error (Unix.EINTR, _, _) -> 0
+      in
+      go (off + n) (len - n)
+    end
+  in
+  go 0 (String.length s)
 
-let write_framed fd payload =
-  let data = frame payload in
-  write_all fd data 0 (String.length data)
+let write_framed fd payload = write_all fd (frame payload)
 
 (* Read exactly [n] bytes; [`Eof got] when the peer closes early,
    [`Timeout] when [timeout_s] elapses between reads with the count
@@ -439,7 +324,7 @@ let open_append ?(trunc = false) path =
     let oc = open_out_gen flags 0o644 path in
     { apath = path; oc = Some oc; pos = out_channel_length oc }
   in
-  match verdict ~read:false "open" path 0 with
+  match verdict "open" path 0 with
   | Inert -> { apath = path; oc = None; pos = 0 }
   | Proceed -> with_retries ~flaky:0 ~path ~op:"open" really
   | Flaky n -> with_retries ~flaky:n ~path ~op:"open" really
@@ -458,18 +343,20 @@ let append_record a payload =
     | Some n -> output_substring oc data 0 n);
     flush oc
   in
-  match verdict ~read:false "append" a.apath len with
-  | Inert ->
-    a.pos <- start + len;
-    start
-  | (Proceed | Flaky _) as v -> (
+  let append flaky =
     match a.oc with
     | None -> raise (Sys_error (a.apath ^ ": append to a closed stream"))
     | Some oc ->
-      with_retries ~flaky:(flaky_of v) ~path:a.apath ~op:"append" (fun () ->
-          write None oc);
+      with_retries ~flaky ~path:a.apath ~op:"append" (fun () -> write None oc);
       a.pos <- start + len;
-      start)
+      start
+  in
+  match verdict "append" a.apath len with
+  | Inert ->
+    a.pos <- start + len;
+    start
+  | Proceed -> append 0
+  | Flaky n -> append n
   | Cut n ->
     (match a.oc with
     | Some oc -> ( try write (Some n) oc with Sys_error _ -> ())
@@ -493,10 +380,7 @@ let close_append ?(fsync = false) a =
   | None -> ()
   | Some oc ->
     a.oc <- None;
-    let crashed =
-      match Atomic.get active with Some p -> p.crashed | None -> false
-    in
-    if not crashed && fsync then (
+    if fsync && not (Faults.tripped Faults.fs) then (
       try
         simple_op "fsync" a.apath (fun () ->
             flush oc;
@@ -506,7 +390,7 @@ let close_append ?(fsync = false) a =
     close_out_noerr oc
 
 let read_record ?expect_crc path ~offset ~length =
-  let flaky = flaky_of (verdict ~read:true "read" path 0) in
+  let flaky = read_flaky "read" path in
   with_retries ~flaky ~path ~op:"read" @@ fun () ->
   let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
@@ -527,7 +411,7 @@ let read_record ?expect_crc path ~offset ~length =
   payload
 
 let read_span path ~offset ~length =
-  let flaky = flaky_of (verdict ~read:true "read" path 0) in
+  let flaky = read_flaky "read" path in
   with_retries ~flaky ~path ~op:"read" @@ fun () ->
   let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
@@ -541,7 +425,7 @@ let read_span path ~offset ~length =
 let valid_prefix path =
   if not (Sys.file_exists path) then (0, 0)
   else begin
-    let flaky = flaky_of (verdict ~read:true "scan" path 0) in
+    let flaky = read_flaky "scan" path in
     with_retries ~flaky ~path ~op:"scan" @@ fun () ->
     let ic = open_in_bin path in
     Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->

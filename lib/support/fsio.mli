@@ -28,59 +28,22 @@
       is never raised unless a plan with a [crash@k] directive is
       installed; production code must let it propagate.
 
-    {2 Fault plans}
+    {2 Fault injection}
 
-    A plan is a comma-separated spec, installed process-wide:
-
-    - [count] — inject nothing, just number the operations (the sweep
-      harness uses this to size a sweep);
-    - [crash@K] — simulated power cut at operation K;
-    - [enospc@K] / [eio@K] — fail operation K with the corresponding
-      error;
-    - [short@K] — write only a seeded prefix at operation K, then
-      fail (the torn tail is repaired back to the record boundary
-      where the framing allows it);
-    - [transient@K] — operation K fails with an EINTR-class error
-      that succeeds on retry (exercises the backoff path);
-    - [seed=N] — seeds the torn-write prefix lengths and the retry
-      jitter.
-
-    Operations are numbered from 1 in execution order; with [jobs = 1]
-    a build's sequence is deterministic, which is what makes
-    "crash at the k-th operation" a meaningful sweep axis.
-
-    With no plan installed every entry point's injection check is a
-    single atomic load — the hot path costs nothing else. *)
+    This module is the [fs] site of the {!Faults} plan: each durable
+    operation (a read, write, fsync, rename, append, ...) is numbered
+    on the fs clock, retries of one logical operation do not
+    re-count, and the plan's [crash],
+    [enospc], [eio], [short] and [transient] faults land here (grammar
+    and semantics in {!Faults}).  With no plan installed every entry
+    point's injection check is a single atomic load — the hot path
+    costs nothing else. *)
 
 exception Crash
 (** Simulated power cut (see above).  Only a fault plan raises this. *)
 
 exception Corrupt_record of { path : string; offset : int; reason : string }
 (** A framed record failed its magic, length or CRC check. *)
-
-(** {2 Fault plans} *)
-
-val install_plan : string -> (unit, string) result
-(** Parse and install a plan spec (see above); replaces any current
-    plan and resets the operation counter.  [Error] describes the
-    first bad token. *)
-
-val clear_plan : unit -> unit
-(** Remove the plan; injection checks return to the single-load fast
-    path and the crashed state is reset. *)
-
-val plan_active : unit -> bool
-
-val op_count : unit -> int
-(** Operations performed under the current plan (0 with no plan).
-    Retries of one logical operation do not re-count. *)
-
-val injected : unit -> int
-(** Faults injected so far under the current plan. *)
-
-val retries : unit -> int
-(** Process-lifetime count of I/O retries (also ticked to the
-    [io/retries] Obs counter). *)
 
 (** {2 Whole files} *)
 
@@ -145,6 +108,11 @@ val scan_frame : string -> pos:int -> scan
 val valid_prefix_string : string -> int
 (** In-memory analogue of {!valid_prefix}: the end offset of the
     longest prefix of whole, CRC-valid records. *)
+
+val write_all : Unix.file_descr -> string -> unit
+(** Write every byte of a string to a pipe or socket (blocking,
+    restarts on EINTR); outside the fault-injection chokepoint, like
+    {!write_framed}, which is [write_all fd (frame payload)]. *)
 
 val write_framed : Unix.file_descr -> string -> unit
 (** Write one framed message to a pipe or socket (blocking, restarts

@@ -1,122 +1,4 @@
-module Obs = Cmo_obs.Obs
-
-(* ---- fault plans (Fsio's scheme, applied to the wire) ---- *)
-
-type kind = Drop | Stall | Garble | Reset | Partition
-
-type plan = {
-  seed : int;
-  faults : (int * kind) list;
-  ops : int Atomic.t;
-  injections : int Atomic.t;
-  mutable partitioned : bool;
-}
-
-let active : plan option Atomic.t = Atomic.make None
-
-let parse spec =
-  let tokens =
-    String.split_on_char ',' spec
-    |> List.map String.trim
-    |> List.filter (fun s -> s <> "")
-  in
-  if tokens = [] then Error "empty net-fault plan"
-  else
-    let seed = ref 0 in
-    let faults = ref [] in
-    let err = ref None in
-    let fail fmt = Printf.ksprintf (fun m -> err := Some m) fmt in
-    List.iter
-      (fun tok ->
-        if !err <> None then ()
-        else if tok = "count" then ()
-        else
-          match String.index_opt tok '@' with
-          | Some i -> (
-            let kind = String.sub tok 0 i in
-            let at = String.sub tok (i + 1) (String.length tok - i - 1) in
-            match (int_of_string_opt at, kind) with
-            | None, _ | Some 0, _ ->
-              fail "bad operation index in %S (want kind@K, K >= 1)" tok
-            | Some k, _ when k < 1 ->
-              fail "bad operation index in %S (want kind@K, K >= 1)" tok
-            | Some k, "drop" -> faults := (k, Drop) :: !faults
-            | Some k, "stall" -> faults := (k, Stall) :: !faults
-            | Some k, "garble" -> faults := (k, Garble) :: !faults
-            | Some k, "reset" -> faults := (k, Reset) :: !faults
-            | Some k, "partition" -> faults := (k, Partition) :: !faults
-            | Some _, _ ->
-              fail
-                "unknown net-fault kind %S (want drop, stall, garble, reset \
-                 or partition)"
-                kind)
-          | None -> (
-            match String.index_opt tok '=' with
-            | Some i when String.sub tok 0 i = "seed" -> (
-              match
-                int_of_string_opt
-                  (String.sub tok (i + 1) (String.length tok - i - 1))
-              with
-              | Some s -> seed := s
-              | None -> fail "bad seed in %S" tok)
-            | _ -> fail "unknown net-fault-plan token %S" tok))
-      tokens;
-    match !err with
-    | Some m -> Error m
-    | None ->
-      Ok
-        {
-          seed = !seed;
-          faults = List.rev !faults;
-          ops = Atomic.make 0;
-          injections = Atomic.make 0;
-          partitioned = false;
-        }
-
-let install_plan spec =
-  match parse spec with
-  | Ok p ->
-    Atomic.set active (Some p);
-    Ok ()
-  | Error _ as e -> e
-
-let clear_plan () = Atomic.set active None
-
-let plan_active () = Atomic.get active <> None
-
-let op_count () =
-  match Atomic.get active with Some p -> Atomic.get p.ops | None -> 0
-
-let injected () =
-  match Atomic.get active with Some p -> Atomic.get p.injections | None -> 0
-
-let retries_total = Atomic.make 0
-
-let retries () = Atomic.get retries_total
-
-(* What the injection layer tells send/recv to do.  [Severed] is the
-   sticky partitioned state; the one-shot kinds carry the operation
-   index for the error message. *)
-type verdict = Proceed | Severed | Fault of kind * int
-
-let verdict () =
-  match Atomic.get active with
-  | None -> Proceed
-  | Some p ->
-    if p.partitioned then Severed
-    else begin
-      let k = 1 + Atomic.fetch_and_add p.ops 1 in
-      match List.assoc_opt k p.faults with
-      | None -> Proceed
-      | Some f ->
-        Atomic.incr p.injections;
-        Obs.tick "net" "injected" 1;
-        if f = Partition then p.partitioned <- true;
-        Fault (f, k)
-    end
-
-let partitioned () =
-  match Atomic.get active with Some p -> p.partitioned | None -> false
+let partitioned () = Faults.tripped Faults.net
 
 (* ---- addresses ---- *)
 
@@ -152,15 +34,6 @@ let is_transient_connect = function
   | _ -> false
 
 let max_attempts = 3
-
-let backoff attempt =
-  let seed = match Atomic.get active with Some p -> p.seed | None -> 0 in
-  let g = Prng.create (seed lxor ((attempt * 0x85ebca6b) land max_int)) in
-  Unix.sleepf (0.0005 *. float_of_int (1 lsl attempt) *. (1.0 +. Prng.float g 1.0))
-
-let note_retry () =
-  Atomic.incr retries_total;
-  Obs.tick "net" "retries" 1
 
 let connect_once ~timeout_s addr host port =
   let where = format_addr host port in
@@ -202,8 +75,8 @@ let connect ?(timeout_s = 10.0) host port =
     | fd -> fd
     | exception Unix.Unix_error (e, _, _) ->
       if attempt < max_attempts && is_transient_connect e then begin
-        note_retry ();
-        backoff attempt;
+        Faults.note_retry Faults.net;
+        Faults.backoff attempt;
         (* A partition can land while we were backing off. *)
         if partitioned () then
           raise
@@ -247,10 +120,10 @@ let accept fd =
    CRC check — not its framing scan — is what refuses them.  The
    position is a deterministic function of the plan seed and the
    operation index. *)
-let garbled plan k data =
+let garbled k data =
   let b = Bytes.of_string data in
   let lo = if Bytes.length b > Fsio.frame_overhead then Fsio.frame_overhead else 8 in
-  let g = Prng.create (plan.seed lxor ((k * 0x9e3779b9) land max_int)) in
+  let g = Faults.draw k in
   let pos = lo + Prng.int g (Bytes.length b - lo) in
   let bit = Prng.int g 8 in
   Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
@@ -260,43 +133,26 @@ let injected_error name k op =
   Printf.sprintf "injected %s at net op %d, %s" name k op
 
 let send fd payload =
-  match verdict () with
-  | Proceed -> Fsio.write_framed fd payload
-  | Severed -> () (* the network ate it *)
-  | Fault (Drop, _) -> ()
-  | Fault (Partition, _) -> ()
-  | Fault (Stall, k) ->
+  match Faults.check Faults.net with
+  | Pass -> Fsio.write_framed fd payload
+  | Tripped | Fire ((Drop | Partition), _) -> () (* the network ate it *)
+  | Fire (Stall, k) ->
     raise
       (Sys_error
          ("Connection timed out (" ^ injected_error "stall" k "send" ^ ")"))
-  | Fault (Reset, k) ->
+  | Fire (Reset, k) ->
     raise
       (Sys_error
          ("Connection reset by peer (" ^ injected_error "reset" k "send" ^ ")"))
-  | Fault (Garble, k) -> (
-    match Atomic.get active with
-    | Some p ->
-      let data = garbled p k (Fsio.frame payload) in
-      (* Bypass [Fsio.write_framed] — these are already framed (and
-         deliberately damaged) bytes. *)
-      let rec write_all off len =
-        if len > 0 then begin
-          let n =
-            try Unix.write_substring fd data off len
-            with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-          in
-          write_all (off + n) (len - n)
-        end
-      in
-      write_all 0 (String.length data)
-    | None -> Fsio.write_framed fd payload)
+  | Fire (Garble, k) ->
+    (* Already framed, and deliberately damaged, bytes. *)
+    Fsio.write_all fd (garbled k (Fsio.frame payload))
 
 let recv ?timeout_s ?max_payload fd =
-  match verdict () with
-  | Proceed -> Fsio.read_framed ?timeout_s ?max_payload fd
-  | Severed -> Error `Timeout
-  | Fault ((Drop | Stall | Partition), _) -> Error `Timeout
-  | Fault (Reset, k) ->
+  match Faults.check Faults.net with
+  | Pass -> Fsio.read_framed ?timeout_s ?max_payload fd
+  | Tripped | Fire ((Drop | Stall | Partition), _) -> Error `Timeout
+  | Fire (Reset, k) ->
     Error (`Bad ("connection reset by peer (" ^ injected_error "reset" k "recv" ^ ")"))
-  | Fault (Garble, k) ->
+  | Fire (Garble, k) ->
     Error (`Bad ("crc mismatch (" ^ injected_error "garble" k "recv" ^ ")"))

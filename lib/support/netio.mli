@@ -20,66 +20,18 @@
     out the deadline, so a partition sweep over hundreds of protocol
     events costs seconds, not hours.
 
-    {2 Fault plans}
+    {2 Fault injection}
 
-    A plan is a comma-separated spec, installed process-wide (never
-    inherited — each binary decides whether to install
-    [$CMO_NET_FAULT]; [cmoc] does, [cmoc-worker] and [cmocd] do not,
-    so a plan aimed at a build's parent cannot corrupt the far side
-    of its own connections):
-
-    - [count] — inject nothing, just number the operations (sweeps
-      use this to size themselves);
-    - [drop@K] — operation K's message is lost in transit: a send
-      silently succeeds without writing, a receive reports
-      [`Timeout];
-    - [stall@K] — the peer wedges at operation K: a receive reports
-      [`Timeout], a send fails like a filled-and-expired socket
-      buffer ([Sys_error], timed-out);
-    - [garble@K] — operation K's frame is corrupted in transit: a
-      send writes the real frame with one payload bit flipped (the
-      {e peer}'s CRC check refuses it), a receive reports [`Bad]
-      locally;
-    - [reset@K] — the connection dies at operation K
-    ([Sys_error] reset on send, [`Bad] on receive), one-shot;
-    - [partition@K] — the network is severed at operation K and
-      {e stays severed}: every later send is dropped, every later
-      receive reports [`Timeout], and every later {!connect} fails —
-      the machine-loss analogue of {!Fsio}'s crash-inert state;
-    - [seed=N] — seeds the garble bit position and the connect-retry
-      jitter.
-
-    Operations are numbered from 1 in execution order; {!send} and
-    {!recv} each count one operation, {!connect} counts none (so the
-    sweep axis is exactly the protocol-event sequence).  With no plan
-    installed every entry point's injection check is a single atomic
-    load. *)
-
-(** {2 Fault plans} *)
-
-val install_plan : string -> (unit, string) result
-(** Parse and install a plan spec (see above); replaces any current
-    plan and resets the operation counter and partitioned state.
-    [Error] describes the first bad token. *)
-
-val clear_plan : unit -> unit
-(** Remove the plan; injection checks return to the single-load fast
-    path and a severed partition heals. *)
-
-val plan_active : unit -> bool
-
-val op_count : unit -> int
-(** Network operations performed under the current plan (0 with no
-    plan).  Operations suppressed by a sticky partition do not
-    count. *)
-
-val injected : unit -> int
-(** Faults injected so far under the current plan ([partition@K]
-    counts once, at the severing operation). *)
-
-val retries : unit -> int
-(** Process-lifetime count of connect retries (also ticked to the
-    [net/retries] Obs counter). *)
+    This module is the [net] site of the {!Faults} plan: {!send} and
+    {!recv} each number one operation on the net clock, {!connect}
+    numbers none (so the sweep axis is exactly the protocol-event
+    sequence), and the plan's [drop], [stall], [garble], [reset] and
+    [partition] faults land here (grammar and semantics in
+    {!Faults}).  [cmoc-worker] never installs a plan, so a plan aimed
+    at a build's parent cannot corrupt the far side of its own
+    connections.  A sticky [partition] also fails
+    every later {!connect}.  With no plan installed every entry
+    point's injection check is a single atomic load. *)
 
 (** {2 Addresses} *)
 

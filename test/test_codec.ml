@@ -367,4 +367,28 @@ let test_routines =
         (fun data -> canonical_func (Ref.Ilcodec.decode_func ~names data));
       true)
 
-let suite = [ Helpers.to_alcotest test_streams; Helpers.to_alcotest test_routines ]
+(* A string length whose varint sets the sign bit (-1), or one so large
+   that [pos + len] wraps (max_int), is corruption in both readers, not
+   an [Invalid_argument] out of [String.sub]. *)
+let test_string_length_overflow () =
+  List.iter
+    (fun (what, data) ->
+      let got = run_new (fun () -> Codec.Reader.string (Codec.Reader.of_string data)) in
+      let want = Corrupt "string overruns input" in
+      Alcotest.(check string) what (outcome_to_string want) (outcome_to_string got);
+      let got_ref =
+        try Value (Ref.Codec.Reader.string (Ref.Codec.Reader.of_string data)) with
+        | Ref.Codec.Reader.Corrupt m -> Corrupt m
+        | e -> Raised (Printexc.to_string e)
+      in
+      Alcotest.(check string) (what ^ " (reference)") (outcome_to_string want)
+        (outcome_to_string got_ref))
+    [ ("negative length", String.make 8 '\xff' ^ "\x7fabc");
+      ("wrapping length", String.make 8 '\xff' ^ "\x3fabc") ]
+
+let suite =
+  [
+    Helpers.to_alcotest test_streams;
+    Helpers.to_alcotest test_routines;
+    ("codec: string length overflow is corruption", `Quick, test_string_length_overflow);
+  ]

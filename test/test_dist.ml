@@ -12,6 +12,7 @@ module Distwork = Cmo_driver.Distwork
 module Store = Cmo_cache.Store
 module Fsio = Cmo_support.Fsio
 module Netio = Cmo_support.Netio
+module Faults = Cmo_support.Faults
 module Codec = Cmo_support.Codec
 module Memstats = Cmo_naim.Memstats
 module Loader = Cmo_naim.Loader
@@ -32,9 +33,9 @@ let with_closed_store dir f =
   let store = Store.open_ ~dir () in
   Fun.protect ~finally:(fun () -> Store.close store) (fun () -> f store)
 
-(* Set an env knob for the callback's lifetime.  Both dist knobs treat
-   the empty string as unset ([resolve_worker], [parse_chaos]), so
-   restoring an absent variable to [""] is a faithful reset. *)
+(* Set an env knob for the callback's lifetime.  [Options.from_env]
+   treats the empty string as unset, so restoring an absent variable
+   to [""] is a faithful reset. *)
 let with_env name value f =
   let old = Sys.getenv_opt name in
   Unix.putenv name value;
@@ -52,7 +53,7 @@ let usage (b : Pipeline.build) =
 (* Fail loudly rather than silently degrading every dist cell to the
    in-process path: the rest of this suite assumes real processes. *)
 let test_worker_binary_resolves () =
-  let bin = Distwork.resolve_worker () in
+  let bin = Distwork.resolve_worker (Options.from_env ()) in
   Alcotest.(check bool)
     (Printf.sprintf "worker binary exists at %s" bin)
     true (Sys.file_exists bin)
@@ -336,7 +337,7 @@ let test_framed_fd_faults () =
    [$CMO_WORKER_*] levers in the fleet. *)
 let with_fleet n f =
   with_dir @@ fun dir ->
-  let bin = Distwork.resolve_worker () in
+  let bin = Distwork.resolve_worker (Options.from_env ()) in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
   let members =
     List.init n (fun i ->
@@ -523,23 +524,35 @@ let test_kill_sweep () =
           kill_sweep_sources)
   in
   (* A clean distributed run sizes the sweep: its protocol-event count
-     is the number of distinct kill points. *)
+     is the number of distinct kill points, and a counting plan's proc
+     clock numbers exactly those events. *)
   let events0 = Distwork.events_total () in
-  with_dir (fun d ->
-      let b =
-        with_closed_store d (fun store ->
-            Pipeline.compile ~cache:store { options with Options.jobs = 2 }
-              kill_sweep_sources)
-      in
-      same_build "clean dist run = oracle" oracle b;
-      Alcotest.(check bool) "clean dist store bytes = oracle's" true
-        (same_store_bytes d oracle_dir));
+  (match Faults.install "count" with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "count plan rejected: %s" m);
+  let proc_ops =
+    Fun.protect ~finally:Faults.clear @@ fun () ->
+    with_dir (fun d ->
+        let b =
+          with_closed_store d (fun store ->
+              Pipeline.compile ~cache:store { options with Options.jobs = 2 }
+                kill_sweep_sources)
+        in
+        same_build "clean dist run = oracle" oracle b;
+        Alcotest.(check bool) "clean dist store bytes = oracle's" true
+          (same_store_bytes d oracle_dir));
+    Faults.op_count Faults.proc
+  in
   let n = Distwork.events_total () - events0 in
   Alcotest.(check bool)
     (Printf.sprintf "clean dist run spoke the protocol (%d events)" n)
     true (n > 0);
+  Alcotest.(check int) "the proc clock numbers every protocol event" n proc_ops;
   for k = 1 to n do
-    with_env "CMO_DIST_CHAOS" (Printf.sprintf "kill@%d" k) (fun () ->
+    (match Faults.install (Printf.sprintf "kill@%d" k) with
+    | Ok () -> ()
+    | Error m -> Alcotest.failf "kill@%d rejected: %s" k m);
+    Fun.protect ~finally:Faults.clear (fun () ->
         with_dir (fun d ->
             let lost0 = Distwork.lost_total () in
             let b =
@@ -598,11 +611,11 @@ let test_tcp_traced_counters () =
     ]
   in
   let before = totals () in
-  (match Netio.install_plan "reset@2" with
+  (match Faults.install "reset@2" with
   | Ok () -> ()
   | Error m -> Alcotest.failf "reset plan rejected: %s" m);
   let traced =
-    Fun.protect ~finally:Netio.clear_plan @@ fun () ->
+    Fun.protect ~finally:Faults.clear @@ fun () ->
     with_dir @@ fun dir ->
     let options =
       { Options.o4 with Options.trace = Some (Filename.concat dir "trace.json") }
@@ -776,10 +789,10 @@ let test_tcp_partition_sweep () =
   in
   (* A counting plan sizes the sweep: its net-operation count is the
      number of distinct severing points. *)
-  (match Netio.install_plan "count" with
+  (match Faults.install "count" with
   | Ok () -> ()
   | Error m -> Alcotest.failf "count plan rejected: %s" m);
-  Fun.protect ~finally:Netio.clear_plan @@ fun () ->
+  Fun.protect ~finally:Faults.clear @@ fun () ->
   with_dir (fun d ->
       let b =
         with_closed_store d (fun store ->
@@ -789,12 +802,12 @@ let test_tcp_partition_sweep () =
       same_build "clean tcp run = oracle" oracle b;
       Alcotest.(check bool) "clean tcp store bytes = oracle's" true
         (same_store_bytes d oracle_dir));
-  let n = Netio.op_count () in
+  let n = Faults.op_count Faults.net in
   Alcotest.(check bool)
     (Printf.sprintf "clean tcp run used the wire (%d net ops)" n)
     true (n > 0);
   for k = 1 to n do
-    (match Netio.install_plan (Printf.sprintf "partition@%d" k) with
+    (match Faults.install (Printf.sprintf "partition@%d" k) with
     | Ok () -> ()
     | Error m -> Alcotest.failf "partition@%d rejected: %s" k m);
     with_dir (fun d ->
@@ -814,7 +827,7 @@ let test_tcp_partition_sweep () =
           true
           (Distwork.lost_total () > lost0))
   done;
-  Netio.clear_plan ()
+  Faults.clear ()
 
 (* Each transient fault kind at the first protocol event: the
    connection is written off, the partition redone locally, the
@@ -825,10 +838,10 @@ let test_tcp_fault_kinds_recover () =
   let oracle = build ~mode:Threads Options.o4 1 kill_sweep_sources in
   List.iter
     (fun spec ->
-      (match Netio.install_plan spec with
+      (match Faults.install spec with
       | Ok () -> ()
       | Error m -> Alcotest.failf "%s rejected: %s" spec m);
-      Fun.protect ~finally:Netio.clear_plan (fun () ->
+      Fun.protect ~finally:Faults.clear (fun () ->
           let lost0 = Distwork.lost_total () in
           let b = build ~mode:(Tcp endpoints) Options.o4 2 kill_sweep_sources in
           same_build (spec ^ " build = oracle") oracle b;

@@ -5,6 +5,7 @@
    yields a successful, byte-identical rebuild. *)
 
 module Fsio = Cmo_support.Fsio
+module Faults = Cmo_support.Faults
 module Store = Cmo_cache.Store
 module Repository = Cmo_naim.Repository
 module Pipeline = Cmo_driver.Pipeline
@@ -17,10 +18,10 @@ let remove_tree = Helpers.remove_tree
    inside, no plan leaks into the next test. *)
 let with_dir f =
   Helpers.with_dir ~prefix:"cmo_fault" (fun dir ->
-      Fun.protect ~finally:Fsio.clear_plan (fun () -> f dir))
+      Fun.protect ~finally:Faults.clear (fun () -> f dir))
 
 let install spec =
-  match Fsio.install_plan spec with
+  match Faults.install spec with
   | Ok () -> ()
   | Error m -> Alcotest.failf "plan %S rejected: %s" spec m
 
@@ -48,24 +49,166 @@ let write_raw path data =
 
 (* ---------- plan grammar ---------- *)
 
-let test_plan_parse () =
-  Fun.protect ~finally:Fsio.clear_plan @@ fun () ->
-  List.iter
-    (fun spec -> install spec)
+(* Every kind of the one grammar, at its site. *)
+let fs_kinds =
+  Faults.[ ("crash", Crash); ("enospc", Enospc); ("eio", Eio); ("short", Short);
+           ("transient", Transient) ]
+
+let net_kinds =
+  Faults.[ ("drop", Drop); ("stall", Stall); ("garble", Garble); ("reset", Reset);
+           ("partition", Partition) ]
+
+let proc_kinds = Faults.[ ("kill", Kill) ]
+
+let kind_names = List.map fst fs_kinds @ List.map fst net_kinds @ List.map fst proc_kinds
+
+type token = Count | Seed of int | Fault of string * int
+
+let render = function
+  | Count -> "count"
+  | Seed n -> Printf.sprintf "seed=%d" n
+  | Fault (kind, k) -> Printf.sprintf "%s@%d" kind k
+
+let spec_of tokens = String.concat " , " (List.map render tokens)
+
+(* The faults a well-formed token list plants at one site, in spec
+   order. *)
+let expected kinds tokens =
+  List.filter_map
+    (function
+      | Fault (name, k) -> Option.map (fun f -> (k, f)) (List.assoc_opt name kinds)
+      | Count | Seed _ -> None)
+    tokens
+
+let gen_token =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return Count);
+        (1, map (fun n -> Seed n) (int_range (-1000) 1000));
+        (6, map2 (fun kind k -> Fault (kind, k)) (oneofl kind_names) (int_range 1 500));
+      ])
+
+(* Single-token corruptions of a [kind@K] or [seed=N] token; each must
+   make the whole spec fail to install. *)
+let corruptions = function
+  | Count -> []
+  | Seed _ -> [ "seed=x"; "seed="; "seed=1.5" ]
+  | Fault (kind, k) ->
+    [
+      kind ^ "@0";
+      Printf.sprintf "%s@-%d" kind k;
+      kind ^ "@x";
+      kind ^ "@1.5";
+      kind ^ "@";
+      Printf.sprintf "%s@%da" kind k;
+      Printf.sprintf "%s@%d" (String.sub kind 0 (String.length kind - 1)) k;
+      Printf.sprintf "%s=%d" kind k;
+    ]
+
+let arb_spec =
+  QCheck.make
+    ~print:(fun (tokens, _) -> spec_of tokens)
+    QCheck.Gen.(pair (list_size (int_range 1 8) gen_token) nat)
+
+let test_plan_grammar =
+  QCheck.Test.make ~name:"plan grammar" ~count:300 arb_spec (fun (tokens, pick) ->
+      Fun.protect ~finally:Faults.clear @@ fun () ->
+      let spec = spec_of tokens in
+      (match Faults.install spec with
+      | Ok () -> ()
+      | Error m -> QCheck.Test.fail_reportf "%S rejected: %s" spec m);
+      let same_site name site kinds =
+        if Faults.planned site <> expected kinds tokens then
+          QCheck.Test.fail_reportf "%S: wrong %s faults" spec name;
+        if Faults.op_count site <> 0 || Faults.injected site <> 0 then
+          QCheck.Test.fail_reportf "%S: %s clock not reset" spec name
+      in
+      same_site "fs" Faults.fs fs_kinds;
+      same_site "net" Faults.net net_kinds;
+      same_site "proc" Faults.proc proc_kinds;
+      let i = pick mod List.length tokens in
+      List.iter
+        (fun bad ->
+          let spec' =
+            String.concat "," (List.mapi (fun j t -> if j = i then bad else render t) tokens)
+          in
+          match Faults.install spec' with
+          | Ok () -> QCheck.Test.fail_reportf "corrupted %S accepted" spec'
+          | Error _ -> ())
+        (corruptions (List.nth tokens i));
+      true)
+
+(* The fixed lists the per-site grammars were held to, now one
+   grammar: disk kinds are no longer rejected by a wire-only parser,
+   they route to the fs site. *)
+let test_plan_fixed_lists () =
+  Fun.protect ~finally:Faults.clear @@ fun () ->
+  List.iter install
     [ "count"; "crash@1"; "enospc@5,seed=3"; "eio@2,short@7,transient@9";
-      " crash@4 , seed=12 " ];
+      " crash@4 , seed=12 "; "drop@1"; "stall@5,seed=3"; "garble@2,reset@7,partition@9";
+      " drop@4 , seed=12 "; "kill@4"; "crash@3"; "enospc@1" ];
   List.iter
     (fun spec ->
-      match Fsio.install_plan spec with
+      match Faults.install spec with
       | Ok () -> Alcotest.failf "plan %S accepted" spec
       | Error _ -> ())
-    [ ""; "bogus"; "crash@0"; "crash@x"; "flip@3"; "seed=x"; "crash=3" ]
+    [ ""; "bogus"; "crash@0"; "crash@x"; "flip@3"; "seed=x"; "crash=3"; "drop@0";
+      "drop@x"; "drop=3"; " , " ]
+
+(* A typo in a kill spec used to disable the kill silently, so a kill
+   sweep passed without testing anything.  The one parser rejects
+   each, and cmoc reports it exactly like a bad disk fault. *)
+let test_malformed_kill_rejected () =
+  Fun.protect ~finally:Faults.clear @@ fun () ->
+  List.iter
+    (fun spec ->
+      match Faults.install spec with
+      | Ok () -> Alcotest.failf "kill spec %S accepted" spec
+      | Error _ -> ())
+    [ "kill@x"; "kil@3"; "kill@0"; "kill@-2" ];
+  Helpers.with_dir ~prefix:"cmo_fault_cli" @@ fun dir ->
+  let src = Filename.concat dir "m.mc" in
+  write_raw src "func main() { return 0; }\n";
+  List.iter
+    (fun spec ->
+      let status, err = Test_vm.run_cmoc dir [ "compile"; "--fault-plan"; spec; src ] in
+      if status = 0 then Alcotest.failf "cmoc accepted --fault-plan %s" spec;
+      let needle = Printf.sprintf "bad fault plan %S" spec in
+      if not (contains_sub err needle) then
+        Alcotest.failf "--fault-plan %s: stderr %S lacks %S" spec err needle)
+    [ "crash@0"; "kill@x"; "kil@3"; "kill@0"; "kill@-2" ]
+
+(* Each site keeps its own clock: interleaving checks across sites
+   does not move another site's fault. *)
+let test_sites_number_independently () =
+  Fun.protect ~finally:Faults.clear @@ fun () ->
+  install "crash@3,partition@2,kill@4";
+  let fired = ref [] in
+  let note site i = function
+    | Faults.Pass | Faults.Tripped -> ()
+    | Faults.Fire (_, k) -> fired := (site, i, k) :: !fired
+  in
+  for i = 1 to 6 do
+    note "proc" i (Faults.check Faults.proc);
+    note "fs" i (Faults.check Faults.fs);
+    note "net" i (Faults.check Faults.net)
+  done;
+  Alcotest.(check (list (triple string int int)))
+    "each fault fires at its own site's K"
+    [ ("net", 2, 2); ("fs", 3, 3); ("proc", 4, 4) ]
+    (List.rev !fired);
+  (* Sticky faults stop their own clock only. *)
+  Alcotest.(check (list int)) "per-site op counts" [ 3; 2; 4 ]
+    [ Faults.op_count Faults.fs; Faults.op_count Faults.net; Faults.op_count Faults.proc ];
+  Alcotest.(check (list bool)) "every sticky state set" [ true; true; true ]
+    [ Faults.tripped Faults.fs; Faults.tripped Faults.net; Faults.tripped Faults.proc ]
 
 let test_counters_without_plan () =
-  Fsio.clear_plan ();
-  Alcotest.(check bool) "no plan" false (Fsio.plan_active ());
-  Alcotest.(check int) "no ops counted" 0 (Fsio.op_count ());
-  Alcotest.(check int) "no injections" 0 (Fsio.injected ())
+  Faults.clear ();
+  Alcotest.(check bool) "no plan" false (Faults.active ());
+  Alcotest.(check int) "no ops counted" 0 (Faults.op_count Faults.fs);
+  Alcotest.(check int) "no injections" 0 (Faults.injected Faults.fs)
 
 (* ---------- crc32 ---------- *)
 
@@ -95,7 +238,7 @@ let test_atomic_write_crash_states () =
     (match Fsio.atomic_write path "NEW-BYTES!" with
     | () -> Alcotest.failf "crash@%d did not fire" k
     | exception e when is_crash e -> ());
-    Fsio.clear_plan ();
+    Faults.clear ();
     Alcotest.(check string)
       (Printf.sprintf "target intact after crash@%d" k)
       "old-bytes" (read_raw path)
@@ -111,7 +254,7 @@ let test_injected_errors_look_real () =
   | exception Sys_error m ->
     Alcotest.(check bool) "message names the injection" true
       (contains_sub m "injected eio"));
-  Alcotest.(check int) "one injection" 1 (Fsio.injected ())
+  Alcotest.(check int) "one injection" 1 (Faults.injected Faults.fs)
 
 (* ---------- record framing ---------- *)
 
@@ -169,7 +312,7 @@ let test_short_write_repair () =
   | exception Sys_error _ -> ());
   let off = Fsio.append_record a "after-the-fault" in
   Fsio.close_append a;
-  Fsio.clear_plan ();
+  Faults.clear ();
   Alcotest.(check string) "append after repair readable" "after-the-fault"
     (Fsio.read_record path ~offset:off ~length:(String.length "after-the-fault"));
   let valid_end, size = Fsio.valid_prefix path in
@@ -178,15 +321,15 @@ let test_short_write_repair () =
 let test_transient_retry () =
   with_dir @@ fun dir ->
   let path = Filename.concat dir "log" in
-  let before = Fsio.retries () in
+  let before = Faults.retries Faults.fs in
   install "transient@2,seed=5";
   let a = Fsio.open_append path in
   let off = Fsio.append_record a "eventually" in
   Fsio.close_append a;
-  Fsio.clear_plan ();
+  Faults.clear ();
   Alcotest.(check string) "append succeeded through retries" "eventually"
     (Fsio.read_record path ~offset:off ~length:(String.length "eventually"));
-  Alcotest.(check int) "two retries burned" (before + 2) (Fsio.retries ())
+  Alcotest.(check int) "two retries burned" (before + 2) (Faults.retries Faults.fs)
 
 (* ---------- repository framing ---------- *)
 
@@ -242,13 +385,13 @@ let test_store_quarantines_corrupt_record () =
 let test_store_add_degrades_on_fault () =
   with_dir @@ fun dir ->
   let store = Store.open_ ~dir () in
-  Fun.protect ~finally:(fun () -> Fsio.clear_plan (); Store.close store)
+  Fun.protect ~finally:(fun () -> Faults.clear (); Store.close store)
   @@ fun () ->
   Store.add store "good" "kept-bytes";
   (* Fault the next payload append (op 1 under this fresh plan). *)
   install "enospc@1";
   Store.add store "doomed" "lost-bytes";
-  Fsio.clear_plan ();
+  Faults.clear ();
   Alcotest.(check (option string)) "faulted add degraded to absence" None
     (Store.find store "doomed");
   Alcotest.(check (option string)) "earlier artifact unharmed"
@@ -307,8 +450,8 @@ let test_injection_off_is_pure () =
   let plain = build_in plain_dir in
   install "count";
   let counted = build_in counted_dir in
-  let n = Fsio.op_count () in
-  Fsio.clear_plan ();
+  let n = Faults.op_count Faults.fs in
+  Faults.clear ();
   Alcotest.(check bool) "identical build" true (same_build plain counted);
   Alcotest.(check bool) "operations counted" true (n > 0);
   List.iter
@@ -333,8 +476,8 @@ let test_crash_sweep_recovers () =
   fresh ();
   install "count";
   ignore (build_in dir);
-  let n = Fsio.op_count () in
-  Fsio.clear_plan ();
+  let n = Faults.op_count Faults.fs in
+  Faults.clear ();
   Alcotest.(check bool) "sites found" true (n > 0);
   for k = 1 to n do
     fresh ();
@@ -342,7 +485,7 @@ let test_crash_sweep_recovers () =
     (match build_in dir with
     | _ -> Alcotest.failf "crash@%d never fired" k
     | exception e when is_crash e -> ());
-    Fsio.clear_plan ();
+    Faults.clear ();
     match build_in dir with
     | recovered ->
       if not (same_build oracle recovered) then
@@ -475,8 +618,8 @@ let test_pack_crash_sweep () =
   let path = Filename.concat dir "fleet.shards" in
   install "count";
   Ingest.write_pack path pack_shards;
-  let n = Fsio.op_count () in
-  Fsio.clear_plan ();
+  let n = Faults.op_count Faults.fs in
+  Faults.clear ();
   Alcotest.(check bool) "sites found" true (n > 0);
   let clean, clean_skips = Ingest.read_pack path in
   Alcotest.(check int) "clean pack has no skips" 0 clean_skips;
@@ -491,7 +634,7 @@ let test_pack_crash_sweep () =
     (match Ingest.write_pack path pack_shards with
     | () -> Alcotest.failf "crash@%d never fired" k
     | exception e when is_crash e -> ());
-    Fsio.clear_plan ();
+    Faults.clear ();
     (* Degraded read of whatever the crash left. *)
     let got =
       if Sys.file_exists path then fst (Ingest.read_pack path) else []
@@ -593,8 +736,8 @@ let test_cohort_crash_sweep () =
   remove_tree reg_dir;
   install "count";
   ops (Cohort.open_ ~dir:reg_dir);
-  let n = Fsio.op_count () in
-  Fsio.clear_plan ();
+  let n = Faults.op_count Faults.fs in
+  Faults.clear ();
   Alcotest.(check bool) "sites found" true (n > 0);
   for k = 1 to n do
     remove_tree reg_dir;
@@ -602,7 +745,7 @@ let test_cohort_crash_sweep () =
     (match ops (Cohort.open_ ~dir:reg_dir) with
     | () -> Alcotest.failf "crash@%d never fired" k
     | exception e when is_crash e -> ());
-    Fsio.clear_plan ();
+    Faults.clear ();
     (* Whatever the crash left behind, every read degrades — nothing
        raises. *)
     let reg = Cohort.open_ ~dir:reg_dir in
@@ -623,35 +766,35 @@ let test_cohort_crash_sweep () =
 
 module Netio = Cmo_support.Netio
 
-let net_install spec =
-  match Netio.install_plan spec with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "net plan %S rejected: %s" spec m
-
 let with_net_plan spec f =
-  net_install spec;
-  Fun.protect ~finally:Netio.clear_plan f
+  install spec;
+  Fun.protect ~finally:Faults.clear f
 
+(* The wire kinds parse and plant at the net site; disk kinds are
+   accepted by the one grammar but must never reach the wire. *)
 let test_net_plan_parse () =
-  Fun.protect ~finally:Netio.clear_plan @@ fun () ->
-  List.iter net_install
-    [ "count"; "drop@1"; "stall@5,seed=3"; "garble@2,reset@7,partition@9";
-      " drop@4 , seed=12 " ];
+  Fun.protect ~finally:Faults.clear @@ fun () ->
+  List.iter
+    (fun (spec, want) ->
+      install spec;
+      Alcotest.(check bool) (Printf.sprintf "%S net faults" spec) true
+        (Faults.planned Faults.net = want))
+    Faults.
+      [ ("count", []); ("drop@1", [ (1, Drop) ]); ("stall@5,seed=3", [ (5, Stall) ]);
+        ("garble@2,reset@7,partition@9", [ (2, Garble); (7, Reset); (9, Partition) ]);
+        (" drop@4 , seed=12 ", [ (4, Drop) ]); ("crash@3", []); ("enospc@1", []) ];
   List.iter
     (fun spec ->
-      match Netio.install_plan spec with
+      match Faults.install spec with
       | Ok () -> Alcotest.failf "net plan %S accepted" spec
       | Error _ -> ())
-    (* crash/enospc are Fsio kinds — the wire injector must not
-       accept disk faults. *)
-    [ ""; "bogus"; "drop@0"; "drop@x"; "crash@3"; "enospc@1"; "seed=x";
-      "drop=3" ]
+    [ ""; "bogus"; "drop@0"; "drop@x"; "seed=x"; "drop=3" ]
 
 let test_net_counters_without_plan () =
-  Netio.clear_plan ();
-  Alcotest.(check bool) "no plan" false (Netio.plan_active ());
-  Alcotest.(check int) "no ops counted" 0 (Netio.op_count ());
-  Alcotest.(check int) "no injections" 0 (Netio.injected ())
+  Faults.clear ();
+  Alcotest.(check bool) "no plan" false (Faults.active ());
+  Alcotest.(check int) "no ops counted" 0 (Faults.op_count Faults.net);
+  Alcotest.(check int) "no injections" 0 (Faults.injected Faults.net)
 
 let test_net_parse_addr () =
   let ok s = Netio.parse_addr s in
@@ -673,7 +816,7 @@ let with_net_pair f =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
     ~finally:(fun () ->
-      Netio.clear_plan ();
+      Faults.clear ();
       (try Unix.close a with Unix.Unix_error _ -> ());
       try Unix.close b with Unix.Unix_error _ -> ())
     (fun () -> f a b)
@@ -687,8 +830,8 @@ let test_net_counting_is_pure () =
   (match Netio.recv ~timeout_s:1.0 b with
   | Ok payload -> Alcotest.(check string) "payload intact" "across the wire" payload
   | Error _ -> Alcotest.fail "counted recv failed");
-  Alcotest.(check int) "two operations counted" 2 (Netio.op_count ());
-  Alcotest.(check int) "nothing injected" 0 (Netio.injected ())
+  Alcotest.(check int) "two operations counted" 2 (Faults.op_count Faults.net);
+  Alcotest.(check int) "nothing injected" 0 (Faults.injected Faults.net)
 
 let test_net_drop () =
   with_net_pair @@ fun a b ->
@@ -696,7 +839,7 @@ let test_net_drop () =
      read times out for real because nothing was written. *)
   with_net_plan "drop@1" (fun () ->
       Netio.send a "lost";
-      Alcotest.(check int) "drop injected" 1 (Netio.injected ());
+      Alcotest.(check int) "drop injected" 1 (Faults.injected Faults.net);
       match Fsio.read_framed ~timeout_s:0.05 b with
       | Error `Timeout -> ()
       | _ -> Alcotest.fail "dropped send reached the peer");
@@ -766,11 +909,11 @@ let test_net_partition_is_sticky () =
   with_net_pair @@ fun a b ->
   with_net_plan "partition@1" @@ fun () ->
   Netio.send a "severed";
-  Alcotest.(check int) "partition injected once" 1 (Netio.injected ());
+  Alcotest.(check int) "partition injected once" 1 (Faults.injected Faults.net);
   (* Every later operation is suppressed without advancing the
      operation clock: sends write nothing, recvs time out, dials
      fail. *)
-  let ops_after = Netio.op_count () in
+  let ops_after = Faults.op_count Faults.net in
   Netio.send a "also severed";
   (match Netio.recv ~timeout_s:1.0 b with
   | Error `Timeout -> ()
@@ -780,10 +923,10 @@ let test_net_partition_is_sticky () =
     Unix.close fd;
     Alcotest.fail "severed connect succeeded"
   | exception Sys_error _ -> ());
-  Alcotest.(check int) "severed ops do not count" ops_after (Netio.op_count ());
-  Alcotest.(check int) "partition counts once" 1 (Netio.injected ());
+  Alcotest.(check int) "severed ops do not count" ops_after (Faults.op_count Faults.net);
+  Alcotest.(check int) "partition counts once" 1 (Faults.injected Faults.net);
   (* Clearing the plan heals the partition. *)
-  Netio.clear_plan ();
+  Faults.clear ();
   Netio.send a "healed";
   match Netio.recv ~timeout_s:1.0 b with
   | Ok p -> Alcotest.(check string) "post-heal roundtrip" "healed" p
@@ -792,7 +935,7 @@ let test_net_partition_is_sticky () =
 (* Real loopback: listen on an ephemeral port, dial it, move frames
    both ways — the no-plan fast path of the whole connect stack. *)
 let test_net_listen_connect_roundtrip () =
-  Netio.clear_plan ();
+  Faults.clear ();
   let lfd, port = Netio.listen "127.0.0.1" 0 in
   Fun.protect ~finally:(fun () -> try Unix.close lfd with Unix.Unix_error _ -> ())
   @@ fun () ->
@@ -817,7 +960,7 @@ let test_net_listen_connect_roundtrip () =
    protocol's small request/reply frames must not wait on delayed
    ACKs in either direction. *)
 let test_net_nodelay_both_ends () =
-  Netio.clear_plan ();
+  Faults.clear ();
   let lfd, port = Netio.listen "127.0.0.1" 0 in
   Fun.protect ~finally:(fun () -> try Unix.close lfd with Unix.Unix_error _ -> ())
   @@ fun () ->
@@ -838,20 +981,23 @@ let test_net_nodelay_both_ends () =
    Sys_error — an injected-or-real distinction the caller cannot
    see. *)
 let test_net_connect_retries_then_fails () =
-  Netio.clear_plan ();
+  Faults.clear ();
   let lfd, port = Netio.listen "127.0.0.1" 0 in
   Unix.close lfd;
-  let r0 = Netio.retries () in
+  let r0 = Faults.retries Faults.net in
   (match Netio.connect ~timeout_s:0.5 "127.0.0.1" port with
   | fd ->
     Unix.close fd;
     Alcotest.fail "connect to a closed port succeeded"
   | exception Sys_error _ -> ());
-  Alcotest.(check bool) "bounded retries burned" true (Netio.retries () - r0 >= 2)
+  Alcotest.(check bool) "bounded retries burned" true (Faults.retries Faults.net - r0 >= 2)
 
 let suite =
   [
-    ("plan grammar", `Quick, test_plan_parse);
+    Helpers.to_alcotest test_plan_grammar;
+    ("plan grammar fixed lists", `Quick, test_plan_fixed_lists);
+    ("malformed kill specs rejected", `Quick, test_malformed_kill_rejected);
+    ("sites number independently", `Quick, test_sites_number_independently);
     ("counters without a plan", `Quick, test_counters_without_plan);
     ("crc32 check value", `Quick, test_crc32_vector);
     ("atomic write roundtrip", `Quick, test_atomic_write_roundtrip);

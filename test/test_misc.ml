@@ -85,6 +85,44 @@ let test_options_to_string () =
   Alcotest.(check string) "tiered" "+O4 +P sel=10.0% tiered"
     (Options.to_string (Options.o4_pbo_tiered 10.0))
 
+(* One knob plane: [Options.from_env] reads exactly the [CMO_*]
+   variables HACKING's knob table documents — a knob added, renamed or
+   removed on one side only fails here.  ([QCHECK_SEED] is the
+   documented fallback inside the [CMO_FUZZ_SEED] row.) *)
+let test_env_knobs_match_hacking () =
+  let read = ref [] in
+  ignore
+    (Options.from_env
+       ~get:(fun name ->
+         read := name :: !read;
+         None)
+       ());
+  let knobs =
+    List.sort_uniq compare
+      (List.filter (fun n -> String.starts_with ~prefix:"CMO_" n) !read)
+  in
+  (* Under [dune runtest] the copy beside the build tree; under [dune
+     exec] from the checkout, the source file. *)
+  let hacking =
+    List.find Sys.file_exists
+      [
+        Filename.concat
+          (Filename.concat (Filename.dirname Sys.executable_name) Filename.parent_dir_name)
+          "HACKING.md";
+        "HACKING.md";
+      ]
+  in
+  let rows =
+    In_channel.with_open_bin hacking In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun line ->
+           match String.split_on_char '`' line with
+           | "| " :: name :: _ when String.starts_with ~prefix:"CMO_" name -> Some name
+           | _ -> None)
+    |> List.sort_uniq compare
+  in
+  Alcotest.(check (list string)) "from_env reads = HACKING knob rows" rows knobs
+
 let test_pipeline_report_renders () =
   let sources = small_app () in
   let db = Pipeline.train sources in
@@ -231,6 +269,7 @@ let suite =
     ("min_int edges agree", `Quick, test_min_int_edges);
     ("shift masking agrees", `Quick, test_shift_amount_masking);
     ("options to_string", `Quick, test_options_to_string);
+    ("env knobs match HACKING's table", `Quick, test_env_knobs_match_hacking);
     ("pipeline report renders", `Quick, test_pipeline_report_renders);
     ("image map renders", `Quick, test_image_map_renders);
     ("func/module pp renders", `Quick, test_func_and_module_pp_render);
