@@ -1469,7 +1469,7 @@ let bench_info_cmd =
 let main_cmd =
   let doc = "scalable cross-module optimization toolchain (PLDI 1998 reproduction)" in
   Cmd.group
-    (Cmd.info "cmoc" ~version:"1.0" ~doc)
+    (Cmd.info "cmoc" ~version:("1.0 (build " ^ Cmo_buildid.id ^ ")") ~doc)
     [ compile_cmd; build_cmd; cache_cmd; train_cmd; dump_cmd; gen_cmd;
       assemble_cmd; link_cmd; isolate_cmd; profile_show_cmd; profile_cmd;
       bench_info_cmd ]

@@ -12,13 +12,13 @@
 
    All state is per-job — a worker holds no heap shared with the
    parent or with other workers, which is the process isolation the
-   distributed mode exists to provide.  The one exception is the
-   binary's fingerprint, hashed once at start and reused by every
-   handshake. *)
+   distributed mode exists to provide.  Every handshake reports the
+   build identity dune compiled into the binary ([--version] prints
+   it), so nothing is hashed at run time. *)
 
 let usage () =
   prerr_endline
-    "usage: cmoc-worker [--listen HOST:PORT] [--port-file FILE]";
+    "usage: cmoc-worker [--listen HOST:PORT] [--port-file FILE] | --version";
   exit 64
 
 let () =
@@ -34,6 +34,9 @@ let () =
   let port_file = ref None in
   let rec parse = function
     | [] -> ()
+    | [ "--version" ] ->
+      Printf.printf "1.0 (build %s)\n" Cmo_buildid.id;
+      exit 0
     | "--listen" :: addr :: rest ->
       listen := Some addr;
       parse rest

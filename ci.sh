@@ -74,8 +74,11 @@
 # check keeps the pipeline split into stages: no top-level let/and in
 # lib/driver/pipeline.ml may span more than 150 lines, and a knob
 # check keeps one knob plane: no code in lib/ or bin/ but
-# lib/driver/options.ml may call Sys.getenv.  Run from the repository
-# root.
+# lib/driver/options.ml may call Sys.getenv, and a hashing check keeps
+# binary digests off every build path: no code in lib/ or bin/ may
+# call Digest.file (worker handshakes use the build identity dune
+# fixes when it builds the tools; the fleet smoke checks that cmoc
+# and cmoc-worker print the same one).  Run from the repository root.
 set -eu
 
 echo "== dune build =="
@@ -85,6 +88,12 @@ echo "== one knob plane (Sys.getenv only in lib/driver/options.ml) =="
 if grep -rn --include='*.ml' --include='*.mli' 'Sys\.getenv' lib bin \
   | grep -v '^lib/driver/options\.ml:'; then
   echo "environment read outside Options.from_env (see HACKING's knob table)"
+  exit 1
+fi
+
+echo "== no run-time binary hashing (no Digest.file in lib/ or bin/) =="
+if grep -rn --include='*.ml' --include='*.mli' 'Digest\.file' lib bin; then
+  echo "binary hashed at run time (use Cmo_buildid.id, fixed at build time)"
   exit 1
 fi
 
@@ -429,6 +438,14 @@ echo "== TCP worker fleet smoke (process level) =="
 # oracle byte for byte, and tearing the workers down must leave no
 # stray processes.
 CMOC_WORKER=_build/default/bin/cmoc_worker.exe
+# Both tools of one tree embed one build identity: the one the parent
+# expects is the one every worker reports.
+CMOC_ID=$("$CMOC" --version | grep -o '[0-9a-f]\{32\}')
+WORKER_ID=$("$CMOC_WORKER" --version | grep -o '[0-9a-f]\{32\}')
+if [ -z "$CMOC_ID" ] || [ "$CMOC_ID" != "$WORKER_ID" ]; then
+  echo "fleet smoke: cmoc build identity '$CMOC_ID' != cmoc-worker's '$WORKER_ID'"
+  exit 1
+fi
 FLEET_DIR=$(mktemp -d)
 mkdir -p "$FLEET_DIR/co1/src" "$FLEET_DIR/co2/src" "$FLEET_DIR/oracle"
 "$CMOC" gen --bench storm --dir "$FLEET_DIR/co1/src"

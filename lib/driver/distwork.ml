@@ -111,7 +111,7 @@ let wire_version = 2
 
 type hello = {
   h_wire : int;  (* the worker's [wire_version] *)
-  h_digest : string;  (* the worker binary's content digest *)
+  h_digest : string;  (* the worker's build identity *)
 }
 
 type job = {
@@ -440,17 +440,13 @@ let run_job_local ~phase_cache (job : job) =
     done_mem = summary_of_memstats mem;
   }
 
-(* The fingerprint this worker reports in its [Hello]: the running
-   binary's content digest, overridable through [$CMO_WORKER_FP] (the
-   skew tests' lever — a spawned worker inherits the parent's
+(* The fingerprint this worker reports in its [Hello]: the build
+   identity compiled into it, overridable through [$CMO_WORKER_FP]
+   (the skew tests' lever — a spawned worker inherits the parent's
    environment, so the override makes the {e reported} fingerprint
-   diverge from the binary the parent expects). *)
+   diverge from the identity the parent expects). *)
 let self_fingerprint () =
-  match Options.env.Options.env_worker_fp with
-  | Some fp -> fp
-  | None -> (
-    try Digest.to_hex (Digest.file Sys.executable_name)
-    with Sys_error _ | Unix.Unix_error _ -> "unknown")
+  Option.value Options.env.Options.env_worker_fp ~default:Cmo_buildid.id
 
 (* Run [f] while a background thread sends [Pulse] every [hb] seconds
    — proof of life during a long optimization, so the parent can tell
@@ -487,9 +483,8 @@ let with_pulses ~hb ~send f =
 (* Serve one parent conversation on an fd pair (a socketpair to a
    spawned worker, or one accepted TCP connection).  Returns the exit
    status: 0 for a clean goodbye (Bye, EOF or a version refusal), 2
-   for a protocol violation.  [fp] is the fingerprint to report, hashed
-   once per worker process by the caller. *)
-let serve_conn ~fp in_fd out_fd =
+   for a protocol violation. *)
+let serve_conn in_fd out_fd =
   let send_lock = Mutex.create () in
   let send msg =
     Mutex.lock send_lock;
@@ -559,19 +554,16 @@ let serve_conn ~fp in_fd out_fd =
     (* The mandatory handshake: version and identity first, before any
        job bytes, so a skewed worker is refused before it can touch an
        artifact. *)
-    send (Hello { h_wire = wire_version; h_digest = fp });
+    send (Hello { h_wire = wire_version; h_digest = self_fingerprint () });
     serve ()
   with Relay_broken -> 2
 
 let worker_main in_fd out_fd =
   if Sys.os_type <> "Win32" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  exit (serve_conn ~fp:(self_fingerprint ()) in_fd out_fd)
+  exit (serve_conn in_fd out_fd)
 
 let worker_listen ?port_file host port =
   if Sys.os_type <> "Win32" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  (* Hashed before the listener is announced: once per process, never
-     per connection, so no parent's handshake waits on it. *)
-  let fp = self_fingerprint () in
   let fd, actual = Netio.listen host port in
   (* The parseable "where am I" line tooling scrapes (port 0 binds an
      ephemeral port); the optional port file is the race-free variant. *)
@@ -588,7 +580,7 @@ let worker_listen ?port_file host port =
       ignore
         (Thread.create
            (fun () ->
-             (try ignore (serve_conn ~fp conn conn) with _ -> ());
+             (try ignore (serve_conn conn conn) with _ -> ());
              try Unix.close conn with Unix.Unix_error _ -> ())
            ());
       accept_loop ()
@@ -621,7 +613,7 @@ type worker_conn = { kind : wkind; fd : Unix.file_descr }
 
 type pool = {
   bin : string option;  (* None: no local binary, endpoints only *)
-  expect_fp : string option;  (* the fingerprint Hello must report *)
+  expect_fp : string;  (* the fingerprint Hello must report *)
   timeout_s : float;
   deadline_s : float option;  (* straggler redo bound per job *)
   endpoints : endpoint list;
@@ -648,19 +640,11 @@ let resolve_worker (env : Options.env) =
         "cmoc_worker.exe"
 
 (* The fingerprint the parent demands in every [Hello]:
-   [$CMO_DIST_EXPECT_FP] when set (fleet deployments pin it), else the
-   local worker binary's digest (spawned workers and same-build remote
-   workers match it), else nothing to compare against — only the wire
-   version is checked. *)
-let expected_fingerprint (env : Options.env) bin =
-  match env.Options.env_dist_expect_fp with
-  | Some _ as fp -> fp
-  | None -> (
-    match bin with
-    | None -> None
-    | Some b -> (
-      try Some (Digest.to_hex (Digest.file b))
-      with Sys_error _ | Unix.Unix_error _ -> None))
+   [$CMO_DIST_EXPECT_FP] when set (fleet deployments pin it), else this
+   process's own build identity — which every worker built from the
+   same tree reports, whether or not a local worker binary exists. *)
+let expected_fingerprint (env : Options.env) =
+  Option.value env.Options.env_dist_expect_fp ~default:Cmo_buildid.id
 
 let create_pool ?timeout_s ?workers () =
   if Sys.os_type <> "Win32" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -701,7 +685,7 @@ let create_pool ?timeout_s ?workers () =
             path));
   {
     bin;
-    expect_fp = expected_fingerprint dyn bin;
+    expect_fp = expected_fingerprint dyn;
     timeout_s;
     deadline_s = dyn.Options.env_dist_deadline;
     endpoints;
@@ -790,12 +774,10 @@ let handshake pool w =
         refuse
           (Printf.sprintf "wire version %d, this build speaks %d" h.h_wire
              wire_version)
-      else (
-        match pool.expect_fp with
-        | Some fp when fp <> h.h_digest ->
-          refuse
-            (Printf.sprintf "binary fingerprint %s, expected %s" h.h_digest fp)
-        | Some _ | None -> ())
+      else if h.h_digest <> pool.expect_fp then
+        refuse
+          (Printf.sprintf "build identity %s, expected %s" h.h_digest
+             pool.expect_fp)
     | _ ->
       destroy pool w;
       raise Worker_lost

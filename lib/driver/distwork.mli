@@ -20,7 +20,7 @@
       {!Cmo_support.Netio}) alongside spawn-on-demand local
       processes, a mandatory {!worker_msg.Hello} handshake carrying
       the worker's version fingerprint (wire-codec generation +
-      binary digest — skewed workers are refused, never mixed into
+      build identity — skewed workers are refused, never mixed into
       artifacts), heartbeat/deadline health tracking ({!worker_msg.Pulse}
       proves a slow worker alive; a job past [$CMO_DIST_DEADLINE] is
       redone locally anyway — straggler redo), a consecutive-loss
@@ -81,7 +81,9 @@ val wire_version : int
 
 type hello = {
   h_wire : int;  (** The worker's {!wire_version}. *)
-  h_digest : string;  (** The worker binary's content digest. *)
+  h_digest : string;
+      (** The worker's build identity ({!Cmo_buildid.id}, or
+          [$CMO_WORKER_FP] when set). *)
 }
 
 type job = {
@@ -156,10 +158,10 @@ val worker_main : Unix.file_descr -> Unix.file_descr -> 'a
 (** Serve jobs from [in_fd]/[out_fd] — {!worker_msg.Hello} first,
     then the job loop — until {!parent_msg.Bye}, {!parent_msg.Refuse}
     or EOF, then exit 0; exit 2 on a protocol violation.
-    [bin/cmoc_worker] calls this on stdin/stdout.  The binary digest
-    the {!worker_msg.Hello} reports is hashed once, at start.
-    Environment levers, read through {!Options.env}: [$CMO_WORKER_FP]
-    overrides the reported binary digest (skew tests), [$CMO_WORKER_HB]
+    [bin/cmoc_worker] calls this on stdin/stdout.  The
+    {!worker_msg.Hello} reports the build identity compiled into the
+    binary.  Environment levers, read through {!Options.env}:
+    [$CMO_WORKER_FP] overrides the reported identity (skew tests), [$CMO_WORKER_HB]
     the heartbeat period in seconds (default 5, 0 disables),
     [$CMO_WORKER_SLOW_S] sleeps that long before each job (straggler
     tests).  Never returns. *)
@@ -170,9 +172,8 @@ val worker_listen : ?port_file:string -> string -> int -> 'a
     (and write the bare port to [port_file] when given — the
     race-free way for a harness to learn an ephemeral port), then
     serve each accepted connection in its own thread with the same
-    protocol as {!worker_main}.  The binary is hashed once, before the
-    bind, and every connection's {!worker_msg.Hello} reuses that
-    digest.  Never returns; dismiss it with a signal. *)
+    protocol as {!worker_main}.  Never returns; dismiss it with a
+    signal. *)
 
 val with_pulses : hb:float -> send:(worker_msg -> unit) -> (unit -> 'a) -> 'a
 (** [with_pulses ~hb ~send f] runs [f] while a background thread calls
@@ -218,7 +219,9 @@ val create_pool : ?timeout_s:float -> ?workers:string list -> unit -> pool
     [workers] defaults to [$CMO_DIST_WORKERS].  Every knob is parsed
     by {!Options.from_env} afresh for each pool.  An endpoint is
     retired for the pool's life after 3 consecutive losses (any
-    completed job resets the count) or a version refusal.  Each send
+    completed job resets the count) or a version refusal: every
+    {!worker_msg.Hello} must report [$CMO_DIST_EXPECT_FP] when set,
+    else this process's own {!Cmo_buildid.id}.  Each send
     and each receive of {!run_job} is one event on the fault plan's
     [proc] clock, where [kill@K] destroys the active worker.
     @raise Unavailable when the worker binary does not exist and no
@@ -262,7 +265,7 @@ val events_total : unit -> int
 
 val refused_total : unit -> int
 (** Workers refused at handshake for version skew (wire-codec
-    generation or binary-fingerprint mismatch). *)
+    generation or build-identity mismatch). *)
 
 val stragglers_total : unit -> int
 (** Jobs redone locally because they outlived their deadline while

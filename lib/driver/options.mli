@@ -137,10 +137,10 @@ type env = {
   env_dist_expect_fp : string option;
       (** [$CMO_DIST_EXPECT_FP] when non-empty: the fingerprint every
           worker's [Hello] must report (fleet deployments pin it);
-          otherwise the local worker binary's digest. *)
+          otherwise the parent's own build identity. *)
   env_worker_fp : string option;
       (** [$CMO_WORKER_FP] when non-empty: the fingerprint a worker
-          reports in its [Hello] instead of its binary's digest (the
+          reports in its [Hello] instead of its build identity (the
           version-skew tests' lever). *)
   env_worker_hb : float;
       (** [$CMO_WORKER_HB] when a float >= 0, else 5: a worker's

@@ -482,6 +482,7 @@ let test_matrix_chain () =
 let test_dist_jobs_accounted () =
   let jobs0 = Distwork.jobs_total () in
   let lost0 = Distwork.lost_total () in
+  let refused0 = Distwork.refused_total () in
   let oracle = build ~mode:Threads Options.o4 1 matrix_sources in
   let b = build ~mode:Procs Options.o4 4 matrix_sources in
   same_build "accounted build = oracle" oracle b;
@@ -489,6 +490,10 @@ let test_dist_jobs_accounted () =
     (Distwork.jobs_total () - jobs0 >= 2);
   Alcotest.(check int) "no workers lost on the clean path" lost0
     (Distwork.lost_total ());
+  (* A spawned worker of this tree reports the parent's own build
+     identity, so its handshake passes. *)
+  Alcotest.(check int) "no spawned worker refused" refused0
+    (Distwork.refused_total ());
   let o = Pipeline.run b in
   let oo = Pipeline.run oracle in
   Alcotest.(check bool) "distributed image behaves like the oracle" true
@@ -640,12 +645,12 @@ let test_tcp_traced_counters () =
     (List.assoc "dist/jobs" counters > 0.0
     && List.assoc "dist/lost" counters > 0.0)
 
-(* A worker fleet built from a different binary: the handshake refuses
+(* A worker fleet built from other sources: the handshake refuses
    every skewed Hello (fingerprint mismatch), no skewed worker ever
    touches an artifact, and the refused jobs run locally —
    byte-identical.  [$CMO_WORKER_FP] makes the fleet (and any spawned
    local, which inherits it) {e report} a fake fingerprint while the
-   parent still expects the real binary digest. *)
+   parent still expects its own build identity. *)
 let test_tcp_skewed_fleet_refused () =
   let oracle = build ~mode:Threads Options.o4 1 matrix_sources in
   with_env "CMO_WORKER_FP" "deadbeef-version-skew" @@ fun () ->
@@ -661,6 +666,51 @@ let test_tcp_skewed_fleet_refused () =
     (Distwork.retired_total () > retired0);
   Alcotest.(check int) "no job completed on a skewed worker" jobs0
     (Distwork.jobs_total ())
+
+(* A parent with no local worker binary still knows what to expect:
+   its own compiled-in build identity.  A fleet reporting anything
+   else is refused and retired exactly as when a binary is present —
+   an unchecked handshake would let a worker built from other sources
+   write artifacts. *)
+let test_tcp_skewed_fleet_refused_without_binary () =
+  let oracle = build ~mode:Threads Options.o4 1 matrix_sources in
+  with_env "CMO_WORKER_FP" "deadbeef-version-skew" @@ fun () ->
+  with_fleet 2 @@ fun endpoints ->
+  with_env "CMO_DIST_WORKER" "/nonexistent/cmoc_worker" @@ fun () ->
+  let jobs0 = Distwork.jobs_total () in
+  let refused0 = Distwork.refused_total () in
+  let retired0 = Distwork.retired_total () in
+  let b = build ~mode:(Tcp endpoints) Options.o4 2 matrix_sources in
+  same_build "binary-less skewed fleet build = oracle" oracle b;
+  Alcotest.(check bool) "skewed workers were refused" true
+    (Distwork.refused_total () > refused0);
+  Alcotest.(check bool) "skewed endpoints were retired" true
+    (Distwork.retired_total () > retired0);
+  Alcotest.(check int) "no job completed on a skewed worker" jobs0
+    (Distwork.jobs_total ())
+
+(* The identity every tool of this tree embeds: an MD5 in lowercase
+   hex, fixed at build time. *)
+let test_build_identity_shape () =
+  let id = Cmo_buildid.id in
+  Alcotest.(check int) "32 characters" 32 (String.length id);
+  Alcotest.(check bool) "lowercase hex" true
+    (String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) id)
+
+(* Pinning [$CMO_DIST_EXPECT_FP] to the identity the fleet reports
+   accepts it: the pin replaces the default, it does not add a second
+   check. *)
+let test_tcp_pinned_identity_accepted () =
+  let oracle = build ~mode:Threads Options.o4 1 matrix_sources in
+  with_fleet 2 @@ fun endpoints ->
+  with_env "CMO_DIST_EXPECT_FP" Cmo_buildid.id @@ fun () ->
+  let jobs0 = Distwork.jobs_total () in
+  let refused0 = Distwork.refused_total () in
+  let b = build ~mode:(Tcp endpoints) Options.o4 2 matrix_sources in
+  same_build "pinned fleet build = oracle" oracle b;
+  Alcotest.(check bool) "jobs completed on the fleet" true
+    (Distwork.jobs_total () > jobs0);
+  Alcotest.(check int) "no worker refused" refused0 (Distwork.refused_total ())
 
 (* The same skew on spawned pipe workers — the handshake is
    transport-independent. *)
@@ -942,6 +992,11 @@ let suite =
     ("degrades without worker", `Quick, test_degrades_without_worker);
     ("skewed fleet refused", `Quick, test_tcp_skewed_fleet_refused);
     ("skewed local worker refused", `Quick, test_skewed_local_worker_refused);
+    ( "tcp skewed fleet refused without a local binary",
+      `Quick,
+      test_tcp_skewed_fleet_refused_without_binary );
+    ("build identity is 32 lowercase hex", `Quick, test_build_identity_shape);
+    ("tcp pinned identity accepted", `Quick, test_tcp_pinned_identity_accepted);
     ("straggler redo", `Quick, test_tcp_straggler_redo);
     ("pulse stop latency", `Quick, test_pulse_stop_latency);
     ("pulse cadence", `Quick, test_pulse_cadence);
