@@ -22,6 +22,7 @@ module Faults = Cmo_support.Faults
 module Json = Cmo_obs.Json
 module Proto = Cmo_server.Proto
 module Client = Cmo_server.Client
+module Cohort = Cmo_profile.Cohort
 open Cmdliner
 
 let read_file path =
@@ -139,6 +140,30 @@ let report_fault_plan () =
     site "net fault plan" "net" Faults.net;
     site "proc fault plan" "proc" Faults.proc
   end
+
+(* Every subcommand's action runs under [guard]: whatever the user can
+   act on — a bad source, an unreadable or corrupt file, a refused
+   daemon request, a simulated crash — is one line on stderr and exit
+   status 1 (see [main]'s [~term_err]), never an uncaught exception. *)
+let guard f =
+  match f () with
+  | () -> `Ok ()
+  | exception e ->
+    let msg =
+      match e with
+      | Pipeline.Compile_error m | Sys_error m | Client.Protocol_error m
+      | Cmo_support.Codec.Reader.Corrupt m ->
+        m
+      | Vm.Fault m -> "runtime fault: " ^ m
+      | Cmo_llo.Asm.Parse_error (line, m) -> Printf.sprintf "line %d: %s" line m
+      | Cohort.Bad_name n -> "bad cohort name: " ^ n
+      | Unix.Unix_error (e, _, _) -> "cannot reach cmocd: " ^ Unix.error_message e
+      | e when is_crash e ->
+        report_fault_plan ();
+        "simulated crash (fault plan): build aborted"
+      | e -> raise e
+    in
+    `Error (false, msg)
 
 let make_options level pbo selectivity machine_mb jobs check trace =
   let base =
@@ -269,11 +294,6 @@ let remote_compile ~socket ~(options : Options.t) ~fault sources =
   | exception Client.Protocol_error m -> fail "cmocd protocol error: %s" m
   | Proto.Rejected { reason; _ } -> fail "cmocd rejected the build: %s" reason
   | Proto.Failed { reason; _ } -> fail "cmocd build failed: %s" reason
-  | Proto.Pong | Proto.Stats_reply _ | Proto.Shutting_down
-  | Proto.Cache_hit _ | Proto.Cache_miss | Proto.Cache_stored
-  | Proto.Profile_stored _ | Proto.Profile_db _ | Proto.Cohort_listing _
-  | Proto.Cohort_stored _ | Proto.Cohort_db _ | Proto.Cohort_report _ ->
-    fail "cmocd protocol error: unexpected reply"
   | Proto.Built { objects; report; _ } -> (
     let objects = List.map Cmo_link.Objfile.decode objects in
     match Cmo_link.Linker.link objects with
@@ -284,6 +304,7 @@ let remote_compile ~socket ~(options : Options.t) ~fault sources =
            (Format.pp_print_list ~pp_sep:Format.pp_print_cut
               Cmo_link.Linker.pp_error)
            errs))
+  | _ -> fail "cmocd protocol error: unexpected reply"
 
 (* ---- compile ---- *)
 
@@ -318,62 +339,55 @@ let compile_cmd =
     end
   in
   let action paths level pbo profile selectivity machine_mb jobs check trace fault log input run_it verbose map_it hot_report remote dist workers socket report_json =
-    try
-      setup_logs log;
-      let workers = resolve_workers workers in
-      let dist = dist || workers <> [] in
-      if remote && dist then
-        raise
-          (Pipeline.Compile_error
-             "--remote and --dist are mutually exclusive: --remote ships \
-              the whole build to cmocd, --dist runs it here on worker \
-              processes");
-      let sources = List.map source_of_path paths in
-      let options = make_options level pbo selectivity machine_mb jobs check trace in
-      let options =
-        if dist then { options with Options.dist = true } else options
-      in
-      let options =
-        if workers = [] then options else { options with Options.workers }
-      in
-      let fault = fault_spec fault in
-      if remote then begin
-        let socket = resolve_socket socket in
-        let image, report = remote_compile ~socket ~options ~fault sources in
-        write_report_json report_json report;
-        if verbose then print_endline report;
-        if map_it then Format.printf "%a@." Cmo_link.Image.pp_map image;
-        if run_it then
-          print_outcome ~hot_report
-            (Vm.run ~input:(parse_input input) ~attribute:hot_report image)
-        else
-          Printf.printf "linked %d instructions\n"
-            (Array.length image.Cmo_link.Image.code)
-      end
-      else begin
-        install_fault_plan fault;
-        let build = Pipeline.compile ?profile:(load_profile profile) options sources in
-        write_report_json report_json
-          (Json.to_string (Pipeline.report_to_json build.Pipeline.report));
-        if verbose then
-          Format.printf "%a@." Pipeline.pp_report build.Pipeline.report;
-        if map_it then
-          Format.printf "%a@." Cmo_link.Image.pp_map build.Pipeline.image;
-        if run_it then
-          print_outcome ~hot_report
-            (Pipeline.run ~input:(parse_input input) ~attribute:hot_report build)
-        else
-          Printf.printf "linked %d instructions\n"
-            (Array.length build.Pipeline.image.Cmo_link.Image.code);
-        report_fault_plan ()
-      end;
-      `Ok ()
-    with
-    | Pipeline.Compile_error msg -> `Error (false, msg)
-    | Vm.Fault msg -> `Error (false, "runtime fault: " ^ msg)
-    | e when is_crash e ->
-      report_fault_plan ();
-      `Error (false, "simulated crash (fault plan): build aborted")
+    guard @@ fun () ->
+    setup_logs log;
+    let workers = resolve_workers workers in
+    let dist = dist || workers <> [] in
+    if remote && dist then
+      raise
+        (Pipeline.Compile_error
+           "--remote and --dist are mutually exclusive: --remote ships \
+            the whole build to cmocd, --dist runs it here on worker \
+            processes");
+    let sources = List.map source_of_path paths in
+    let options = make_options level pbo selectivity machine_mb jobs check trace in
+    let options =
+      if dist then { options with Options.dist = true } else options
+    in
+    let options =
+      if workers = [] then options else { options with Options.workers }
+    in
+    let fault = fault_spec fault in
+    if remote then begin
+      let socket = resolve_socket socket in
+      let image, report = remote_compile ~socket ~options ~fault sources in
+      write_report_json report_json report;
+      if verbose then print_endline report;
+      if map_it then Format.printf "%a@." Cmo_link.Image.pp_map image;
+      if run_it then
+        print_outcome ~hot_report
+          (Vm.run ~input:(parse_input input) ~attribute:hot_report image)
+      else
+        Printf.printf "linked %d instructions\n"
+          (Array.length image.Cmo_link.Image.code)
+    end
+    else begin
+      install_fault_plan fault;
+      let build = Pipeline.compile ?profile:(load_profile profile) options sources in
+      write_report_json report_json
+        (Json.to_string (Pipeline.report_to_json build.Pipeline.report));
+      if verbose then
+        Format.printf "%a@." Pipeline.pp_report build.Pipeline.report;
+      if map_it then
+        Format.printf "%a@." Cmo_link.Image.pp_map build.Pipeline.image;
+      if run_it then
+        print_outcome ~hot_report
+          (Pipeline.run ~input:(parse_input input) ~attribute:hot_report build)
+      else
+        Printf.printf "linked %d instructions\n"
+          (Array.length build.Pipeline.image.Cmo_link.Image.code);
+      report_fault_plan ()
+    end
   in
   let doc = "Compile (and optionally run) MiniC modules, locally or via cmocd." in
   Cmd.v (Cmd.info "compile" ~doc)
@@ -395,18 +409,16 @@ let train_cmd =
            ~doc:"Training input vector (repeatable; runs accumulate).")
   in
   let action paths out inputs =
-    try
-      let sources = List.map source_of_path paths in
-      let inputs =
-        match inputs with [] -> [ [||] ] | l -> List.map parse_input l
-      in
-      let db = Pipeline.train ~inputs sources in
-      Db.save db out;
-      Printf.printf "wrote %s (%d counters, total count %.0f)\n" out
-        (List.length (Db.entries db))
-        (Db.total db);
-      `Ok ()
-    with Pipeline.Compile_error msg -> `Error (false, msg)
+    guard @@ fun () ->
+    let sources = List.map source_of_path paths in
+    let inputs =
+      match inputs with [] -> [ [||] ] | l -> List.map parse_input l
+    in
+    let db = Pipeline.train ~inputs sources in
+    Db.save db out;
+    Printf.printf "wrote %s (%d counters, total count %.0f)\n" out
+      (List.length (Db.entries db))
+      (Db.total db)
   in
   let doc = "Build instrumented (+I), run training inputs, write the profile database." in
   Cmd.v (Cmd.info "train" ~doc)
@@ -420,26 +432,24 @@ let dump_cmd =
          & info [ "what" ] ~doc:"What to dump: il (frontend output) or asm (machine code).")
   in
   let action paths what =
-    try
-      let sources = List.map source_of_path paths in
-      (match what with
-      | `Il ->
-        List.iter
-          (fun s ->
-            let m = Pipeline.frontend_one s in
-            Format.printf "%a@." Cmo_il.Ilmod.pp m)
-          sources
-      | `Asm ->
-        List.iter
-          (fun s ->
-            let m = Pipeline.frontend_one s in
-            let globals = m.Cmo_il.Ilmod.globals in
-            let codes, _ = Cmo_llo.Llo.compile_module m in
-            Cmo_llo.Asm.print_module Format.std_formatter
-              ~module_name:m.Cmo_il.Ilmod.mname ~globals codes)
-          sources);
-      `Ok ()
-    with Pipeline.Compile_error msg -> `Error (false, msg)
+    guard @@ fun () ->
+    let sources = List.map source_of_path paths in
+    (match what with
+    | `Il ->
+      List.iter
+        (fun s ->
+          let m = Pipeline.frontend_one s in
+          Format.printf "%a@." Cmo_il.Ilmod.pp m)
+        sources
+    | `Asm ->
+      List.iter
+        (fun s ->
+          let m = Pipeline.frontend_one s in
+          let globals = m.Cmo_il.Ilmod.globals in
+          let codes, _ = Cmo_llo.Llo.compile_module m in
+          Cmo_llo.Asm.print_module Format.std_formatter
+            ~module_name:m.Cmo_il.Ilmod.mname ~globals codes)
+        sources)
   in
   let doc = "Dump intermediate representations." in
   Cmd.v (Cmd.info "dump" ~doc)
@@ -461,9 +471,10 @@ let gen_cmd =
            ~doc:"Scale the module count by FACTOR.")
   in
   let action bench dir factor =
+    guard @@ fun () ->
     match Suite.find bench with
     | exception Not_found ->
-      `Error (false, Printf.sprintf "unknown benchmark %s" bench)
+      raise (Pipeline.Compile_error ("unknown benchmark " ^ bench))
     | cfg ->
       let cfg = if factor = 1.0 then cfg else Genprog.scale cfg factor in
       let sources = Genprog.generate cfg in
@@ -482,8 +493,7 @@ let gen_cmd =
         (String.concat ","
            (Array.to_list (Array.map Int64.to_string (Genprog.training_input cfg))))
         (String.concat ","
-           (Array.to_list (Array.map Int64.to_string (Genprog.reference_input cfg))));
-      `Ok ()
+           (Array.to_list (Array.map Int64.to_string (Genprog.reference_input cfg))))
   in
   let doc = "Generate a synthetic benchmark's MiniC sources." in
   Cmd.v (Cmd.info "gen" ~doc)
@@ -501,30 +511,27 @@ let assemble_cmd =
            ~doc:"Assembly listings produced by $(b,cmoc dump --what asm).")
   in
   let action paths out =
-    try
-      List.iter
-        (fun path ->
-          let text = read_file path in
-          let module_name, globals, codes = Cmo_llo.Asm.parse_module text in
-          let obj =
-            Cmo_link.Objfile.of_code ~module_name ~globals
-              ~source_digest:(Digest.to_hex (Digest.string text))
-              codes
-          in
-          let target =
-            match out with
-            | Some o when List.length paths = 1 -> o
-            | Some _ | None ->
-              Filename.remove_extension path ^ ".o"
-          in
-          Cmo_link.Objfile.save obj target;
-          Printf.printf "assembled %s -> %s (%d routines)
+    guard @@ fun () ->
+    List.iter
+      (fun path ->
+        let text = read_file path in
+        let module_name, globals, codes = Cmo_llo.Asm.parse_module text in
+        let obj =
+          Cmo_link.Objfile.of_code ~module_name ~globals
+            ~source_digest:(Digest.to_hex (Digest.string text))
+            codes
+        in
+        let target =
+          match out with
+          | Some o when List.length paths = 1 -> o
+          | Some _ | None ->
+            Filename.remove_extension path ^ ".o"
+        in
+        Cmo_link.Objfile.save obj target;
+        Printf.printf "assembled %s -> %s (%d routines)
 " path target
-            (List.length codes))
-        paths;
-      `Ok ()
-    with Cmo_llo.Asm.Parse_error (line, msg) ->
-      `Error (false, Printf.sprintf "line %d: %s" line msg)
+          (List.length codes))
+      paths
   in
   let doc = "Assemble a textual listing back into an object file." in
   Cmd.v (Cmd.info "assemble" ~doc) Term.(ret (const action $ asm_sources $ out_arg))
@@ -538,58 +545,53 @@ let isolate_cmd =
            ~doc:"Upper bound for the operation-limit binary search.")
   in
   let action paths profile input max_ops =
-    try
-      let sources = List.map source_of_path paths in
-      let profile = load_profile profile in
-      let input = parse_input input in
-      let observe options =
-        let build = Pipeline.compile ?profile options sources in
-        let o = Pipeline.run ~input build in
-        (o.Vm.ret, o.Vm.output)
+    guard @@ fun () ->
+    let sources = List.map source_of_path paths in
+    let profile = load_profile profile in
+    let input = parse_input input in
+    let observe options =
+      let build = Pipeline.compile ?profile options sources in
+      let o = Pipeline.run ~input build in
+      (o.Vm.ret, o.Vm.output)
+    in
+    (* Reference semantics: the minimally optimized build. *)
+    let expected = observe Options.o1 in
+    let check observed =
+      if observed = expected then Isolate.Good else Isolate.Bad observed
+    in
+    let full = { Options.o4_pbo with Options.pbo = profile <> None } in
+    match check (observe full) with
+    | Isolate.Good ->
+      print_endline
+        "no divergence: +O4 agrees with the +O1 baseline on this input"
+    | Isolate.Bad _ ->
+      print_endline "divergence found; reducing the CMO module set...";
+      let module_names = List.map (fun s -> s.Pipeline.name) sources in
+      let compile ~cmo_modules =
+        observe { full with Options.cmo_modules = Some cmo_modules }
       in
-      (* Reference semantics: the minimally optimized build. *)
-      let expected = observe Options.o1 in
-      let check observed =
-        if observed = expected then Isolate.Good else Isolate.Bad observed
-      in
-      let full = { Options.o4_pbo with Options.pbo = profile <> None } in
-      match check (observe full) with
-      | Isolate.Good ->
-        print_endline
-          "no divergence: +O4 agrees with the +O1 baseline on this input";
-        `Ok ()
-      | Isolate.Bad _ ->
-        print_endline "divergence found; reducing the CMO module set...";
-        let module_names = List.map (fun s -> s.Pipeline.name) sources in
-        let compile ~cmo_modules =
-          observe { full with Options.cmo_modules = Some cmo_modules }
+      (match Isolate.isolate_modules ~compile ~check ~modules:module_names with
+      | Some (reduced, _) ->
+        Printf.printf "minimal failing CMO set: %s\n"
+          (String.concat ", " reduced);
+        let compile ~limit =
+          observe
+            { full with
+              Options.cmo_modules = Some reduced;
+              inline_limit = Some limit }
         in
-        (match Isolate.isolate_modules ~compile ~check ~modules:module_names with
-        | Some (reduced, _) ->
-          Printf.printf "minimal failing CMO set: %s\n"
-            (String.concat ", " reduced);
-          let compile ~limit =
-            observe
-              { full with
-                Options.cmo_modules = Some reduced;
-                inline_limit = Some limit }
-          in
-          (match
-             Isolate.isolate_operation_limit ~compile ~check ~max_limit:max_ops
-           with
-          | Some (n, _) ->
-            Printf.printf "guilty operation: inline #%d within that set\n" n
-          | None ->
-            print_endline
-              "failure is not inline-count-monotone; try --max-ops or the \
-               scalar rewrite limit")
+        (match
+           Isolate.isolate_operation_limit ~compile ~check ~max_limit:max_ops
+         with
+        | Some (n, _) ->
+          Printf.printf "guilty operation: inline #%d within that set\n" n
         | None ->
           print_endline
-            "failure vanished during reduction (not module-monotone)");
-        `Ok ()
-    with
-    | Pipeline.Compile_error msg -> `Error (false, msg)
-    | Vm.Fault msg -> `Error (false, "runtime fault: " ^ msg)
+            "failure is not inline-count-monotone; try --max-ops or the \
+             scalar rewrite limit")
+      | None ->
+        print_endline
+          "failure vanished during reduction (not module-monotone)")
   in
   let doc =
     "Hunt a cross-module miscompilation: compare +O4 against the +O1 \
@@ -618,24 +620,19 @@ let link_cmd =
       raise (Cmo_support.Codec.Reader.Corrupt (Printf.sprintf "%s: corrupt object file (%s)" path m))
   in
   let action paths input run_it map_it =
-    try
-      let objects = List.map load paths in
-      let image = Pipeline.link objects in
-      if map_it then Format.printf "%a@." Cmo_link.Image.pp_map image;
-      if run_it then begin
-        let o = Vm.run ~input:(parse_input input) image in
-        List.iter (Printf.printf "%Ld\n") o.Vm.output;
-        Printf.printf "exit: %Ld  (%d cycles)\n" o.Vm.ret o.Vm.cycles
-      end
-      else
-        Printf.printf "linked %d instructions from %d objects\n"
-          (Array.length image.Cmo_link.Image.code)
-          (List.length objects);
-      `Ok ()
-    with
-    | Pipeline.Compile_error m | Sys_error m | Cmo_support.Codec.Reader.Corrupt m ->
-      `Error (false, m)
-    | Vm.Fault msg -> `Error (false, "runtime fault: " ^ msg)
+    guard @@ fun () ->
+    let objects = List.map load paths in
+    let image = Pipeline.link objects in
+    if map_it then Format.printf "%a@." Cmo_link.Image.pp_map image;
+    if run_it then begin
+      let o = Vm.run ~input:(parse_input input) image in
+      List.iter (Printf.printf "%Ld\n") o.Vm.output;
+      Printf.printf "exit: %Ld  (%d cycles)\n" o.Vm.ret o.Vm.cycles
+    end
+    else
+      Printf.printf "linked %d instructions from %d objects\n"
+        (Array.length image.Cmo_link.Image.code)
+        (List.length objects)
   in
   let doc = "Link object files into an image (and optionally run it)." in
   Cmd.v (Cmd.info "link" ~doc)
@@ -653,6 +650,7 @@ let profile_show_cmd =
            ~doc:"Show the N hottest counters.")
   in
   let action path top =
+    guard @@ fun () ->
     let db = Db.load path in
     let entries = Db.entries db in
     Printf.printf "%d counters, total count %.0f
@@ -665,8 +663,7 @@ let profile_show_cmd =
       (fun i (key, count) ->
         if i < top then
           Format.printf "  %12.0f  %a@." count Db.pp_key key)
-      hottest;
-    `Ok ()
+      hottest
   in
   let doc = "Inspect a profile database (hottest counters first)." in
   Cmd.v (Cmd.info "profile-show" ~doc)
@@ -693,8 +690,7 @@ let pack_out_arg =
 
 let profile_fingerprint_cmd =
   let action paths =
-    Printf.printf "%s\n" (fingerprint_of_paths paths);
-    `Ok ()
+    guard @@ fun () -> Printf.printf "%s\n" (fingerprint_of_paths paths)
   in
   let doc = "Print the source-version fingerprint shards are stamped with." in
   Cmd.v (Cmd.info "fingerprint" ~doc) Term.(ret (const action $ sources_arg))
@@ -717,23 +713,20 @@ let profile_shard_cmd =
            ~doc:"Staleness in versions behind the fleet head.")
   in
   let action paths prof out rate weight age =
-    try
-      let db = Db.load prof in
-      let meta =
-        {
-          Ingest.source_fp = fingerprint_of_paths paths;
-          sample_rate = rate;
-          weight;
-          age;
-        }
-      in
-      Ingest.append_pack out [ { Ingest.meta; db } ];
-      let shards, skipped = Ingest.read_pack out in
-      Printf.printf "appended to %s (%d shards, %d damaged)\n" out
-        (List.length shards) skipped;
-      `Ok ()
-    with
-    | Sys_error m | Cmo_support.Codec.Reader.Corrupt m -> `Error (false, m)
+    guard @@ fun () ->
+    let db = Db.load prof in
+    let meta =
+      {
+        Ingest.source_fp = fingerprint_of_paths paths;
+        sample_rate = rate;
+        weight;
+        age;
+      }
+    in
+    Ingest.append_pack out [ { Ingest.meta; db } ];
+    let shards, skipped = Ingest.read_pack out in
+    Printf.printf "appended to %s (%d shards, %d damaged)\n" out
+      (List.length shards) skipped
   in
   let doc = "Wrap a trained profile as a fleet shard and append it to a pack." in
   Cmd.v (Cmd.info "shard" ~doc)
@@ -817,60 +810,63 @@ let profile_ingest_cmd =
                  JSON report (repeatable).")
   in
   let action packs out policy report_json against =
-    try
-      let db, st = Ingest.ingest_paths ~policy packs in
-      Db.save db out;
-      pp_ingest_stats st;
-      Printf.printf "wrote %s (%d counters, total count %.0f)\n" out
-        (List.length (Db.entries db))
-        (Db.total db);
-      let unmatched =
-        if against = [] then None
-        else begin
-          let modules =
-            Pipeline.frontend (List.map source_of_path against)
-          in
-          let cst = Cmo_profile.Correlate.annotate db modules in
-          Cmo_profile.Correlate.clear modules;
-          Printf.printf "against %d modules: %d unmatched keys, weight %.0f\n"
-            (List.length modules)
-            cst.Cmo_profile.Correlate.unmatched_keys
-            cst.Cmo_profile.Correlate.unmatched_weight;
-          Some cst
-        end
-      in
-      write_report_json report_json (ingest_report_json st db unmatched);
-      `Ok ()
-    with
-    | Sys_error m -> `Error (false, m)
-    | Pipeline.Compile_error m -> `Error (false, m)
+    guard @@ fun () ->
+    let db, st = Ingest.ingest_paths ~policy packs in
+    Db.save db out;
+    pp_ingest_stats st;
+    Printf.printf "wrote %s (%d counters, total count %.0f)\n" out
+      (List.length (Db.entries db))
+      (Db.total db);
+    let unmatched =
+      if against = [] then None
+      else begin
+        let modules =
+          Pipeline.frontend (List.map source_of_path against)
+        in
+        let cst = Cmo_profile.Correlate.annotate db modules in
+        Cmo_profile.Correlate.clear modules;
+        Printf.printf "against %d modules: %d unmatched keys, weight %.0f\n"
+          (List.length modules)
+          cst.Cmo_profile.Correlate.unmatched_keys
+          cst.Cmo_profile.Correlate.unmatched_weight;
+        Some cst
+      end
+    in
+    write_report_json report_json (ingest_report_json st db unmatched)
   in
   let doc = "Merge fleet shard packs into one canonical profile database." in
   Cmd.v (Cmd.info "ingest" ~doc)
     Term.(ret (const action $ packs_arg $ out_arg $ profile_policy_args
                $ report_json_arg $ against_arg))
 
-(* --cohort NAME routes push/pull at a named cohort instead of the
-   daemon's anonymous fleet pack; $CMO_COHORT supplies the default. *)
+(* push/pull address one daemon cohort: --cohort, else $CMO_COHORT,
+   else the default "fleet" cohort. *)
 let cohort_opt_arg =
   Arg.(value & opt (some string) None & info [ "cohort" ] ~docv:"NAME"
-         ~doc:"Route this operation at the named daemon cohort \
-               instead of the anonymous fleet pack.  Defaults to \
-               \\$CMO_COHORT when set.")
-
-(* What a command talking to cmocd (or its offline registry) reports
-   for each failure. *)
-let daemon_errors = function
-  | Pipeline.Compile_error m | Sys_error m | Client.Protocol_error m ->
-    `Error (false, m)
-  | Cmo_profile.Cohort.Bad_name n -> `Error (false, "bad cohort name: " ^ n)
-  | Unix.Unix_error (e, _, _) ->
-    `Error (false, "cannot reach cmocd: " ^ Unix.error_message e)
-  | e -> raise e
+         ~doc:"The daemon cohort to push to or pull from.  Defaults to \
+               \\$CMO_COHORT when set, else $(b,fleet).")
 
 let resolve_cohort = function
-  | Some name -> Some name
-  | None -> Options.env.Options.env_cohort
+  | Some name -> name
+  | None -> Option.value Options.env.Options.env_cohort ~default:Cohort.default
+
+(* [profile push] and [profile cohort ingest] are one action: every
+   decodable shard of the packs joins the cohort in one request. *)
+let ingest_packs with_client cohort packs =
+  let shards, damaged =
+    List.fold_left
+      (fun (acc, d) pack ->
+        let ss, d' = Ingest.read_pack pack in
+        (acc @ ss, d + d'))
+      ([], 0) packs
+  in
+  let stored =
+    with_client (fun c ->
+        Client.cohort_ingest c ~cohort (List.map Ingest.encode_shard shards))
+  in
+  Printf.printf
+    "cohort %s holds %d shards (%d ingested, %d damaged skipped on read)\n"
+    cohort stored (List.length shards) damaged
 
 let profile_push_cmd =
   let packs_arg =
@@ -878,38 +874,12 @@ let profile_push_cmd =
            ~doc:"Shard packs whose shards are uploaded to the daemon.")
   in
   let action packs socket cohort =
-    try
-      let socket = resolve_socket socket in
-      let cohort = resolve_cohort cohort in
-      let pushed = ref 0 and skipped = ref 0 and stored = ref 0 in
-      Client.with_connect ~socket (fun c ->
-          List.iter
-            (fun pack ->
-              let shards, damaged = Ingest.read_pack pack in
-              skipped := !skipped + damaged;
-              match cohort with
-              | Some name ->
-                stored :=
-                  Client.cohort_ingest c ~cohort:name
-                    (List.map Ingest.encode_shard shards);
-                pushed := !pushed + List.length shards
-              | None ->
-                List.iter
-                  (fun s ->
-                    stored := Client.profile_put c (Ingest.encode_shard s);
-                    incr pushed)
-                  shards)
-            packs);
-      Printf.printf "pushed %d shards (%d damaged skipped); %s holds %d\n"
-        !pushed !skipped
-        (match cohort with
-        | Some name -> Printf.sprintf "cohort %s" name
-        | None -> "daemon")
-        !stored;
-      `Ok ()
-    with e -> daemon_errors e
+    guard @@ fun () ->
+    ingest_packs
+      (Client.with_connect ~socket:(resolve_socket socket))
+      (resolve_cohort cohort) packs
   in
-  let doc = "Upload fleet shards to a cmocd daemon." in
+  let doc = "Upload fleet shards to a cmocd cohort." in
   Cmd.v (Cmd.info "push" ~doc)
     Term.(ret (const action $ packs_arg $ socket_arg $ cohort_opt_arg))
 
@@ -919,23 +889,18 @@ let profile_pull_cmd =
            ~doc:"Where to write the daemon's merged canonical database.")
   in
   let action out socket fp cohort =
-    try
-      let socket = resolve_socket socket in
-      let data, shards, skipped =
-        Client.with_connect ~socket (fun c ->
-            match resolve_cohort cohort with
-            | Some name -> Client.cohort_pull c ~cohort:name ~current_fp:fp
-            | None -> Client.profile_get c ~current_fp:fp)
-      in
-      (* The daemon's bytes are already canonical; write them verbatim
-         so pull-vs-local-ingest byte comparisons are meaningful. *)
-      Fsio.atomic_write out data;
-      Printf.printf "wrote %s (%d shards merged, %d skipped)\n" out shards
-        skipped;
-      `Ok ()
-    with e -> daemon_errors e
+    guard @@ fun () ->
+    let data, shards, skipped =
+      Client.with_connect ~socket:(resolve_socket socket) (fun c ->
+          Client.cohort_pull c ~cohort:(resolve_cohort cohort) ~current_fp:fp)
+    in
+    (* The daemon's bytes are already canonical; write them verbatim
+       so pull-vs-local-ingest byte comparisons are meaningful. *)
+    Fsio.atomic_write out data;
+    Printf.printf "wrote %s (%d shards merged, %d skipped)\n" out shards
+      skipped
   in
-  let doc = "Fetch the daemon's merged fleet profile." in
+  let doc = "Fetch a daemon cohort's merged fleet profile." in
   Cmd.v (Cmd.info "pull" ~doc)
     Term.(ret (const action $ out_arg $ socket_arg $ fp_arg $ cohort_opt_arg))
 
@@ -979,28 +944,26 @@ let profile_ab_cmd =
            ~doc:"Arm B shard pack output (replaced).")
   in
   let action paths prof divergence users rate noise seed a b =
-    try
-      let oracle = Db.load prof in
-      let current_fp = fingerprint_of_paths paths in
-      let cfg =
-        {
-          Cmo_workload.Fleet.users;
-          sample_rate = rate;
-          stale_fraction = 0.0;
-          noise;
-          fleet_seed = seed;
-        }
-      in
-      let arm_a, arm_b =
-        Cmo_workload.Fleet.ab_arms cfg ~oracle ~current_fp ~divergence
-      in
-      Ingest.write_pack a arm_a;
-      Ingest.write_pack b arm_b;
-      Printf.printf
-        "wrote %s and %s (%d users per arm, divergence %.2f, rate %g)\n" a b
-        users divergence rate;
-      `Ok ()
-    with Sys_error m | Cmo_support.Codec.Reader.Corrupt m -> `Error (false, m)
+    guard @@ fun () ->
+    let oracle = Db.load prof in
+    let current_fp = fingerprint_of_paths paths in
+    let cfg =
+      {
+        Cmo_workload.Fleet.users;
+        sample_rate = rate;
+        stale_fraction = 0.0;
+        noise;
+        fleet_seed = seed;
+      }
+    in
+    let arm_a, arm_b =
+      Cmo_workload.Fleet.ab_arms cfg ~oracle ~current_fp ~divergence
+    in
+    Ingest.write_pack a arm_a;
+    Ingest.write_pack b arm_b;
+    Printf.printf
+      "wrote %s and %s (%d users per arm, divergence %.2f, rate %g)\n" a b
+      users divergence rate
   in
   let doc =
     "Generate the two shard packs of a canary experiment: arm A \
@@ -1017,21 +980,21 @@ let state_dir_arg =
          ~doc:"Operate on the cohort registry under this cmocd state \
                directory without a daemon (offline mode).")
 
-(* Remote when a socket is named (flag or $CMO_SOCKET), local when a
-   state dir is; naming both is ambiguous and refused. *)
-let cohort_mode socket state_dir =
+(* A daemon when a socket is named (flag or $CMO_SOCKET), the offline
+   registry when a state dir is; naming both is ambiguous and refused.
+   Either way the same handler answers. *)
+let with_registry socket state_dir f =
   match (socket, state_dir) with
   | Some _, Some _ ->
     raise (Pipeline.Compile_error "--socket and --state-dir are exclusive")
-  | None, Some dir -> `Local (Filename.concat dir "cohorts")
-  | Some s, None -> `Remote s
-  | None, None -> (
-    match Options.env.Options.env_socket with
-    | Some s -> `Remote s
-    | None ->
-      raise
-        (Pipeline.Compile_error
-           "cohort operations need --socket/$CMO_SOCKET or --state-dir"))
+  | None, Some state_dir ->
+    let c = Client.offline ~state_dir in
+    Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
+  | None, None when Options.env.Options.env_socket = None ->
+    raise
+      (Pipeline.Compile_error
+         "cohort operations need --socket/$CMO_SOCKET or --state-dir")
+  | _, None -> Client.with_connect ~socket:(resolve_socket socket) f
 
 let cohort_name_arg =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"COHORT"
@@ -1039,18 +1002,11 @@ let cohort_name_arg =
 
 let cohort_create_cmd =
   let action name socket state_dir =
-    try
-      (match cohort_mode socket state_dir with
-      | `Remote socket ->
-        ignore
-          (Client.with_connect ~socket (fun c ->
-               Client.cohort_ingest c ~cohort:name []))
-      | `Local dir ->
-        let reg = Cmo_profile.Cohort.open_ ~dir in
-        Cmo_profile.Cohort.create reg name);
-      Printf.printf "created cohort %s\n" name;
-      `Ok ()
-    with e -> daemon_errors e
+    guard @@ fun () ->
+    ignore
+      (with_registry socket state_dir (fun c ->
+           Client.cohort_ingest c ~cohort:name []));
+    Printf.printf "created cohort %s\n" name
   in
   let doc = "Create an empty named cohort (idempotent)." in
   Cmd.v (Cmd.info "create" ~doc)
@@ -1062,30 +1018,7 @@ let cohort_ingest_cmd =
            ~doc:"Shard packs whose shards join the cohort.")
   in
   let action name packs socket state_dir =
-    try
-      let shards = ref [] and damaged = ref 0 in
-      List.iter
-        (fun pack ->
-          let ss, d = Ingest.read_pack pack in
-          shards := !shards @ ss;
-          damaged := !damaged + d)
-        packs;
-      let stored =
-        match cohort_mode socket state_dir with
-        | `Remote socket ->
-          Client.with_connect ~socket (fun c ->
-              Client.cohort_ingest c ~cohort:name
-                (List.map Ingest.encode_shard !shards))
-        | `Local dir ->
-          let reg = Cmo_profile.Cohort.open_ ~dir in
-          Cmo_profile.Cohort.create reg name;
-          Cmo_profile.Cohort.ingest_into reg name !shards
-      in
-      Printf.printf
-        "cohort %s holds %d shards (%d ingested, %d damaged skipped on read)\n"
-        name stored (List.length !shards) !damaged;
-      `Ok ()
-    with e -> daemon_errors e
+    guard @@ fun () -> ingest_packs (with_registry socket state_dir) name packs
   in
   let doc = "Append fleet shards to a named cohort (created as needed)." in
   Cmd.v (Cmd.info "ingest" ~doc)
@@ -1094,26 +1027,15 @@ let cohort_ingest_cmd =
 
 let cohort_list_cmd =
   let action socket state_dir =
-    try
-      let infos =
-        match cohort_mode socket state_dir with
-        | `Remote socket ->
-          Client.with_connect ~socket (fun c -> Client.cohort_list c)
-        | `Local dir -> Cmo_profile.Cohort.list (Cmo_profile.Cohort.open_ ~dir)
-      in
-      if infos = [] then Printf.printf "no cohorts\n"
-      else
-        List.iter
-          (fun (i : Cmo_profile.Cohort.info) ->
-            Printf.printf "%-24s %5d shards %4d damaged %8d bytes%s%s\n"
-              i.Cmo_profile.Cohort.ci_name i.ci_shards i.ci_damaged i.ci_bytes
-              (if i.ci_snapshot then "  [snapshot]" else "")
-              (match i.ci_tags with
-              | [] -> ""
-              | tags -> "  tags: " ^ String.concat "," tags))
-          infos;
-      `Ok ()
-    with e -> daemon_errors e
+    guard @@ fun () ->
+    match with_registry socket state_dir Client.cohort_list with
+    | [] -> Printf.printf "no cohorts\n"
+    | infos ->
+      List.iter
+        (fun (i : Cohort.info) ->
+          Printf.printf "%-24s %5d shards %4d damaged %8d bytes\n"
+            i.Cohort.ci_name i.ci_shards i.ci_damaged i.ci_bytes)
+        infos
   in
   let doc = "List the registry's named cohorts." in
   Cmd.v (Cmd.info "list" ~doc)
@@ -1148,47 +1070,25 @@ let cohort_diff_cmd =
   in
   let action base canary paths socket state_dir percent threshold report_json
       fail_on_flip =
-    try
-      let threshold =
-        match threshold with
+    guard @@ fun () ->
+    let threshold =
+      match threshold with
+      | Some t -> t
+      | None -> (
+        match Options.env.Options.env_flip_threshold with
         | Some t -> t
-        | None -> (
-          match Options.env.Options.env_flip_threshold with
-          | Some t -> t
-          | None -> Cmo_profile.Cohort.Diff.default_threshold)
-      in
-      let sources = List.map source_of_path paths in
-      let report =
-        match cohort_mode socket state_dir with
-        | `Remote socket ->
-          Client.with_connect ~socket (fun c ->
-              Client.cohort_diff c ~base ~canary ~percent ~threshold sources)
-        | `Local dir ->
-          let reg = Cmo_profile.Cohort.open_ ~dir in
-          let current_fp =
-            Ingest.fingerprint
-              (List.map
-                 (fun (s : Pipeline.source) ->
-                   (s.Pipeline.name, s.Pipeline.text))
-                 sources)
-          in
-          let policy = Ingest.default_policy ~current_fp in
-          let base_db = fst (Cmo_profile.Cohort.pull reg ~policy base) in
-          let canary_db = fst (Cmo_profile.Cohort.pull reg ~policy canary) in
-          let modules = Pipeline.frontend sources in
-          let hot label db =
-            Cmo_hlo.Selectivity.cohort_hot_set ~percent ~label db modules
-          in
-          Cmo_profile.Cohort.Diff.diff ~threshold ~base:(hot base base_db)
-            (hot canary canary_db)
-      in
-      Format.printf "%a@?" Cmo_profile.Cohort.Diff.pp_report report;
-      write_report_json report_json
-        (Json.to_string (Cmo_profile.Cohort.Diff.report_to_json report));
-      if fail_on_flip && report.Cmo_profile.Cohort.Diff.r_verdict = Flip then
-        `Error (false, "canary would flip the hot set")
-      else `Ok ()
-    with e -> daemon_errors e
+        | None -> Cohort.Diff.default_threshold)
+    in
+    let sources = List.map source_of_path paths in
+    let report =
+      with_registry socket state_dir (fun c ->
+          Client.cohort_diff c ~base ~canary ~percent ~threshold sources)
+    in
+    Format.printf "%a@?" Cohort.Diff.pp_report report;
+    write_report_json report_json
+      (Json.to_string (Cohort.Diff.report_to_json report));
+    if fail_on_flip && report.Cohort.Diff.r_verdict = Flip then
+      raise (Pipeline.Compile_error "canary would flip the hot set")
   in
   let doc =
     "Compare the module/function hot sets two cohorts induce on a \
@@ -1210,22 +1110,19 @@ let cohort_gc_cmd =
                  (run offline; stop the daemon first).")
   in
   let action state_dir drops =
-    try
-      let reg =
-        Cmo_profile.Cohort.open_ ~dir:(Filename.concat state_dir "cohorts")
-      in
-      let st = Cmo_profile.Cohort.gc ~drop:drops reg in
-      Printf.printf
-        "gc: %d cohorts kept (%d shards), %d removed, %d damaged frames \
-         compacted, %d bytes reclaimed\n"
-        st.Cmo_profile.Cohort.gc_cohorts st.gc_kept_shards st.gc_removed
-        st.gc_damage_dropped st.gc_bytes_reclaimed;
-      `Ok ()
-    with e -> daemon_errors e
+    guard @@ fun () ->
+    let st =
+      Cohort.gc ~drop:drops (Cmo_server.Server.registry ~state_dir)
+    in
+    Printf.printf
+      "gc: %d cohorts kept (%d shards), %d removed, %d damaged frames \
+       compacted, %d bytes reclaimed\n"
+      st.Cohort.gc_cohorts st.gc_kept_shards st.gc_removed
+      st.gc_damage_dropped st.gc_bytes_reclaimed
   in
   let doc =
-    "Sweep the cohort registry offline: drop named cohorts, compact \
-     damaged packs, delete orphan metadata."
+    "Sweep the cohort registry offline: drop named cohorts and compact \
+     damaged packs."
   in
   Cmd.v (Cmd.info "gc" ~doc)
     Term.(ret (const action $ gc_state_dir_arg $ drop_arg))
@@ -1275,119 +1172,112 @@ let build_cmd =
   let action paths level pbo profile selectivity machine_mb jobs check trace
       fault log input dir no_cache cache_dir cache_capacity run_it verbose
       dist workers socket report_json =
-    try
-      setup_logs log;
-      install_fault_plan (fault_spec fault);
-      let workers = resolve_workers workers in
-      let dist = dist || workers <> [] in
-      let sources = List.map source_of_path paths in
-      let options = make_options level pbo selectivity machine_mb jobs check trace in
-      let options =
-        if dist then { options with Options.dist = true } else options
-      in
-      let options =
-        if workers = [] then options else { options with Options.workers }
-      in
-      let ws =
-        Buildsys.create ~cache:(not no_cache) ?cache_dir
-          ?cache_capacity:(Option.map (fun mb -> mb * 1024 * 1024) cache_capacity)
-          ~dir ()
-      in
-      (* With --dist and a socket, a running cmocd doubles as a remote
-         artifact cache shared across checkouts; an unreachable daemon
-         degrades to a purely local build. *)
-      let client =
-        let socket =
-          match socket with
-          | Some _ -> socket
-          | None -> Options.env.Options.env_socket
-        in
+    guard @@ fun () ->
+    setup_logs log;
+    install_fault_plan (fault_spec fault);
+    let workers = resolve_workers workers in
+    let dist = dist || workers <> [] in
+    let sources = List.map source_of_path paths in
+    let options = make_options level pbo selectivity machine_mb jobs check trace in
+    let options =
+      if dist then { options with Options.dist = true } else options
+    in
+    let options =
+      if workers = [] then options else { options with Options.workers }
+    in
+    let ws =
+      Buildsys.create ~cache:(not no_cache) ?cache_dir
+        ?cache_capacity:(Option.map (fun mb -> mb * 1024 * 1024) cache_capacity)
+        ~dir ()
+    in
+    (* With --dist and a socket, a running cmocd doubles as a remote
+       artifact cache shared across checkouts; an unreachable daemon
+       degrades to a purely local build. *)
+    let client =
+      let socket =
         match socket with
-        | Some s when options.Options.dist -> (
-          match Client.connect ~socket:s with
-          | c -> Some c
-          | exception Unix.Unix_error (e, _, _) ->
-            Logs.warn (fun f ->
-                f "remote cache at %s unreachable (%s); building without it"
-                  s (Unix.error_message e));
-            None
-          | exception Sys_error m ->
-            (* Netio.connect (tcp: sockets) reports exhausted retries
-               this way; same degradation either transport. *)
-            Logs.warn (fun f ->
-                f "remote cache at %s unreachable (%s); building without it" s m);
-            None)
-        | Some _ | None -> None
+        | Some _ -> socket
+        | None -> Options.env.Options.env_socket
       in
-      Fun.protect ~finally:(fun () -> Option.iter Client.close client)
-      @@ fun () ->
-      let remote = Option.map Client.remote client in
-      let outcome =
-        (* ^C mid-build must not leave half-written [.tmp] artifacts
-           around the workspace: Break unwinds through the build's
-           finalizers (closing the store), then the sweep below picks
-           up whatever an interrupted atomic_write abandoned. *)
-        let previous =
-          Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> raise Sys.Break))
-        in
-        match
-          Buildsys.build ?profile:(load_profile profile) ?remote ws options
-            sources
-        with
-        | outcome ->
-          Sys.set_signal Sys.sigint previous;
-          outcome
-        | exception Sys.Break ->
-          List.iter
-            (fun d ->
-              if Sys.file_exists d && Sys.is_directory d then
-                Array.iter
-                  (fun f ->
-                    if Filename.check_suffix f ".tmp" then
-                      try Sys.remove (Filename.concat d f) with Sys_error _ -> ())
-                  (Sys.readdir d))
-            [ dir; Buildsys.cache_dir ws ];
-          prerr_endline "cmoc: interrupted; temp artifacts cleaned";
-          exit 130
+      match socket with
+      | Some s when options.Options.dist -> (
+        match Client.connect ~socket:s with
+        | c -> Some c
+        | exception Unix.Unix_error (e, _, _) ->
+          Logs.warn (fun f ->
+              f "remote cache at %s unreachable (%s); building without it"
+                s (Unix.error_message e));
+          None
+        | exception Sys_error m ->
+          (* Netio.connect (tcp: sockets) reports exhausted retries
+             this way; same degradation either transport. *)
+          Logs.warn (fun f ->
+              f "remote cache at %s unreachable (%s); building without it" s m);
+          None)
+      | Some _ | None -> None
+    in
+    Fun.protect ~finally:(fun () -> Option.iter Client.close client)
+    @@ fun () ->
+    let remote = Option.map Client.remote client in
+    let outcome =
+      (* ^C mid-build must not leave half-written [.tmp] artifacts
+         around the workspace: Break unwinds through the build's
+         finalizers (closing the store), then the sweep below picks
+         up whatever an interrupted atomic_write abandoned. *)
+      let previous =
+        Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> raise Sys.Break))
       in
-      write_report_json report_json
-        (Json.to_string
-           (Pipeline.report_to_json outcome.Buildsys.build.Pipeline.report));
-      Printf.printf "frontend: %d recompiled, %d reused\n"
-        (List.length outcome.Buildsys.recompiled)
-        (List.length outcome.Buildsys.reused);
-      let report = outcome.Buildsys.build.Pipeline.report in
-      (match report.Pipeline.cache with
-      | Some c ->
-        Printf.printf
-          "link cache: %d hits, %d misses; %d cmo modules cached, %d re-optimized\n"
-          c.Pipeline.hits c.Pipeline.misses
-          (List.length c.Pipeline.cmo_cached)
-          (List.length c.Pipeline.cmo_reoptimized);
-        if c.Pipeline.remote_hits + c.Pipeline.remote_misses > 0 then
-          Printf.printf "remote cache: %d hits, %d misses\n"
-            c.Pipeline.remote_hits c.Pipeline.remote_misses
-      | None -> ());
-      if report.Pipeline.workers_used > 1 then
-        Printf.printf "parallel: %d workers, %.2fx speedup (cpu/wall)\n"
-          report.Pipeline.workers_used (Pipeline.par_speedup report);
-      if verbose then Format.printf "%a@." Pipeline.pp_report report;
-      if run_it then begin
-        let o = Pipeline.run ~input:(parse_input input) outcome.Buildsys.build in
-        List.iter (Printf.printf "%Ld\n") o.Vm.output;
-        Printf.printf "exit: %Ld  (%d cycles)\n" o.Vm.ret o.Vm.cycles
-      end
-      else
-        Printf.printf "linked %d instructions\n"
-          (Array.length outcome.Buildsys.build.Pipeline.image.Cmo_link.Image.code);
-      report_fault_plan ();
-      `Ok ()
-    with
-    | Pipeline.Compile_error msg -> `Error (false, msg)
-    | Vm.Fault msg -> `Error (false, "runtime fault: " ^ msg)
-    | e when is_crash e ->
-      report_fault_plan ();
-      `Error (false, "simulated crash (fault plan): build aborted")
+      match
+        Buildsys.build ?profile:(load_profile profile) ?remote ws options
+          sources
+      with
+      | outcome ->
+        Sys.set_signal Sys.sigint previous;
+        outcome
+      | exception Sys.Break ->
+        List.iter
+          (fun d ->
+            if Sys.file_exists d && Sys.is_directory d then
+              Array.iter
+                (fun f ->
+                  if Filename.check_suffix f ".tmp" then
+                    try Sys.remove (Filename.concat d f) with Sys_error _ -> ())
+                (Sys.readdir d))
+          [ dir; Buildsys.cache_dir ws ];
+        prerr_endline "cmoc: interrupted; temp artifacts cleaned";
+        exit 130
+    in
+    write_report_json report_json
+      (Json.to_string
+         (Pipeline.report_to_json outcome.Buildsys.build.Pipeline.report));
+    Printf.printf "frontend: %d recompiled, %d reused\n"
+      (List.length outcome.Buildsys.recompiled)
+      (List.length outcome.Buildsys.reused);
+    let report = outcome.Buildsys.build.Pipeline.report in
+    (match report.Pipeline.cache with
+    | Some c ->
+      Printf.printf
+        "link cache: %d hits, %d misses; %d cmo modules cached, %d re-optimized\n"
+        c.Pipeline.hits c.Pipeline.misses
+        (List.length c.Pipeline.cmo_cached)
+        (List.length c.Pipeline.cmo_reoptimized);
+      if c.Pipeline.remote_hits + c.Pipeline.remote_misses > 0 then
+        Printf.printf "remote cache: %d hits, %d misses\n"
+          c.Pipeline.remote_hits c.Pipeline.remote_misses
+    | None -> ());
+    if report.Pipeline.workers_used > 1 then
+      Printf.printf "parallel: %d workers, %.2fx speedup (cpu/wall)\n"
+        report.Pipeline.workers_used (Pipeline.par_speedup report);
+    if verbose then Format.printf "%a@." Pipeline.pp_report report;
+    if run_it then begin
+      let o = Pipeline.run ~input:(parse_input input) outcome.Buildsys.build in
+      List.iter (Printf.printf "%Ld\n") o.Vm.output;
+      Printf.printf "exit: %Ld  (%d cycles)\n" o.Vm.ret o.Vm.cycles
+    end
+    else
+      Printf.printf "linked %d instructions\n"
+        (Array.length outcome.Buildsys.build.Pipeline.image.Cmo_link.Image.code);
+    report_fault_plan ()
   in
   let doc =
     "Incremental build over on-disk object files, with cached link-time \
@@ -1414,6 +1304,7 @@ let cache_cmd =
   in
   let dir_of = function Some d -> d | None -> ".cmo-cache" in
   let action what cache_dir capacity =
+    guard @@ fun () ->
     let dir = dir_of cache_dir in
     match what with
     | `Stats ->
@@ -1426,13 +1317,9 @@ let cache_cmd =
         Fun.protect
           ~finally:(fun () -> Store.close store)
           (fun () ->
-            Format.printf "%s:@.%a@." dir Store.pp_stats (Store.stats store));
-        `Ok ()
+            Format.printf "%s:@.%a@." dir Store.pp_stats (Store.stats store))
       end
-      else begin
-        Printf.printf "no cache at %s\n" dir;
-        `Ok ()
-      end
+      else Printf.printf "no cache at %s\n" dir
     | `Clear ->
       if Sys.file_exists dir then begin
         let store = Store.open_ ~dir () in
@@ -1441,8 +1328,7 @@ let cache_cmd =
           (fun () -> Store.clear store);
         Printf.printf "cleared %s\n" dir
       end
-      else Printf.printf "no cache at %s\n" dir;
-      `Ok ()
+      else Printf.printf "no cache at %s\n" dir
   in
   let doc = "Inspect or clear a link-time artifact cache." in
   Cmd.v (Cmd.info "cache" ~doc)
@@ -1452,6 +1338,7 @@ let cache_cmd =
 
 let bench_info_cmd =
   let action () =
+    guard @@ fun () ->
     Printf.printf "%-10s %8s %6s %6s %7s\n" "name" "modules" "hot" "weight" "lines";
     List.iter
       (fun (name, cfg) ->
@@ -1460,8 +1347,7 @@ let bench_info_cmd =
           (Genprog.source_lines (Genprog.generate cfg)))
       (Suite.all @ [ ("storm", Suite.storm) ]);
     Printf.printf
-      "(storm is the build-server load personality; not part of the figure suite)\n";
-    `Ok ()
+      "(storm is the build-server load personality; not part of the figure suite)\n"
   in
   let doc = "List the benchmark personalities." in
   Cmd.v (Cmd.info "bench-info" ~doc) Term.(ret (const action $ const ()))
@@ -1474,4 +1360,5 @@ let main_cmd =
       assemble_cmd; link_cmd; isolate_cmd; profile_show_cmd; profile_cmd;
       bench_info_cmd ]
 
-let () = exit (Cmd.eval main_cmd)
+(* Usage errors keep cmdliner's status 124; a failed action is 1. *)
+let () = exit (Cmd.eval ~term_err:1 main_cmd)

@@ -53,12 +53,19 @@
 # agree).  Profile cohorts are gated the same way: the canary-smoke
 # benchmark (divergence x sampling sweep with the would-flip verdict,
 # the divergence-0 identity law, and registry arrival-order
-# permutation), and a process-level canary smoke — a live cmocd holds
-# a stable cohort and two canary cohorts fed from the arms of an A/B
-# fleet; the diff against the divergent arm must report FLIP (and
-# --fail-on-flip must exit nonzero), the diff against the identical
-# arm must report no-flip, and a cohort pull must be byte-identical
-# to a local ingest of the same shards.  The multi-machine transport
+# permutation), and a process-level canary smoke — cmoc profile
+# push/pull without --cohort must land in and come back from the
+# default "fleet" cohort byte-identical to a local ingest, then a live
+# cmocd holds a stable cohort and two canary cohorts fed from the
+# arms of an A/B fleet; the diff against the divergent arm must
+# report FLIP (and --fail-on-flip must exit nonzero), the diff against
+# the identical arm must report no-flip, a cohort pull must be
+# byte-identical to a local ingest of the same shards, and after
+# shutdown the diff and listing answered offline from the daemon's
+# --state-dir must be byte-identical to the daemon's.  An error-exit
+# step then requires cmoc to fail with status 1 and a message, never
+# an uncaught exception, on a corrupt and an empty profile database
+# and on a train into a missing directory.  The multi-machine transport
 # is gated by a TCP worker-fleet smoke: two cmoc-worker --listen
 # processes on loopback ephemeral ports serve a cmoc build --dist
 # --workers over real sockets, a second build severs the network with
@@ -292,12 +299,19 @@ cmp "$PROF_DIR/buildA.out" "$PROF_DIR/buildB.out"
 echo "ingest smoke OK"
 
 echo "== profile cohort canary smoke (process level) =="
-# Two A/B arms with a planted full-rank divergence, three cohorts on
-# a live daemon: stable (arm A), canary (the divergent arm B), and
-# canary-same (arm A again).  The diff against canary must report a
-# FLIP and --fail-on-flip must turn it into a nonzero exit; the diff
-# against canary-same must report no-flip; and a daemon-side cohort
-# pull must be byte-identical to a local ingest of the same shards.
+# The plain fleet flow first: push and pull without --cohort go to the
+# default cohort "fleet", and the pull must be byte-identical to a
+# local ingest of the same pack.  Then two A/B arms with a planted
+# full-rank divergence, three more cohorts on the live daemon: stable
+# (arm A), canary (the divergent arm B), and canary-same (arm A
+# again).  The listing must show all four; the diff against canary
+# must report a FLIP and --fail-on-flip must turn it into a nonzero
+# exit; the diff against canary-same must report no-flip; and a
+# daemon-side cohort pull must be byte-identical to a local ingest of
+# the same shards.  After shutdown the same diff and listing, answered
+# offline from the daemon's --state-dir, must be byte-identical to the
+# daemon's answers.
+unset CMO_COHORT
 "$CMOC" profile ab --profile "$PROF_DIR/app.prof" --divergence 1.0 \
   --users 30 -a "$PROF_DIR/armA.shards" -b "$PROF_DIR/armB.shards" \
   "$PROF_DIR"/src/*.mc > /dev/null
@@ -307,6 +321,19 @@ COHORT_PID=$!
 i=0
 while [ ! -S "$CSOCK" ] && [ "$i" -lt 100 ]; do sleep 0.1; i=$((i + 1)); done
 [ -S "$CSOCK" ] || { echo "cmocd (cohort) never came up"; exit 1; }
+"$CMOC" profile push --socket "$CSOCK" "$PROF_DIR/fleetA.shards" \
+  > "$PROF_DIR/push.out"
+grep -q "^cohort fleet holds" "$PROF_DIR/push.out" || {
+  echo "canary smoke: push did not land in the fleet cohort"
+  cat "$PROF_DIR/push.out"
+  exit 1
+}
+"$CMOC" profile pull -o "$PROF_DIR/fleet-pulled.prof" --fp "$FP" \
+  --socket "$CSOCK" > /dev/null
+cmp "$PROF_DIR/fleet-pulled.prof" "$PROF_DIR/fleetA.prof" || {
+  echo "canary smoke: default-cohort pull diverged from a local ingest"
+  exit 1
+}
 "$CMOC" profile cohort create stable --socket "$CSOCK"
 "$CMOC" profile cohort ingest stable "$PROF_DIR/armA.shards" \
   --socket "$CSOCK"
@@ -315,14 +342,15 @@ while [ ! -S "$CSOCK" ] && [ "$i" -lt 100 ]; do sleep 0.1; i=$((i + 1)); done
 "$CMOC" profile cohort ingest canary-same "$PROF_DIR/armA.shards" \
   --socket "$CSOCK"
 "$CMOC" profile cohort list --socket "$CSOCK" > "$PROF_DIR/cohorts.out"
-for name in stable canary canary-same; do
-  grep -q "$name" "$PROF_DIR/cohorts.out" || {
+for name in fleet stable canary canary-same; do
+  grep -q "^$name " "$PROF_DIR/cohorts.out" || {
     echo "canary smoke: cohort $name missing from the listing"
     exit 1
   }
 done
 "$CMOC" profile cohort diff stable canary --socket "$CSOCK" \
-  "$PROF_DIR"/src/*.mc > "$PROF_DIR/flip.out"
+  --report-json "$PROF_DIR/flip.json" "$PROF_DIR"/src/*.mc \
+  > "$PROF_DIR/flip.out"
 cat "$PROF_DIR/flip.out"
 grep -q "cohort-diff: FLIP" "$PROF_DIR/flip.out" || {
   echo "canary smoke: planted divergence not detected"
@@ -354,7 +382,41 @@ if [ -S "$CSOCK" ]; then
   echo "canary smoke: socket left behind after shutdown"
   exit 1
 fi
+"$CMOC" profile cohort diff stable canary --state-dir "$PROF_DIR/state" \
+  --report-json "$PROF_DIR/flip-offline.json" "$PROF_DIR"/src/*.mc \
+  > "$PROF_DIR/flip-offline.out"
+"$CMOC" profile cohort list --state-dir "$PROF_DIR/state" \
+  > "$PROF_DIR/cohorts-offline.out"
+for pair in flip.out:flip-offline.out flip.json:flip-offline.json \
+  cohorts.out:cohorts-offline.out; do
+  cmp "$PROF_DIR/${pair%%:*}" "$PROF_DIR/${pair#*:}" || {
+    echo "canary smoke: offline ${pair#*:} differs from the daemon's answer"
+    exit 1
+  }
+done
 echo "canary smoke OK"
+
+echo "== cmoc failures exit 1 with a message =="
+# A corrupt and an empty profile database, and a train whose output
+# directory does not exist: each must exit with status 1 and a
+# one-line message, never as an uncaught exception ("internal error",
+# status 125).
+printf 'garbage' > "$PROF_DIR/corrupt.prof"
+: > "$PROF_DIR/empty.prof"
+expect_error() {
+  status=0
+  "$CMOC" "$@" > /dev/null 2> "$PROF_DIR/err.out" || status=$?
+  if [ "$status" -ne 1 ] || grep -q "internal error" "$PROF_DIR/err.out"; then
+    echo "cmoc $*: exit status $status, stderr:"
+    cat "$PROF_DIR/err.out"
+    exit 1
+  fi
+}
+expect_error profile-show "$PROF_DIR/corrupt.prof"
+expect_error profile-show "$PROF_DIR/empty.prof"
+expect_error train -o "$PROF_DIR/no/such/dir/app.prof" --input 1000,17 \
+  "$PROF_DIR"/src/*.mc
+echo "error exits OK"
 
 echo "== distributed CMO smoke (dist-smoke bench) =="
 dune exec bench/main.exe -- dist-smoke

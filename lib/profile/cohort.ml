@@ -29,17 +29,15 @@ let open_ ~dir =
 
 let dir t = t.root
 
+let default = "fleet"
+
 let pack_path t name = Filename.concat t.root (name ^ ".pack")
-let meta_path t name = Filename.concat t.root (name ^ ".meta")
-let snap_path t name = Filename.concat t.root (name ^ ".snap")
 
 type info = {
   ci_name : string;
   ci_shards : int;
   ci_damaged : int;
   ci_bytes : int;
-  ci_tags : string list;
-  ci_snapshot : bool;
 }
 
 let exists t name =
@@ -71,69 +69,16 @@ let ingest_into t name new_shards =
     Obs.tick "cohort" "ingested" (List.length new_shards);
   List.length decodable
 
-(* ---- tags: a tiny atomically-replaced meta record ---- *)
-
-let meta_version = 1
-
-let encode_tags tags =
-  let w = Codec.Writer.create () in
-  Codec.Writer.byte w meta_version;
-  Codec.Writer.list w (Codec.Writer.string w) tags;
-  Codec.Writer.contents w
-
-let decode_tags data =
-  let r = Codec.Reader.of_string data in
-  let v = Codec.Reader.byte r in
-  if v <> meta_version then
-    Codec.Reader.corrupt (Printf.sprintf "cohort meta version %d" v);
-  let tags = Codec.Reader.list r Codec.Reader.string in
-  if not (Codec.Reader.at_end r) then
-    Codec.Reader.corrupt "trailing bytes after cohort meta";
-  tags
-
-let tags t name =
-  checked name;
-  let path = meta_path t name in
-  if not (Sys.file_exists path) then []
-  else
-    match decode_tags (Fsio.read_file path) with
-    | tags -> List.sort_uniq String.compare tags
-    | exception (Codec.Reader.Corrupt _ | Sys_error _) ->
-      (* Tags are advisory; a damaged meta degrades to none rather
-         than poisoning every registry listing. *)
-      []
-
-let tag t name label =
-  checked name;
-  create t name;
-  let tags = List.sort_uniq String.compare (label :: tags t name) in
-  Fsio.atomic_write (meta_path t name) (encode_tags tags)
-
-(* ---- canonical pulls and snapshots ---- *)
+(* ---- canonical pulls ---- *)
 
 let pull t ~policy name =
   let shards, skipped = shards t name in
   Ingest.ingest ~policy ~skipped shards
 
-let snapshot t ~policy name =
-  let db, _ = pull t ~policy name in
-  Fsio.atomic_write (snap_path t name) (Db.encode db);
-  db
-
-let snapshot_db t name =
-  checked name;
-  let path = snap_path t name in
-  if not (Sys.file_exists path) then None
-  else
-    match Db.decode (Fsio.read_file path) with
-    | db -> Some db
-    | exception (Codec.Reader.Corrupt _ | Sys_error _) -> None
-
 let remove t name =
   checked name;
-  List.iter
-    (fun path -> if Sys.file_exists path then Fsio.remove path)
-    [ pack_path t name; meta_path t name; snap_path t name ]
+  let path = pack_path t name in
+  if Sys.file_exists path then Fsio.remove path
 
 (* ---- listing and GC ---- *)
 
@@ -160,8 +105,6 @@ let info_of t name =
     ci_shards = List.length decodable;
     ci_damaged = damaged;
     ci_bytes = bytes;
-    ci_tags = tags t name;
-    ci_snapshot = Sys.file_exists (snap_path t name);
   }
 
 let list t = List.map (info_of t) (names t)
@@ -220,22 +163,6 @@ let gc ?(drop = []) t =
         reclaimed := !reclaimed + max 0 (old_bytes - new_bytes)
       end)
     survivors;
-  (* Orphan meta/snap files (their pack was dropped mid-remove by an
-     earlier crash) are swept so remove stays idempotent. *)
-  (match Sys.readdir t.root with
-  | entries ->
-    Array.iter
-      (fun e ->
-        let orphan suffix =
-          match Filename.chop_suffix_opt ~suffix e with
-          | Some name ->
-            valid_name name && not (Sys.file_exists (pack_path t name))
-          | None -> false
-        in
-        if orphan ".meta" || orphan ".snap" then
-          Fsio.remove (Filename.concat t.root e))
-      entries
-  | exception Sys_error _ -> ());
   {
     gc_cohorts = List.length survivors;
     gc_removed = !removed;

@@ -4,9 +4,9 @@
     stable cohorts, A/B experiment arms, per-input-class profiles.
     This module keeps a directory of named shard packs (the {!Ingest}
     pack format: append-only CMR1 frames that skip-and-count damage)
-    plus per-cohort metadata, and answers the question that matters
-    operationally: {e do two cohorts induce different module
-    selections?}
+    and answers the question that matters operationally: {e do two
+    cohorts induce different module selections?}  The plain fleet
+    flow is the cohort named {!default}.
 
     {2 Registry layout}
 
@@ -15,18 +15,13 @@
 
     {v
     <root>/<name>.pack   append-only shard pack (Ingest frames)
-    <root>/<name>.meta   tags, atomically replaced (Fsio.atomic_write)
-    <root>/<name>.snap   materialized canonical Db bytes (optional)
     v}
 
-    Durability follows the repo's two idioms: packs grow through the
-    {!Cmo_support.Fsio} appender (a torn tail degrades to
-    skip-and-count on read), while meta and snapshot files are
-    replaced atomically (a crash leaves the old bytes or the new,
-    never a prefix).  [gc] compaction writes the surviving shards to a
-    temporary pack and renames it over the old one, so a crash during
-    compaction leaves either the damaged-but-readable original or the
-    clean replacement.
+    Packs grow through the {!Cmo_support.Fsio} appender, so a torn
+    tail degrades to skip-and-count on read.  [gc] compaction writes
+    the surviving shards to a temporary pack and renames it over the
+    old one, so a crash during compaction leaves either the
+    damaged-but-readable original or the clean replacement.
 
     {2 Canonical pulls}
 
@@ -52,13 +47,15 @@ val open_ : dir:string -> t
 
 val dir : t -> string
 
+val default : string
+(** ["fleet"]: the cohort [cmoc profile push]/[pull] use when neither
+    [--cohort] nor [$CMO_COHORT] names one. *)
+
 type info = {
   ci_name : string;
   ci_shards : int;  (** Decodable shards in the pack. *)
   ci_damaged : int;  (** Corrupt/torn frames skipped by the reader. *)
   ci_bytes : int;  (** Pack size on disk. *)
-  ci_tags : string list;  (** Sorted, duplicate-free. *)
-  ci_snapshot : bool;  (** A materialized snapshot exists. *)
 }
 
 val create : t -> string -> unit
@@ -78,28 +75,13 @@ val shards : t -> string -> Ingest.shard list * int
 (** [(shards, damaged)] from the cohort's pack; a missing cohort is
     [([], 0)].  Damage is skipped and counted, never raised. *)
 
-val tag : t -> string -> string -> unit
-(** Add a label to the cohort's tag set (created if missing).  The
-    meta file is replaced atomically. *)
-
-val tags : t -> string -> string list
-(** Sorted tag set; missing or corrupt meta degrades to []. *)
-
 val pull : t -> policy:Ingest.policy -> string -> Db.t * Ingest.stats
 (** Canonical merged database of the cohort's decodable shards under
     the given policy.  Byte-identical to a local {!Ingest.ingest} of
     the same shards. *)
 
-val snapshot : t -> policy:Ingest.policy -> string -> Db.t
-(** Materialize the cohort's canonical database to [<name>.snap]
-    (atomic replace) and return it. *)
-
-val snapshot_db : t -> string -> Db.t option
-(** The last materialized snapshot; [None] when absent or corrupt —
-    callers degrade to a fresh {!pull} (recompute), never fail. *)
-
 val remove : t -> string -> unit
-(** Delete the cohort's pack, meta and snapshot.  Idempotent. *)
+(** Delete the cohort's pack.  Idempotent. *)
 
 type gc_stats = {
   gc_cohorts : int;  (** Cohorts surviving the sweep. *)
@@ -112,9 +94,8 @@ type gc_stats = {
 val gc : ?drop:string list -> t -> gc_stats
 (** Sweep the registry: remove every cohort in [drop], rewrite any
     pack containing damage to just its decodable shards (temp file +
-    rename, crash-safe), and delete orphan meta/snapshot files whose
-    pack is gone.  Byte-identical pulls before and after: compaction
-    only discards frames the reader was already skipping. *)
+    rename, crash-safe).  Byte-identical pulls before and after:
+    compaction only discards frames the reader was already skipping. *)
 
 (** {2 Selection diff}
 

@@ -1,4 +1,8 @@
-type t = { fd : Unix.file_descr; mutable open_ : bool }
+(* A client speaks to a daemon over a socket, or in-process to a
+   registry directory through the daemon's own cohort handler. *)
+type link = Socket of Unix.file_descr | Registry of Cmo_profile.Cohort.t
+
+type t = { link : link; mutable open_ : bool }
 
 exception Protocol_error of string
 
@@ -26,12 +30,17 @@ let connect ~socket =
   in
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
-  { fd; open_ = true }
+  { link = Socket fd; open_ = true }
+
+let offline ~state_dir =
+  { link = Registry (Server.registry ~state_dir); open_ = true }
 
 let close t =
   if t.open_ then begin
     t.open_ <- false;
-    try Unix.close t.fd with Unix.Unix_error _ -> ()
+    match t.link with
+    | Socket fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
+    | Registry _ -> ()
   end
 
 let with_connect ~socket f =
@@ -40,16 +49,24 @@ let with_connect ~socket f =
 
 let roundtrip t req =
   if not t.open_ then fail "connection is closed";
-  (try Proto.write_message t.fd (Proto.string_of_request req)
-   with Unix.Unix_error (e, _, _) ->
-     fail "send failed: %s" (Unix.error_message e));
-  match Proto.read_message t.fd with
-  | Ok payload -> (
-    match Proto.response_of_string payload with
-    | Ok resp -> resp
-    | Error m -> fail "bad response: %s" m)
-  | Error `Eof -> fail "server closed the connection"
-  | Error (`Bad m) -> fail "bad frame: %s" m
+  match t.link with
+  | Registry reg -> Server.serve_cohort reg req
+  | Socket fd -> (
+    (try Proto.write_message fd (Proto.string_of_request req)
+     with Unix.Unix_error (e, _, _) ->
+       fail "send failed: %s" (Unix.error_message e));
+    match Proto.read_message fd with
+    | Ok payload -> (
+      match Proto.response_of_string payload with
+      | Ok resp -> resp
+      | Error m -> fail "bad response: %s" m)
+    | Error `Eof -> fail "server closed the connection"
+    | Error (`Bad m) -> fail "bad frame: %s" m)
+
+(* Every typed call's answer to a reply it does not expect. *)
+let unexpected req = function
+  | Proto.Failed { reason; _ } -> fail "%s refused: %s" req reason
+  | _ -> fail "unexpected reply to %s" req
 
 let ping t = match roundtrip t Proto.Ping with
   | Proto.Pong -> true
@@ -60,69 +77,38 @@ let build t req = roundtrip t (Proto.Build req)
 let stats t =
   match roundtrip t Proto.Stats with
   | Proto.Stats_reply s -> s
-  | r ->
-    fail "unexpected reply to Stats: %s"
-      (match r with
-      | Proto.Pong -> "Pong"
-      | Proto.Built _ -> "Built"
-      | Proto.Rejected _ -> "Rejected"
-      | Proto.Failed { reason; _ } -> "Failed: " ^ reason
-      | Proto.Stats_reply _ -> assert false
-      | Proto.Shutting_down -> "Shutting_down"
-      | Proto.Cache_hit _ -> "Cache_hit"
-      | Proto.Cache_miss -> "Cache_miss"
-      | Proto.Cache_stored -> "Cache_stored"
-      | Proto.Profile_stored _ -> "Profile_stored"
-      | Proto.Profile_db _ -> "Profile_db"
-      | Proto.Cohort_listing _ -> "Cohort_listing"
-      | Proto.Cohort_stored _ -> "Cohort_stored"
-      | Proto.Cohort_db _ -> "Cohort_db"
-      | Proto.Cohort_report _ -> "Cohort_report")
+  | r -> unexpected "Stats" r
 
 let shutdown_server t =
   match roundtrip t Proto.Shutdown with
   | Proto.Shutting_down -> ()
-  | _ -> fail "unexpected reply to Shutdown"
+  | r -> unexpected "Shutdown" r
 
 let cache_get t key =
   match roundtrip t (Proto.Cache_get { key }) with
   | Proto.Cache_hit { data } -> Some data
   | Proto.Cache_miss -> None
-  | _ -> fail "unexpected reply to Cache_get"
+  | r -> unexpected "Cache_get" r
 
 let cache_put t key data =
   match roundtrip t (Proto.Cache_put { key; data }) with
   | Proto.Cache_stored -> ()
-  | _ -> fail "unexpected reply to Cache_put"
-
-let profile_put t shard =
-  match roundtrip t (Proto.Profile_put { shard }) with
-  | Proto.Profile_stored { shards } -> shards
-  | Proto.Failed { reason; _ } -> fail "profile put refused: %s" reason
-  | _ -> fail "unexpected reply to Profile_put"
-
-let profile_get t ~current_fp =
-  match roundtrip t (Proto.Profile_get { current_fp }) with
-  | Proto.Profile_db { data; shards; skipped } -> (data, shards, skipped)
-  | _ -> fail "unexpected reply to Profile_get"
+  | r -> unexpected "Cache_put" r
 
 let cohort_list t =
   match roundtrip t Proto.Cohort_list with
   | Proto.Cohort_listing { cohorts } -> cohorts
-  | Proto.Failed { reason; _ } -> fail "cohort list refused: %s" reason
-  | _ -> fail "unexpected reply to Cohort_list"
+  | r -> unexpected "Cohort_list" r
 
 let cohort_ingest t ~cohort shards =
   match roundtrip t (Proto.Cohort_ingest { cohort; shards }) with
   | Proto.Cohort_stored { shards; _ } -> shards
-  | Proto.Failed { reason; _ } -> fail "cohort ingest refused: %s" reason
-  | _ -> fail "unexpected reply to Cohort_ingest"
+  | r -> unexpected "Cohort_ingest" r
 
 let cohort_pull t ~cohort ~current_fp =
   match roundtrip t (Proto.Cohort_pull { cohort; current_fp }) with
   | Proto.Cohort_db { data; shards; skipped } -> (data, shards, skipped)
-  | Proto.Failed { reason; _ } -> fail "cohort pull refused: %s" reason
-  | _ -> fail "unexpected reply to Cohort_pull"
+  | r -> unexpected "Cohort_pull" r
 
 let cohort_diff t ~base ~canary ~percent ~threshold sources =
   match roundtrip t (Proto.Cohort_diff { base; canary; percent; threshold; sources })
@@ -132,8 +118,7 @@ let cohort_diff t ~base ~canary ~percent ~threshold sources =
     | report -> report
     | exception Cmo_support.Codec.Reader.Corrupt m ->
       fail "bad cohort report: %s" m)
-  | Proto.Failed { reason; _ } -> fail "cohort diff refused: %s" reason
-  | _ -> fail "unexpected reply to Cohort_diff"
+  | r -> unexpected "Cohort_diff" r
 
 let remote t =
   (* The pipeline's contract is that a remote degrades internally: the

@@ -1,7 +1,10 @@
 (** Synchronous client for the build server: one outstanding request
     per connection, blocking until its response arrives.  [cmoc
     --remote], the storm load driver and the tests all speak through
-    this. *)
+    this.  An {!offline} client answers the cohort calls in-process
+    from a registry directory through the daemon's own handler
+    ({!Server.serve_cohort}), so every [cohort_*] call behaves the
+    same against a live daemon or a state directory. *)
 
 type t
 
@@ -11,6 +14,11 @@ exception Protocol_error of string
 
 val connect : socket:string -> t
 (** Raises [Unix.Unix_error] when the daemon is not there. *)
+
+val offline : state_dir:string -> t
+(** An in-process client over the cohort registry a daemon with this
+    state directory would serve.  Only the [cohort_*] calls succeed;
+    every other request is refused ({!Protocol_error}). *)
 
 val close : t -> unit
 
@@ -36,35 +44,25 @@ val cache_get : t -> string -> string option
 val cache_put : t -> string -> string -> unit
 (** Publish a store record under its fingerprint key. *)
 
-(** {2 Fleet profile accumulation} *)
+(** {2 Profile cohorts}
 
-val profile_put : t -> string -> int
-(** Upload one encoded {!Cmo_profile.Ingest} shard; returns the
-    daemon's decodable-shard count after the append.  Raises
-    {!Protocol_error} when the daemon rejects the shard as garbage. *)
-
-val profile_get : t -> current_fp:string -> string * int * int
-(** [(db bytes, shards merged, shards skipped)]: the daemon's
-    canonical merged database for the given source fingerprint
-    (decay, skew and the poisoning clamp applied server-side).  An
-    empty fleet is [(empty Db, 0, 0)], not an error. *)
-
-(** {2 Profile cohorts} *)
+    A call the registry refuses (bad name, garbage shard, a program
+    that does not compile) raises {!Protocol_error} with the reason. *)
 
 val cohort_list : t -> Cmo_profile.Cohort.info list
-(** The daemon's named cohorts, sorted by name. *)
+(** The registry's named cohorts, sorted by name. *)
 
 val cohort_ingest : t -> cohort:string -> string list -> int
 (** Append encoded shards to a named cohort (created as needed; an
     empty list just creates); returns the cohort's decodable-shard
-    count.  Raises {!Protocol_error} on a bad name or garbage
-    shard. *)
+    count. *)
 
 val cohort_pull : t -> cohort:string -> current_fp:string -> string * int * int
-(** {!profile_get} against one named cohort: [(db bytes, shards
-    merged, shards skipped)] — byte-identical to a local ingest of
-    the same shards.  An unknown cohort is an empty database, not an
-    error. *)
+(** [(db bytes, shards merged, shards skipped)]: the cohort's
+    canonical merged database for the given source fingerprint
+    (decay, skew and the poisoning clamp applied by the registry) —
+    byte-identical to a local ingest of the same shards.  An unknown
+    or empty cohort is [(empty Db, 0, 0)], not an error. *)
 
 val cohort_diff :
   t ->
@@ -74,7 +72,7 @@ val cohort_diff :
   threshold:float ->
   Cmo_driver.Pipeline.source list ->
   Cmo_profile.Cohort.Diff.report
-(** Ask the daemon whether [canary] induces a different module hot
+(** Ask the registry whether [canary] induces a different module hot
     set than [base] on this program (selection at [percent], flip
     verdict at [threshold]). *)
 

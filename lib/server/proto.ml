@@ -20,8 +20,6 @@ type request =
   | Shutdown
   | Cache_get of { key : string }
   | Cache_put of { key : string; data : string }
-  | Profile_put of { shard : string }
-  | Profile_get of { current_fp : string }
   | Cohort_list
   | Cohort_ingest of { cohort : string; shards : string list }
   | Cohort_pull of { cohort : string; current_fp : string }
@@ -54,14 +52,18 @@ type response =
   | Cache_hit of { data : string }
   | Cache_miss
   | Cache_stored
-  | Profile_stored of { shards : int }
-  | Profile_db of { data : string; shards : int; skipped : int }
   | Cohort_listing of { cohorts : Cmo_profile.Cohort.info list }
   | Cohort_stored of { cohort : string; shards : int }
   | Cohort_db of { data : string; shards : int; skipped : int }
   | Cohort_report of { report : string }
 
 (* ---- binary encoding (Codec, same substrate as object files) ---- *)
+
+(* Retired message tags are never reused: requests 7/8 and responses
+   10/11 (the anonymous fleet pack, now the "fleet" cohort) and
+   response 12 (the cohort listing that carried tags and snapshot
+   flags), so a peer built before their removal fails on a bad tag
+   instead of misreading the bytes. *)
 
 let level_tag = function Options.O1 -> 1 | Options.O2 -> 2 | Options.O4 -> 4
 
@@ -127,12 +129,6 @@ let string_of_request req =
     Codec.Writer.byte w 6;
     Codec.Writer.string w key;
     Codec.Writer.string w data
-  | Profile_put { shard } ->
-    Codec.Writer.byte w 7;
-    Codec.Writer.string w shard
-  | Profile_get { current_fp } ->
-    Codec.Writer.byte w 8;
-    Codec.Writer.string w current_fp
   | Cohort_list -> Codec.Writer.byte w 9
   | Cohort_ingest { cohort; shards } ->
     Codec.Writer.byte w 10;
@@ -162,8 +158,6 @@ let request_of_reader r =
     let key = Codec.Reader.string r in
     let data = Codec.Reader.string r in
     Cache_put { key; data }
-  | 7 -> Profile_put { shard = Codec.Reader.string r }
-  | 8 -> Profile_get { current_fp = Codec.Reader.string r }
   | 9 -> Cohort_list
   | 10 ->
     let cohort = Codec.Reader.string r in
@@ -230,24 +224,14 @@ let string_of_response resp =
     Codec.Writer.string w data
   | Cache_miss -> Codec.Writer.byte w 8
   | Cache_stored -> Codec.Writer.byte w 9
-  | Profile_stored { shards } ->
-    Codec.Writer.byte w 10;
-    Codec.Writer.uvarint w shards
-  | Profile_db { data; shards; skipped } ->
-    Codec.Writer.byte w 11;
-    Codec.Writer.string w data;
-    Codec.Writer.uvarint w shards;
-    Codec.Writer.uvarint w skipped
   | Cohort_listing { cohorts } ->
-    Codec.Writer.byte w 12;
+    Codec.Writer.byte w 16;
     Codec.Writer.list w
       (fun (i : Cmo_profile.Cohort.info) ->
         Codec.Writer.string w i.ci_name;
         Codec.Writer.uvarint w i.ci_shards;
         Codec.Writer.uvarint w i.ci_damaged;
-        Codec.Writer.uvarint w i.ci_bytes;
-        Codec.Writer.list w (Codec.Writer.string w) i.ci_tags;
-        Codec.Writer.bool w i.ci_snapshot)
+        Codec.Writer.uvarint w i.ci_bytes)
       cohorts
   | Cohort_stored { cohort; shards } ->
     Codec.Writer.byte w 13;
@@ -284,23 +268,14 @@ let response_of_reader r =
   | 7 -> Cache_hit { data = Codec.Reader.string r }
   | 8 -> Cache_miss
   | 9 -> Cache_stored
-  | 10 -> Profile_stored { shards = Codec.Reader.uvarint r }
-  | 11 ->
-    let data = Codec.Reader.string r in
-    let shards = Codec.Reader.uvarint r in
-    let skipped = Codec.Reader.uvarint r in
-    Profile_db { data; shards; skipped }
-  | 12 ->
+  | 16 ->
     let cohorts =
       Codec.Reader.list r (fun r ->
           let ci_name = Codec.Reader.string r in
           let ci_shards = Codec.Reader.uvarint r in
           let ci_damaged = Codec.Reader.uvarint r in
           let ci_bytes = Codec.Reader.uvarint r in
-          let ci_tags = Codec.Reader.list r Codec.Reader.string in
-          let ci_snapshot = Codec.Reader.bool r in
-          { Cmo_profile.Cohort.ci_name; ci_shards; ci_damaged; ci_bytes;
-            ci_tags; ci_snapshot })
+          { Cmo_profile.Cohort.ci_name; ci_shards; ci_damaged; ci_bytes })
     in
     Cohort_listing { cohorts }
   | 13 ->

@@ -41,16 +41,6 @@ type request =
   | Cache_put of { key : string; data : string }
       (** Remote artifact cache: publish a record.  Content-addressed,
           so concurrent puts of the same key are idempotent. *)
-  | Profile_put of { shard : string }
-      (** Fleet profile ingestion: upload one encoded
-          {!Cmo_profile.Ingest} shard.  The daemon validates it
-          (garbage is rejected, not stored) and appends it to its
-          durable shard pack; served inline like the cache pair. *)
-  | Profile_get of { current_fp : string }
-      (** Fetch the canonical merged database: the daemon ingests its
-          accumulated shards under the default policy for
-          [current_fp] (skew/decay/clamp applied server-side) and
-          returns the canonical {!Cmo_profile.Db.encode} bytes. *)
   | Cohort_list
       (** Enumerate the daemon's named profile cohorts
           ({!Cmo_profile.Cohort}); served inline like the cache pair. *)
@@ -60,10 +50,11 @@ type request =
           list is "create".  Garbage shards are rejected, not stored;
           a bad cohort name is rejected outright. *)
   | Cohort_pull of { cohort : string; current_fp : string }
-      (** [Profile_get] against one named cohort: the daemon ingests
-          the cohort's shards under the default policy for
-          [current_fp] and returns canonical Db bytes — byte-identical
-          to a local ingest of the same shards. *)
+      (** Fetch one cohort's canonical merged database: the daemon
+          ingests the cohort's shards under the default policy for
+          [current_fp] (skew/decay/clamp applied server-side) and
+          returns canonical {!Cmo_profile.Db.encode} bytes —
+          byte-identical to a local ingest of the same shards. *)
   | Cohort_diff of {
       base : string;
       canary : string;
@@ -108,22 +99,16 @@ type response =
       (** [Cache_get]: no record under that key.  Clients degrade to
           local recompute — a miss is never an error. *)
   | Cache_stored  (** [Cache_put] acknowledged. *)
-  | Profile_stored of { shards : int }
-      (** [Profile_put] acknowledged; the pack now holds this many
-          decodable shards. *)
-  | Profile_db of { data : string; shards : int; skipped : int }
-      (** [Profile_get]: canonical merged Db bytes plus how many
-          shards were merged and how many damaged ones were skipped.
-          An empty pack is [shards = 0] with an empty-Db [data] —
-          clients treat it like a cache miss, never an error. *)
   | Cohort_listing of { cohorts : Cmo_profile.Cohort.info list }
       (** [Cohort_list]: every cohort, sorted by name. *)
   | Cohort_stored of { cohort : string; shards : int }
       (** [Cohort_ingest] acknowledged; the cohort's pack now holds
           this many decodable shards. *)
   | Cohort_db of { data : string; shards : int; skipped : int }
-      (** [Cohort_pull]: same surface as [Profile_db].  An unknown
-          cohort is [shards = 0] with empty-Db [data], never an
+      (** [Cohort_pull]: canonical merged Db bytes plus how many
+          shards were merged and how many damaged ones were skipped.
+          An unknown or empty cohort is [shards = 0] with empty-Db
+          [data] — clients treat it like a cache miss, never an
           error. *)
   | Cohort_report of { report : string }
       (** [Cohort_diff]: an encoded

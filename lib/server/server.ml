@@ -96,14 +96,10 @@ type t = {
   wake_w : Unix.file_descr;
   session : Buildsys.session;
   session_lock : Mutex.t;  (* guards reopen_store vs. stats reads *)
-  (* Fleet profile accumulation: shards from many checkouts land in
-     one durable pack under state_dir.  The lock serializes appends
-     and the shard counter. *)
+  (* Named profile cohorts (the default "fleet" cohort, canary vs
+     stable, A/B arms), one registry under state_dir; [profile_lock]
+     serializes its pack I/O across connections. *)
   profile_lock : Mutex.t;
-  mutable profile_shards : int;
-  (* Named profile cohorts (canary vs stable, A/B arms), one registry
-     under state_dir; per-cohort packs are serialized by
-     [profile_lock] like the anonymous pack above. *)
   cohorts : Cohort.t;
   (* Counters banked from stores closed by [reopen_store], so stats
      stay cumulative across chaos requests; under [session_lock]. *)
@@ -147,7 +143,82 @@ let stats t =
     store_misses;
   }
 
-let profile_pack t = Filename.concat t.cfg.state_dir "profiles.shards"
+let registry ~state_dir =
+  Cohort.open_ ~dir:(Filename.concat state_dir "cohorts")
+
+let refuse reason = Proto.Failed { tag = ""; reason }
+
+(* The cohort requests, answered against one registry — by the daemon
+   for its connections and by {!Client.offline} in-process, so both
+   transports give the same bytes.  [lock] covers registry I/O only:
+   a diff's frontend runs outside it.  Bad cohort names and garbage
+   shards are refused; everything else degrades (an unknown cohort
+   pulls as empty, damage is skipped and counted by the reader). *)
+let serve_cohort ?lock reg (req : Proto.request) =
+  let locked f = match lock with None -> f () | Some m -> Mutex.protect m f in
+  let tick name = if Obs.enabled () then Obs.tick "server" name 1 in
+  let pull ~current_fp name =
+    locked (fun () ->
+        Cohort.pull reg ~policy:(Ingest.default_policy ~current_fp) name)
+  in
+  match req with
+  | Proto.Cohort_list ->
+    Proto.Cohort_listing { cohorts = locked (fun () -> Cohort.list reg) }
+  | Proto.Cohort_ingest { cohort; shards } -> (
+    tick "cohort_ingests";
+    match List.map Ingest.decode_shard shards with
+    | exception Codec.Reader.Corrupt m -> refuse ("bad profile shard: " ^ m)
+    | decoded -> (
+      match locked (fun () -> Cohort.ingest_into reg cohort decoded) with
+      | n -> Proto.Cohort_stored { cohort; shards = n }
+      | exception Cohort.Bad_name n -> refuse ("bad cohort name: " ^ n)
+      | exception Sys_error m -> refuse ("cohort store: " ^ m)))
+  | Proto.Cohort_pull { cohort; current_fp } -> (
+    tick "cohort_pulls";
+    match pull ~current_fp cohort with
+    | db, st ->
+      Proto.Cohort_db
+        {
+          data = Db.encode db;
+          shards = st.Ingest.ing_shards;
+          skipped = st.Ingest.ing_skipped;
+        }
+    | exception Cohort.Bad_name n -> refuse ("bad cohort name: " ^ n))
+  | Proto.Cohort_diff { base; canary; percent; threshold; sources } -> (
+    tick "cohort_diffs";
+    match
+      List.iter
+        (fun n -> if not (Cohort.valid_name n) then raise (Cohort.Bad_name n))
+        [ base; canary ];
+      (* The floats arrive off the wire: clamp rather than let
+         garbage reach Selectivity's percent assertion. *)
+      let percent =
+        if Float.is_nan percent then 20.0
+        else Float.min 100.0 (Float.max 0.0 percent)
+      in
+      let threshold =
+        if Float.is_nan threshold || threshold < 0.0 then
+          Cohort.Diff.default_threshold
+        else threshold
+      in
+      let current_fp =
+        Ingest.fingerprint
+          (List.map
+             (fun (s : Pipeline.source) -> (s.Pipeline.name, s.Pipeline.text))
+             sources)
+      in
+      let base_db = fst (pull ~current_fp base) in
+      let canary_db = fst (pull ~current_fp canary) in
+      let modules = Pipeline.frontend sources in
+      let hot label db = Selectivity.cohort_hot_set ~percent ~label db modules in
+      Cohort.Diff.diff ~threshold ~base:(hot base base_db)
+        (hot canary canary_db)
+    with
+    | report -> Proto.Cohort_report { report = Cohort.Diff.encode report }
+    | exception Cohort.Bad_name n -> refuse ("bad cohort name: " ^ n)
+    | exception Pipeline.Compile_error m -> refuse ("cohort diff: " ^ m)
+    | exception e -> refuse ("cohort diff: " ^ Printexc.to_string e))
+  | _ -> refuse "not a cohort request (an offline registry answers only those)"
 
 let rec is_crash = function
   | Fsio.Crash -> true
@@ -340,12 +411,12 @@ let conn_loop t id fd =
       (* Framing violation: answer if the pipe still works, then drop
          the connection — there is no trustworthy next-frame offset. *)
       Log.warn (fun f -> f "conn %d: bad frame (%s)" id m);
-      reply (Proto.Failed { tag = ""; reason = "protocol: " ^ m })
+      reply (refuse ("protocol: " ^ m))
     | Ok payload -> (
       match Proto.request_of_string payload with
       | Error m ->
         Log.warn (fun f -> f "conn %d: bad message (%s)" id m);
-        reply (Proto.Failed { tag = ""; reason = "protocol: " ^ m })
+        reply (refuse ("protocol: " ^ m))
       | Ok Proto.Ping ->
         reply Proto.Pong;
         loop ()
@@ -391,166 +462,15 @@ let conn_loop t id fd =
         if Obs.enabled () then Obs.tick "server" "cache_puts" 1;
         reply Proto.Cache_stored;
         loop ()
-      (* Fleet profile traffic is served inline for the same reason as
-         the cache pair.  The shared gate keeps a chaos request's
-         fault plan away from the pack's durable writes; profile_lock
-         serializes appends from concurrent connections. *)
-      | Ok (Proto.Profile_put { shard }) ->
-        let resp =
-          with_shared t.gate @@ fun () ->
-          Mutex.lock t.profile_lock;
-          Fun.protect ~finally:(fun () -> Mutex.unlock t.profile_lock)
-          @@ fun () ->
-          match Ingest.decode_shard shard with
-          | exception Codec.Reader.Corrupt m ->
-            (* Reject garbage at the door: the pack stays a stream of
-               shards that decoded at least once. *)
-            Proto.Failed { tag = ""; reason = "bad profile shard: " ^ m }
-          | s -> (
-            match Ingest.append_pack (profile_pack t) [ s ] with
-            | () ->
-              t.profile_shards <- t.profile_shards + 1;
-              Proto.Profile_stored { shards = t.profile_shards }
-            | exception Sys_error m ->
-              Proto.Failed { tag = ""; reason = "profile store: " ^ m })
-        in
-        if Obs.enabled () then Obs.tick "server" "profile_puts" 1;
-        reply resp;
-        loop ()
-      | Ok (Proto.Profile_get { current_fp }) ->
-        let resp =
-          with_shared t.gate @@ fun () ->
-          Mutex.lock t.profile_lock;
-          Fun.protect ~finally:(fun () -> Mutex.unlock t.profile_lock)
-          @@ fun () ->
-          let shards, skipped =
-            (* A missing pack is an empty fleet, not an error. *)
-            try Ingest.read_pack (profile_pack t) with Sys_error _ -> ([], 0)
-          in
-          let policy = Ingest.default_policy ~current_fp in
-          let db, st = Ingest.ingest ~policy ~skipped shards in
-          Proto.Profile_db
-            {
-              data = Db.encode db;
-              shards = st.Ingest.ing_shards;
-              skipped = st.Ingest.ing_skipped;
-            }
-        in
-        if Obs.enabled () then Obs.tick "server" "profile_gets" 1;
-        reply resp;
-        loop ()
-      (* Cohort traffic: the same inline regime as the anonymous
-         profile pair, against the named registry under state_dir.
-         Bad cohort names and garbage shards are rejected at the door;
-         everything else degrades (an unknown cohort pulls as empty,
-         damage is skipped and counted by the registry reader). *)
-      | Ok Proto.Cohort_list ->
-        let resp =
-          with_shared t.gate @@ fun () ->
-          Mutex.lock t.profile_lock;
-          Fun.protect ~finally:(fun () -> Mutex.unlock t.profile_lock)
-          @@ fun () -> Proto.Cohort_listing { cohorts = Cohort.list t.cohorts }
-        in
-        reply resp;
-        loop ()
-      | Ok (Proto.Cohort_ingest { cohort; shards }) ->
-        let resp =
-          with_shared t.gate @@ fun () ->
-          Mutex.lock t.profile_lock;
-          Fun.protect ~finally:(fun () -> Mutex.unlock t.profile_lock)
-          @@ fun () ->
-          match List.map Ingest.decode_shard shards with
-          | exception Codec.Reader.Corrupt m ->
-            Proto.Failed { tag = ""; reason = "bad profile shard: " ^ m }
-          | decoded -> (
-            match
-              Cohort.create t.cohorts cohort;
-              Cohort.ingest_into t.cohorts cohort decoded
-            with
-            | n -> Proto.Cohort_stored { cohort; shards = n }
-            | exception Cohort.Bad_name n ->
-              Proto.Failed { tag = ""; reason = "bad cohort name: " ^ n }
-            | exception Sys_error m ->
-              Proto.Failed { tag = ""; reason = "cohort store: " ^ m })
-        in
-        if Obs.enabled () then Obs.tick "server" "cohort_ingests" 1;
-        reply resp;
-        loop ()
-      | Ok (Proto.Cohort_pull { cohort; current_fp }) ->
-        let resp =
-          with_shared t.gate @@ fun () ->
-          Mutex.lock t.profile_lock;
-          Fun.protect ~finally:(fun () -> Mutex.unlock t.profile_lock)
-          @@ fun () ->
-          match
-            let policy = Ingest.default_policy ~current_fp in
-            Cohort.pull t.cohorts ~policy cohort
-          with
-          | db, st ->
-            Proto.Cohort_db
-              {
-                data = Db.encode db;
-                shards = st.Ingest.ing_shards;
-                skipped = st.Ingest.ing_skipped;
-              }
-          | exception Cohort.Bad_name n ->
-            Proto.Failed { tag = ""; reason = "bad cohort name: " ^ n }
-        in
-        if Obs.enabled () then Obs.tick "server" "cohort_pulls" 1;
-        reply resp;
-        loop ()
-      | Ok (Proto.Cohort_diff { base; canary; percent; threshold; sources }) ->
-        let resp =
-          with_shared t.gate @@ fun () ->
-          match
-            if not (Cohort.valid_name base) then raise (Cohort.Bad_name base);
-            if not (Cohort.valid_name canary) then
-              raise (Cohort.Bad_name canary);
-            (* The floats arrive off the wire: clamp rather than let
-               garbage reach Selectivity's percent assertion. *)
-            let percent =
-              if Float.is_nan percent then 20.0
-              else Float.min 100.0 (Float.max 0.0 percent)
-            in
-            let threshold =
-              if Float.is_nan threshold || threshold < 0.0 then
-                Cohort.Diff.default_threshold
-              else threshold
-            in
-            let current_fp =
-              Ingest.fingerprint
-                (List.map
-                   (fun (s : Pipeline.source) ->
-                     (s.Pipeline.name, s.Pipeline.text))
-                   sources)
-            in
-            let policy = Ingest.default_policy ~current_fp in
-            let pull name =
-              Mutex.lock t.profile_lock;
-              Fun.protect ~finally:(fun () -> Mutex.unlock t.profile_lock)
-              @@ fun () -> fst (Cohort.pull t.cohorts ~policy name)
-            in
-            let base_db = pull base in
-            let canary_db = pull canary in
-            let modules = Pipeline.frontend sources in
-            let hot label db =
-              Selectivity.cohort_hot_set ~percent ~label db modules
-            in
-            let report =
-              Cohort.Diff.diff ~threshold ~base:(hot base base_db)
-                (hot canary canary_db)
-            in
-            Proto.Cohort_report { report = Cohort.Diff.encode report }
-          with
-          | resp -> resp
-          | exception Cohort.Bad_name n ->
-            Proto.Failed { tag = ""; reason = "bad cohort name: " ^ n }
-          | exception e ->
-            Proto.Failed
-              { tag = ""; reason = "cohort diff: " ^ Printexc.to_string e }
-        in
-        if Obs.enabled () then Obs.tick "server" "cohort_diffs" 1;
-        reply resp;
+      (* Cohort traffic is served inline for the same reason as the
+         cache pair.  The shared gate keeps a chaos request's fault
+         plan away from the packs' durable writes. *)
+      | Ok
+          (( Proto.Cohort_list | Proto.Cohort_ingest _ | Proto.Cohort_pull _
+           | Proto.Cohort_diff _ ) as req) ->
+        reply
+          (with_shared t.gate (fun () ->
+               serve_cohort ~lock:t.profile_lock t.cohorts req));
         loop ()
       | Ok (Proto.Build b) ->
         if Obs.enabled () then Obs.tick "server" "requests" 1;
@@ -704,8 +624,7 @@ let start ?(handle_signals = false) cfg =
       session;
       session_lock = Mutex.create ();
       profile_lock = Mutex.create ();
-      profile_shards = 0;
-      cohorts = Cohort.open_ ~dir:(Filename.concat cfg.state_dir "cohorts");
+      cohorts = registry ~state_dir:cfg.state_dir;
       store_hits_base = 0;
       store_misses_base = 0;
       sched = Sched.create ~queue_max:cfg.queue_max ();
@@ -722,10 +641,6 @@ let start ?(handle_signals = false) cfg =
       builder_threads = [];
     }
   in
-  (* A restarted daemon resumes its accumulated fleet: the shard
-     counter picks up where the durable pack left off. *)
-  (try t.profile_shards <- List.length (fst (Ingest.read_pack (profile_pack t)))
-   with Sys_error _ -> ());
   t.builder_threads <-
     List.init cfg.builders (fun _ -> Thread.create builder_loop t);
   t.accept_thread <- Some (Thread.create accept_loop t);

@@ -88,3 +88,20 @@ val stopped : t -> bool
 val run : config -> unit
 (** [start ~handle_signals:true] then [wait] — the [cmocd] main
     loop. *)
+
+(** {2 The profile registry} *)
+
+val registry : state_dir:string -> Cmo_profile.Cohort.t
+(** The cohort registry a daemon with this state directory serves
+    ([<state_dir>/cohorts], created as needed). *)
+
+val serve_cohort :
+  ?lock:Mutex.t -> Cmo_profile.Cohort.t -> Proto.request -> Proto.response
+(** Answer [Cohort_list], [Cohort_ingest], [Cohort_pull] or
+    [Cohort_diff] against a registry; any other request is refused
+    with a [Failed] reply.  The daemon holds [lock] around registry
+    I/O only (a diff's frontend runs outside it); {!Client.offline}
+    calls this in-process, so a daemon and an offline [--state-dir]
+    give byte-identical answers.  Bad cohort names and garbage shards
+    are [Failed]; wire floats are clamped (NaN or out-of-range percent
+    and threshold degrade to the defaults). *)

@@ -87,24 +87,15 @@ let test_registry_basics () =
   Cohort.create reg "s";
   Alcotest.(check bool) "created" true (Cohort.exists reg "s");
   Cohort.create reg "a";
-  Cohort.tag reg "s" "prod";
-  Cohort.tag reg "s" "v2";
-  Cohort.tag reg "s" "prod";
-  Alcotest.(check (list string)) "tags sorted, duplicate-free"
-    [ "prod"; "v2" ] (Cohort.tags reg "s");
   (match Cohort.list reg with
   | [ a; s ] ->
     Alcotest.(check string) "listing sorted" "a" a.Cohort.ci_name;
-    Alcotest.(check string) "listing sorted (2)" "s" s.Cohort.ci_name;
-    Alcotest.(check (list string)) "tags in listing" [ "prod"; "v2" ]
-      s.Cohort.ci_tags
+    Alcotest.(check string) "listing sorted (2)" "s" s.Cohort.ci_name
   | l -> Alcotest.failf "list returned %d entries" (List.length l));
   (* A reopened registry sees the same state: the directory is the
      registry. *)
   let reg' = Cohort.open_ ~dir in
   Alcotest.(check bool) "reopen sees the cohort" true (Cohort.exists reg' "s");
-  Alcotest.(check (list string)) "reopen sees the tags" [ "prod"; "v2" ]
-    (Cohort.tags reg' "s");
   Cohort.remove reg' "a";
   Cohort.remove reg' "a";
   Alcotest.(check int) "remove is idempotent" 1
@@ -137,32 +128,6 @@ let test_pull_canonical () =
   let empty, st = Cohort.pull r1 ~policy "no-such" in
   Alcotest.(check bool) "missing cohort pulls empty" true (Db.is_empty empty);
   Alcotest.(check int) "missing cohort merges nothing" 0 st.Ingest.ing_shards
-
-(* ---------- snapshots ---------- *)
-
-let test_snapshot () =
-  with_dir @@ fun dir ->
-  let reg = Cohort.open_ ~dir in
-  ignore (Cohort.ingest_into reg "c" shards);
-  Alcotest.(check bool) "no snapshot before materializing" true
-    (Cohort.snapshot_db reg "c" = None);
-  let snap = Cohort.snapshot reg ~policy "c" in
-  let live = fst (Cohort.pull reg ~policy "c") in
-  Alcotest.(check bool) "snapshot equals the pull" true
-    (Db.encode snap = Db.encode live);
-  (match Cohort.snapshot_db reg "c" with
-  | Some db ->
-    Alcotest.(check bool) "snapshot_db reads it back" true
-      (Db.encode db = Db.encode live)
-  | None -> Alcotest.fail "snapshot not readable back");
-  (match Cohort.list reg with
-  | [ i ] -> Alcotest.(check bool) "snapshot visible in listing" true
-               i.Cohort.ci_snapshot
-  | _ -> Alcotest.fail "listing lost the cohort");
-  (* A corrupt snapshot degrades to None (recompute), never raises. *)
-  write_raw (Filename.concat dir "c.snap") "not a database";
-  Alcotest.(check bool) "corrupt snapshot degrades to None" true
-    (Cohort.snapshot_db reg "c" = None)
 
 (* ---------- gc ---------- *)
 
@@ -358,7 +323,6 @@ let suite =
     ("cohort names", `Quick, test_names);
     ("registry basics and reopen", `Quick, test_registry_basics);
     ("canonical pulls", `Quick, test_pull_canonical);
-    ("snapshots", `Quick, test_snapshot);
     ("gc compaction and drop", `Quick, test_gc);
     ("diff verdicts", `Quick, test_diff_verdict);
     Helpers.to_alcotest qcheck_report_roundtrip;

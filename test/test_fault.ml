@@ -671,14 +671,13 @@ let test_pack_crash_sweep () =
 
 module Cohort = Cmo_profile.Cohort
 
-(* The registry's full write surface — create, ingest, tag, snapshot,
-   gc with a dropped cohort — crashed at every I/O operation in turn.
-   After each crash the reopened registry must be readable (no read
-   raises: packs skip-and-count, meta and snapshots degrade), and the
-   standard repair — re-run the sequence, appending only the shards a
-   torn pack is missing — must land in the oracle state: pulls,
-   shard counts, tags, snapshots and the listing all identical to the
-   never-crashed run.  (Damage and byte counts are excluded: a torn
+(* The registry's full write surface — create, ingest, gc with a
+   dropped cohort — crashed at every I/O operation in turn.  After
+   each crash the reopened registry must be readable (no read raises:
+   packs skip-and-count), and the standard repair — re-run the
+   sequence, appending only the shards a torn pack is missing — must
+   land in the oracle state: pulls, shard counts and the listing all
+   identical to the never-crashed run.  (Damage and byte counts are excluded: a torn
    frame legitimately survives until gc compacts it.) *)
 let test_cohort_crash_sweep () =
   with_dir @@ fun dir ->
@@ -700,9 +699,6 @@ let test_cohort_crash_sweep () =
     Cohort.create reg "stable";
     ensure reg "stable" arm_a;
     ensure reg "canary" arm_b;
-    Cohort.tag reg "stable" "prod";
-    Cohort.tag reg "stable" "v2";
-    ignore (Cohort.snapshot reg ~policy:ingest_policy "stable");
     Cohort.create reg "doomed";
     ignore (Cohort.gc ~drop:[ "doomed" ] reg)
   in
@@ -712,21 +708,12 @@ let test_cohort_crash_sweep () =
         (fun n -> Db.encode (fst (Cohort.pull reg ~policy:ingest_policy n)))
         [ "stable"; "canary" ]
     in
-    let snap =
-      match Cohort.snapshot_db reg "stable" with
-      | Some db -> Db.encode db
-      | None -> ""
-    in
     let infos =
       List.map
-        (fun i ->
-          ( i.Cohort.ci_name,
-            i.Cohort.ci_shards,
-            i.Cohort.ci_tags,
-            i.Cohort.ci_snapshot ))
+        (fun i -> (i.Cohort.ci_name, i.Cohort.ci_shards))
         (Cohort.list reg)
     in
-    (pulls, snap, infos)
+    (pulls, infos)
   in
   let oracle =
     let reg = Cohort.open_ ~dir:reg_dir in

@@ -55,8 +55,6 @@ let gen_request =
         (fun key data -> Proto.Cache_put { key; data })
         gen_string
         (string_size (0 -- 80));
-      map (fun shard -> Proto.Profile_put { shard }) (string_size (0 -- 80));
-      map (fun current_fp -> Proto.Profile_get { current_fp }) gen_string;
       return Proto.Cohort_list;
       (let* cohort = gen_string in
        let* shards = list_size (0 -- 4) (string_size (0 -- 60)) in
@@ -93,10 +91,7 @@ let gen_cohort_info =
   let* ci_name = gen_string in
   let* ci_shards = 0 -- 1000 and* ci_damaged = 0 -- 50 in
   let* ci_bytes = 0 -- 1_000_000 in
-  let* ci_tags = list_size (0 -- 4) gen_string in
-  let* ci_snapshot = bool in
-  return
-    { Cohort.ci_name; ci_shards; ci_damaged; ci_bytes; ci_tags; ci_snapshot }
+  return { Cohort.ci_name; ci_shards; ci_damaged; ci_bytes }
 
 let gen_response =
   let open QCheck.Gen in
@@ -116,10 +111,6 @@ let gen_response =
       return Proto.Cache_miss;
       return Proto.Cache_stored;
       map (fun data -> Proto.Cache_hit { data }) gen_string;
-      map (fun shards -> Proto.Profile_stored { shards }) (0 -- 10_000);
-      (let* data = string_size (0 -- 80) in
-       let* shards = 0 -- 1000 and* skipped = 0 -- 100 in
-       return (Proto.Profile_db { data; shards; skipped }));
       map
         (fun cohorts -> Proto.Cohort_listing { cohorts })
         (list_size (0 -- 4) gen_cohort_info);
@@ -438,135 +429,169 @@ let test_end_to_end () =
         Server.wait t
       end)
   @@ fun () ->
-  Client.with_connect ~socket:config.Server.socket (fun conn ->
-      Alcotest.(check bool) "ping" true (Client.ping conn);
-      let req ?fault tag =
-        {
-          Proto.tag;
-          level = Options.O4;
-          pbo = false;
-          jobs = 1;
-          check = false;
-          fault;
-          sources = session_sources;
-        }
-      in
-      (match Client.build conn (req "cold") with
-      | Proto.Built { objects; _ } ->
-        Alcotest.(check bool) "cold build matches one-shot" true
-          (objects = oracle)
-      | _ -> Alcotest.fail "cold build did not complete");
-      (match Client.build conn (req "warm") with
-      | Proto.Built { objects; _ } ->
-        Alcotest.(check bool) "warm build matches one-shot" true
-          (objects = oracle)
-      | _ -> Alcotest.fail "warm build did not complete");
-      let st = Client.stats conn in
-      Alcotest.(check bool) "warm traffic visible in stats" true
-        (st.Proto.store_hits > 0);
-      (* The remote artifact cache, inline on the same connection:
-         misses are clean, puts round-trip, and the degrading [remote]
-         wrapper exposes both without ever raising. *)
-      Alcotest.(check (option string)) "cache_get miss" None
-        (Client.cache_get conn "no-such-fingerprint");
-      Client.cache_put conn "dist-key" "dist-bytes";
-      Alcotest.(check (option string)) "cache_put then hit"
-        (Some "dist-bytes")
-        (Client.cache_get conn "dist-key");
-      let remote = Client.remote conn in
-      Alcotest.(check (option string)) "remote wrapper hit"
-        (Some "dist-bytes")
-        (remote.Cmo_driver.Distwork.remote_get "dist-key");
-      Alcotest.(check (option string)) "remote wrapper miss" None
-        (remote.Cmo_driver.Distwork.remote_get "still-absent");
-      (* A second daemon on the same socket must refuse to start
-         rather than hijack this one's socket file. *)
-      (match Server.start config with
-      | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ()
-      | exception e ->
-        Alcotest.fail
-          ("second daemon failed oddly: " ^ Printexc.to_string e)
-      | t2 ->
-        Server.shutdown t2;
-        Server.wait t2;
-        Alcotest.fail "second daemon hijacked a live socket");
-      (* A crash plan kills its own request only. *)
-      (match Client.build conn (req ~fault:"crash@2,seed=5" "chaos") with
-      | Proto.Failed _ -> ()
-      | Proto.Built _ -> Alcotest.fail "crash plan never fired"
-      | _ -> Alcotest.fail "chaos request got an unexpected reply");
-      (match Client.build conn (req "retry") with
-      | Proto.Built { objects; _ } ->
-        Alcotest.(check bool) "post-crash retry byte-identical" true
-          (objects = oracle)
-      | _ -> Alcotest.fail "daemon stopped serving after a crash request");
-      (* The chaos reopen must not reset the cumulative counters. *)
-      let st' = Client.stats conn in
-      Alcotest.(check bool) "store hits cumulative across chaos" true
-        (st'.Proto.store_hits >= st.Proto.store_hits);
-      (* Profile cohorts, inline on the same connection: a daemon pull
-         must be byte-identical to a local ingest of the same shards,
-         and bad names or garbage shards are refused without hurting
-         the connection. *)
-      let shard seed count =
-        let db = Db.create () in
-        Db.add db (Db.Fentry "main") count;
-        Db.add db (Db.Block ("main", seed)) (2.0 *. count);
-        Ingest.encode_shard
+  (* What the registry answers: compared below between the daemon and
+     an offline client over its state directory. *)
+  let answers c =
+    ( Client.cohort_list c,
+      Cohort.Diff.encode
+        (Client.cohort_diff c ~base:"stable" ~canary:Cohort.default
+           ~percent:20.0 ~threshold:0.02 session_sources) )
+  in
+  let daemon_answers =
+    Client.with_connect ~socket:config.Server.socket (fun conn ->
+        Alcotest.(check bool) "ping" true (Client.ping conn);
+        let req ?fault tag =
           {
-            Ingest.meta =
-              {
-                Ingest.source_fp = "fp-e2e";
-                sample_rate = 1.0;
-                weight = 1.0;
-                age = 0;
-              };
-            db;
+            Proto.tag;
+            level = Options.O4;
+            pbo = false;
+            jobs = 1;
+            check = false;
+            fault;
+            sources = session_sources;
           }
-      in
-      let s1 = shard 1 100.0 and s2 = shard 2 50.0 in
-      Alcotest.(check int) "cohort create via empty ingest" 0
-        (Client.cohort_ingest conn ~cohort:"stable" []);
-      Alcotest.(check int) "cohort ingest counts shards" 2
-        (Client.cohort_ingest conn ~cohort:"stable" [ s1; s2 ]);
-      (match Client.cohort_list conn with
-      | [ info ] ->
-        Alcotest.(check string) "cohort listed" "stable" info.Cohort.ci_name;
-        Alcotest.(check int) "cohort shard count" 2 info.Cohort.ci_shards
-      | l -> Alcotest.failf "cohort list returned %d entries" (List.length l));
-      let data, merged, skipped =
-        Client.cohort_pull conn ~cohort:"stable" ~current_fp:"fp-e2e"
-      in
-      Alcotest.(check int) "pull merges both shards" 2 merged;
-      Alcotest.(check int) "pull skips nothing" 0 skipped;
-      let local, _ =
-        Ingest.ingest
-          ~policy:(Ingest.default_policy ~current_fp:"fp-e2e")
-          (List.map Ingest.decode_shard [ s1; s2 ])
-      in
-      Alcotest.(check bool) "daemon pull equals local ingest" true
-        (data = Db.encode local);
-      (match Client.cohort_ingest conn ~cohort:"../escape" [] with
-      | _ -> Alcotest.fail "path-escaping cohort name accepted"
-      | exception Client.Protocol_error _ -> ());
-      (match Client.cohort_ingest conn ~cohort:"stable" [ "garbage" ] with
-      | _ -> Alcotest.fail "garbage shard accepted"
-      | exception Client.Protocol_error _ -> ());
-      (* The connection survives the refusals, and a diff of a cohort
-         against itself on this program is a clean no-flip. *)
-      let r =
-        Client.cohort_diff conn ~base:"stable" ~canary:"stable" ~percent:20.0
-          ~threshold:0.02 session_sources
-      in
-      Alcotest.(check bool) "self-diff is no-flip with empty deltas" true
-        (r.Cohort.Diff.r_verdict = Cohort.Diff.No_flip
-        && r.Cohort.Diff.r_mod_in = []
-        && r.Cohort.Diff.r_mod_out = []);
-      Client.shutdown_server conn);
+        in
+        (match Client.build conn (req "cold") with
+        | Proto.Built { objects; _ } ->
+          Alcotest.(check bool) "cold build matches one-shot" true
+            (objects = oracle)
+        | _ -> Alcotest.fail "cold build did not complete");
+        (match Client.build conn (req "warm") with
+        | Proto.Built { objects; _ } ->
+          Alcotest.(check bool) "warm build matches one-shot" true
+            (objects = oracle)
+        | _ -> Alcotest.fail "warm build did not complete");
+        let st = Client.stats conn in
+        Alcotest.(check bool) "warm traffic visible in stats" true
+          (st.Proto.store_hits > 0);
+        (* The remote artifact cache, inline on the same connection:
+           misses are clean, puts round-trip, and the degrading [remote]
+           wrapper exposes both without ever raising. *)
+        Alcotest.(check (option string)) "cache_get miss" None
+          (Client.cache_get conn "no-such-fingerprint");
+        Client.cache_put conn "dist-key" "dist-bytes";
+        Alcotest.(check (option string)) "cache_put then hit"
+          (Some "dist-bytes")
+          (Client.cache_get conn "dist-key");
+        let remote = Client.remote conn in
+        Alcotest.(check (option string)) "remote wrapper hit"
+          (Some "dist-bytes")
+          (remote.Cmo_driver.Distwork.remote_get "dist-key");
+        Alcotest.(check (option string)) "remote wrapper miss" None
+          (remote.Cmo_driver.Distwork.remote_get "still-absent");
+        (* A second daemon on the same socket must refuse to start
+           rather than hijack this one's socket file. *)
+        (match Server.start config with
+        | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) -> ()
+        | exception e ->
+          Alcotest.fail
+            ("second daemon failed oddly: " ^ Printexc.to_string e)
+        | t2 ->
+          Server.shutdown t2;
+          Server.wait t2;
+          Alcotest.fail "second daemon hijacked a live socket");
+        (* A crash plan kills its own request only. *)
+        (match Client.build conn (req ~fault:"crash@2,seed=5" "chaos") with
+        | Proto.Failed _ -> ()
+        | Proto.Built _ -> Alcotest.fail "crash plan never fired"
+        | _ -> Alcotest.fail "chaos request got an unexpected reply");
+        (match Client.build conn (req "retry") with
+        | Proto.Built { objects; _ } ->
+          Alcotest.(check bool) "post-crash retry byte-identical" true
+            (objects = oracle)
+        | _ -> Alcotest.fail "daemon stopped serving after a crash request");
+        (* The chaos reopen must not reset the cumulative counters. *)
+        let st' = Client.stats conn in
+        Alcotest.(check bool) "store hits cumulative across chaos" true
+          (st'.Proto.store_hits >= st.Proto.store_hits);
+        (* Profile cohorts, inline on the same connection: a daemon pull
+           must be byte-identical to a local ingest of the same shards,
+           and bad names or garbage shards are refused without hurting
+           the connection. *)
+        let shard seed count =
+          let db = Db.create () in
+          Db.add db (Db.Fentry "main") count;
+          Db.add db (Db.Block ("main", seed)) (2.0 *. count);
+          Ingest.encode_shard
+            {
+              Ingest.meta =
+                {
+                  Ingest.source_fp = "fp-e2e";
+                  sample_rate = 1.0;
+                  weight = 1.0;
+                  age = 0;
+                };
+              db;
+            }
+        in
+        let s1 = shard 1 100.0 and s2 = shard 2 50.0 in
+        Alcotest.(check int) "cohort create via empty ingest" 0
+          (Client.cohort_ingest conn ~cohort:"stable" []);
+        Alcotest.(check int) "cohort ingest counts shards" 2
+          (Client.cohort_ingest conn ~cohort:"stable" [ s1; s2 ]);
+        (match Client.cohort_list conn with
+        | [ info ] ->
+          Alcotest.(check string) "cohort listed" "stable" info.Cohort.ci_name;
+          Alcotest.(check int) "cohort shard count" 2 info.Cohort.ci_shards
+        | l -> Alcotest.failf "cohort list returned %d entries" (List.length l));
+        let data, merged, skipped =
+          Client.cohort_pull conn ~cohort:"stable" ~current_fp:"fp-e2e"
+        in
+        Alcotest.(check int) "pull merges both shards" 2 merged;
+        Alcotest.(check int) "pull skips nothing" 0 skipped;
+        let local, _ =
+          Ingest.ingest
+            ~policy:(Ingest.default_policy ~current_fp:"fp-e2e")
+            (List.map Ingest.decode_shard [ s1; s2 ])
+        in
+        Alcotest.(check bool) "daemon pull equals local ingest" true
+          (data = Db.encode local);
+        (match Client.cohort_ingest conn ~cohort:"../escape" [] with
+        | _ -> Alcotest.fail "path-escaping cohort name accepted"
+        | exception Client.Protocol_error _ -> ());
+        (match Client.cohort_ingest conn ~cohort:"stable" [ "garbage" ] with
+        | _ -> Alcotest.fail "garbage shard accepted"
+        | exception Client.Protocol_error _ -> ());
+        (* The connection survives the refusals, and a diff of a cohort
+           against itself on this program is a clean no-flip. *)
+        let r =
+          Client.cohort_diff conn ~base:"stable" ~canary:"stable" ~percent:20.0
+            ~threshold:0.02 session_sources
+        in
+        Alcotest.(check bool) "self-diff is no-flip with empty deltas" true
+          (r.Cohort.Diff.r_verdict = Cohort.Diff.No_flip
+          && r.Cohort.Diff.r_mod_in = []
+          && r.Cohort.Diff.r_mod_out = []);
+        (* The default cohort is an ordinary one: a round trip through it
+           equals a local ingest as well. *)
+        Alcotest.(check int) "default cohort ingest" 1
+          (Client.cohort_ingest conn ~cohort:Cohort.default [ s2 ]);
+        let data, _, _ =
+          Client.cohort_pull conn ~cohort:Cohort.default ~current_fp:"fp-e2e"
+        in
+        let local, _ =
+          Ingest.ingest
+            ~policy:(Ingest.default_policy ~current_fp:"fp-e2e")
+            [ Ingest.decode_shard s2 ]
+        in
+        Alcotest.(check bool) "default cohort pull equals local ingest" true
+          (data = Db.encode local);
+        let answered = answers conn in
+        Client.shutdown_server conn;
+        answered)
+  in
   Server.wait t;
   finished := true;
   Alcotest.(check bool) "socket removed on shutdown" false
-    (Sys.file_exists config.Server.socket)
+    (Sys.file_exists config.Server.socket);
+  (* The daemon's registry read offline: the same handler in-process
+     gives the same listing and the same diff bytes. *)
+  let listing, diff = daemon_answers in
+  let offline = Client.offline ~state_dir:config.Server.state_dir in
+  let listing', diff' = answers offline in
+  Alcotest.(check bool) "offline listing equals the daemon's" true
+    (listing = listing');
+  Alcotest.(check bool) "offline diff equals the daemon's" true (diff = diff')
 
 (* The same daemon over the multi-machine transport: a [tcp:] socket
    with an ephemeral port, the actual address read back from

@@ -664,7 +664,7 @@ let test_link_reports_errors () =
     (path "v.o");
   let expect what args needle =
     let status, err = run_cmoc dir args in
-    Alcotest.(check int) (what ^ ": exit status") 124 status;
+    Alcotest.(check int) (what ^ ": exit status") 1 status;
     if not (contains err needle) then Alcotest.failf "%s: stderr %S lacks %S" what err needle;
     if contains err "internal error" then Alcotest.failf "%s: %S" what err
   in
