@@ -1122,14 +1122,6 @@ let fault_mini_sources : Pipeline.source list =
         |} };
   ]
 
-(* A planned crash can fire inside an unwind-time finalizer (e.g. the
-   store close), where [Fun.protect] wraps it — that is still the
-   simulated power cut. *)
-let rec is_crash = function
-  | Fsio.Crash -> true
-  | Fun.Finally_raised e -> is_crash e
-  | _ -> false
-
 let fault_sweep_over label sources =
   header (Printf.sprintf "Crash-point sweep (%s, +O4, jobs=1)" label);
   (* Operation numbering is only deterministic single-threaded. *)
@@ -1178,7 +1170,7 @@ let fault_sweep_over label sources =
     install (Printf.sprintf "crash@%d,seed=%d" k k);
     (match build () with
     | _ -> fail "crash@%d: the planned crash never fired\n" k
-    | exception e when is_crash e -> ());
+    | exception e when Fsio.is_crash e -> ());
     Faults.clear ();
     (* Recovery: a fresh "process" over the torn workspace. *)
     match build () with
@@ -1282,10 +1274,8 @@ let storm_for ~label ~clients ~per_client ~steps =
   let request ?fault ~tag idx =
     {
       Proto.tag;
-      level = Options.O4;
-      pbo = false;
-      jobs = 1;
-      check = false;
+      options = { Options.o4 with Options.jobs = 1; check = false };
+      profile = None;
       fault;
       sources = to_sources states.(idx);
     }

@@ -106,10 +106,6 @@ let fault_plan_arg =
                operation and injection counts are reported on stderr \
                after the build.")
 
-(* The flag wins over $CMO_FAULT. *)
-let fault_spec flag =
-  match flag with Some _ -> flag | None -> Options.env.Options.env_fault
-
 (* Only the parent build process installs a plan: cmoc-worker never
    does, so a plan exercises the dialing side of every link once. *)
 let install_fault_plan spec =
@@ -121,13 +117,6 @@ let install_fault_plan spec =
         raise
           (Pipeline.Compile_error (Printf.sprintf "bad fault plan %S: %s" spec m)))
     spec
-
-(* A planned crash can fire inside an unwind-time finalizer, where
-   [Fun.protect] wraps it; either way it is the simulated power cut. *)
-let rec is_crash = function
-  | Fsio.Crash -> true
-  | Fun.Finally_raised e -> is_crash e
-  | _ -> false
 
 let report_fault_plan () =
   let site : 'k. string -> string -> 'k Faults.site -> unit =
@@ -158,27 +147,12 @@ let guard f =
       | Cmo_llo.Asm.Parse_error (line, m) -> Printf.sprintf "line %d: %s" line m
       | Cohort.Bad_name n -> "bad cohort name: " ^ n
       | Unix.Unix_error (e, _, _) -> "cannot reach cmocd: " ^ Unix.error_message e
-      | e when is_crash e ->
+      | e when Fsio.is_crash e ->
         report_fault_plan ();
         "simulated crash (fault plan): build aborted"
       | e -> raise e
     in
     `Error (false, msg)
-
-let make_options level pbo selectivity machine_mb jobs check trace =
-  let base =
-    {
-      Options.o2 with
-      Options.level;
-      pbo;
-      selectivity;
-      machine_memory = machine_mb * 1024 * 1024;
-      jobs = max 1 jobs;
-      check = check || Options.default_check;
-    }
-  in
-  (* [Options.base] already carries \$CMO_TRACE; the flag overrides. *)
-  match trace with None -> base | Some _ -> { base with Options.trace }
 
 (* A missing, unreadable or corrupt profile degrades to building
    without one — PBO is an optimization, not a correctness input. *)
@@ -223,9 +197,13 @@ let remote_flag =
   Arg.(value & flag & info [ "remote" ]
          ~doc:"Send the build to a running $(b,cmocd) instead of \
                compiling in-process; the daemon's warm cache serves \
-               unchanged modules.  The socket comes from --socket or \
-               \\$CMO_SOCKET.  Artifacts are byte-identical to a local \
-               build.")
+               unchanged modules.  The request carries every build \
+               option (-O, -P, --select, -j, --check, --machine-mb), \
+               the --profile database and the fault plan, so artifacts \
+               are byte-identical to a local build with the same flags; \
+               tracing and distribution follow the daemon's own \
+               settings.  The socket comes from --socket or \
+               \\$CMO_SOCKET.")
 
 let socket_arg =
   Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH"
@@ -253,37 +231,82 @@ let workers_arg =
                not match is refused and its jobs run locally — output \
                stays byte-identical.")
 
-(* --workers accepts both repeats and comma lists; normalize to the
-   flat endpoint list Options carries. *)
-let resolve_workers flags =
-  let split s =
-    String.split_on_char ',' s |> List.map String.trim
-    |> List.filter (fun x -> x <> "")
-  in
-  List.concat_map split flags
+(* --socket, else $CMO_SOCKET. *)
+let socket_of flag =
+  match flag with Some _ -> flag | None -> Options.env.Options.env_socket
 
-let resolve_socket = function
+let resolve_socket flag =
+  match socket_of flag with
   | Some s -> s
-  | None -> (
-    match Options.env.Options.env_socket with
-    | Some s -> s
-    | None ->
-      raise
-        (Pipeline.Compile_error "--remote needs --socket or $CMO_SOCKET"))
+  | None ->
+    raise (Pipeline.Compile_error "--remote needs --socket or $CMO_SOCKET")
 
-(* One build over the wire: returns the relinked image (deterministic
-   from the returned object bytes) and the server's report JSON.  A
-   fault plan given with --fault-plan travels inside the request and
-   applies on the server, to this request only. *)
-let remote_compile ~socket ~(options : Options.t) ~fault sources =
+(* ---- the build front end, shared by compile and build ---- *)
+
+(* What one build is asked to do, resolved from flags and environment
+   once.  The profile loads lazily: a local build forces it after
+   installing the fault plan, so the plan numbers the profile read. *)
+type front = {
+  options : Options.t;
+  profile : Db.t option Lazy.t;
+  fault : string option;  (* --fault-plan, else $CMO_FAULT *)
+  socket : string option;  (* --socket, else $CMO_SOCKET *)
+  dist_given : bool;  (* --dist or --workers on the command line *)
+}
+
+let front_term =
+  let front level pbo profile selectivity machine_mb jobs check trace fault
+      log dist workers socket =
+    setup_logs log;
+    (* --workers accepts both repeats and comma lists; normalize to the
+       flat endpoint list Options carries. *)
+    let workers =
+      List.concat_map
+        (fun s ->
+          String.split_on_char ',' s |> List.map String.trim
+          |> List.filter (fun x -> x <> ""))
+        workers
+    in
+    let dist_given = dist || workers <> [] in
+    (* [Options.o2] carries the environment's defaults ($CMO_JOBS,
+       $CMO_CHECK, $CMO_TRACE, $CMO_DIST, $CMO_DIST_WORKERS); the flags
+       override them. *)
+    let env = Options.o2 in
+    let options =
+      {
+        env with
+        Options.level;
+        pbo;
+        selectivity;
+        machine_memory = machine_mb * 1024 * 1024;
+        jobs = max 1 jobs;
+        check = check || env.Options.check;
+        trace = (if trace = None then env.Options.trace else trace);
+        dist = dist_given || env.Options.dist;
+        workers = (if workers = [] then env.Options.workers else workers);
+      }
+    in
+    let fault = if fault = None then Options.env.Options.env_fault else fault in
+    { options; profile = lazy (load_profile profile); fault;
+      socket = socket_of socket; dist_given }
+  in
+  Term.(const front $ level_arg $ pbo_arg $ profile_arg $ selectivity_arg
+        $ machine_memory_arg $ jobs_arg $ check_arg $ trace_arg
+        $ fault_plan_arg $ log_arg $ dist_flag $ workers_arg $ socket_arg)
+
+(* One build over the wire: the request carries the front end's
+   options, profile and fault plan; returns the relinked image
+   (deterministic from the returned object bytes) and the server's
+   report JSON.  The fault plan applies on the server, to this request
+   only. *)
+let remote_compile (front : front) sources =
+  let socket = resolve_socket front.socket in
   let req =
     {
       Proto.tag = Printf.sprintf "cmoc-%d" (Unix.getpid ());
-      level = options.Options.level;
-      pbo = options.Options.pbo;
-      jobs = options.Options.jobs;
-      check = options.Options.check;
-      fault;
+      options = front.options;
+      profile = Option.map Db.encode (Lazy.force front.profile);
+      fault = front.fault;
       sources;
     }
   in
@@ -294,9 +317,9 @@ let remote_compile ~socket ~(options : Options.t) ~fault sources =
   | exception Client.Protocol_error m -> fail "cmocd protocol error: %s" m
   | Proto.Rejected { reason; _ } -> fail "cmocd rejected the build: %s" reason
   | Proto.Failed { reason; _ } -> fail "cmocd build failed: %s" reason
-  | Proto.Built { objects; report; _ } -> (
+  | Proto.Built { objects; routine_order; report; _ } -> (
     let objects = List.map Cmo_link.Objfile.decode objects in
-    match Cmo_link.Linker.link objects with
+    match Cmo_link.Linker.link ~routine_order objects with
     | Ok image -> (image, report)
     | Error errs ->
       fail "%s"
@@ -338,64 +361,47 @@ let compile_cmd =
         outcome.Vm.func_cycles
     end
   in
-  let action paths level pbo profile selectivity machine_mb jobs check trace fault log input run_it verbose map_it hot_report remote dist workers socket report_json =
+  let action (front : front) paths input run_it verbose map_it hot_report
+      remote report_json =
     guard @@ fun () ->
-    setup_logs log;
-    let workers = resolve_workers workers in
-    let dist = dist || workers <> [] in
-    if remote && dist then
+    if remote && front.dist_given then
       raise
         (Pipeline.Compile_error
            "--remote and --dist are mutually exclusive: --remote ships \
             the whole build to cmocd, --dist runs it here on worker \
             processes");
     let sources = List.map source_of_path paths in
-    let options = make_options level pbo selectivity machine_mb jobs check trace in
-    let options =
-      if dist then { options with Options.dist = true } else options
+    let image, json, print_report =
+      if remote then
+        let image, json = remote_compile front sources in
+        (image, json, fun () -> print_endline json)
+      else begin
+        install_fault_plan front.fault;
+        let build =
+          Pipeline.compile ?profile:(Lazy.force front.profile) front.options
+            sources
+        in
+        let report = build.Pipeline.report in
+        ( build.Pipeline.image,
+          Json.to_string (Pipeline.report_to_json report),
+          fun () -> Format.printf "%a@." Pipeline.pp_report report )
+      end
     in
-    let options =
-      if workers = [] then options else { options with Options.workers }
-    in
-    let fault = fault_spec fault in
-    if remote then begin
-      let socket = resolve_socket socket in
-      let image, report = remote_compile ~socket ~options ~fault sources in
-      write_report_json report_json report;
-      if verbose then print_endline report;
-      if map_it then Format.printf "%a@." Cmo_link.Image.pp_map image;
-      if run_it then
-        print_outcome ~hot_report
-          (Vm.run ~input:(parse_input input) ~attribute:hot_report image)
-      else
-        Printf.printf "linked %d instructions\n"
-          (Array.length image.Cmo_link.Image.code)
-    end
-    else begin
-      install_fault_plan fault;
-      let build = Pipeline.compile ?profile:(load_profile profile) options sources in
-      write_report_json report_json
-        (Json.to_string (Pipeline.report_to_json build.Pipeline.report));
-      if verbose then
-        Format.printf "%a@." Pipeline.pp_report build.Pipeline.report;
-      if map_it then
-        Format.printf "%a@." Cmo_link.Image.pp_map build.Pipeline.image;
-      if run_it then
-        print_outcome ~hot_report
-          (Pipeline.run ~input:(parse_input input) ~attribute:hot_report build)
-      else
-        Printf.printf "linked %d instructions\n"
-          (Array.length build.Pipeline.image.Cmo_link.Image.code);
-      report_fault_plan ()
-    end
+    write_report_json report_json json;
+    if verbose then print_report ();
+    if map_it then Format.printf "%a@." Cmo_link.Image.pp_map image;
+    if run_it then
+      print_outcome ~hot_report
+        (Vm.run ~input:(parse_input input) ~attribute:hot_report image)
+    else
+      Printf.printf "linked %d instructions\n"
+        (Array.length image.Cmo_link.Image.code);
+    report_fault_plan ()
   in
   let doc = "Compile (and optionally run) MiniC modules, locally or via cmocd." in
   Cmd.v (Cmd.info "compile" ~doc)
-    Term.(ret (const action $ sources_arg $ level_arg $ pbo_arg $ profile_arg
-               $ selectivity_arg $ machine_memory_arg $ jobs_arg $ check_arg
-               $ trace_arg $ fault_plan_arg $ log_arg $ input_arg $ run_flag
-               $ verbose $ map_flag $ hot_flag $ remote_flag $ dist_flag
-               $ workers_arg $ socket_arg $ report_json_arg))
+    Term.(ret (const action $ front_term $ sources_arg $ input_arg $ run_flag
+               $ verbose $ map_flag $ hot_flag $ remote_flag $ report_json_arg))
 
 (* ---- train ---- *)
 
@@ -1169,22 +1175,11 @@ let build_cmd =
   let verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print the compilation report.")
   in
-  let action paths level pbo profile selectivity machine_mb jobs check trace
-      fault log input dir no_cache cache_dir cache_capacity run_it verbose
-      dist workers socket report_json =
+  let action (front : front) paths input dir no_cache cache_dir
+      cache_capacity run_it verbose report_json =
     guard @@ fun () ->
-    setup_logs log;
-    install_fault_plan (fault_spec fault);
-    let workers = resolve_workers workers in
-    let dist = dist || workers <> [] in
+    install_fault_plan front.fault;
     let sources = List.map source_of_path paths in
-    let options = make_options level pbo selectivity machine_mb jobs check trace in
-    let options =
-      if dist then { options with Options.dist = true } else options
-    in
-    let options =
-      if workers = [] then options else { options with Options.workers }
-    in
     let ws =
       Buildsys.create ~cache:(not no_cache) ?cache_dir
         ?cache_capacity:(Option.map (fun mb -> mb * 1024 * 1024) cache_capacity)
@@ -1194,13 +1189,8 @@ let build_cmd =
        artifact cache shared across checkouts; an unreachable daemon
        degrades to a purely local build. *)
     let client =
-      let socket =
-        match socket with
-        | Some _ -> socket
-        | None -> Options.env.Options.env_socket
-      in
-      match socket with
-      | Some s when options.Options.dist -> (
+      match front.socket with
+      | Some s when front.options.Options.dist -> (
         match Client.connect ~socket:s with
         | c -> Some c
         | exception Unix.Unix_error (e, _, _) ->
@@ -1228,8 +1218,8 @@ let build_cmd =
         Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> raise Sys.Break))
       in
       match
-        Buildsys.build ?profile:(load_profile profile) ?remote ws options
-          sources
+        Buildsys.build ?profile:(Lazy.force front.profile) ?remote ws
+          front.options sources
       with
       | outcome ->
         Sys.set_signal Sys.sigint previous;
@@ -1284,12 +1274,9 @@ let build_cmd =
      cross-module optimization."
   in
   Cmd.v (Cmd.info "build" ~doc)
-    Term.(ret (const action $ sources_arg $ level_arg $ pbo_arg $ profile_arg
-               $ selectivity_arg $ machine_memory_arg $ jobs_arg $ check_arg
-               $ trace_arg $ fault_plan_arg $ log_arg $ input_arg $ dir_arg
+    Term.(ret (const action $ front_term $ sources_arg $ input_arg $ dir_arg
                $ no_cache_flag $ cache_dir_arg $ cache_capacity_arg $ run_flag
-               $ verbose $ dist_flag $ workers_arg $ socket_arg
-               $ report_json_arg))
+               $ verbose $ report_json_arg))
 
 (* ---- cache ---- *)
 

@@ -34,8 +34,10 @@
 # builds, warm-cache hit rate rising, per-request crash isolation),
 # and a process-level cmocd smoke — daemon start, concurrent cmoc
 # --remote builds at j=1 and j=4 compared against a local one-shot,
-# one $CMO_FAULT chaos request that must fail alone, and a SIGTERM
-# shutdown that must remove the socket.  The distributed build is
+# one $CMO_FAULT chaos request that must fail alone, profiled remote
+# builds (-P --profile, with and without --select 10, with --map)
+# compared against the same local commands, and a SIGTERM shutdown
+# that must remove the socket.  The distributed build is
 # gated the same way:
 # the dist-smoke benchmark (partition jobs on worker processes and a
 # remote artifact cache, all held byte-identical to the one-shot
@@ -230,6 +232,23 @@ fi
 "$CMOC" compile -O 4 -j 1 --remote --socket "$SOCK" --run --input 64,3 \
   "$SMOKE_DIR"/src/*.mc > "$SMOKE_DIR/retry.out"
 cmp "$SMOKE_DIR/local.out" "$SMOKE_DIR/retry.out"
+
+# The request carries the profile and every build option: profiled
+# remote builds, with and without selectivity, print exactly what the
+# same local commands print, linker map included.
+"$CMOC" train -o "$SMOKE_DIR/app.prof" --input 64,3 "$SMOKE_DIR"/src/*.mc \
+  > /dev/null
+for SEL in "" "--select 10"; do
+  "$CMOC" compile -O 4 -P --profile "$SMOKE_DIR/app.prof" $SEL --map --run \
+    --input 64,3 "$SMOKE_DIR"/src/*.mc > "$SMOKE_DIR/pbo-local.out"
+  "$CMOC" compile -O 4 -P --profile "$SMOKE_DIR/app.prof" $SEL --map --run \
+    --input 64,3 --remote --socket "$SOCK" "$SMOKE_DIR"/src/*.mc \
+    > "$SMOKE_DIR/pbo-remote.out"
+  cmp "$SMOKE_DIR/pbo-local.out" "$SMOKE_DIR/pbo-remote.out" || {
+    echo "daemon smoke: remote -P --profile $SEL differs from local"
+    exit 1
+  }
+done
 
 # Graceful shutdown: SIGTERM drains and removes the socket file.
 kill -TERM "$CMOCD_PID"

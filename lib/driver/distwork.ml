@@ -147,17 +147,9 @@ type worker_msg =
   | Hello of hello
   | Pulse
 
-let write_opt w f = function
-  | None -> Codec.Writer.bool w false
-  | Some v ->
-    Codec.Writer.bool w true;
-    f v
-
-let read_opt r f = if Codec.Reader.bool r then Some (f r) else None
-
 let write_report w (r : Hlo.report) =
   Codec.Writer.uvarint w r.Hlo.clones;
-  write_opt w
+  Codec.Writer.option w
     (fun (s : Inline.stats) ->
       Codec.Writer.uvarint w s.Inline.operations;
       Codec.Writer.uvarint w s.Inline.cross_module;
@@ -167,7 +159,7 @@ let write_report w (r : Hlo.report) =
       Codec.Writer.uvarint w s.Inline.rejected_recursive;
       Codec.Writer.uvarint w s.Inline.rejected_caller_full)
     r.Hlo.inline_stats;
-  write_opt w
+  Codec.Writer.option w
     (fun (s : Ipa.stats) ->
       Codec.Writer.uvarint w s.Ipa.const_params;
       Codec.Writer.uvarint w s.Ipa.const_global_loads;
@@ -180,7 +172,7 @@ let write_report w (r : Hlo.report) =
 let read_report r =
   let clones = Codec.Reader.uvarint r in
   let inline_stats =
-    read_opt r (fun r ->
+    Codec.Reader.option r (fun r ->
         let operations = Codec.Reader.uvarint r in
         let cross_module = Codec.Reader.uvarint r in
         let bytes_grown = Codec.Reader.varint r in
@@ -199,7 +191,7 @@ let read_report r =
         })
   in
   let ipa_stats =
-    read_opt r (fun r ->
+    Codec.Reader.option r (fun r ->
         let const_params = Codec.Reader.uvarint r in
         let const_global_loads = Codec.Reader.uvarint r in
         let dead_functions = Codec.Reader.list r Codec.Reader.string in
@@ -270,11 +262,13 @@ let encode_parent =
       Codec.Writer.list w (Codec.Writer.string w) j.job_modules;
       Codec.Writer.list w (Codec.Writer.string w) j.job_called;
       Codec.Writer.list w (Codec.Writer.string w) j.job_stored;
-      write_opt w (Codec.Writer.list w (Codec.Writer.string w)) j.job_hot;
+      Codec.Writer.option w
+        (Codec.Writer.list w (Codec.Writer.string w))
+        j.job_hot;
       Codec.Writer.bool w j.job_phase_cache
     | Have data ->
       Codec.Writer.byte w 2;
-      write_opt w (Codec.Writer.string w) data
+      Codec.Writer.option w (Codec.Writer.string w) data
     | Ack -> Codec.Writer.byte w 3
     | Bye -> Codec.Writer.byte w 4
     | Refuse reason ->
@@ -289,7 +283,10 @@ let decode_parent =
         let job_modules = Codec.Reader.list r Codec.Reader.string in
         let job_called = Codec.Reader.list r Codec.Reader.string in
         let job_stored = Codec.Reader.list r Codec.Reader.string in
-        let job_hot = read_opt r (fun r -> Codec.Reader.list r Codec.Reader.string) in
+        let job_hot =
+          Codec.Reader.option r (fun r ->
+              Codec.Reader.list r Codec.Reader.string)
+        in
         let job_phase_cache = Codec.Reader.bool r in
         Job
           {
@@ -300,7 +297,7 @@ let decode_parent =
             job_hot;
             job_phase_cache;
           }
-      | 2 -> Have (read_opt r Codec.Reader.string)
+      | 2 -> Have (Codec.Reader.option r Codec.Reader.string)
       | 3 -> Ack
       | 4 -> Bye
       | 5 -> Refuse (Codec.Reader.string r)

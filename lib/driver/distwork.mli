@@ -145,8 +145,6 @@ val decode_worker : string -> worker_msg
 (** @raise Cmo_support.Codec.Reader.Corrupt on malformed payloads,
     including trailing bytes. *)
 
-val summary_of_memstats : Cmo_naim.Memstats.t -> mem_summary
-
 val memstats_of_summary : mem_summary -> Cmo_naim.Memstats.t
 (** Reconstruct an accountant whose per-category residency and peaks
     equal the worker's, so {!Cmo_naim.Memstats.merge} folds it exactly

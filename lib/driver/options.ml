@@ -210,23 +210,17 @@ let naim_level_of_tag = function
   | 3 -> Cmo_naim.Loader.Offloading
   | n -> Codec.Reader.corrupt (Printf.sprintf "bad NAIM level tag %d" n)
 
-let write_opt w f = function
-  | None -> Codec.Writer.bool w false
-  | Some v ->
-    Codec.Writer.bool w true;
-    f v
-
-let read_opt r f = if Codec.Reader.bool r then Some (f r) else None
-
 let encode w t =
   Codec.Writer.byte w (level_tag t.level);
   Codec.Writer.bool w t.pbo;
   Codec.Writer.bool w t.instrument;
-  write_opt w (Codec.Writer.float w) t.selectivity;
+  Codec.Writer.option w (Codec.Writer.float w) t.selectivity;
   Codec.Writer.bool w t.tiered;
   Codec.Writer.uvarint w t.machine_memory;
-  write_opt w (fun l -> Codec.Writer.byte w (naim_level_tag l)) t.naim_level;
-  write_opt w
+  Codec.Writer.option w
+    (fun l -> Codec.Writer.byte w (naim_level_tag l))
+    t.naim_level;
+  Codec.Writer.option w
     (fun (c : Cmo_hlo.Inline.config) ->
       Codec.Writer.varint w c.Cmo_hlo.Inline.always_threshold;
       Codec.Writer.float w c.Cmo_hlo.Inline.hot_count_threshold;
@@ -236,30 +230,33 @@ let encode w t =
       Codec.Writer.varint w c.Cmo_hlo.Inline.caller_size_limit;
       Codec.Writer.float w c.Cmo_hlo.Inline.program_growth;
       Codec.Writer.bool w c.Cmo_hlo.Inline.use_profile;
-      write_opt w (Codec.Writer.varint w) c.Cmo_hlo.Inline.operation_limit)
+      Codec.Writer.option w (Codec.Writer.varint w)
+        c.Cmo_hlo.Inline.operation_limit)
     t.inline_config;
-  write_opt w (Codec.Writer.varint w) t.rewrite_limit;
-  write_opt w (Codec.Writer.varint w) t.inline_limit;
-  write_opt w (Codec.Writer.list w (Codec.Writer.string w)) t.cmo_modules;
+  Codec.Writer.option w (Codec.Writer.varint w) t.rewrite_limit;
+  Codec.Writer.option w (Codec.Writer.varint w) t.inline_limit;
+  Codec.Writer.option w
+    (Codec.Writer.list w (Codec.Writer.string w))
+    t.cmo_modules;
   Codec.Writer.uvarint w t.jobs;
   Codec.Writer.bool w t.check;
-  write_opt w (Codec.Writer.string w) t.trace;
+  Codec.Writer.option w (Codec.Writer.string w) t.trace;
   Codec.Writer.bool w t.dist;
   Codec.Writer.list w (Codec.Writer.string w) t.workers;
-  write_opt w (Codec.Writer.float w) t.dist_timeout
+  Codec.Writer.option w (Codec.Writer.float w) t.dist_timeout
 
 let decode r =
   let level = level_of_tag (Codec.Reader.byte r) in
   let pbo = Codec.Reader.bool r in
   let instrument = Codec.Reader.bool r in
-  let selectivity = read_opt r Codec.Reader.float in
+  let selectivity = Codec.Reader.option r Codec.Reader.float in
   let tiered = Codec.Reader.bool r in
   let machine_memory = Codec.Reader.uvarint r in
   let naim_level =
-    read_opt r (fun r -> naim_level_of_tag (Codec.Reader.byte r))
+    Codec.Reader.option r (fun r -> naim_level_of_tag (Codec.Reader.byte r))
   in
   let inline_config =
-    read_opt r (fun r ->
+    Codec.Reader.option r (fun r ->
         let always_threshold = Codec.Reader.varint r in
         let hot_count_threshold = Codec.Reader.float r in
         let hot_density_ratio = Codec.Reader.float r in
@@ -268,7 +265,7 @@ let decode r =
         let caller_size_limit = Codec.Reader.varint r in
         let program_growth = Codec.Reader.float r in
         let use_profile = Codec.Reader.bool r in
-        let operation_limit = read_opt r Codec.Reader.varint in
+        let operation_limit = Codec.Reader.option r Codec.Reader.varint in
         {
           Cmo_hlo.Inline.always_threshold;
           hot_count_threshold;
@@ -281,15 +278,17 @@ let decode r =
           operation_limit;
         })
   in
-  let rewrite_limit = read_opt r Codec.Reader.varint in
-  let inline_limit = read_opt r Codec.Reader.varint in
-  let cmo_modules = read_opt r (fun r -> Codec.Reader.list r Codec.Reader.string) in
+  let rewrite_limit = Codec.Reader.option r Codec.Reader.varint in
+  let inline_limit = Codec.Reader.option r Codec.Reader.varint in
+  let cmo_modules =
+    Codec.Reader.option r (fun r -> Codec.Reader.list r Codec.Reader.string)
+  in
   let jobs = Codec.Reader.uvarint r in
   let check = Codec.Reader.bool r in
-  let trace = read_opt r Codec.Reader.string in
+  let trace = Codec.Reader.option r Codec.Reader.string in
   let dist = Codec.Reader.bool r in
   let workers = Codec.Reader.list r Codec.Reader.string in
-  let dist_timeout = read_opt r Codec.Reader.float in
+  let dist_timeout = Codec.Reader.option r Codec.Reader.float in
   {
     level;
     pbo;

@@ -30,20 +30,6 @@ let src_lines t =
 let instr_count t =
   List.fold_left (fun acc f -> acc + Func.instr_count f) 0 t.funcs
 
-let replace_func t f =
-  let found = ref false in
-  t.funcs <-
-    List.map
-      (fun old ->
-        if old.Func.name = f.Func.name then begin
-          found := true;
-          f
-        end
-        else old)
-      t.funcs;
-  if not !found then
-    invalid_arg (Printf.sprintf "Ilmod.replace_func: no function %s" f.Func.name)
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>module %s" t.mname;
   List.iter

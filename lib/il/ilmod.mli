@@ -36,8 +36,4 @@ val src_lines : t -> int
 
 val instr_count : t -> int
 
-val replace_func : t -> Func.t -> unit
-(** Substitute a function with the same name; raises
-    [Invalid_argument] when no such function exists. *)
-
 val pp : Format.formatter -> t -> unit

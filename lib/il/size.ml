@@ -63,8 +63,6 @@ let func_expanded_bytes f =
 
 let func_expanded_core_bytes f = fst (core_and_instrs f)
 
-let func_compacted_bytes f = compacted_of (fst (core_and_instrs f))
-
 let func_charges f =
   let core, instrs = core_and_instrs f in
   (expanded_of core instrs, compacted_of core)

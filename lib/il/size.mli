@@ -36,16 +36,14 @@ val func_expanded_core_bytes : Func.t -> int
 (** Expanded footprint with derived slots stripped — what remains
     resident for a routine whose derived data has been discarded. *)
 
-val func_compacted_bytes : Func.t -> int
-(** Modeled in-memory relocatable (compacted) footprint: derived
-    slots gone, stack layout, pointer fields elided (paper section
-    4.2.2).  This is what a compacted-but-resident pool charges; the
+val func_charges : Func.t -> int * int
+(** [(func_expanded_bytes f, compacted)] from one walk over the
+    routine: what the NAIM loader records per mutation.  [compacted]
+    is the modeled in-memory relocatable footprint: derived slots
+    gone, stack layout, pointer fields elided (paper section 4.2.2).
+    This is what a compacted-but-resident pool charges; the
     serialized byte stream ({!Ilcodec}) is denser and is what reaches
     the repository and object files. *)
-
-val func_charges : Func.t -> int * int
-(** [(func_expanded_bytes f, func_compacted_bytes f)] from one walk
-    over the routine: what the NAIM loader records per mutation. *)
 
 val module_symtab_expanded_bytes : Ilmod.t -> int
 (** Expanded footprint of the module symbol table pool: globals,

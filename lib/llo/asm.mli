@@ -29,8 +29,6 @@
 exception Parse_error of int * string
 (** (1-based line number, message). *)
 
-val print_func : Format.formatter -> Mach.func_code -> unit
-
 val print_module :
   Format.formatter ->
   module_name:string ->

@@ -8,7 +8,7 @@
       accountant at its modeled expanded size;
     - {b Compacted}: the relocatable byte form ({!Cmo_il.Ilcodec}),
       charged at its modeled relocatable size
-      ({!Cmo_il.Size.func_compacted_bytes});
+      (the second half of {!Cmo_il.Size.func_charges});
     - {b Offloaded}: stored in the disk {!Repository}, charging
       nothing.
 

@@ -93,12 +93,18 @@ let names t =
     |> List.sort String.compare
   | exception Sys_error _ -> []
 
+(* One read per pack: the shard count and the size come from the same
+   bytes.  A pack that vanished is empty; one that cannot be read is
+   one damaged frame, as {!shards} counts it. *)
 let info_of t name =
-  let decodable, damaged = shards t name in
-  let bytes =
-    match Fsio.read_file (pack_path t name) with
-    | data -> String.length data
-    | exception Sys_error _ -> 0
+  let path = pack_path t name in
+  let decodable, damaged, bytes =
+    match Fsio.read_file path with
+    | data ->
+      let decodable, damaged = Ingest.decode_pack data in
+      (decodable, damaged, String.length data)
+    | exception Sys_error _ ->
+      ([], (if Sys.file_exists path then 1 else 0), 0)
   in
   {
     ci_name = name;

@@ -25,8 +25,6 @@ val instrument : Cmo_il.Ilmod.t list -> Cmo_il.Ilmod.t list * manifest
 
 val probe_count : manifest -> int
 
-val key_of_probe : manifest -> int -> Db.key option
-
 val record_counters : manifest -> (int * int64) list -> Db.t -> unit
 (** Fold raw [(probe id, count)] counters (as produced by the
     interpreter or the VM) into a profile database, accumulating with

@@ -5,10 +5,8 @@ module Pipeline = Cmo_driver.Pipeline
 
 type build_req = {
   tag : string;
-  level : Options.level;
-  pbo : bool;
-  jobs : int;
-  check : bool;
+  options : Options.t;
+  profile : string option;
   fault : string option;
   sources : Pipeline.source list;
 }
@@ -44,7 +42,12 @@ type stats = {
 
 type response =
   | Pong
-  | Built of { tag : string; objects : string list; report : string }
+  | Built of {
+      tag : string;
+      objects : string list;
+      routine_order : string list;
+      report : string;
+    }
   | Rejected of { tag : string; reason : string }
   | Failed of { tag : string; reason : string }
   | Stats_reply of stats
@@ -59,27 +62,14 @@ type response =
 
 (* ---- binary encoding (Codec, same substrate as object files) ---- *)
 
-(* Retired message tags are never reused: requests 7/8 and responses
-   10/11 (the anonymous fleet pack, now the "fleet" cohort) and
-   response 12 (the cohort listing that carried tags and snapshot
-   flags), so a peer built before their removal fails on a bad tag
-   instead of misreading the bytes. *)
-
-let level_tag = function Options.O1 -> 1 | Options.O2 -> 2 | Options.O4 -> 4
-
-let level_of_tag r = function
-  | 1 -> Options.O1
-  | 2 -> Options.O2
-  | 4 -> Options.O4
-  | n -> ignore r; Codec.Reader.corrupt (Printf.sprintf "bad level tag %d" n)
-
-let write_option w f = function
-  | None -> Codec.Writer.bool w false
-  | Some v ->
-    Codec.Writer.bool w true;
-    f v
-
-let read_option r f = if Codec.Reader.bool r then Some (f r) else None
+(* Retired message tags are never reused: request 2 (the build request
+   that carried a level/pbo/jobs/check subset instead of the full
+   options and profile) and response 2 (the build reply without the
+   image's routine order), requests 7/8 and responses 10/11 (the
+   anonymous fleet pack, now the "fleet" cohort) and response 12 (the
+   cohort listing that carried tags and snapshot flags), so a peer
+   built before their removal fails on a bad tag instead of misreading
+   the bytes. *)
 
 let write_sources w sources =
   Codec.Writer.list w
@@ -96,29 +86,25 @@ let read_sources r =
 
 let write_build_req w (b : build_req) =
   Codec.Writer.string w b.tag;
-  Codec.Writer.byte w (level_tag b.level);
-  Codec.Writer.bool w b.pbo;
-  Codec.Writer.uvarint w b.jobs;
-  Codec.Writer.bool w b.check;
-  write_option w (Codec.Writer.string w) b.fault;
+  Options.encode w b.options;
+  Codec.Writer.option w (Codec.Writer.string w) b.profile;
+  Codec.Writer.option w (Codec.Writer.string w) b.fault;
   write_sources w b.sources
 
 let read_build_req r =
   let tag = Codec.Reader.string r in
-  let level = level_of_tag r (Codec.Reader.byte r) in
-  let pbo = Codec.Reader.bool r in
-  let jobs = Codec.Reader.uvarint r in
-  let check = Codec.Reader.bool r in
-  let fault = read_option r Codec.Reader.string in
+  let options = Options.decode r in
+  let profile = Codec.Reader.option r Codec.Reader.string in
+  let fault = Codec.Reader.option r Codec.Reader.string in
   let sources = read_sources r in
-  { tag; level; pbo; jobs; check; fault; sources }
+  { tag; options; profile; fault; sources }
 
 let string_of_request req =
   let w = Codec.Writer.create () in
   (match req with
   | Ping -> Codec.Writer.byte w 1
   | Build b ->
-    Codec.Writer.byte w 2;
+    Codec.Writer.byte w 13;
     write_build_req w b
   | Stats -> Codec.Writer.byte w 3
   | Shutdown -> Codec.Writer.byte w 4
@@ -150,7 +136,6 @@ let string_of_request req =
 let request_of_reader r =
   match Codec.Reader.byte r with
   | 1 -> Ping
-  | 2 -> Build (read_build_req r)
   | 3 -> Stats
   | 4 -> Shutdown
   | 5 -> Cache_get { key = Codec.Reader.string r }
@@ -174,6 +159,7 @@ let request_of_reader r =
     let threshold = Codec.Reader.float r in
     let sources = read_sources r in
     Cohort_diff { base; canary; percent; threshold; sources }
+  | 13 -> Build (read_build_req r)
   | n -> Codec.Reader.corrupt (Printf.sprintf "bad request tag %d" n)
 
 let write_stats w (s : stats) =
@@ -202,10 +188,11 @@ let string_of_response resp =
   let w = Codec.Writer.create () in
   (match resp with
   | Pong -> Codec.Writer.byte w 1
-  | Built { tag; objects; report } ->
-    Codec.Writer.byte w 2;
+  | Built { tag; objects; routine_order; report } ->
+    Codec.Writer.byte w 17;
     Codec.Writer.string w tag;
     Codec.Writer.list w (Codec.Writer.string w) objects;
+    Codec.Writer.list w (Codec.Writer.string w) routine_order;
     Codec.Writer.string w report
   | Rejected { tag; reason } ->
     Codec.Writer.byte w 3;
@@ -250,11 +237,6 @@ let string_of_response resp =
 let response_of_reader r =
   match Codec.Reader.byte r with
   | 1 -> Pong
-  | 2 ->
-    let tag = Codec.Reader.string r in
-    let objects = Codec.Reader.list r Codec.Reader.string in
-    let report = Codec.Reader.string r in
-    Built { tag; objects; report }
   | 3 ->
     let tag = Codec.Reader.string r in
     let reason = Codec.Reader.string r in
@@ -288,6 +270,12 @@ let response_of_reader r =
     let skipped = Codec.Reader.uvarint r in
     Cohort_db { data; shards; skipped }
   | 15 -> Cohort_report { report = Codec.Reader.string r }
+  | 17 ->
+    let tag = Codec.Reader.string r in
+    let objects = Codec.Reader.list r Codec.Reader.string in
+    let routine_order = Codec.Reader.list r Codec.Reader.string in
+    let report = Codec.Reader.string r in
+    Built { tag; objects; routine_order; report }
   | n -> Codec.Reader.corrupt (Printf.sprintf "bad response tag %d" n)
 
 let decode of_reader payload =

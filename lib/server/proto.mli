@@ -14,12 +14,22 @@
 
 type build_req = {
   tag : string;  (** Echoed in the response; client's correlation id. *)
-  level : Cmo_driver.Options.level;
-  pbo : bool;
-      (** Accepted on the wire, but the daemon builds without a
-          profile database, so +P degrades to the no-profile path. *)
-  jobs : int;  (** Worker domains for this request's pipeline phases. *)
-  check : bool;  (** Run the between-phase IL verifier. *)
+  options : Cmo_driver.Options.t;
+      (** The build's full option record, in the
+          {!Cmo_driver.Options.encode} form partition jobs travel in,
+          so the daemon's artifacts equal a local build with the same
+          options.  The daemon owns five fields and ignores what the
+          request says about them: [dist], [workers] and
+          [dist_timeout] come from the daemon's own environment (as
+          in {!Cmo_driver.Options.o2}); [trace] is always [None],
+          since the daemon's trace sink spans its whole lifetime and
+          a request must not start, stop or export it; and
+          [instrument] is always false. *)
+  profile : string option;
+      (** {!Cmo_profile.Db.encode} bytes of the profile database the
+          build uses with [options.pbo] — what a local build reads
+          with [--profile].  Bytes that do not decode fail the
+          request. *)
   fault : string option;
       (** A per-request {!Cmo_support.Fsio} fault-plan spec.  Fault
           plans are process-wide, so the server runs such a request
@@ -86,8 +96,14 @@ type response =
       objects : string list;
           (** {!Cmo_link.Objfile.encode} of each linked object, in
               link order — the byte-identity surface: a one-shot build
-              of the same tree yields these exact strings, and the
-              image relinks deterministically from them. *)
+              of the same tree yields these exact strings. *)
+      routine_order : string list;
+          (** The built image's routines in placement order
+              ({!Cmo_link.Image.t}[.funcs]).  Profile-guided clustering
+              places routines from the annotated IL, which the objects
+              do not carry, so the client relinks with this order
+              ({!Cmo_link.Linker.link}[ ~routine_order]) to reproduce
+              the daemon's image exactly. *)
       report : string;  (** {!Cmo_driver.Pipeline.report_to_json}. *)
     }
   | Rejected of { tag : string; reason : string }  (** Never attempted. *)

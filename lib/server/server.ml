@@ -220,27 +220,19 @@ let serve_cohort ?lock reg (req : Proto.request) =
     | exception e -> refuse ("cohort diff: " ^ Printexc.to_string e))
   | _ -> refuse "not a cohort request (an offline registry answers only those)"
 
-let rec is_crash = function
-  | Fsio.Crash -> true
-  | Fun.Finally_raised e -> is_crash e
-  | _ -> false
-
-let options_of_req (b : Proto.build_req) =
-  let base =
-    match (b.Proto.level, b.Proto.pbo) with
-    | Options.O1, _ -> Options.o1
-    | Options.O2, false -> Options.o2
-    | Options.O2, true -> Options.o2_pbo
-    | Options.O4, false -> Options.o4
-    | Options.O4, true -> Options.o4_pbo
-  in
+(* The request's options, minus the fields the daemon owns.  Its
+   distribution placement is what the daemon's environment sets in
+   [Options.o2] (the base record).  It owns the trace sink for its
+   whole lifetime, so a request must not start, stop or export it, and
+   it never instruments. *)
+let request_options (b : Proto.build_req) =
+  let own = Options.o2 in
   {
-    base with
-    Options.jobs = max 1 b.Proto.jobs;
-    check = b.Proto.check;
-    (* The daemon owns the trace sink for its whole lifetime; a
-       request must not start/stop/export it. *)
-    trace = None;
+    b.Proto.options with
+    Options.trace = None;
+    dist = own.Options.dist;
+    workers = own.Options.workers;
+    dist_timeout = own.Options.dist_timeout;
     instrument = false;
   }
 
@@ -253,8 +245,8 @@ let source_lines (sources : Pipeline.source list) =
           0 s.Pipeline.text)
     0 sources
 
-let compile_once t options sources =
-  Pipeline.compile
+let compile_once t ?profile options sources =
+  Pipeline.compile ?profile
     ?cache:(Buildsys.session_store t.session)
     ?naim_repo:(Buildsys.session_repo t.session)
     options sources
@@ -266,8 +258,16 @@ let compile_once t options sources =
    reopening recovers exactly as a restarted process would, so a
    crashed request never poisons the requests after it. *)
 let execute t (b : Proto.build_req) =
-  let options = options_of_req b in
-  let build () = compile_once t options b.Proto.sources in
+  let options = request_options b in
+  let build () =
+    let profile =
+      match Option.map Db.decode b.Proto.profile with
+      | profile -> profile
+      | exception Codec.Reader.Corrupt m ->
+        raise (Pipeline.Compile_error ("bad profile database: " ^ m))
+    in
+    compile_once t ?profile options b.Proto.sources
+  in
   match
     match b.Proto.fault with
     | None -> with_shared t.gate build
@@ -301,6 +301,10 @@ let execute t (b : Proto.build_req) =
       {
         tag = b.Proto.tag;
         objects = List.map Objfile.encode build.Pipeline.objects;
+        routine_order =
+          List.map
+            (fun (name, _, _) -> name)
+            build.Pipeline.image.Cmo_link.Image.funcs;
         report =
           Cmo_obs.Json.to_string
             (Pipeline.report_to_json build.Pipeline.report);
@@ -311,7 +315,7 @@ let execute t (b : Proto.build_req) =
     let reason =
       match e with
       | Pipeline.Compile_error m -> m
-      | e when is_crash e -> "injected crash killed this request"
+      | e when Fsio.is_crash e -> "injected crash killed this request"
       | Sys_error m -> "i/o failure: " ^ m
       (* A builder thread must survive anything a request throws at
          it; the failure is the request's, not the daemon's. *)

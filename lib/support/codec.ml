@@ -70,6 +70,12 @@ module Writer = struct
     uvarint t (Array.length items);
     Array.iter write_elem items
 
+  let option t write_elem = function
+    | None -> bool t false
+    | Some v ->
+      bool t true;
+      write_elem v
+
   let length t = t.len
 
   let contents t = Bytes.sub_string t.buf 0 t.len
@@ -165,6 +171,8 @@ module Reader = struct
   let array t read_elem =
     let len = seq_length t in
     Array.init len (fun _ -> read_elem t)
+
+  let option t read_elem = if bool t then Some (read_elem t) else None
 
   let at_end t = t.pos = String.length t.data
 end

@@ -32,6 +32,10 @@ module Writer : sig
   (** Length-prefixed list written with the given element writer. *)
 
   val array : t -> ('a -> unit) -> 'a array -> unit
+
+  val option : t -> ('a -> unit) -> 'a option -> unit
+  (** A presence {!bool}, then the value when there is one. *)
+
   val length : t -> int
   val contents : t -> string
 end
@@ -52,6 +56,7 @@ module Reader : sig
   val float : t -> float
   val list : t -> (t -> 'a) -> 'a list
   val array : t -> (t -> 'a) -> 'a array
+  val option : t -> (t -> 'a) -> 'a option
 
   val seq_length : t -> int
   (** The length prefix {!list} and {!array} read first, for client

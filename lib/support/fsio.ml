@@ -2,6 +2,11 @@ module Obs = Cmo_obs.Obs
 
 exception Crash
 
+let rec is_crash = function
+  | Crash -> true
+  | Fun.Finally_raised e -> is_crash e
+  | _ -> false
+
 exception Corrupt_record of { path : string; offset : int; reason : string }
 
 (* ---- CRC-32 (IEEE 802.3), table-driven ---- *)

@@ -42,6 +42,11 @@
 exception Crash
 (** Simulated power cut (see above).  Only a fault plan raises this. *)
 
+val is_crash : exn -> bool
+(** [Crash], possibly wrapped in [Fun.Finally_raised]: a planned crash
+    can fire inside an unwind-time finalizer, where [Fun.protect]
+    wraps it; either way it is the simulated power cut. *)
+
 exception Corrupt_record of { path : string; offset : int; reason : string }
 (** A framed record failed its magic, length or CRC check. *)
 

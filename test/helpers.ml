@@ -163,3 +163,14 @@ let to_alcotest test =
       raise e
   in
   (name, speed, run)
+
+(* Random option records for the wire fuzzers (cmoc-worker jobs and
+   cmocd build requests): a preset plus the fields that vary per build
+   and travel with it. *)
+let gen_options =
+  let module Options = Cmo_driver.Options in
+  QCheck.Gen.(
+    let* base = oneofl [ Options.o2; Options.o4; Options.o4_pbo ] in
+    let* jobs = int_range 1 16 and* dist = bool and* check = bool in
+    let+ selectivity = option (float_bound_inclusive 100.0) in
+    { base with Options.jobs; dist; check; selectivity })

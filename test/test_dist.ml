@@ -63,16 +63,9 @@ let test_worker_binary_resolves () =
 let gen_wire_string = QCheck.Gen.(string_size (int_range 0 16))
 let gen_nat = QCheck.Gen.int_range 0 1_000_000
 
-let gen_options =
-  QCheck.Gen.(
-    map3
-      (fun base jobs dist -> { base with Options.jobs; dist })
-      (oneofl [ Options.o2; Options.o4; Options.o4_pbo ])
-      (int_range 1 16) bool)
-
 let gen_job =
   QCheck.Gen.(
-    let* job_options = gen_options in
+    let* job_options = Helpers.gen_options in
     let* job_modules = list_size (int_range 0 4) gen_wire_string in
     let* job_called = list_size (int_range 0 4) gen_wire_string in
     let* job_stored = list_size (int_range 0 4) gen_wire_string in

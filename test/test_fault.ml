@@ -30,11 +30,6 @@ let contains_sub haystack needle =
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
   go 0
 
-let rec is_crash = function
-  | Fsio.Crash -> true
-  | Fun.Finally_raised e -> is_crash e
-  | _ -> false
-
 let read_raw path =
   let ic = open_in_bin path in
   Fun.protect
@@ -237,7 +232,7 @@ let test_atomic_write_crash_states () =
     install (Printf.sprintf "crash@%d,seed=%d" k k);
     (match Fsio.atomic_write path "NEW-BYTES!" with
     | () -> Alcotest.failf "crash@%d did not fire" k
-    | exception e when is_crash e -> ());
+    | exception e when Fsio.is_crash e -> ());
     Faults.clear ();
     Alcotest.(check string)
       (Printf.sprintf "target intact after crash@%d" k)
@@ -484,7 +479,7 @@ let test_crash_sweep_recovers () =
     install (Printf.sprintf "crash@%d,seed=%d" k k);
     (match build_in dir with
     | _ -> Alcotest.failf "crash@%d never fired" k
-    | exception e when is_crash e -> ());
+    | exception e when Fsio.is_crash e -> ());
     Faults.clear ();
     match build_in dir with
     | recovered ->
@@ -633,7 +628,7 @@ let test_pack_crash_sweep () =
     install (Printf.sprintf "crash@%d,seed=%d" k k);
     (match Ingest.write_pack path pack_shards with
     | () -> Alcotest.failf "crash@%d never fired" k
-    | exception e when is_crash e -> ());
+    | exception e when Fsio.is_crash e -> ());
     Faults.clear ();
     (* Degraded read of whatever the crash left. *)
     let got =
@@ -731,7 +726,7 @@ let test_cohort_crash_sweep () =
     install (Printf.sprintf "crash@%d,seed=%d" k k);
     (match ops (Cohort.open_ ~dir:reg_dir) with
     | () -> Alcotest.failf "crash@%d never fired" k
-    | exception e when is_crash e -> ());
+    | exception e when Fsio.is_crash e -> ());
     Faults.clear ();
     (* Whatever the crash left behind, every read degrades — nothing
        raises. *)

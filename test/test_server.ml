@@ -3,8 +3,9 @@
    short reads) through the CMR1 scan path, the scheduler's admission
    and fairness rules, Buildsys sessions, and an end-to-end daemon
    exercise over a real socket — byte-identity against a one-shot
-   build, warm second request, per-request crash isolation, graceful
-   shutdown. *)
+   build (profiled and selective requests included, relinked to the
+   local image), warm second request, per-request crash and
+   bad-profile isolation, graceful shutdown. *)
 
 module Fsio = Cmo_support.Fsio
 module Options = Cmo_driver.Options
@@ -18,6 +19,8 @@ module Client = Cmo_server.Client
 module Db = Cmo_profile.Db
 module Ingest = Cmo_profile.Ingest
 module Cohort = Cmo_profile.Cohort
+module Genprog = Cmo_workload.Genprog
+module Suite = Cmo_workload.Suite
 
 let with_dir f = Helpers.with_dir ~prefix:"cmo_server" f
 
@@ -34,13 +37,11 @@ let gen_source =
 let gen_build_req =
   let open QCheck.Gen in
   let* tag = gen_string in
-  let* level = oneofl [ Options.O1; Options.O2; Options.O4 ] in
-  let* pbo = bool in
-  let* jobs = 1 -- 8 in
-  let* check = bool in
+  let* options = Helpers.gen_options in
+  let* profile = option (string_size (0 -- 80)) in
   let* fault = option gen_string in
   let* sources = list_size (0 -- 5) gen_source in
-  return { Proto.tag; level; pbo; jobs; check; fault; sources }
+  return { Proto.tag; options; profile; fault; sources }
 
 let gen_request =
   let open QCheck.Gen in
@@ -101,8 +102,9 @@ let gen_response =
       return Proto.Shutting_down;
       (let* tag = gen_string in
        let* objects = list_size (0 -- 4) gen_string in
+       let* routine_order = list_size (0 -- 4) gen_string in
        let* report = gen_string in
-       return (Proto.Built { tag; objects; report }));
+       return (Proto.Built { tag; objects; routine_order; report }));
       (let* tag = gen_string and* reason = gen_string in
        return (Proto.Rejected { tag; reason }));
       (let* tag = gen_string and* reason = gen_string in
@@ -413,13 +415,12 @@ let test_end_to_end () =
       trace = None;
     }
   in
-  let oracle =
+  let o4 = { Options.o4 with Options.jobs = 1 } in
+  let local ?profile ?(sources = session_sources) options =
     List.map Objfile.encode
-      (Pipeline.compile
-         { Options.o4 with Options.jobs = 1 }
-         session_sources)
-        .Pipeline.objects
+      (Pipeline.compile ?profile options sources).Pipeline.objects
   in
+  let oracle = local o4 in
   let t = Server.start config in
   let finished = ref false in
   Fun.protect
@@ -440,16 +441,9 @@ let test_end_to_end () =
   let daemon_answers =
     Client.with_connect ~socket:config.Server.socket (fun conn ->
         Alcotest.(check bool) "ping" true (Client.ping conn);
-        let req ?fault tag =
-          {
-            Proto.tag;
-            level = Options.O4;
-            pbo = false;
-            jobs = 1;
-            check = false;
-            fault;
-            sources = session_sources;
-          }
+        let req ?fault ?profile ?(options = o4) ?(sources = session_sources)
+            tag =
+          { Proto.tag; options; profile; fault; sources }
         in
         (match Client.build conn (req "cold") with
         | Proto.Built { objects; _ } ->
@@ -461,6 +455,57 @@ let test_end_to_end () =
           Alcotest.(check bool) "warm build matches one-shot" true
             (objects = oracle)
         | _ -> Alcotest.fail "warm build did not complete");
+        (* The request carries the profile and every option a local
+           build uses: +P with a profile, and selectivity on top, give
+           the objects a local [Pipeline.compile ?profile] gives — and
+           those differ from the unprofiled build, so a daemon that
+           dropped either would fail here.  Relinked in the reply's
+           routine order, they give the local image, clustering
+           included. *)
+        let sources =
+          List.map
+            (fun (name, text) -> { Pipeline.name; text })
+            (Genprog.generate (Genprog.scale (Suite.find "li") 0.1))
+        in
+        let profile = Pipeline.train ~inputs:[ [||] ] sources in
+        let pbo = { o4 with Options.pbo = true } in
+        let select = { pbo with Options.selectivity = Some 10.0 } in
+        let build options = Pipeline.compile ~profile options sources in
+        let pbo_local = build pbo and select_local = build select in
+        let objects_of (b : Pipeline.build) =
+          List.map Objfile.encode b.Pipeline.objects
+        in
+        Alcotest.(check bool) "the profile changes the objects" true
+          (objects_of pbo_local <> local ~sources o4);
+        Alcotest.(check bool) "selectivity changes the objects" true
+          (objects_of select_local <> objects_of pbo_local);
+        List.iter
+          (fun (label, options, (expected : Pipeline.build)) ->
+            match
+              Client.build conn
+                (req ~options ~profile:(Db.encode profile) ~sources label)
+            with
+            | Proto.Built { objects; routine_order; _ } ->
+              Alcotest.(check bool) (label ^ " matches a local build") true
+                (objects = objects_of expected);
+              Alcotest.(check bool) (label ^ " relinks to the local image")
+                true
+                (Cmo_link.Linker.link ~routine_order
+                   (List.map Objfile.decode objects)
+                = Ok expected.Pipeline.image)
+            | _ -> Alcotest.failf "%s build did not complete" label)
+          [ ("remote O4+P", pbo, pbo_local);
+            ("remote O4+P select 10", select, select_local) ];
+        (* Profile bytes that do not decode fail that request only. *)
+        (match Client.build conn (req ~options:pbo ~profile:"garbage" "bad-prof")
+         with
+        | Proto.Failed _ -> ()
+        | _ -> Alcotest.fail "garbage profile bytes were not refused");
+        (match Client.build conn (req "after-bad-prof") with
+        | Proto.Built { objects; _ } ->
+          Alcotest.(check bool) "build after a bad profile matches" true
+            (objects = oracle)
+        | _ -> Alcotest.fail "daemon stopped serving after a bad profile");
         let st = Client.stats conn in
         Alcotest.(check bool) "warm traffic visible in stats" true
           (st.Proto.store_hits > 0);
@@ -639,10 +684,8 @@ let test_end_to_end_tcp () =
       let req tag =
         {
           Proto.tag;
-          level = Options.O4;
-          pbo = false;
-          jobs = 1;
-          check = false;
+          options = { Options.o4 with Options.jobs = 1 };
+          profile = None;
           fault = None;
           sources = session_sources;
         }
