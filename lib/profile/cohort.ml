@@ -52,14 +52,21 @@ let create t name =
 
 (* Reads never raise on damage: an unreadable pack is all-skipped, a
    damaged one decodes its survivors (Ingest resynchronizes on the
-   frame magic). *)
-let shards t name =
+   frame magic).  One read yields the decodable shards, the damaged
+   frame count and the pack's size; a missing pack is empty. *)
+let load_pack t name =
   checked name;
   let path = pack_path t name in
-  if not (Sys.file_exists path) then ([], 0)
-  else match Ingest.read_pack path with
-    | r -> r
-    | exception Sys_error _ -> ([], 1)
+  if not (Sys.file_exists path) then ([], 0, 0)
+  else match Fsio.read_file path with
+    | data ->
+      let decodable, damaged = Ingest.decode_pack data in
+      (decodable, damaged, String.length data)
+    | exception Sys_error _ -> ([], 1, 0)
+
+let shards t name =
+  let decodable, damaged, _ = load_pack t name in
+  (decodable, damaged)
 
 let ingest_into t name new_shards =
   checked name;
@@ -93,19 +100,8 @@ let names t =
     |> List.sort String.compare
   | exception Sys_error _ -> []
 
-(* One read per pack: the shard count and the size come from the same
-   bytes.  A pack that vanished is empty; one that cannot be read is
-   one damaged frame, as {!shards} counts it. *)
 let info_of t name =
-  let path = pack_path t name in
-  let decodable, damaged, bytes =
-    match Fsio.read_file path with
-    | data ->
-      let decodable, damaged = Ingest.decode_pack data in
-      (decodable, damaged, String.length data)
-    | exception Sys_error _ ->
-      ([], (if Sys.file_exists path then 1 else 0), 0)
-  in
+  let decodable, damaged, bytes = load_pack t name in
   {
     ci_name = name;
     ci_shards = List.length decodable;

@@ -170,7 +170,10 @@ let to_alcotest test =
 let gen_options =
   let module Options = Cmo_driver.Options in
   QCheck.Gen.(
-    let* base = oneofl [ Options.o2; Options.o4; Options.o4_pbo ] in
+    let* base =
+      oneofl
+        [ Options.o1; Options.o2; Options.o2_pbo; Options.o4; Options.o4_pbo ]
+    in
     let* jobs = int_range 1 16 and* dist = bool and* check = bool in
     let+ selectivity = option (float_bound_inclusive 100.0) in
     { base with Options.jobs; dist; check; selectivity })
