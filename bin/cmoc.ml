@@ -612,7 +612,8 @@ let isolate_cmd =
 let link_cmd =
   let obj_args =
     Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE.o"
-           ~doc:"Object files (code payloads; produced by $(b,cmoc assemble) or a build).")
+           ~doc:"Object files with code payloads: from $(b,cmoc assemble), or from \
+                 $(b,cmoc build) below $(b,-O 4) without $(b,-P).")
   in
   let run_flag =
     Arg.(value & flag & info [ "run" ] ~doc:"Execute the linked image.")

@@ -67,7 +67,11 @@
 # --state-dir must be byte-identical to the daemon's.  An error-exit
 # step then requires cmoc to fail with status 1 and a message, never
 # an uncaught exception, on a corrupt and an empty profile database
-# and on a train into a missing directory.  The multi-machine transport
+# and on a train into a missing directory.  A build-equals-compile
+# step (li, trained profile) then holds cmoc build to cmoc compile's
+# exit value and cycle count at -O 1 -P, -O 2 -P and -O 4 -P, and
+# after a -O 1 build left objects in the same --dir, and requires a
+# duplicate module name to exit 1 with a message.  The multi-machine transport
 # is gated by a TCP worker-fleet smoke: two cmoc-worker --listen
 # processes on loopback ephemeral ports serve a cmoc build --dist
 # --workers over real sockets, a second build severs the network with
@@ -436,6 +440,48 @@ expect_error profile-show "$PROF_DIR/empty.prof"
 expect_error train -o "$PROF_DIR/no/such/dir/app.prof" --input 1000,17 \
   "$PROF_DIR"/src/*.mc
 echo "error exits OK"
+
+echo "== cmoc build runs the stages cmoc compile runs =="
+# At -O 1 -P, -O 2 -P and -O 4 -P with a profile, a workspace build
+# must run to the exit value and cycle count of a one-shot compile.
+# So must a -O 2 -P build in a workspace a -O 1 build left objects in:
+# objects are a cache, never reused across options.  Two sources with
+# one module name must exit 1 with a message.
+exit_cycles() { grep -o '^exit: [-0-9]*  ([0-9]* cycles' "$1" || true; }
+same_run() {
+  want=$(exit_cycles "$PROF_DIR/compile.out")
+  got=$(exit_cycles "$PROF_DIR/build.out")
+  if [ -z "$want" ] || [ "$want" != "$got" ]; then
+    echo "build vs compile ($1): compile '$want', build '$got'"
+    exit 1
+  fi
+}
+for LEVEL in 1 2 4; do
+  rm -rf "$PROF_DIR/ws" && mkdir "$PROF_DIR/ws"
+  "$CMOC" compile -O "$LEVEL" -P --profile "$PROF_DIR/app.prof" --run \
+    --input 1000,17 "$PROF_DIR"/src/*.mc > "$PROF_DIR/compile.out"
+  "$CMOC" build -O "$LEVEL" -P --profile "$PROF_DIR/app.prof" \
+    --dir "$PROF_DIR/ws" --run --input 1000,17 "$PROF_DIR"/src/*.mc \
+    > "$PROF_DIR/build.out"
+  same_run "-O $LEVEL -P"
+done
+rm -rf "$PROF_DIR/ws" && mkdir "$PROF_DIR/ws"
+"$CMOC" build -O 1 --dir "$PROF_DIR/ws" "$PROF_DIR"/src/*.mc > /dev/null
+"$CMOC" build -O 2 -P --profile "$PROF_DIR/app.prof" --dir "$PROF_DIR/ws" \
+  --run --input 1000,17 "$PROF_DIR"/src/*.mc > "$PROF_DIR/build.out"
+"$CMOC" compile -O 2 -P --profile "$PROF_DIR/app.prof" --run \
+  --input 1000,17 "$PROF_DIR"/src/*.mc > "$PROF_DIR/compile.out"
+same_run "-O 1, then -O 2 -P in the same --dir"
+mkdir -p "$PROF_DIR/dup"
+cp "$PROF_DIR/src/m000.mc" "$PROF_DIR/dup/"
+expect_error build -O 4 --dir "$PROF_DIR/ws" "$PROF_DIR"/src/*.mc \
+  "$PROF_DIR/dup/m000.mc"
+grep -q "duplicate module name m000" "$PROF_DIR/err.out" || {
+  echo "cmoc build: duplicate module not named in the error"
+  cat "$PROF_DIR/err.out"
+  exit 1
+}
+echo "build equals compile OK"
 
 echo "== distributed CMO smoke (dist-smoke bench) =="
 dune exec bench/main.exe -- dist-smoke

@@ -1,6 +1,4 @@
-module Ilmod = Cmo_il.Ilmod
 module Objfile = Cmo_link.Objfile
-module Memstats = Cmo_naim.Memstats
 module Store = Cmo_cache.Store
 module Fsio = Cmo_support.Fsio
 module Obs = Cmo_obs.Obs
@@ -39,8 +37,6 @@ type outcome = {
 
 let object_path t name = Filename.concat t.dir (name ^ ".o")
 
-let digest text = Digest.to_hex (Digest.string text)
-
 let clean t =
   Array.iter
     (fun f ->
@@ -48,14 +44,22 @@ let clean t =
     (Sys.readdir t.dir);
   Store.wipe ~dir:t.cache_dir
 
-let load_if_current t (s : Pipeline.source) =
-  let path = object_path t s.Pipeline.name in
+(* The up-to-date key an object records in its source-digest field:
+   the digest of the source for an IL object; for a code object, the
+   digest of the source behind the fixed-width digest of every option
+   that changes generated code. *)
+let object_key (options : Options.t) ~il (src : Pipeline.source) =
+  let text = src.Pipeline.text in
+  Digest.to_hex
+    (Digest.string
+       (if il then text
+        else Digest.string (Options.cache_fingerprint options) ^ text))
+
+let load_if_current t ~key (src : Pipeline.source) =
+  let path = object_path t src.Pipeline.name in
   if Sys.file_exists path then begin
     match Objfile.load path with
-    | obj when obj.Objfile.source_digest = digest s.Pipeline.text ->
-      (* An object built for a different mode is not current: CMO
-         needs IL payloads, non-CMO needs code. *)
-      Some obj
+    | obj when obj.Objfile.source_digest = key -> Some obj
     | _ -> None
     (* An unreadable or corrupt object is stale, and only that —
        [Fsio.Crash] in particular must keep propagating, or a
@@ -120,115 +124,38 @@ let request ?profile ?remote s (options : Options.t) sources =
     raise
       (Pipeline.Compile_error
          "instrumented builds are in-memory only; use Pipeline.train");
-  Pipeline.with_tracing options @@ fun () ->
-  let want_il = options.Options.level = Options.O4 in
+  let reused = Hashtbl.create 16 in
+  let find ~il (src : Pipeline.source) =
+    let obj = load_if_current t ~key:(object_key options ~il src) src in
+    if Option.is_some obj then Hashtbl.replace reused src.Pipeline.name ();
+    obj
+  in
   let save (src : Pipeline.source) obj =
-    try Objfile.save obj (object_path t src.Pipeline.name)
+    let key = object_key options ~il:(Objfile.is_il obj) src in
+    try
+      Objfile.save
+        { obj with Objfile.source_digest = key }
+        (object_path t src.Pipeline.name)
     with Sys_error m ->
       (* The object stays in memory for this build and is recompiled
          next time; not a failed build. *)
       Obs.tick "buildsys" "object_write_errors" 1;
       Log.warn (fun f -> f "object for %s not saved (%s)" src.Pipeline.name m)
   in
-  (* Each source's current object, or the module its frontend just
-     produced — under +O4 written out at once as an IL object; code
-     objects wait for code generation. *)
-  let units, frontend =
-    Pipeline.stage "frontend" @@ fun () ->
-    List.map
-      (fun (src : Pipeline.source) ->
-        match load_if_current t src with
-        | Some obj when Objfile.is_il obj = want_il ->
-          Obs.instant ~cat:"frontend" src.Pipeline.name;
-          (src, Either.Left obj)
-        | Some _ | None ->
-          let m = Pipeline.frontend_one src in
-          if want_il then
-            save src (Objfile.of_il ~source_digest:(digest src.Pipeline.text) m);
-          (src, Either.Right m))
-      sources
-  in
-  let fresh = List.filter_map (fun (_, u) -> Either.find_right u) units in
+  (* The store holds link-time CMO artifacts, which only +O4 makes. *)
+  let cache = if options.Options.level = Options.O4 then s.sstore else None in
   let build =
-    if want_il then begin
-      (* CMO happens at link time, over the IL of every object. *)
-      let modules =
-        List.map
-          (fun (_, u) ->
-            match u with
-            | Either.Right m | Either.Left { Objfile.payload = Objfile.Il m; _ }
-              ->
-              m
-            | Either.Left o ->
-              raise
-                (Pipeline.Compile_error
-                   (Printf.sprintf "object %s lacks an IL payload" o.Objfile.module_name)))
-          units
-      in
-      let b =
-        Pipeline.compile_modules ?profile ?cache:s.sstore ?naim_repo:s.srepo
-          ?remote ~frontend options modules
-      in
-      (* Keep the warm store durable between requests: the session
-         outlives this build, so flush now rather than at close. *)
-      Option.iter Store.flush s.sstore;
-      b
-    end
-    else begin
-      (* Only the modules this build compiled go through the stages
-         (and count in the report); the link takes every object in
-         source order, unclustered — reused objects carry no IL. *)
-      let closed = List.length fresh = List.length units in
-      let mem = Memstats.create () in
-      let lines =
-        List.fold_left (fun n m -> n + Ilmod.src_lines m) 0 fresh
-      in
-      let (plan, (optimized, hlo_stats)), hlo =
-        Pipeline.stage "hlo" (fun () ->
-            let plan = Pipeline.wpa ?profile ~closed ~mem options fresh in
-            (plan, Pipeline.optimize plan))
-      in
-      let (objects, llo_stats), llo =
-        Pipeline.stage "llo" (fun () ->
-            let objects, stats = Pipeline.llo ~closed ~mem options optimized in
-            let built = Hashtbl.create 16 in
-            List.iter
-              (fun (o : Objfile.t) -> Hashtbl.replace built o.Objfile.module_name o)
-              objects;
-            ( List.map
-                (fun ((src : Pipeline.source), u) ->
-                  match u with
-                  | Either.Left obj -> obj
-                  | Either.Right _ ->
-                    let obj =
-                      {
-                        (Hashtbl.find built src.Pipeline.name) with
-                        Objfile.source_digest = digest src.Pipeline.text;
-                      }
-                    in
-                    save src obj;
-                    obj)
-                units,
-              stats ))
-      in
-      let image, link = Pipeline.stage "link" (fun () -> Pipeline.link objects) in
-      {
-        Pipeline.image;
-        objects;
-        manifest = None;
-        report =
-          Pipeline.make_report ~frontend ~hlo ~llo ~link ~plan ?hlo_stats ~mem
-            ~lines ~llo_stats options;
-      }
-    end
+    Pipeline.compile ?profile ?cache ?naim_repo:s.srepo ?remote
+      ~objects:{ Pipeline.find; save } options sources
   in
-  let names recompiled =
-    List.filter_map
-      (fun ((src : Pipeline.source), u) ->
-        if Either.is_right u = recompiled then Some src.Pipeline.name else None)
-      units
+  (* Keep the warm store durable between requests: the session
+     outlives this build, so flush now rather than at close. *)
+  Option.iter Store.flush cache;
+  let reused, recompiled =
+    List.map (fun (src : Pipeline.source) -> src.Pipeline.name) sources
+    |> List.partition (Hashtbl.mem reused)
   in
-  { build; recompiled = names true; reused = names false }
+  { build; recompiled; reused }
 
 let build ?profile ?remote t options sources =
   let s = open_session t in

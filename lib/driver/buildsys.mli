@@ -6,22 +6,30 @@
     build tool can drive it.
 
     A workspace maps module names to [<name>.o] files under a
-    directory.  [build] recompiles exactly the modules whose source
-    digest differs from the one recorded in their object file (the
-    moral equivalent of make's timestamp comparison), then performs
-    the link step — which, in CMO mode, re-runs cross-module
-    optimization over the IL payloads, reproducing the paper's
-    trade-off that "a change in one module potentially requires
-    recompilation of all modules in the CMO set" being replaced by
-    re-optimization at link time.
+    directory.  The objects are only a cache in front of the stage
+    chain {!Pipeline.compile} runs ({!Pipeline.objects}): a build
+    equals a one-shot [Pipeline.compile] of the same sources and
+    options; current objects are just not rebuilt.
 
-    That trade-off is softened by a persistent artifact cache (on by
-    default): link-time CMO results are stored content-addressed
-    under [<dir>/.cmo-cache] (two files, [index] and [payload] — see
-    {!Cmo_cache.Store}), so a rebuild with no effective change skips
-    the optimizer entirely and an incremental change re-optimizes
-    only its invalidation closure.  {!clean} wipes the cache along
-    with the object files. *)
+    - {b Object kind.}  An object carries IL when the link needs it:
+      at [O4] (link-time CMO) and under +P (routine clustering by
+      profiled call weights).  Otherwise it carries code and skips
+      every stage but the link: make-style reuse.
+    - {b Up-to-date key}, recorded in the source-digest field: the
+      source's digest for an IL object; for a code object, a
+      fingerprint of the source and {!Options.cache_fingerprint}
+      (every option that changes generated code).  A level or option
+      switch rebuilds code objects; a new profile reuses IL objects.
+
+    Rebuilding over IL objects re-optimizes at link time, the paper's
+    trade-off that "a change in one module potentially requires
+    recompilation of all modules in the CMO set".  A persistent
+    artifact cache (on by default) softens it: link-time CMO results
+    are stored content-addressed under [<dir>/.cmo-cache] (two files,
+    [index] and [payload] — see {!Cmo_cache.Store}), so a rebuild
+    with no effective change skips the optimizer entirely and an
+    incremental change re-optimizes only its invalidation closure.
+    {!clean} wipes the cache along with the object files. *)
 
 type t
 
@@ -82,17 +90,17 @@ val request :
   Options.t ->
   Pipeline.source list ->
   outcome
-(** One build against the session: frontend (per changed module) to
-    object files, then link.  For [O4], object files carry IL
-    payloads and the CMO happens here, at link time, over the IL read
-    back from disk — against the session's warm store, which is
-    flushed (not closed) afterwards.  [remote] is the remote artifact
-    cache handed to {!Pipeline.compile_modules} (no effect without a
-    store).  Concurrent requests on one session must not share the
-    workspace directory's object files; the server avoids this by
-    compiling in memory via {!Pipeline} against
-    {!session_store}/{!session_repo}.
-    @raise Pipeline.Compile_error on any failure.
+(** One build against the session: {!Pipeline.compile} with the
+    workspace's objects in front of it, the session's repository, and
+    at [O4] its warm store (flushed, not closed, afterwards; below
+    [O4] no CMO artifact exists and the report shows no cache).
+    [remote] is the remote artifact cache handed to
+    {!Pipeline.compile} (no effect without a store).  Concurrent
+    requests on one session must not share the workspace directory's
+    object files; the server avoids this by compiling in memory via
+    {!Pipeline} against {!session_store}/{!session_repo}.
+    @raise Pipeline.Compile_error on any failure, duplicate module
+    names included.
     @raise Invalid_argument on a closed session. *)
 
 val close_session : session -> unit
@@ -110,7 +118,6 @@ val build :
     workflow.
     @raise Pipeline.Compile_error on any failure. *)
 
-val object_path : t -> string -> string
 val clean : t -> unit
 (** Remove every object file in the workspace and wipe the artifact
     cache directory. *)

@@ -102,7 +102,8 @@ exception Compile_error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Compile_error s)) fmt
 
-let frontend_one_inner { name; text } =
+let frontend_one { name; text } =
+  Obs.with_span ~cat:"frontend" name @@ fun () ->
   match Frontend.compile ~module_name:name text with
   | Ok m -> (
     match Verify.check_module m with
@@ -116,26 +117,28 @@ let frontend_one_inner { name; text } =
       (Format.pp_print_list ~pp_sep:Format.pp_print_cut Frontend.pp_error)
       errs
 
-let frontend_one src =
-  Obs.with_span ~cat:"frontend" src.name (fun () -> frontend_one_inner src)
-
-let frontend ?(jobs = 1) sources =
-  (* Duplicate module names would collide in every downstream table
-     (symbols, loader pools, object files); reject them up front. *)
+(* Duplicate module names would collide in every downstream table
+   (symbols, loader pools, object files); reject them up front. *)
+let check_distinct sources =
   let seen = Hashtbl.create 16 in
   List.iter
     (fun { name; _ } ->
       if Hashtbl.mem seen name then
         error "duplicate module name %s among the sources" name
       else Hashtbl.replace seen name ())
-    sources;
-  (* Per-module lowering is independent; Parwork keeps result order
-     and raises the first error by input order, like List.map. *)
-  let modules =
-    if jobs > 1 then
-      Parwork.with_pool ~jobs (fun pool -> Parwork.map pool frontend_one sources)
-    else List.map frontend_one sources
-  in
+    sources
+
+(* Per-module lowering is independent; Parwork keeps result order
+   and raises the first error by input order, like List.map.  Nothing
+   to lower (a null rebuild) starts no pool. *)
+let lower_each ~jobs sources =
+  if jobs > 1 && sources <> [] then
+    Parwork.with_pool ~jobs (fun pool -> Parwork.map pool frontend_one sources)
+  else List.map frontend_one sources
+
+let frontend ?(jobs = 1) sources =
+  check_distinct sources;
+  let modules = lower_each ~jobs sources in
   (match Verify.check_program modules with
   | [] -> ()
   | issues ->
@@ -870,9 +873,8 @@ let link ?cluster objects =
       (Format.pp_print_list ~pp_sep:Format.pp_print_cut Linker.pp_error)
       errs
 
-let make_report ?(frontend = no_clock) ?(hlo = no_clock) ?(llo = no_clock)
-    ?(link = no_clock) ?plan ?hlo_stats ~mem ~lines ~llo_stats
-    (options : Options.t) =
+let make_report ?(frontend = no_clock) ?(hlo = no_clock) ~llo ~link ?plan
+    ?hlo_stats ~mem ~lines ~llo_stats (options : Options.t) =
   let of_plan f default = match plan with Some p -> f p | None -> default in
   {
     options;
@@ -898,10 +900,19 @@ let make_report ?(frontend = no_clock) ?(hlo = no_clock) ?(llo = no_clock)
     obs = obs_summary ();
   }
 
-let compile_modules ?profile ?cache ?naim_repo ?remote ?frontend
-    (options : Options.t) modules =
+(* The one stage chain every build runs.  [units] are the frontend's
+   output in source order: a module to compile, or a code object a
+   workspace already holds for it.  Reused objects make the compiled
+   modules a part of the program ([closed = false]): the verifier then
+   leaves linkage to the link, the report books only the lines this
+   build compiled, and the link takes every object in source order.
+   [save] sees each code object this build generated. *)
+let chain ?profile ?cache ?naim_repo ?remote ?frontend ?save
+    (options : Options.t) units =
   try
     let mem = Memstats.create () in
+    let modules = List.filter_map Either.find_left units in
+    let closed = List.for_all Either.is_left units in
     let lines = src_lines modules in
     let manifest, plan, (optimized, hlo_stats), hlo =
       if options.Options.instrument then begin
@@ -913,7 +924,8 @@ let compile_modules ?profile ?cache ?naim_repo ?remote ?frontend
         let (plan, optimized), hlo =
           stage "hlo" (fun () ->
               let plan =
-                wpa ?profile ?cache ?naim_repo ?remote ~mem options modules
+                wpa ?profile ?cache ?naim_repo ?remote ~closed ~mem options
+                  modules
               in
               (plan, optimize plan))
         in
@@ -921,7 +933,23 @@ let compile_modules ?profile ?cache ?naim_repo ?remote ?frontend
       end
     in
     let (objects, llo_stats), llo_clock =
-      stage "llo" (fun () -> llo ~mem options optimized)
+      stage "llo" (fun () ->
+          let objects, stats = llo ~closed ~mem options optimized in
+          Option.iter (fun save -> List.iter save objects) save;
+          (objects, stats))
+    in
+    let objects =
+      if closed then objects
+      else begin
+        let built = Hashtbl.create 16 in
+        List.iter
+          (fun (o : Objfile.t) -> Hashtbl.add built o.Objfile.module_name o)
+          objects;
+        List.map
+          (Either.fold ~right:Fun.id ~left:(fun (m : Ilmod.t) ->
+               Hashtbl.find built m.Ilmod.mname))
+          units
+      end
     in
     (* Link, clustering routines when profiled. *)
     let image, link_clock =
@@ -945,10 +973,13 @@ let compile_modules ?profile ?cache ?naim_repo ?remote ?frontend
     { image; objects; manifest; report }
   with Ilcheck.Violation vs -> error "%s" (render_violations vs)
 
-(* The trace lifecycle lives with whoever owns the whole build
-   ([compile] here, [Buildsys.build] for the on-disk workflow):
-   start the sink, run the build, write the file, stop.  A failed
-   build stops the sink without writing — a partial trace with
+let compile_modules ?profile ?cache ?naim_repo ?remote options modules =
+  chain ?profile ?cache ?naim_repo ?remote options
+    (List.map Either.left modules)
+
+(* The trace lifecycle lives with [compile], which owns every whole
+   build: start the sink, run the build, write the file, stop.  A
+   failed build stops the sink without writing — a partial trace with
    dangling spans would mislead more than it helps. *)
 let with_tracing (options : Options.t) f =
   match options.Options.trace with
@@ -967,13 +998,68 @@ let with_tracing (options : Options.t) f =
       Obs.stop ();
       raise e)
 
-let compile ?profile ?cache ?naim_repo ?remote options sources =
+type objects = {
+  find : il:bool -> source -> Objfile.t option;
+  save : source -> Objfile.t -> unit;
+}
+
+(* The link needs IL when CMO runs there (+O4) or when it clusters
+   routines by profiled call weights (+P); otherwise code suffices. *)
+let il_objects (options : Options.t) =
+  options.Options.level = Options.O4 || options.Options.pbo
+
+(* The frontend stage.  Without [objects] it is {!frontend}.  With a
+   workspace's objects, a source whose object is current is not
+   lowered: an IL object hands the chain its module, a code object
+   goes straight to the link.  The rest are lowered on [jobs] domains
+   and, when the link needs IL, saved at once as IL objects.  Modules
+   are then verified one by one, as separately compiled units. *)
+let lower ?objects (options : Options.t) sources =
+  let jobs = max 1 options.Options.jobs in
+  match objects with
+  | None -> List.map Either.left (frontend ~jobs sources)
+  | Some objs ->
+    check_distinct sources;
+    let il = il_objects options in
+    let found = List.map (fun src -> (src, objs.find ~il src)) sources in
+    let stale =
+      List.filter_map
+        (fun (src, obj) -> if Option.is_none obj then Some src else None)
+        found
+    in
+    let lowered = Hashtbl.create 16 in
+    List.iter2
+      (fun src m -> Hashtbl.replace lowered src.name m)
+      stale (lower_each ~jobs stale);
+    List.map
+      (fun (src, obj) ->
+        match obj with
+        | Some obj -> (
+          Obs.instant ~cat:"frontend" src.name;
+          match obj.Objfile.payload with
+          | Objfile.Il m -> Either.Left m
+          | Objfile.Code _ -> Either.Right obj)
+        | None ->
+          let m = Hashtbl.find lowered src.name in
+          if il then objs.save src (Objfile.of_il ~source_digest:"" m);
+          Either.Left m)
+      found
+
+let compile ?profile ?cache ?naim_repo ?remote ?objects options sources =
   with_tracing options @@ fun () ->
-  let modules, frontend =
-    stage "frontend" (fun () ->
-        frontend ~jobs:(max 1 options.Options.jobs) sources)
+  let units, frontend =
+    stage "frontend" (fun () -> lower ?objects options sources)
   in
-  compile_modules ?profile ?cache ?naim_repo ?remote ~frontend options modules
+  let save =
+    Option.bind objects (fun objs ->
+        if il_objects options then None
+        else
+          Some
+            (fun (o : Objfile.t) ->
+              let named s = s.name = o.Objfile.module_name in
+              objs.save (List.find named sources) o))
+  in
+  chain ?profile ?cache ?naim_repo ?remote ~frontend ?save options units
 
 let run ?input ?fuel ?attribute build = Vm.run ?input ?fuel ?attribute build.image
 

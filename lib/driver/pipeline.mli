@@ -1,32 +1,33 @@
 (** The compilation pipeline (the paper's Figure 2, end to end), as
     five stages in the shape of GCC's WHOPR (LGEN → WPA → LTRANS):
 
-    - {!frontend}: sources to verified IL modules.
-    - {!wpa}: the serial whole-program step.  It annotates the profile,
+    - frontend: sources to verified IL modules ({!frontend}).
+    - wpa: the serial whole-program step.  It annotates the profile,
       runs [O2]'s intraprocedural phases (all modules) or, under
       [O4], picks the CMO set (all modules, or the selectivity-chosen
       subset), takes the modules outside it through the [O2]+P path,
       scans them for the external context (calls and stores into the
       set), partitions the set into invalidation components and
-      computes and fetches cache keys.  All of it lands in a {!plan}.
-    - {!optimize}: runs the plan's link-time CMO — the whole set, or
-      the stale components — registering each subset with a NAIM
-      loader and running HLO (cloning/inlining/IPA/phases) in-process,
-      on a worker domain or on a [cmoc-worker] process.
-    - {!llo}: per-module code generation, with profile-guided block
+      computes and fetches cache keys.
+    - optimize: runs the plan's link-time CMO — the whole set, or the
+      stale components — registering each subset with a NAIM loader
+      and running HLO (cloning/inlining/IPA/phases) in-process, on a
+      worker domain or on a [cmoc-worker] process.
+    - llo: per-module code generation, with profile-guided block
       positioning under +P, to code objects.
-    - {!link}: the image, with profile-guided routine clustering
-      under +P.
+    - link: the image, with profile-guided routine clustering under
+      +P ({!link}).
 
-    [+I] skips [wpa] and [optimize]: probes are inserted and the
-    returned manifest ties VM counters to profile-database keys.
+    [+I] skips wpa and optimize: probes are inserted and the returned
+    manifest ties VM counters to profile-database keys.
 
-    Each stage runs under {!stage}, which opens its [frontend]/[hlo]
-    ([wpa] and [optimize] together)/[llo]/[link] trace span and
-    returns the cpu and wall seconds the report books for it; one
-    {!make_report} builds every report.  {!compile} and
-    {!compile_modules} chain the stages over in-memory values;
-    {!Buildsys} runs the same stages over on-disk object files. *)
+    Every build runs one stage chain: {!compile} (and
+    {!compile_modules}, which starts after the frontend).  Each stage
+    opens its [frontend]/[hlo] (wpa and optimize together)/[llo]/
+    [link] trace span and books its cpu and wall seconds in the
+    report.  {!Buildsys} is that same chain with a workspace's object
+    files in front of it, as a cache of frontend or code output
+    ({!objects}). *)
 
 type source = { name : string; text : string }
 
@@ -67,8 +68,8 @@ type report = {
       (** Wall clock for the phases that run on the worker pool; the
           [*_seconds] fields above are process CPU time across every
           domain, so cpu/wall is the realized parallel speedup (see
-          {!par_speedup}).  Zero when {!compile_modules} was given no
-          frontend clock. *)
+          {!par_speedup}).  Zero for {!compile_modules}, which has no
+          frontend stage. *)
   hlo_wall_seconds : float;
   llo_wall_seconds : float;
   workers_used : int;  (** The [jobs] the build ran with. *)
@@ -109,13 +110,6 @@ val par_speedup : report -> float
     1.0 when either is unmeasured.  On a single hardware thread this
     sits at or slightly below 1 regardless of [workers_used]. *)
 
-val with_tracing : Options.t -> (unit -> 'a) -> 'a
-(** Run [f] under the trace sink when [options.trace] is set: start
-    recording, run, write the Chrome-trace file, stop.  No-op without
-    [trace].  {!compile} applies it itself; [Buildsys.build] wraps its
-    own workflow with it.  A failing build stops the sink without
-    writing a file. *)
-
 val frontend : ?jobs:int -> source list -> Cmo_il.Ilmod.t list
 (** Compile sources to IL, verifying the result as a program.
     Per-module lowering runs on [jobs] worker domains (default 1);
@@ -125,106 +119,69 @@ val frontend : ?jobs:int -> source list -> Cmo_il.Ilmod.t list
 val frontend_one : source -> Cmo_il.Ilmod.t
 (** Compile a single module with module-local verification only;
     cross-module references are checked later, at link time — the
-    separate-compilation discipline the build system relies on.
+    separate-compilation discipline a build over object files follows.
     @raise Compile_error on any error. *)
-
-(** {2 Stages} *)
-
-type clock = { cpu : float; wall : float }
-(** Seconds a stage took: process cpu time across every domain, and
-    wall time. *)
-
-val stage : string -> (unit -> 'a) -> 'a * clock
-(** [stage name f] runs [f] inside the [~cat:"stage"] trace span
-    [name] and returns its result with the time it took — the one
-    source of both the trace's stage spans and the report's stage
-    timings. *)
-
-type plan
-(** What the serial WPA step decided: the CMO set and its external
-    context, the modules outside it (already optimized), the cache
-    keys and the artifacts the store already holds, how the rest is
-    placed (whole set or components; in-process or on workers), and
-    the line counts, selection and cache traffic the report shows. *)
-
-val wpa :
-  ?profile:Cmo_profile.Db.t ->
-  ?cache:Cmo_cache.Store.t ->
-  ?naim_repo:Cmo_naim.Repository.t ->
-  ?remote:Distwork.remote ->
-  ?closed:bool ->
-  mem:Cmo_naim.Memstats.t ->
-  Options.t ->
-  Cmo_il.Ilmod.t list ->
-  plan
-(** Annotate, optimize what is not link-time CMO, and plan the rest.
-    Takes ownership of [modules].  [closed] (default [true]) says
-    [modules] are the whole program; when [false] (an incremental
-    build's changed modules) the between-phase verifier skips the
-    linkage checks, which need every definition.  The other optional
-    arguments are those of {!compile_modules}. *)
-
-val optimize :
-  plan ->
-  Cmo_il.Ilmod.t list * (Cmo_hlo.Hlo.report * Cmo_naim.Loader.stats) option
-(** Run the plan: every module, CMO set first (in set order) then the
-    outside modules, with the merged HLO report and loader counters
-    when HLO ran. *)
-
-val llo :
-  ?closed:bool ->
-  mem:Cmo_naim.Memstats.t ->
-  Options.t ->
-  Cmo_il.Ilmod.t list ->
-  Cmo_link.Objfile.t list * Cmo_llo.Llo.stats
-(** Code objects (with an empty source digest), one per module in
-    order, on [jobs] worker domains; [closed] as for {!wpa}. *)
 
 val link :
   ?cluster:Cmo_il.Ilmod.t list -> Cmo_link.Objfile.t list -> Cmo_link.Image.t
-(** Link [objects] in order; with [cluster] (the annotated IL behind
-    them) routines are ordered by their profiled call weights.
+(** Link [objects] in order (the link stage, and [cmoc link]); with
+    [cluster] (the annotated IL behind them) routines are ordered by
+    their profiled call weights.
     @raise Compile_error with the rendered link errors. *)
 
-val make_report :
-  ?frontend:clock ->
-  ?hlo:clock ->
-  ?llo:clock ->
-  ?link:clock ->
-  ?plan:plan ->
-  ?hlo_stats:Cmo_hlo.Hlo.report * Cmo_naim.Loader.stats ->
-  mem:Cmo_naim.Memstats.t ->
-  lines:int ->
-  llo_stats:Cmo_llo.Llo.stats ->
-  Options.t ->
-  report
-(** The report of a build: a missing stage clock books zero seconds,
-    a missing plan zero CMO/warm/cold lines and no cache traffic. *)
-
 (** {2 Whole builds} *)
+
+type objects = {
+  find : il:bool -> source -> Cmo_link.Objfile.t option;
+      (** The source's object if it is up to date and of the kind
+          asked for: an IL object when [il], else a code object.
+          Called once per source, in source order, before any
+          lowering. *)
+  save : source -> Cmo_link.Objfile.t -> unit;
+      (** Called once per source this build lowered, in source
+          order, with its object (source digest empty): the IL object
+          right after the frontend when [il], else the code object
+          after code generation. *)
+}
+(** A cache of frontend or code output in front of the stage chain —
+    {!Buildsys}'s workspace of object files.  The chain asks for IL
+    objects when the link needs IL: at [O4] (link-time CMO) and under
+    +P (routine clustering by profiled call weights).  Otherwise it
+    asks for code objects, which skip every stage but the link. *)
 
 val compile :
   ?profile:Cmo_profile.Db.t ->
   ?cache:Cmo_cache.Store.t ->
   ?naim_repo:Cmo_naim.Repository.t ->
   ?remote:Distwork.remote ->
+  ?objects:objects ->
   Options.t ->
   source list ->
   build
+(** The whole build: frontend, then {!compile_modules}'s chain, under
+    the trace sink when [options.trace] is set (start, run, write the
+    Chrome-trace file, stop; a failing build stops the sink without
+    writing a file).
+
+    Without [objects] the frontend verifies the sources as one
+    program.  With [objects] it verifies each lowered module alone
+    and leaves cross-module references to the link; reused code
+    objects join the link in source order, the verifier skips
+    linkage checks, and the report counts only the lines this build
+    compiled.  Duplicate module names are an error either way.
+    @raise Compile_error on any failure. *)
 
 val compile_modules :
   ?profile:Cmo_profile.Db.t ->
   ?cache:Cmo_cache.Store.t ->
   ?naim_repo:Cmo_naim.Repository.t ->
   ?remote:Distwork.remote ->
-  ?frontend:clock ->
   Options.t ->
   Cmo_il.Ilmod.t list ->
   build
-(** {!wpa}, {!optimize}, {!llo} and {!link} over [modules], which the
-    build takes ownership of: profile annotation and optimization
-    mutate them.  [frontend] is the clock of the frontend stage that
-    produced them, booked in the report (zero when absent).
+(** wpa, optimize, llo and {!link} over [modules], which the build
+    takes ownership of: profile annotation and optimization mutate
+    them.  The report books no frontend time.
 
     With [Options.dist], link-time CMO partitions run in isolated
     [cmoc-worker] processes ({!Distwork}) instead of worker domains;

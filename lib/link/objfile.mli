@@ -11,7 +11,8 @@
     - an {b IL} payload: the frontend's intermediate language — a
       module compiled in CMO mode (+O4), which the frontends "dump
       directly to object files that correspond to the source modules"
-      and the linker later routes through HLO (paper section 3).
+      and the linker later routes through HLO (paper section 3);
+      also written under +P, whose routine clustering reads the IL.
 
     The IL bytes are exactly the {!Cmo_il.Ilcodec} relocatable form —
     the same representation the NAIM repository uses. *)
@@ -30,8 +31,9 @@ type t = {
           linker can allocate data without decoding payloads. *)
   payload : payload;
   source_digest : string;
-      (** Digest of the source the object was built from; the build
-          system's up-to-date check. *)
+      (** The build system's up-to-date key (the source's digest; for
+          a code object also its code-changing options); empty for
+          objects built in memory. *)
 }
 
 val of_code :

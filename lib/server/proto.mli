@@ -24,7 +24,9 @@ type build_req = {
           in {!Cmo_driver.Options.o2}); [trace] is always [None],
           since the daemon's trace sink spans its whole lifetime and
           a request must not start, stop or export it; and
-          [instrument] is always false. *)
+          [instrument] is always false.  [jobs] is capped at the
+          host's [Domain.recommended_domain_count ()]; it never
+          changes output bytes. *)
   profile : string option;
       (** {!Cmo_profile.Db.encode} bytes of the profile database the
           build uses with [options.pbo] — what a local build reads

@@ -224,12 +224,16 @@ let serve_cohort ?lock reg (req : Proto.request) =
    distribution placement is what the daemon's environment sets in
    [Options.o2] (the base record).  It owns the trace sink for its
    whole lifetime, so a request must not start, stop or export it, and
-   it never instruments. *)
+   it never instruments.  A request's [jobs] is capped at the host's
+   recommended domain count: the daemon runs several requests at once,
+   and [jobs] never changes output bytes. *)
 let request_options (b : Proto.build_req) =
   let own = Options.o2 in
   {
     b.Proto.options with
-    Options.trace = None;
+    Options.jobs =
+      min b.Proto.options.Options.jobs (Domain.recommended_domain_count ());
+    trace = None;
     dist = own.Options.dist;
     workers = own.Options.workers;
     dist_timeout = own.Options.dist_timeout;

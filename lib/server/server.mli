@@ -12,7 +12,8 @@
     {!Sched} (admission control + FIFO-with-aging fairness) to a
     fixed pool of builder threads ([builders], i.e. $CMO_DAEMON_JOBS).
     Each in-flight build parallelizes internally on its own
-    {!Cmo_driver.Parwork} domain pool per its requested [jobs].
+    {!Cmo_driver.Parwork} domain pool per its requested [jobs],
+    capped at the host's recommended domain count.
     Requests are isolated by the store's snapshot-read/ordered-commit
     transactions; shared structures (store, repository, scheduler)
     are internally synchronized.

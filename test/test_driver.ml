@@ -423,24 +423,38 @@ let test_buildsys_clean () =
       Alcotest.(check int) "clean forces rebuild" 4
         (List.length again.Buildsys.recompiled))
 
+(* A workspace build's image must be the one-shot build's: same code,
+   same routine order (profile-guided clustering included). *)
+let check_same_image label (expected : Pipeline.build) (got : Pipeline.build) =
+  let image (b : Pipeline.build) = b.Pipeline.image in
+  Alcotest.(check bool) (label ^ " code matches one-shot") true
+    ((image expected).Cmo_link.Image.code = (image got).Cmo_link.Image.code);
+  Alcotest.(check (list (triple string int int)))
+    (label ^ " routine order matches one-shot")
+    (image expected).Cmo_link.Image.funcs (image got).Cmo_link.Image.funcs
+
 let test_buildsys_reports_frontend_time () =
   (* A cold build times its frontend loop on both the code-object and
-     the IL (+O4) paths; timing it changes no artifact byte.  Its
+     the IL (+O4, +P) paths; timing it changes no artifact byte.  Its
      report counts what it compiled exactly as a one-shot build of the
-     same sources does. *)
+     same sources does, and its image is the one-shot image. *)
+  let db = profile_db () in
   List.iter
-    (fun options ->
-      let label = Options.to_string options in
+    (fun (options, profile) ->
+      let label =
+        Options.to_string options
+        ^ if Option.is_some profile then " (profiled)" else ""
+      in
       (* A one-shot build's objects carry no source digest. *)
       let encode objs =
         List.map
           (fun o -> Cmo_link.Objfile.encode { o with Cmo_link.Objfile.source_digest = "" })
           objs
       in
-      let one_shot = Pipeline.compile options app_sources in
+      let one_shot = Pipeline.compile ?profile options app_sources in
       let oracle = encode one_shot.Pipeline.objects in
       with_workspace (fun ws ->
-          let cold = Buildsys.build ws options app_sources in
+          let cold = Buildsys.build ?profile ws options app_sources in
           Alcotest.(check int) (label ^ " all recompiled") 4
             (List.length cold.Buildsys.recompiled);
           let report = cold.Buildsys.build.Pipeline.report in
@@ -448,6 +462,7 @@ let test_buildsys_reports_frontend_time () =
             (report.Pipeline.frontend_wall_seconds > 0.0);
           Alcotest.(check (list string)) (label ^ " objects match one-shot") oracle
             (encode cold.Buildsys.build.Pipeline.objects);
+          check_same_image label one_shot cold.Buildsys.build;
           let expected = one_shot.Pipeline.report in
           Alcotest.(check int) (label ^ " total lines") expected.Pipeline.total_lines
             report.Pipeline.total_lines;
@@ -460,7 +475,50 @@ let test_buildsys_reports_frontend_time () =
           Alcotest.(check (list int))
             (label ^ " llo routines, instrs, spills, peeps, layout changes")
             (llo expected) (llo report)))
-    [ Options.o1; Options.o2; Options.o2_pbo; Options.o4 ]
+    [ (Options.o1, None); (Options.o2, None); (Options.o2_pbo, None);
+      (Options.o4, None); ({ Options.o1 with Options.pbo = true }, Some db);
+      (Options.o2_pbo, Some db); (Options.o4_pbo, Some db) ]
+
+let test_buildsys_option_switch () =
+  (* Objects on disk are only a cache: after a switch of level, of a
+     code-changing option or of the profile, a build in the same
+     workspace equals a fresh one-shot build with the new settings.
+     Code objects are keyed on every code-changing option; IL objects
+     (+P) on the source alone, so a new profile reuses them. *)
+  let a = profile_db () and b = Db.create () in
+  let pbo profile = Pipeline.compile ~profile Options.o2_pbo app_sources in
+  Alcotest.(check bool) "the two profiles give different images" false
+    ((pbo a).Pipeline.image = (pbo b).Pipeline.image);
+  let o2_inline = { Options.o2 with Options.inline_limit = Some 0 } in
+  List.iter
+    (fun (label, (first, first_profile), (options, profile), recompiled) ->
+      with_workspace (fun ws ->
+          ignore (Buildsys.build ?profile:first_profile ws first app_sources);
+          let switched = Buildsys.build ?profile ws options app_sources in
+          Alcotest.(check int) (label ^ " recompiled") recompiled
+            (List.length switched.Buildsys.recompiled);
+          check_same_image label
+            (Pipeline.compile ?profile options app_sources)
+            switched.Buildsys.build))
+    [ ("O1 -> O2", (Options.o1, None), (Options.o2, None), 4);
+      ("O1 -> O2+P", (Options.o1, None), (Options.o2_pbo, Some a), 4);
+      ("O2 -> O2 inline limit", (Options.o2, None), (o2_inline, None), 4);
+      ("O2+P profile A -> B", (Options.o2_pbo, Some a), (Options.o2_pbo, Some b), 0) ]
+
+let test_buildsys_duplicate_module () =
+  (* Two sources with one module name are refused before anything is
+     lowered or written, as a one-shot build refuses them. *)
+  let sources = app_sources @ [ List.hd app_sources ] in
+  List.iter
+    (fun options ->
+      let label = Options.to_string options in
+      with_workspace (fun ws ->
+          match Buildsys.build ws options sources with
+          | _ -> Alcotest.failf "%s: duplicate module accepted" label
+          | exception Pipeline.Compile_error m ->
+            Alcotest.(check string) (label ^ " message")
+              "duplicate module name main_mod among the sources" m))
+    [ Options.o2; Options.o4 ]
 
 (* ---------- bug isolation ---------- *)
 
@@ -564,6 +622,8 @@ let suite =
     ("buildsys level switch", `Quick, test_buildsys_level_switch_recompiles);
     ("buildsys clean", `Quick, test_buildsys_clean);
     ("buildsys frontend time", `Quick, test_buildsys_reports_frontend_time);
+    ("buildsys option switch", `Quick, test_buildsys_option_switch);
+    ("buildsys duplicate module", `Quick, test_buildsys_duplicate_module);
     ("isolate modules (synthetic)", `Quick, test_isolate_modules_synthetic);
     ("isolate modules (good program)", `Quick, test_isolate_modules_good_program);
     ("isolate operation (synthetic)", `Quick, test_isolate_operation_limit_synthetic);

@@ -718,6 +718,52 @@ let test_end_to_end_tcp () =
   Server.wait t;
   finished := true
 
+let test_daemon_clamps_jobs () =
+  (* A request asking for more worker domains than the host
+     recommends builds with the host's count, byte-identically.  One
+     over the cap is enough to show the clamp; never ask for many. *)
+  with_dir @@ fun dir ->
+  let config =
+    {
+      Server.socket = Filename.concat dir "cmocd.sock";
+      builders = 1;
+      queue_max = 4;
+      state_dir = Filename.concat dir "state";
+      cache_capacity = None;
+      trace = None;
+    }
+  in
+  let cap = Domain.recommended_domain_count () in
+  let o4 = { Options.o4 with Options.jobs = cap + 1 } in
+  let oracle =
+    List.map Objfile.encode
+      (Pipeline.compile { o4 with Options.jobs = 1 } session_sources)
+        .Pipeline.objects
+  in
+  let t = Server.start config in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.shutdown t;
+      Server.wait t)
+  @@ fun () ->
+  Client.with_connect ~socket:config.Server.socket @@ fun conn ->
+  match
+    Client.build conn
+      { Proto.tag = "wide"; options = o4; profile = None; fault = None;
+        sources = session_sources }
+  with
+  | Proto.Built { objects; report; _ } ->
+    Alcotest.(check bool) "clamped build matches one-shot" true
+      (objects = oracle);
+    let workers_used =
+      Result.to_option (Cmo_obs.Json.parse report)
+      |> Fun.flip Option.bind (Cmo_obs.Json.member "workers_used")
+      |> Fun.flip Option.bind Cmo_obs.Json.num
+    in
+    Alcotest.(check (option (float 0.0))) "workers_used is the cap"
+      (Some (float_of_int cap)) workers_used
+  | _ -> Alcotest.fail "wide build did not complete"
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_request_roundtrip;
@@ -739,4 +785,6 @@ let suite =
     Alcotest.test_case "daemon end to end over a socket" `Quick
       test_end_to_end;
     Alcotest.test_case "daemon end to end over tcp" `Quick test_end_to_end_tcp;
+    Alcotest.test_case "daemon clamps request jobs" `Quick
+      test_daemon_clamps_jobs;
   ]
