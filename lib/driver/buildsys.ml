@@ -55,11 +55,15 @@ let object_key (options : Options.t) ~il (src : Pipeline.source) =
        (if il then text
         else Digest.string (Options.cache_fingerprint options) ^ text))
 
-let load_if_current t ~key (src : Pipeline.source) =
+(* Current: records [key] and is of the kind asked for.  Both count:
+   code objects keyed before options were covered record the bare
+   source digest, which is also an IL object's key. *)
+let load_if_current t ~il ~key (src : Pipeline.source) =
   let path = object_path t src.Pipeline.name in
   if Sys.file_exists path then begin
     match Objfile.load path with
-    | obj when obj.Objfile.source_digest = key -> Some obj
+    | obj when obj.Objfile.source_digest = key && Objfile.is_il obj = il ->
+      Some obj
     | _ -> None
     (* An unreadable or corrupt object is stale, and only that —
        [Fsio.Crash] in particular must keep propagating, or a
@@ -126,7 +130,7 @@ let request ?profile ?remote s (options : Options.t) sources =
          "instrumented builds are in-memory only; use Pipeline.train");
   let reused = Hashtbl.create 16 in
   let find ~il (src : Pipeline.source) =
-    let obj = load_if_current t ~key:(object_key options ~il src) src in
+    let obj = load_if_current t ~il ~key:(object_key options ~il src) src in
     if Option.is_some obj then Hashtbl.replace reused src.Pipeline.name ();
     obj
   in

@@ -20,6 +20,8 @@
       fingerprint of the source and {!Options.cache_fingerprint}
       (every option that changes generated code).  A level or option
       switch rebuilds code objects; a new profile reuses IL objects.
+      An object of the other kind is never current, whatever it
+      records.
 
     Rebuilding over IL objects re-optimizes at link time, the paper's
     trade-off that "a change in one module potentially requires

@@ -25,8 +25,9 @@ type build_req = {
           since the daemon's trace sink spans its whole lifetime and
           a request must not start, stop or export it; and
           [instrument] is always false.  [jobs] is capped at the
-          host's [Domain.recommended_domain_count ()]; it never
-          changes output bytes. *)
+          host's [Domain.recommended_domain_count ()] divided by the
+          daemon's builder count (at least 1); it never changes
+          output bytes. *)
   profile : string option;
       (** {!Cmo_profile.Db.encode} bytes of the profile database the
           build uses with [options.pbo] — what a local build reads

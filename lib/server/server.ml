@@ -224,15 +224,17 @@ let serve_cohort ?lock reg (req : Proto.request) =
    distribution placement is what the daemon's environment sets in
    [Options.o2] (the base record).  It owns the trace sink for its
    whole lifetime, so a request must not start, stop or export it, and
-   it never instruments.  A request's [jobs] is capped at the host's
-   recommended domain count: the daemon runs several requests at once,
-   and [jobs] never changes output bytes. *)
-let request_options (b : Proto.build_req) =
+   it never instruments.  A request's [jobs] is capped at its share of
+   the host's recommended domain count: [builders] requests run at
+   once, so together they never ask for more domains than the host
+   recommends, and [jobs] never changes output bytes. *)
+let request_options ~builders (b : Proto.build_req) =
   let own = Options.o2 in
   {
     b.Proto.options with
     Options.jobs =
-      min b.Proto.options.Options.jobs (Domain.recommended_domain_count ());
+      min b.Proto.options.Options.jobs
+        (max 1 (Domain.recommended_domain_count () / builders));
     trace = None;
     dist = own.Options.dist;
     workers = own.Options.workers;
@@ -262,7 +264,7 @@ let compile_once t ?profile options sources =
    reopening recovers exactly as a restarted process would, so a
    crashed request never poisons the requests after it. *)
 let execute t (b : Proto.build_req) =
-  let options = request_options b in
+  let options = request_options ~builders:t.cfg.builders b in
   let build () =
     let profile =
       match Option.map Db.decode b.Proto.profile with

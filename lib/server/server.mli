@@ -13,7 +13,8 @@
     fixed pool of builder threads ([builders], i.e. $CMO_DAEMON_JOBS).
     Each in-flight build parallelizes internally on its own
     {!Cmo_driver.Parwork} domain pool per its requested [jobs],
-    capped at the host's recommended domain count.
+    capped at the host's recommended domain count divided by
+    [builders] (at least 1).
     Requests are isolated by the store's snapshot-read/ordered-commit
     transactions; shared structures (store, repository, scheduler)
     are internally synchronized.

@@ -505,6 +505,35 @@ let test_buildsys_option_switch () =
       ("O2 -> O2 inline limit", (Options.o2, None), (o2_inline, None), 4);
       ("O2+P profile A -> B", (Options.o2_pbo, Some a), (Options.o2_pbo, Some b), 0) ]
 
+let test_buildsys_unkeyed_code_objects () =
+  (* Code objects whose recorded digest is the bare source digest —
+     what an IL object's key is, and what code objects recorded before
+     their key covered the options — are not current for a build that
+     needs IL: at +O4 and under +P every module is recompiled and the
+     image is the one-shot image. *)
+  let db = profile_db () in
+  List.iter
+    (fun (options, profile) ->
+      let label = Options.to_string options in
+      Helpers.with_dir ~prefix:"cmo_ws" (fun dir ->
+          let ws = Buildsys.create ~dir () in
+          let code = Buildsys.build ws Options.o2 app_sources in
+          List.iter2
+            (fun (src : Pipeline.source) (obj : Cmo_link.Objfile.t) ->
+              Cmo_link.Objfile.save
+                { obj with
+                  Cmo_link.Objfile.source_digest =
+                    Digest.to_hex (Digest.string src.Pipeline.text) }
+                (Filename.concat dir (src.Pipeline.name ^ ".o")))
+            app_sources code.Buildsys.build.Pipeline.objects;
+          let rebuilt = Buildsys.build ?profile ws options app_sources in
+          Alcotest.(check int) (label ^ " all recompiled") 4
+            (List.length rebuilt.Buildsys.recompiled);
+          check_same_image label
+            (Pipeline.compile ?profile options app_sources)
+            rebuilt.Buildsys.build))
+    [ (Options.o4, None); (Options.o2_pbo, Some db) ]
+
 let test_buildsys_duplicate_module () =
   (* Two sources with one module name are refused before anything is
      lowered or written, as a one-shot build refuses them. *)
@@ -624,6 +653,7 @@ let suite =
     ("buildsys frontend time", `Quick, test_buildsys_reports_frontend_time);
     ("buildsys option switch", `Quick, test_buildsys_option_switch);
     ("buildsys duplicate module", `Quick, test_buildsys_duplicate_module);
+    ("buildsys unkeyed code objects", `Quick, test_buildsys_unkeyed_code_objects);
     ("isolate modules (synthetic)", `Quick, test_isolate_modules_synthetic);
     ("isolate modules (good program)", `Quick, test_isolate_modules_good_program);
     ("isolate operation (synthetic)", `Quick, test_isolate_operation_limit_synthetic);

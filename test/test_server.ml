@@ -719,21 +719,22 @@ let test_end_to_end_tcp () =
   finished := true
 
 let test_daemon_clamps_jobs () =
-  (* A request asking for more worker domains than the host
-     recommends builds with the host's count, byte-identically.  One
-     over the cap is enough to show the clamp; never ask for many. *)
+  (* A request asking for more worker domains than its builder's share
+     of the host's recommended count builds with that share,
+     byte-identically.  One over the cap is enough to show the clamp;
+     never ask for many. *)
   with_dir @@ fun dir ->
   let config =
     {
       Server.socket = Filename.concat dir "cmocd.sock";
-      builders = 1;
+      builders = 2;
       queue_max = 4;
       state_dir = Filename.concat dir "state";
       cache_capacity = None;
       trace = None;
     }
   in
-  let cap = Domain.recommended_domain_count () in
+  let cap = max 1 (Domain.recommended_domain_count () / 2) in
   let o4 = { Options.o4 with Options.jobs = cap + 1 } in
   let oracle =
     List.map Objfile.encode
