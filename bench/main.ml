@@ -1858,28 +1858,45 @@ let canary_for name ~users ~rates ~divergences ~assertions =
   let module Ingest = Cmo_profile.Ingest in
   let module Cohort = Cmo_profile.Cohort in
   let module Fleet = Cmo_workload.Fleet in
-  let module Selectivity = Cmo_hlo.Selectivity in
+  let module Client = Cmo_server.Client in
   let failures = ref 0 in
   let cfg = Suite.find name in
   let gen = Genprog.generate cfg in
   let sources = sources_of cfg in
   let current_fp = Ingest.fingerprint gen in
   let oracle = Pipeline.train ~inputs:[ Genprog.training_input cfg ] sources in
-  let modules = Pipeline.frontend sources in
-  let policy = Ingest.default_policy ~current_fp in
-  let hot label db =
-    Selectivity.cohort_hot_set ~percent:20.0 ~label db modules
-  in
   let arms ~rate ~divergence ~seed =
     Fleet.ab_arms
       { Fleet.users; sample_rate = rate; stale_fraction = 0.0; noise = 0.1;
         fleet_seed = seed }
       ~oracle ~current_fp ~divergence
   in
-  let report_of (a, b) =
-    let base, _ = Ingest.ingest ~policy a in
-    let canary, _ = Ingest.ingest ~policy b in
-    Cohort.Diff.diff ~base:(hot "stable" base) (hot "canary" canary)
+  (* Every diff goes through the cohort requests [cmoc profile cohort]
+     sends, answered in-process by the daemon's handler over a fresh
+     state directory per registry. *)
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) "cmo-bench-canary"
+  in
+  remove_tree dir;
+  Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
+  let registry sub (a, b) f =
+    let c = Client.offline ~state_dir:(Filename.concat dir sub) in
+    Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+    let feed cohort shards =
+      ignore
+        (Client.cohort_ingest c ~cohort (List.map Ingest.encode_shard shards))
+    in
+    feed "stable" a;
+    feed "canary" b;
+    let pull cohort =
+      let db, _, _ = Client.cohort_pull c ~cohort ~current_fp in
+      db
+    in
+    let diff () =
+      Client.cohort_diff c ~base:"stable" ~canary:"canary" ~percent:20.0
+        ~threshold:Cohort.Diff.default_threshold sources
+    in
+    f ~pull ~diff
   in
   Printf.printf
     "would-flip verdict at 20%% selection, threshold %.2f (FLIP, or max \
@@ -1897,7 +1914,12 @@ let canary_for name ~users ~rates ~divergences ~assertions =
           List.map
             (fun divergence ->
               incr cell;
-              let r = report_of (arms ~rate ~divergence ~seed:(3000 + !cell)) in
+              let r =
+                registry
+                  (Printf.sprintf "cell%d" !cell)
+                  (arms ~rate ~divergence ~seed:(3000 + !cell))
+                  (fun ~pull:_ ~diff -> diff ())
+              in
               (match r.Cohort.Diff.r_verdict with
               | Cohort.Diff.Flip -> Printf.printf "     FLIP"
               | Cohort.Diff.No_flip ->
@@ -1913,12 +1935,10 @@ let canary_for name ~users ~rates ~divergences ~assertions =
   (* Identity law: divergence 0 with a shared seed is the *same* fleet
      twice — byte-identical arms, a no-flip report with empty module
      deltas, and a deterministic report encoding. *)
-  let a0, b0 = arms ~rate:1.0 ~divergence:0.0 ~seed:11 in
-  let ia, _ = Ingest.ingest ~policy a0 in
-  let ib, _ = Ingest.ingest ~policy b0 in
-  let arms_ok = Db.encode ia = Db.encode ib in
-  let r1 = Cohort.Diff.diff ~base:(hot "stable" ia) (hot "canary" ib) in
-  let r2 = Cohort.Diff.diff ~base:(hot "stable" ia) (hot "canary" ib) in
+  let arms_ok, r1, r2 =
+    registry "identity" (arms ~rate:1.0 ~divergence:0.0 ~seed:11)
+      (fun ~pull ~diff -> (pull "stable" = pull "canary", diff (), diff ()))
+  in
   let clean_ok =
     r1.Cohort.Diff.r_verdict = Cohort.Diff.No_flip
     && r1.Cohort.Diff.r_mod_in = []
@@ -1933,25 +1953,13 @@ let canary_for name ~users ~rates ~divergences ~assertions =
   (* Registry leg: the same shard multisets ingested in opposite
      arrival orders into two registries must pull byte-identical dbs
      and hand the diff the same report, byte for byte. *)
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ()) "cmo-bench-canary"
-  in
-  remove_tree dir;
-  Fun.protect ~finally:(fun () -> remove_tree dir) @@ fun () ->
   let a1, b1 = arms ~rate:1.0 ~divergence:1.0 ~seed:21 in
-  let feed sub order_a order_b =
-    let reg = Cohort.open_ ~dir:(Filename.concat dir sub) in
-    Cohort.create reg "stable";
-    ignore (Cohort.ingest_into reg "stable" order_a);
-    ignore (Cohort.ingest_into reg "canary" order_b);
-    let base, _ = Cohort.pull reg ~policy "stable" in
-    let canary, _ = Cohort.pull reg ~policy "canary" in
-    ( Db.encode base,
-      Db.encode canary,
-      Cohort.Diff.diff ~base:(hot "stable" base) (hot "canary" canary) )
+  let feed sub arms =
+    registry sub arms (fun ~pull ~diff ->
+        (pull "stable", pull "canary", diff ()))
   in
-  let sb1, sc1, rr1 = feed "fwd" a1 b1 in
-  let sb2, sc2, rr2 = feed "rev" (List.rev a1) (List.rev b1) in
+  let sb1, sc1, rr1 = feed "fwd" (a1, b1) in
+  let sb2, sc2, rr2 = feed "rev" (List.rev a1, List.rev b1) in
   let pull_ok = sb1 = sb2 && sc1 = sc2 in
   let verdict_ok = Cohort.Diff.encode rr1 = Cohort.Diff.encode rr2 in
   Printf.printf "registry permutation: pulls %s, report %s\n"

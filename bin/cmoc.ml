@@ -72,9 +72,11 @@ let input_arg =
 let jobs_arg =
   Arg.(value & opt int Options.default_jobs & info [ "j"; "jobs" ] ~docv:"N"
          ~doc:"Worker domains for the parallel pipeline phases \
-               (frontend, link-time CMO components, codegen).  Any N \
-               produces byte-identical output; defaults to \\$CMO_JOBS \
-               or 1.")
+               (frontend, link-time CMO components, codegen), and the \
+               most partitions a distributed build runs on this host \
+               at once.  Remote $(b,--workers) endpoints add their own \
+               width.  Any N produces byte-identical output; defaults \
+               to \\$CMO_JOBS or 1.")
 
 let machine_memory_arg =
   Arg.(value & opt int 256 & info [ "machine-mb" ] ~docv:"MB"
@@ -225,7 +227,9 @@ let workers_arg =
   Arg.(value & opt_all string [] & info [ "workers" ] ~docv:"HOST:PORT,..."
          ~doc:"Remote $(b,cmoc-worker --listen) endpoints to place \
                distributed partitions on, alongside (or instead of) \
-               spawned local workers.  Comma-separated, repeatable.  \
+               spawned local workers.  Each live endpoint keeps one \
+               partition job in flight, whatever $(b,-j) is.  \
+               Comma-separated, repeatable.  \
                Implies --dist.  Also read from \\$CMO_DIST_WORKERS; \
                the flag wins.  A worker whose version handshake does \
                not match is refused and its jobs run locally — output \

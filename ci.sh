@@ -80,7 +80,10 @@
 # oracle byte for byte before the workers are torn down.  The clean
 # fleet build runs 20 times from an empty directory, each compared
 # against the oracle, so a race that breaks one build in forty fails
-# the gate in about two runs of five.  Last, the NAIM pressure smoke
+# the gate in about two runs of five.  A -j 1 cmoc compile of a
+# two-component program on the same fleet must report workers_used 2
+# (one job in flight per endpoint) and print what a local build
+# prints.  Last, the NAIM pressure smoke
 # builds mcad1 at 1/4 scale on a 5 MB and on a 4 GB machine: both
 # must print the same output and linker map, and the 5 MB report must
 # show IR compactions, symbol-table compactions and offloads.  A length
@@ -640,6 +643,31 @@ for f in "$FLEET_DIR"/oracle/*.o; do
 done
 grep "^exit:" "$FLEET_DIR/co2.out" > "$FLEET_DIR/co2.exit"
 cmp "$FLEET_DIR/oracle.exit" "$FLEET_DIR/co2.exit"
+
+# Width: at -j 1 the fleet still keeps one partition job in flight per
+# endpoint.  This program has two independent components (main's, and
+# an exported library coupled by a global), so two jobs run at once:
+# the report counts both endpoints and the run prints what a local
+# build prints.
+mkdir -p "$FLEET_DIR/wide"
+printf 'func main() { var s = 0; var i = 0; while (i < 40) { s = s + mix(i, s); i = i + 1; } print(s); return s & 255; }\n' \
+  > "$FLEET_DIR/wide/wa.mc"
+printf 'static func twist(v) { return v * 5 + 1; }\nfunc mix(x, seed) { return (seed / 3) + twist(x); }\n' \
+  > "$FLEET_DIR/wide/wb.mc"
+printf 'extern global tally;\nfunc report(v) { tally = tally + pack(v); return tally; }\n' \
+  > "$FLEET_DIR/wide/wc.mc"
+printf 'global tally = 0;\nfunc pack(v) { return v * 7; }\n' \
+  > "$FLEET_DIR/wide/wd.mc"
+"$CMOC" compile -O 4 -j 1 --run "$FLEET_DIR"/wide/*.mc \
+  > "$FLEET_DIR/wide.oracle"
+"$CMOC" compile -O 4 -j 1 --workers "$W1,$W2" \
+  --report-json "$FLEET_DIR/wide.json" --run "$FLEET_DIR"/wide/*.mc \
+  > "$FLEET_DIR/wide.out"
+cmp "$FLEET_DIR/wide.oracle" "$FLEET_DIR/wide.out"
+grep -q '"workers_used":2' "$FLEET_DIR/wide.json" || {
+  echo "fleet smoke: a -j 1 build on two endpoints did not run two jobs at once"
+  exit 1
+}
 
 # Clean teardown: both listeners die on signal, leaving nothing.
 kill "$W1_PID" "$W2_PID"

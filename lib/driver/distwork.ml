@@ -616,7 +616,10 @@ type pool = {
   endpoints : endpoint list;
   rr : int Atomic.t;  (* round-robin dial cursor *)
   lock : Mutex.t;
-  mutable local_refused : bool;  (* the local binary failed handshake *)
+  local_refused : bool Atomic.t;  (* the local binary failed handshake *)
+  local_slots : Semaphore.Counting.t;
+      (* [jobs] of them: every partition running on this host holds
+         one, in a spawned worker or redone in-process after a loss *)
   mutable idle : worker_conn list;
   mutable conns : worker_conn list;
 }
@@ -643,7 +646,7 @@ let resolve_worker (env : Options.env) =
 let expected_fingerprint (env : Options.env) =
   Option.value env.Options.env_dist_expect_fp ~default:Cmo_buildid.id
 
-let create_pool ?timeout_s ?workers () =
+let create_pool ?(jobs = 1) ?timeout_s ?workers () =
   if Sys.os_type <> "Win32" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (* Env knobs are re-read per pool (not the process-start snapshot in
      [Options.env]): the robustness suites flip them between builds
@@ -688,7 +691,8 @@ let create_pool ?timeout_s ?workers () =
     endpoints;
     rr = Atomic.make 0;
     lock = Mutex.create ();
-    local_refused = false;
+    local_refused = Atomic.make false;
+    local_slots = Semaphore.Counting.make (max 1 jobs);
     idle = [];
     conns = [];
   }
@@ -698,6 +702,19 @@ let locked pool f =
   Fun.protect ~finally:(fun () -> Mutex.unlock pool.lock) f
 
 let same_conn a b = a.fd == b.fd
+
+let with_local_slot pool f =
+  Semaphore.Counting.acquire pool.local_slots;
+  Fun.protect
+    ~finally:(fun () -> Semaphore.Counting.release pool.local_slots)
+    f
+
+(* A spawned worker holds a local slot from checkout until it is
+   checked in or destroyed. *)
+let release_slot pool w =
+  match w.kind with
+  | Proc _ -> Semaphore.Counting.release pool.local_slots
+  | Net _ -> ()
 
 let spawn pool bin =
   let parent_fd, child_fd =
@@ -730,6 +747,7 @@ let destroy pool w =
   locked pool (fun () ->
       pool.conns <- List.filter (fun p -> not (same_conn p w)) pool.conns;
       pool.idle <- List.filter (fun p -> not (same_conn p w)) pool.idle);
+  release_slot pool w;
   (match w.kind with
   | Proc pid ->
     (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
@@ -753,7 +771,7 @@ let handshake pool w =
     (try Netio.send w.fd (encode_parent (Refuse reason))
      with Unix.Unix_error _ | Sys_error _ -> ());
     (match w.kind with
-    | Proc _ -> pool.local_refused <- true
+    | Proc _ -> Atomic.set pool.local_refused true
     | Net e ->
       locked pool (fun () ->
           if not e.ep_retired then begin
@@ -796,51 +814,72 @@ let rotate n xs =
     in
     split n [] xs
 
+let live_endpoints pool =
+  locked pool (fun () ->
+      List.filter (fun e -> not e.ep_retired) pool.endpoints)
+
+let width pool = List.length (live_endpoints pool)
+
+(* Take an idle connection of the wanted kind. *)
+let take_idle pool wanted =
+  locked pool (fun () ->
+      match List.find_opt wanted pool.idle with
+      | Some w ->
+        pool.idle <- List.filter (fun p -> not (same_conn p w)) pool.idle;
+        Some w
+      | None -> None)
+
+let is_net w = match w.kind with Net _ -> true | Proc _ -> false
+
+(* The fleet first: an idle endpoint connection, else a fresh dial
+   (round-robin, so concurrent checkouts start on different
+   endpoints).  Only then a local worker, idle or spawned, under one of
+   the host's [jobs] slots. *)
 let checkout pool =
-  match
-    locked pool (fun () ->
-        match pool.idle with
-        | w :: rest ->
-          pool.idle <- rest;
-          Some w
-        | [] -> None)
-  with
-  | Some w -> w
-  | None ->
-    let live =
-      locked pool (fun () ->
-          List.filter (fun e -> not e.ep_retired) pool.endpoints)
-    in
-    let candidates = rotate (Atomic.fetch_and_add pool.rr 1) live in
-    let spawn_local () =
+  let local () =
+    Semaphore.Counting.acquire pool.local_slots;
+    match take_idle pool (fun w -> not (is_net w)) with
+    | Some w -> w
+    | None -> (
       match pool.bin with
-      | Some bin when not pool.local_refused ->
-        let w = spawn pool bin in
+      | Some bin when not (Atomic.get pool.local_refused) ->
+        let w =
+          try spawn pool bin
+          with e ->
+            Semaphore.Counting.release pool.local_slots;
+            raise e
+        in
         handshake pool w;
         w
-      | _ -> raise Worker_lost
-    in
-    let rec dial = function
-      | [] -> spawn_local ()
-      | e :: rest -> (
-        match Netio.connect e.ep_host e.ep_port with
-        | fd ->
-          let w = { kind = Net e; fd } in
-          locked pool (fun () -> pool.conns <- w :: pool.conns);
-          (try
-             handshake pool w;
-             w
-           with Worker_lost -> dial rest)
-        | exception (Sys_error _ | Unix.Unix_error _) ->
-          (* A failed dial is an endpoint loss (feeds the breaker) but
-             not a lost job — the next candidate or a local spawn can
-             still run it on a worker. *)
-          note_endpoint_loss pool e;
-          dial rest)
-    in
-    dial candidates
+      | _ ->
+        Semaphore.Counting.release pool.local_slots;
+        raise Worker_lost)
+  in
+  let rec dial = function
+    | [] -> local ()
+    | e :: rest -> (
+      match Netio.connect e.ep_host e.ep_port with
+      | fd ->
+        let w = { kind = Net e; fd } in
+        locked pool (fun () -> pool.conns <- w :: pool.conns);
+        (try
+           handshake pool w;
+           w
+         with Worker_lost -> dial rest)
+      | exception (Sys_error _ | Unix.Unix_error _) ->
+        (* A failed dial is an endpoint loss (feeds the breaker) but
+           not a lost job — the next candidate or a local worker can
+           still run it. *)
+        note_endpoint_loss pool e;
+        dial rest)
+  in
+  match take_idle pool is_net with
+  | Some w -> w
+  | None -> dial (rotate (Atomic.fetch_and_add pool.rr 1) (live_endpoints pool))
 
-let checkin pool w = locked pool (fun () -> pool.idle <- w :: pool.idle)
+let checkin pool w =
+  release_slot pool w;
+  locked pool (fun () -> pool.idle <- w :: pool.idle)
 
 (* One protocol event, numbered on the plan's proc clock; at a
    planned [kill@K] the active worker dies mid-conversation — exactly

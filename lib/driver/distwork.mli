@@ -204,12 +204,16 @@ val resolve_worker : Options.env -> string
     dune layout seen from test and bench executables).  The result may
     not exist — {!create_pool} checks. *)
 
-val create_pool : ?timeout_s:float -> ?workers:string list -> unit -> pool
+val create_pool :
+  ?jobs:int -> ?timeout_s:float -> ?workers:string list -> unit -> pool
 (** Prepare a worker pool: no connections yet; each concurrent
-    {!run_job} checks out an idle worker, else dials a [workers]
-    endpoint (round-robin, skipping breaker-retired ones), else
-    spawns a local process — all verified by handshake before their
-    first job, all reused across jobs.  [timeout_s] (default
+    {!run_job} checks out an idle endpoint connection, else dials a
+    [workers] endpoint (round-robin, skipping breaker-retired ones),
+    else takes an idle local process or spawns one — all verified by
+    handshake before their first job, all reused across jobs.  A job
+    on a local process holds one of [jobs] (default 1) local slots
+    until it ends, the slots {!with_local_slot} hands out, so work on
+    this host never runs wider than [jobs].  [timeout_s] (default
     [$CMO_DIST_TIMEOUT], else 60) bounds every parent-side read — the
     distributed build's hang bound.  [$CMO_DIST_DEADLINE] (default
     none) is the straggler bound: a job unfinished after this long is
@@ -224,6 +228,16 @@ val create_pool : ?timeout_s:float -> ?workers:string list -> unit -> pool
     [proc] clock, where [kill@K] destroys the active worker.
     @raise Unavailable when the worker binary does not exist and no
     endpoint was given. *)
+
+val with_local_slot : pool -> (unit -> 'a) -> 'a
+(** Run [f] holding one of the pool's [jobs] local slots: a partition
+    redone in-process after {!Worker_lost} counts against [jobs] like
+    a spawned local worker does. *)
+
+val width : pool -> int
+(** The pool's remote endpoints not retired by the breaker or a
+    version refusal.  {!Pipeline} keeps this many partition jobs in
+    flight when it exceeds [jobs], one per endpoint. *)
 
 val run_job : pool -> ?phase_cache:Hlo.phase_cache -> job -> done_payload
 (** Drive one partition job on a pooled worker, answering its

@@ -68,9 +68,12 @@ type t = {
           [$CMO_TRACE] or [cmoc --trace FILE]. *)
   dist : bool;
       (** WHOPR-style distribution: run link-time CMO partitions in
-          isolated [cmoc-worker] processes (up to [jobs] of them)
-          instead of worker domains, talking over CMR1-framed pipes
-          ({!Distwork}).  Byte-invisible by construction and by test:
+          isolated [cmoc-worker] processes instead of worker domains,
+          talking over CMR1-framed pipes ({!Distwork}).  Partitions
+          run [jobs] at a time, or one per live [workers] endpoint
+          when there are more endpoints; a partition running on this
+          host, in a spawned worker or redone in-process, counts
+          against [jobs].  Byte-invisible by construction and by test:
           any worker loss, missing worker binary or wire fault
           degrades that partition to local recompute.  Never enters
           {!cache_fingerprint}.  Defaults to [$CMO_DIST] or
@@ -78,7 +81,7 @@ type t = {
   workers : string list;
       (** Remote worker endpoints ([host:port], each a
           [cmoc-worker --listen]) the distributed pool dials before
-          spawning local processes.  Version-skewed workers are
+          spawning local processes, each with one job in flight.  Version-skewed workers are
           refused at handshake and their jobs redone locally; like
           [dist], placement never enters {!cache_fingerprint}.
           Defaults to [$CMO_DIST_WORKERS] (comma-separated) or

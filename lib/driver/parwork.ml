@@ -21,7 +21,7 @@ type pool = {
   qmutex : Mutex.t;
   qcond : Condition.t;
   mutable stopping : bool;
-  mutable domains : unit Domain.t list;
+  mutable joins : (unit -> unit) list;  (* one per worker *)
 }
 
 let worker pool =
@@ -49,7 +49,7 @@ let worker pool =
   in
   loop ()
 
-let create ~jobs =
+let create ~threads ~jobs =
   let jobs = max 1 jobs in
   let pool =
     {
@@ -58,20 +58,28 @@ let create ~jobs =
       qmutex = Mutex.create ();
       qcond = Condition.create ();
       stopping = false;
-      domains = [];
+      joins = [];
     }
   in
   if jobs > 1 then
-    pool.domains <-
+    pool.joins <-
       List.init jobs (fun i ->
-          Domain.spawn (fun () ->
-              (* Name the worker's trace track by pool index.  Pools
-                 are created and joined sequentially, so successive
-                 pools reuse the same names and their events merge
-                 chronologically into one track per index. *)
-              Cmo_obs.Obs.set_track (Printf.sprintf "worker-%d" (i + 1));
-              Cmo_obs.Obs.with_span ~cat:"worker" "worker" (fun () ->
-                  worker pool)));
+          (* Name the worker's trace track by pool index.  Pools are
+             created and joined sequentially, so successive pools
+             reuse the same names and their events merge
+             chronologically into one track per index. *)
+          let run () =
+            Cmo_obs.Obs.with_track (Printf.sprintf "worker-%d" (i + 1))
+            @@ fun () ->
+            Cmo_obs.Obs.with_span ~cat:"worker" "worker" (fun () ->
+                worker pool)
+          in
+          if threads then
+            let t = Thread.create run () in
+            fun () -> Thread.join t
+          else
+            let d = Domain.spawn run in
+            fun () -> Domain.join d);
   pool
 
 let jobs pool = pool.jobs
@@ -83,7 +91,7 @@ let run_to_state f =
 
 let submit pool f =
   let fut = { state = Pending; fmutex = Mutex.create (); fcond = Condition.create () } in
-  if pool.domains = [] then fut.state <- run_to_state f
+  if pool.joins = [] then fut.state <- run_to_state f
   else begin
     let task () =
       let result = run_to_state f in
@@ -124,11 +132,11 @@ let shutdown pool =
   pool.stopping <- true;
   Condition.broadcast pool.qcond;
   Mutex.unlock pool.qmutex;
-  List.iter Domain.join pool.domains;
-  pool.domains <- []
+  List.iter (fun join -> join ()) pool.joins;
+  pool.joins <- []
 
-let with_pool ~jobs f =
-  let pool = create ~jobs in
+let with_pool ?(threads = false) ~jobs f =
+  let pool = create ~threads ~jobs in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
 
 (* [Lazy.force] raises [Undefined] when two domains race to force the

@@ -1,6 +1,7 @@
-(** Bounded Domain-pool executor for the pipeline's embarrassingly
+(** Bounded worker-pool executor for the pipeline's embarrassingly
     parallel points (per-module frontend, per-component link-time HLO,
-    per-module codegen).
+    per-module codegen): domains for work that needs cores, systhreads
+    for partition jobs that wait on fleet workers.
 
     Determinism contract: results are delivered in submission order
     regardless of completion order, and a failed task re-raises its
@@ -12,10 +13,6 @@
 
 type pool
 type 'a future
-
-val create : jobs:int -> pool
-(** [create ~jobs] spawns [jobs] worker domains when [jobs > 1]; with
-    [jobs <= 1] the pool is inline (no domains). *)
 
 val jobs : pool -> int
 (** The worker count the pool was created with (at least 1). *)
@@ -31,12 +28,13 @@ val map : pool -> ('a -> 'b) -> 'a list -> 'b list
 (** Submit one task per element and await them in input order.  The
     first failure (by input order, as in [List.map]) is re-raised. *)
 
-val shutdown : pool -> unit
-(** Join every worker domain.  Submitting afterwards is an error.
-    Idempotent; an inline pool's shutdown is a no-op. *)
-
-val with_pool : jobs:int -> (pool -> 'a) -> 'a
-(** [create], run, [shutdown] (also on exception). *)
+val with_pool : ?threads:bool -> jobs:int -> (pool -> 'a) -> 'a
+(** Run [f] on a pool of [jobs] workers, then join them (also on
+    exception).  The workers are domains, or with [~threads:true]
+    systhreads of the calling domain: for tasks that mostly wait on a
+    socket, which need no core of their own and so should not pay
+    for domains' stop-the-world collections.  With [jobs <= 1] the
+    pool is inline (no worker at all). *)
 
 val memo_locked : (unit -> 'a) -> unit -> 'a
 (** A domain-safe lazy: the first call runs [f], every later one (from

@@ -371,7 +371,8 @@ let dist_pool (options : Options.t) =
   if not options.Options.dist then None
   else
     match
-      Distwork.create_pool ~workers:options.Options.workers
+      Distwork.create_pool ~jobs:options.Options.jobs
+        ~workers:options.Options.workers
         ?timeout_s:options.Options.dist_timeout ()
     with
     | pool -> Some pool
@@ -724,7 +725,8 @@ let place plan cmo ~txn ~mem subset =
         stats = Some (done_.Distwork.done_report, done_.Distwork.done_lstats);
         txn;
       }
-    | exception Distwork.Worker_lost -> local (begin_txn ()))
+    | exception Distwork.Worker_lost ->
+      Distwork.with_local_slot pool (fun () -> local (begin_txn ())))
 
 (* Per-component execution: each component runs in its own loader and
    accountant (and store transaction when caching) on the worker pool.
@@ -732,45 +734,68 @@ let place plan cmo ~txn ~mem subset =
    after the join, so every artifact — and every cache byte — is
    independent of [jobs].  Whenever a store is attached this is the
    code path at every job count, j=1 included: the transaction logs,
-   not the interleaving, decide what the store sees. *)
+   not the interleaving, decide what the store sees.  On a wide pool
+   the largest components (by source lines) start first, so the
+   longest job does not start last.  With a worker pool the lanes are
+   systhreads: a job on a worker only waits on its socket here, and
+   extra domains would only add stop-the-world collections. *)
 let run_components plan cmo comps =
-  Parwork.with_pool ~jobs:(max 1 plan.options.Options.jobs) (fun pool ->
-      Parwork.map pool
-        (fun c ->
-          Obs.with_span ~cat:"component" (List.hd c.members).Ilmod.mname
-          @@ fun () ->
-          let wmem = Memstats.create () in
-          if c.rooted then (wmem, place plan cmo ~txn:true ~mem:wmem c.members)
-          else
-            (* A rootless component (while roots exist elsewhere): the
-               whole-set run's IPA removes every one of its functions
-               as unreachable, so the optimized form is just the
-               empty-bodied modules — running HLO here would instead
-               hit IPA's keep-everything guard. *)
-            ( wmem,
-              {
-                optimized =
-                  List.map
-                    (fun (m : Ilmod.t) -> ({ m with Ilmod.funcs = [] }, None))
-                    c.members;
-                stats = None;
-                txn = None;
-              } ))
-        comps)
-  |> List.map (fun (wmem, p) ->
-         Memstats.merge plan.mem wmem;
-         Option.iter Store.txn_commit p.txn;
-         p)
+  (* [jobs] lanes, or one job in flight per live fleet endpoint when
+     that is more; never more lanes than components. *)
+  let fleet = match cmo.dist with Some pool -> Distwork.width pool | None -> 0 in
+  let width =
+    max 1 (min (List.length comps) (max plan.options.Options.jobs fleet))
+  in
+  let run c =
+    Obs.with_span ~cat:"component" (List.hd c.members).Ilmod.mname
+    @@ fun () ->
+    let wmem = Memstats.create () in
+    if c.rooted then (wmem, place plan cmo ~txn:true ~mem:wmem c.members)
+    else
+      (* A rootless component (while roots exist elsewhere): the
+         whole-set run's IPA removes every one of its functions as
+         unreachable, so the optimized form is just the empty-bodied
+         modules — running HLO here would instead hit IPA's
+         keep-everything guard. *)
+      ( wmem,
+        {
+          optimized =
+            List.map
+              (fun (m : Ilmod.t) -> ({ m with Ilmod.funcs = [] }, None))
+              c.members;
+          stats = None;
+          txn = None;
+        } )
+  in
+  let placed =
+    Parwork.with_pool ~threads:(Option.is_some cmo.dist) ~jobs:width
+      (fun pool ->
+        let indexed = List.mapi (fun i c -> (i, src_lines c.members, c)) comps in
+        (if width = 1 then indexed
+         else List.stable_sort (fun (_, a, _) (_, b, _) -> compare b a) indexed)
+        |> List.map (fun (i, _, c) -> (i, Parwork.submit pool (fun () -> run c)))
+        |> List.sort (fun (i, _) (j, _) -> compare i j)
+        |> List.map (fun (_, f) -> Parwork.await f))
+  in
+  ( List.map
+      (fun (wmem, p) ->
+        Memstats.merge plan.mem wmem;
+        Option.iter Store.txn_commit p.txn;
+        p)
+      placed,
+    width )
 
+(* The optimized modules, HLO's stats, and how many partitions ran at
+   once. *)
 let optimize plan =
   match plan.cmo with
-  | None -> (plan.outside, None)
+  | None -> (plan.outside, None, 1)
   | Some cmo ->
     Fun.protect ~finally:(fun () -> Option.iter Distwork.close_pool cmo.dist)
     @@ fun () ->
-    let placed =
+    let placed, width =
       match cmo.work with
-      | Cached -> []
+      | Cached -> ([], 1)
       | Whole subset ->
         (* Program-wide decisions — profile-guided cloning counters,
            the bug-isolation operation budgets, IPA's rootless
@@ -781,7 +806,7 @@ let optimize plan =
           place plan cmo ~txn:(Option.is_some cmo.dist) ~mem:plan.mem subset
         in
         Option.iter Store.txn_commit p.txn;
-        [ p ]
+        ([ p ], 1)
       | Components comps -> run_components plan cmo comps
     in
     let by_name = Hashtbl.create 16 in
@@ -815,7 +840,8 @@ let optimize plan =
           | None -> Hashtbl.find cmo.fetched n)
         cmo.order
       @ plan.outside,
-      stats )
+      stats,
+      width )
 
 (* --- llo and link ------------------------------------------------- *)
 
@@ -874,7 +900,7 @@ let link ?cluster objects =
       errs
 
 let make_report ?(frontend = no_clock) ?(hlo = no_clock) ~llo ~link ?plan
-    ?hlo_stats ~mem ~lines ~llo_stats (options : Options.t) =
+    ?hlo_stats ~hlo_width ~mem ~lines ~llo_stats (options : Options.t) =
   let of_plan f default = match plan with Some p -> f p | None -> default in
   {
     options;
@@ -891,7 +917,9 @@ let make_report ?(frontend = no_clock) ?(hlo = no_clock) ~llo ~link ?plan
     frontend_wall_seconds = frontend.wall;
     hlo_wall_seconds = hlo.wall;
     llo_wall_seconds = llo.wall;
-    workers_used = max 1 options.Options.jobs;
+    (* The widest pool a stage ran: [jobs] domains for the frontend
+       and codegen, or HLO's jobs in flight on a fleet. *)
+    workers_used = max hlo_width (max 1 options.Options.jobs);
     total_lines = lines;
     cmo_lines = of_plan (fun p -> p.cmo_lines) 0;
     warm_lines = of_plan (fun p -> p.warm_lines) 0;
@@ -914,11 +942,11 @@ let chain ?profile ?cache ?naim_repo ?remote ?frontend ?save
     let modules = List.filter_map Either.find_left units in
     let closed = List.for_all Either.is_left units in
     let lines = src_lines modules in
-    let manifest, plan, (optimized, hlo_stats), hlo =
+    let manifest, plan, (optimized, hlo_stats, hlo_width), hlo =
       if options.Options.instrument then begin
         (* +I: probes in, optimization suppressed. *)
         let instrumented, manifest = Probe.instrument modules in
-        (Some manifest, None, (instrumented, None), None)
+        (Some manifest, None, (instrumented, None, 1), None)
       end
       else begin
         let (plan, optimized), hlo =
@@ -963,7 +991,7 @@ let chain ?profile ?cache ?naim_repo ?remote ?frontend ?save
     in
     let report =
       make_report ?frontend ?hlo ~llo:llo_clock ~link:link_clock ?plan
-        ?hlo_stats ~mem ~lines ~llo_stats options
+        ?hlo_stats ~hlo_width ~mem ~lines ~llo_stats options
     in
     Log.info (fun m ->
         m "%s: hlo %.3fs, llo %.3fs, link %.3fs; cmo %d/%d lines, %d instrs"

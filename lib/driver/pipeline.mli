@@ -72,7 +72,9 @@ type report = {
           frontend stage. *)
   hlo_wall_seconds : float;
   llo_wall_seconds : float;
-  workers_used : int;  (** The [jobs] the build ran with. *)
+  workers_used : int;
+      (** The widest pool any stage ran: [jobs], or more when HLO kept
+          one partition job in flight per live fleet endpoint. *)
   total_lines : int;
   cmo_lines : int;  (** Source lines in the CMO set. *)
   warm_lines : int;

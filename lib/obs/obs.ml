@@ -9,7 +9,7 @@ type event =
   | Counter of { name : string; ts : float; series : (string * float) list }
   | Instant of { name : string; cat : string; ts : float }
 
-(* One buffer per (domain, trace generation).  Events are consed
+(* One buffer per (track owner, trace generation).  Events are consed
    newest-first and reversed at export.  [counters] holds the
    cumulative per-track counter table behind [tick]. *)
 type tbuf = {
@@ -29,20 +29,47 @@ let epoch = Atomic.make 0.0
 let reg_mutex = Mutex.create ()
 let registry : tbuf list ref = ref []  (* newest first; guarded by reg_mutex *)
 
-type dstate = { mutable dtrack : string; mutable dbuf : tbuf option }
+type dstate = { dtrack : string; mutable dbuf : tbuf option }
 
-let dls : dstate Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { dtrack = "main"; dbuf = None })
+(* Per domain: the state its threads share, and one of each thread
+   inside [with_track], found by thread id.  Threads of one domain
+   switch at allocations, so the list is replaced under a lock; reading
+   it needs none. *)
+type dslot = {
+  shared : dstate;
+  mutable named : (int * dstate) list;
+  nlock : Mutex.t;
+}
+
+let dls : dslot Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      {
+        shared = { dtrack = "main"; dbuf = None };
+        named = [];
+        nlock = Mutex.create ();
+      })
 
 let enabled () = Atomic.get enabled_flag
 
-let set_track name =
-  let st = Domain.DLS.get dls in
-  st.dtrack <- name;
-  st.dbuf <- None
+let state () =
+  let d = Domain.DLS.get dls in
+  match d.named with
+  | [] -> d.shared
+  | named -> (
+    match List.assoc_opt (Thread.id (Thread.self ())) named with
+    | Some st -> st
+    | None -> d.shared)
+
+let with_track name f =
+  let d = Domain.DLS.get dls in
+  let id = Thread.id (Thread.self ()) in
+  Mutex.protect d.nlock (fun () ->
+      d.named <- (id, { dtrack = name; dbuf = None }) :: d.named);
+  Fun.protect f ~finally:(fun () ->
+      Mutex.protect d.nlock (fun () -> d.named <- List.remove_assoc id d.named))
 
 let buffer () =
-  let st = Domain.DLS.get dls in
+  let st = state () in
   let gen = Atomic.get generation in
   match st.dbuf with
   | Some b when b.gen = gen -> b

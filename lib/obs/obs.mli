@@ -11,8 +11,9 @@
       are expected to guard with [enabled ()] themselves.
     - {b Lock-free-cheap per domain.}  Each domain appends events to
       its own buffer (found via [Domain.DLS]); the only global lock is
-      taken once per domain per trace, when the buffer registers
-      itself.  Worker domains name their buffer with [set_track].
+      taken once per buffer per trace, when the buffer registers
+      itself.  Pool workers, domains or systhreads, record into a
+      buffer of their own, named with [with_track].
     - {b Deterministic merge.}  Export groups buffers by track name
       ("main" first, then workers in numeric order); buffers sharing a
       name — successive [Parwork] pools reuse "worker-{i}" — are
@@ -48,9 +49,13 @@ val stop : unit -> unit
 val enabled : unit -> bool
 (** One atomic load; the guard hot call sites use. *)
 
-val set_track : string -> unit
-(** Name the calling domain's track (default "main").  Worker domains
-    call this once at spawn; cheap and safe with tracing off. *)
+val with_track : string -> (unit -> 'a) -> 'a
+(** [with_track name f] records what the calling thread does during
+    [f] on a buffer of its own, on track [name]; outside it, the
+    threads of a domain share one buffer on track "main".  A pool
+    worker, domain or
+    systhread, wraps its life in this, so concurrent workers' spans
+    never share a stack.  Cheap and safe with tracing off. *)
 
 (** {2 Recording} *)
 

@@ -121,6 +121,37 @@ let test_fingerprint_basics () =
   let one = Fingerprint.(to_hex (add_string empty "x")) in
   Alcotest.(check int) "64-bit hex" 16 (String.length one)
 
+(* Store keys persist on disk, so the hash's bits are a file format:
+   these keys were recorded from the byte-at-a-time implementation and
+   any rewrite must reproduce them.  An empty list, empty fields, high
+   bytes and a field past 64 KiB. *)
+let test_fingerprint_known_answers () =
+  let long = String.init 70_000 (fun i -> Char.chr (((i * 31) + 7) land 0xff)) in
+  List.iter
+    (fun (parts, key) ->
+      Alcotest.(check string)
+        (Printf.sprintf "of_strings [%s]"
+           (String.concat "; "
+              (List.map
+                 (fun p ->
+                   if String.length p > 16 then
+                     Printf.sprintf "<%d bytes>" (String.length p)
+                   else String.escaped p)
+                 parts)))
+        key
+        (Fingerprint.of_strings parts))
+    [
+      ([], "6d19e938bfe4af544364a349367f8ed9");
+      ([ "" ], "14980315ce94e1d41517c77cbc5323f9");
+      ([ "a" ], "2699066b9b960c7c97217d966caaf55b");
+      ([ "ab"; "c" ], "aec0ad3538102b75286b2875025c9ad2");
+      ([ "a"; "bc" ], "6eb5c11bad28b9758c96c157e715bde6");
+      ([ ""; "x"; "" ], "e282f0973d4868f74cd9a277738c1f80");
+      ([ "cmo1"; "\000\255\128"; "|comp" ], "1e696b170762111a1c1a840e2cb93b63");
+      ([ long ], "f4ebcf957d8c7b96f1fa715327e8c3e7");
+      ([ "k"; long; "" ], "1cc4a7fa3fec0adc707974a98a219717");
+    ]
+
 (* ---------- the store ---------- *)
 
 let test_store_roundtrip_and_counters () =
@@ -458,6 +489,7 @@ let test_random_edits_never_stale =
 let suite =
   [
     ("fingerprint basics", `Quick, test_fingerprint_basics);
+    ("fingerprint known answers", `Quick, test_fingerprint_known_answers);
     ("store roundtrip/counters", `Quick, test_store_roundtrip_and_counters);
     ("store persistence", `Quick, test_store_persistence);
     ("store replace", `Quick, test_store_replace);

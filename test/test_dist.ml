@@ -22,6 +22,7 @@ module Ipa = Cmo_hlo.Ipa
 module Server = Cmo_server.Server
 module Client = Cmo_server.Client
 module Vm = Cmo_vm.Vm
+module Json = Cmo_obs.Json
 
 (* ---------- scaffolding ---------- *)
 
@@ -327,8 +328,9 @@ let test_framed_fd_faults () =
    port file (written atomically by the worker once bound) is the
    race-free ready signal.  Workers inherit the test's environment at
    spawn time, which is how the skew and straggler legs plant
-   [$CMO_WORKER_*] levers in the fleet. *)
-let with_fleet n f =
+   [$CMO_WORKER_*] levers in the fleet.  [with_fleet_pids] also hands
+   over each member's pid, for the legs that kill the fleet. *)
+let with_fleet_pids n f =
   with_dir @@ fun dir ->
   let bin = Distwork.resolve_worker (Options.from_env ()) in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
@@ -370,7 +372,9 @@ let with_fleet n f =
     in
     go ()
   in
-  f (List.map (fun (_, pf) -> wait_port pf) members)
+  f (List.map (fun (pid, pf) -> (pid, wait_port pf)) members)
+
+let with_fleet n f = with_fleet_pids n (fun ms -> f (List.map snd ms))
 
 (* ---------- the determinism matrix ---------- *)
 
@@ -749,6 +753,125 @@ let test_tcp_straggler_redo () =
       Alcotest.(check bool) "straggled worker counted lost" true
         (Distwork.lost_total () > lost0))
 
+(* ---------- one job in flight per endpoint ---------- *)
+
+(* At -j 1 a two-endpoint fleet still runs two partitions at once, one
+   per endpoint, and the report says so; artifacts and store bytes
+   stay the oracle's. *)
+let test_tcp_fleet_width () =
+  with_dir @@ fun oracle_dir ->
+  let oracle =
+    with_closed_store oracle_dir (fun store ->
+        build ~mode:Threads ~cache:store Options.o4 1 matrix_sources)
+  in
+  with_fleet 2 @@ fun endpoints ->
+  with_dir @@ fun d ->
+  let b =
+    with_closed_store d (fun store ->
+        build ~mode:(Tcp endpoints) ~cache:store Options.o4 1 matrix_sources)
+  in
+  same_build "j1 two-endpoint build = oracle" oracle b;
+  Alcotest.(check bool) "j1 two-endpoint store bytes = oracle's" true
+    (same_store_bytes d oracle_dir);
+  Alcotest.(check int) "workers_used counts both endpoints" 2
+    b.Pipeline.report.Pipeline.workers_used
+
+(* The span intervals of one category, as (track, start, end). *)
+let spans_of_trace ~cat text =
+  let events =
+    match Json.parse text with
+    | Ok (Json.Arr evs) -> evs
+    | Ok _ | Error _ -> Alcotest.fail "trace is not an event array"
+  in
+  let open_ = Hashtbl.create 8 and spans = ref [] in
+  List.iter
+    (fun ev ->
+      let field k f = Option.bind (Json.member k ev) f in
+      match (field "ph" Json.str, field "tid" Json.num, field "ts" Json.num) with
+      | Some "B", Some tid, Some ts ->
+        let stack = Option.value ~default:[] (Hashtbl.find_opt open_ tid) in
+        Hashtbl.replace open_ tid ((field "cat" Json.str, ts) :: stack)
+      | Some "E", Some tid, Some ts -> (
+        match Hashtbl.find_opt open_ tid with
+        | Some ((c, t0) :: rest) ->
+          Hashtbl.replace open_ tid rest;
+          if c = Some cat then spans := (tid, t0, ts) :: !spans
+        | Some [] | None -> Alcotest.fail "trace closes a span it never opened")
+      | _ -> ())
+    events;
+  !spans
+
+(* The same build traced, with each fleet job held 0.2 s: the two
+   partitions' component spans sit on two tracks and overlap in
+   time. *)
+let test_tcp_fleet_traced_overlap () =
+  let plain = build ~mode:Threads Options.o4 1 matrix_sources in
+  with_env "CMO_WORKER_SLOW_S" "0.2" @@ fun () ->
+  with_fleet 2 @@ fun endpoints ->
+  with_dir @@ fun dir ->
+  let path = Filename.concat dir "trace.json" in
+  let traced =
+    build ~mode:(Tcp endpoints)
+      { Options.o4 with Options.trace = Some path }
+      1 matrix_sources
+  in
+  same_build "traced j1 fleet build = oracle" plain traced;
+  let spans = spans_of_trace ~cat:"component" (Helpers.read_file path) in
+  let overlap (ta, a0, a1) (tb, b0, b1) = ta <> tb && a0 < b1 && b0 < a1 in
+  Alcotest.(check bool)
+    (Printf.sprintf "component spans overlap on two tracks (%d spans)"
+       (List.length spans))
+    true
+    (List.exists (fun a -> List.exists (overlap a) spans) spans)
+
+(* Both endpoints die while a job is in flight on each: both jobs are
+   lost and redone in-process (no local worker binary), the later
+   dials fail, and the build still equals the oracle. *)
+let test_tcp_fleet_killed_mid_build () =
+  with_dir @@ fun oracle_dir ->
+  let oracle =
+    with_closed_store oracle_dir (fun store ->
+        build ~mode:Threads ~cache:store Options.o4 1 matrix_sources)
+  in
+  with_env "CMO_WORKER_SLOW_S" "3.0" @@ fun () ->
+  with_fleet_pids 2 @@ fun members ->
+  with_env "CMO_DIST_WORKER" "/nonexistent/cmoc_worker" @@ fun () ->
+  let events0 = Distwork.events_total () in
+  let lost0 = Distwork.lost_total () in
+  (* A job's first two protocol events are sending it and starting to
+     wait for the answer, which takes seconds to come: four events
+     mean a job in flight on each endpoint. *)
+  let killer =
+    Thread.create
+      (fun () ->
+        let deadline = Unix.gettimeofday () +. 20.0 in
+        while
+          Distwork.events_total () - events0 < 4
+          && Unix.gettimeofday () < deadline
+        do
+          Thread.delay 0.01
+        done;
+        List.iter
+          (fun (pid, _) ->
+            try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+          members)
+      ()
+  in
+  with_dir @@ fun d ->
+  let b =
+    Fun.protect ~finally:(fun () -> Thread.join killer) @@ fun () ->
+    with_closed_store d (fun store ->
+        build ~mode:(Tcp (List.map snd members)) ~cache:store Options.o4 1
+          matrix_sources)
+  in
+  same_build "fleet killed mid-build = oracle" oracle b;
+  Alcotest.(check bool) "killed fleet store bytes = oracle's" true
+    (same_store_bytes d oracle_dir);
+  Alcotest.(check bool)
+    (Printf.sprintf "both in-flight jobs lost (%d)" (Distwork.lost_total () - lost0))
+    true
+    (Distwork.lost_total () - lost0 >= 2)
+
 (* ---------- the heartbeat thread ---------- *)
 
 (* A job's end releases the pulse thread at once: twenty 1 ms jobs
@@ -991,6 +1114,9 @@ let suite =
     ("build identity is 32 lowercase hex", `Quick, test_build_identity_shape);
     ("tcp pinned identity accepted", `Quick, test_tcp_pinned_identity_accepted);
     ("straggler redo", `Quick, test_tcp_straggler_redo);
+    ("tcp fleet width at j1", `Quick, test_tcp_fleet_width);
+    ("tcp fleet traced overlap", `Quick, test_tcp_fleet_traced_overlap);
+    ("tcp fleet killed mid-build", `Quick, test_tcp_fleet_killed_mid_build);
     ("pulse stop latency", `Quick, test_pulse_stop_latency);
     ("pulse cadence", `Quick, test_pulse_cadence);
     ("breaker retires dead endpoint", `Quick, test_breaker_retires_dead_endpoint);
