@@ -316,8 +316,6 @@ let remote_compile (front : front) sources =
   in
   let fail fmt = Printf.ksprintf (fun m -> raise (Pipeline.Compile_error m)) fmt in
   match Client.with_connect ~socket (fun c -> Client.build c req) with
-  | exception Unix.Unix_error (e, _, _) ->
-    fail "cannot reach cmocd at %s: %s" socket (Unix.error_message e)
   | exception Client.Protocol_error m -> fail "cmocd protocol error: %s" m
   | Proto.Rejected { reason; _ } -> fail "cmocd rejected the build: %s" reason
   | Proto.Failed { reason; _ } -> fail "cmocd build failed: %s" reason
@@ -1198,16 +1196,8 @@ let build_cmd =
       | Some s when front.options.Options.dist -> (
         match Client.connect ~socket:s with
         | c -> Some c
-        | exception Unix.Unix_error (e, _, _) ->
-          Logs.warn (fun f ->
-              f "remote cache at %s unreachable (%s); building without it"
-                s (Unix.error_message e));
-          None
         | exception Sys_error m ->
-          (* Netio.connect (tcp: sockets) reports exhausted retries
-             this way; same degradation either transport. *)
-          Logs.warn (fun f ->
-              f "remote cache at %s unreachable (%s); building without it" s m);
+          Logs.warn (fun f -> f "%s; building without the remote cache" m);
           None)
       | Some _ | None -> None
     in

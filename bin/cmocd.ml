@@ -117,7 +117,7 @@ let action socket jobs queue_max state_dir cache_capacity trace pid_file log =
 let cmd =
   let doc = "build-server daemon for the CMO toolchain" in
   Cmd.v
-    (Cmd.info "cmocd" ~version:"1.0" ~doc)
+    (Cmd.info "cmocd" ~version:("1.0 (build " ^ Cmo_buildid.id ^ ")") ~doc)
     Term.(ret (const action $ socket_arg $ jobs_arg $ queue_max_arg
                $ state_dir_arg $ cache_capacity_arg $ trace_arg $ pid_file_arg
                $ log_arg))

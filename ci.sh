@@ -34,7 +34,9 @@
 # builds, warm-cache hit rate rising, per-request crash isolation),
 # and a process-level cmocd smoke — daemon start, concurrent cmoc
 # --remote builds at j=1 and j=4 compared against a local one-shot,
-# one $CMO_FAULT chaos request that must fail alone, profiled remote
+# one $CMO_FAULT chaos request that must fail alone, one cmoc whose
+# greeting reports another build identity ($CMO_WORKER_FP) that must
+# be refused by name with status 1, profiled remote
 # builds (-P --profile, with and without --select 10, with --map)
 # compared against the same local commands, and a SIGTERM shutdown
 # that must remove the socket.  The distributed build is
@@ -239,6 +241,23 @@ fi
 "$CMOC" compile -O 4 -j 1 --remote --socket "$SOCK" --run --input 64,3 \
   "$SMOKE_DIR"/src/*.mc > "$SMOKE_DIR/retry.out"
 cmp "$SMOKE_DIR/local.out" "$SMOKE_DIR/retry.out"
+
+# Version skew: a cmoc reporting another build identity in its
+# greeting is refused by name, with exit status 1, and the daemon
+# keeps serving the next plain request byte-identically.
+set +e
+CMO_WORKER_FP=deadbeef "$CMOC" compile -O 4 --remote --socket "$SOCK" \
+  "$SMOKE_DIR"/src/*.mc > "$SMOKE_DIR/skew.out" 2>&1
+SKEW_STATUS=$?
+set -e
+if [ "$SKEW_STATUS" -ne 1 ] || ! grep -q "build identity deadbeef" "$SMOKE_DIR/skew.out"; then
+  echo "daemon smoke: skewed cmoc not refused by build identity (status $SKEW_STATUS):"
+  cat "$SMOKE_DIR/skew.out"
+  exit 1
+fi
+"$CMOC" compile -O 4 -j 1 --remote --socket "$SOCK" --run --input 64,3 \
+  "$SMOKE_DIR"/src/*.mc > "$SMOKE_DIR/after-skew.out"
+cmp "$SMOKE_DIR/local.out" "$SMOKE_DIR/after-skew.out"
 
 # The request carries the profile and every build option: profiled
 # remote builds, with and without selectivity, print exactly what the
@@ -568,12 +587,15 @@ echo "== TCP worker fleet smoke (process level) =="
 # oracle byte for byte, and tearing the workers down must leave no
 # stray processes.
 CMOC_WORKER=_build/default/bin/cmoc_worker.exe
-# Both tools of one tree embed one build identity: the one the parent
-# expects is the one every worker reports.
+# All three tools of one tree embed one build identity: the one a
+# parent or a daemon expects is the one every worker and client reports.
 CMOC_ID=$("$CMOC" --version | grep -o '[0-9a-f]\{32\}')
 WORKER_ID=$("$CMOC_WORKER" --version | grep -o '[0-9a-f]\{32\}')
-if [ -z "$CMOC_ID" ] || [ "$CMOC_ID" != "$WORKER_ID" ]; then
-  echo "fleet smoke: cmoc build identity '$CMOC_ID' != cmoc-worker's '$WORKER_ID'"
+CMOCD_ID=$("$CMOCD" --version | grep -o '[0-9a-f]\{32\}')
+if [ -z "$CMOC_ID" ] || [ "$CMOC_ID" != "$WORKER_ID" ] \
+  || [ "$CMOC_ID" != "$CMOCD_ID" ]; then
+  echo "fleet smoke: build identities differ: cmoc '$CMOC_ID'," \
+    "cmoc-worker '$WORKER_ID', cmocd '$CMOCD_ID'"
   exit 1
 fi
 FLEET_DIR=$(mktemp -d)

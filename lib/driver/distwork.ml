@@ -103,17 +103,6 @@ let optimize_subset ?phase_cache ?naim_repo ?hot_filter ?check_base
 
 (* --- wire messages ------------------------------------------------ *)
 
-(* The IL-codec generation this binary speaks.  Bumped whenever any
-   wire payload changes shape (job options, module encoding, message
-   set); a worker whose [wire_version] differs from the parent's is
-   version-skewed and must be refused, never mixed into artifacts. *)
-let wire_version = 2
-
-type hello = {
-  h_wire : int;  (* the worker's [wire_version] *)
-  h_digest : string;  (* the worker's build identity *)
-}
-
 type job = {
   job_options : Options.t;
   job_modules : string list;
@@ -144,7 +133,7 @@ type worker_msg =
   | Keep of string * string
   | Done of done_payload
   | Fail of string
-  | Hello of hello
+  | Hello of Greeting.t
   | Pulse
 
 let write_report w (r : Hlo.report) =
@@ -247,13 +236,6 @@ let encoded f v =
   f w v;
   Codec.Writer.contents w
 
-let decoded name f s =
-  let r = Codec.Reader.of_string s in
-  let v = f r in
-  if not (Codec.Reader.at_end r) then
-    Codec.Reader.corrupt (name ^ ": trailing bytes");
-  v
-
 let encode_parent =
   encoded (fun w -> function
     | Job j ->
@@ -276,7 +258,7 @@ let encode_parent =
       Codec.Writer.string w reason)
 
 let decode_parent =
-  decoded "parent message" (fun r ->
+  Codec.Reader.exact "parent message" (fun r ->
       match Codec.Reader.byte r with
       | 1 ->
         let job_options = Options.decode r in
@@ -321,14 +303,13 @@ let encode_worker =
     | Fail reason ->
       Codec.Writer.byte w 4;
       Codec.Writer.string w reason
-    | Hello h ->
+    | Hello g ->
       Codec.Writer.byte w 5;
-      Codec.Writer.uvarint w h.h_wire;
-      Codec.Writer.string w h.h_digest
+      Greeting.write w g
     | Pulse -> Codec.Writer.byte w 6)
 
 let decode_worker =
-  decoded "worker message" (fun r ->
+  Codec.Reader.exact "worker message" (fun r ->
       match Codec.Reader.byte r with
       | 1 -> Need (Codec.Reader.string r)
       | 2 ->
@@ -342,10 +323,7 @@ let decode_worker =
         let done_mem = read_mem r in
         Done { done_modules; done_report; done_lstats; done_mem }
       | 4 -> Fail (Codec.Reader.string r)
-      | 5 ->
-        let h_wire = Codec.Reader.uvarint r in
-        let h_digest = Codec.Reader.string r in
-        Hello { h_wire; h_digest }
+      | 5 -> Hello (Greeting.read r)
       | 6 -> Pulse
       | n -> Codec.Reader.corrupt (Printf.sprintf "bad worker tag %d" n))
 
@@ -436,14 +414,6 @@ let run_job_local ~phase_cache (job : job) =
     done_lstats = lstats;
     done_mem = summary_of_memstats mem;
   }
-
-(* The fingerprint this worker reports in its [Hello]: the build
-   identity compiled into it, overridable through [$CMO_WORKER_FP]
-   (the skew tests' lever — a spawned worker inherits the parent's
-   environment, so the override makes the {e reported} fingerprint
-   diverge from the identity the parent expects). *)
-let self_fingerprint () =
-  Option.value Options.env.Options.env_worker_fp ~default:Cmo_buildid.id
 
 (* Run [f] while a background thread sends [Pulse] every [hb] seconds
    — proof of life during a long optimization, so the parent can tell
@@ -550,8 +520,10 @@ let serve_conn in_fd out_fd =
   try
     (* The mandatory handshake: version and identity first, before any
        job bytes, so a skewed worker is refused before it can touch an
-       artifact. *)
-    send (Hello { h_wire = wire_version; h_digest = self_fingerprint () });
+       artifact.  A spawned worker inherits the parent's environment,
+       so [$CMO_WORKER_FP] makes the greeting it reports diverge from
+       the identity the parent expects (the skew tests' lever). *)
+    send (Hello (Greeting.own ()));
     serve ()
   with Relay_broken -> 2
 
@@ -639,30 +611,16 @@ let resolve_worker (env : Options.env) =
         (Filename.concat (Filename.concat dir Filename.parent_dir_name) "bin")
         "cmoc_worker.exe"
 
-(* The fingerprint the parent demands in every [Hello]:
-   [$CMO_DIST_EXPECT_FP] when set (fleet deployments pin it), else this
-   process's own build identity — which every worker built from the
-   same tree reports, whether or not a local worker binary exists. *)
-let expected_fingerprint (env : Options.env) =
-  Option.value env.Options.env_dist_expect_fp ~default:Cmo_buildid.id
+let default_timeout_s = 60.0
 
-let create_pool ?(jobs = 1) ?timeout_s ?workers () =
+let create_pool ?(jobs = 1) ?(timeout_s = default_timeout_s) ?(workers = [])
+    () =
   if Sys.os_type <> "Win32" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  (* Env knobs are re-read per pool (not the process-start snapshot in
+  (* The worker binary, the straggler deadline and the expected
+     identity are re-read per pool (not the process-start snapshot in
      [Options.env]): the robustness suites flip them between builds
      inside one process. *)
   let dyn = Options.from_env () in
-  let timeout_s =
-    match timeout_s with
-    | Some t -> t
-    | None -> (
-      match dyn.Options.env_dist_timeout with Some t -> t | None -> 60.0)
-  in
-  let workers =
-    match workers with
-    | Some ws -> ws
-    | None -> dyn.Options.env_dist_workers
-  in
   let endpoints =
     List.filter_map
       (fun addr ->
@@ -685,7 +643,7 @@ let create_pool ?(jobs = 1) ?timeout_s ?workers () =
             path));
   {
     bin;
-    expect_fp = expected_fingerprint dyn;
+    expect_fp = Greeting.expected dyn;
     timeout_s;
     deadline_s = dyn.Options.env_dist_deadline;
     endpoints;
@@ -697,9 +655,7 @@ let create_pool ?(jobs = 1) ?timeout_s ?workers () =
     conns = [];
   }
 
-let locked pool f =
-  Mutex.lock pool.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock pool.lock) f
+let locked pool f = Mutex.protect pool.lock f
 
 let same_conn a b = a.fd == b.fd
 
@@ -740,10 +696,11 @@ let note_endpoint_loss pool e =
               e.ep_fails)
       end)
 
-(* Reap a worker that is gone or no longer trustworthy.  SIGKILL is
-   idempotent on an already-dead pid within our waitpid window; a
-   remote loss feeds the endpoint's circuit breaker instead. *)
-let destroy pool w =
+(* Reap a worker that is gone or no longer trustworthy, and tell the
+   caller with [Worker_lost].  SIGKILL is idempotent on an already-dead
+   pid within our waitpid window; a remote loss feeds the endpoint's
+   circuit breaker instead. *)
+let lose_worker pool w =
   locked pool (fun () ->
       pool.conns <- List.filter (fun p -> not (same_conn p w)) pool.conns;
       pool.idle <- List.filter (fun p -> not (same_conn p w)) pool.idle);
@@ -754,7 +711,8 @@ let destroy pool w =
     (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
   | Net e -> note_endpoint_loss pool e);
   (try Unix.close w.fd with Unix.Unix_error _ -> ());
-  count lost_counter "lost"
+  count lost_counter "lost";
+  raise Worker_lost
 
 (* Consume the mandatory [Hello] on a fresh connection and verify the
    worker's version fingerprint.  A skewed worker is told why
@@ -778,30 +736,15 @@ let handshake pool w =
             e.ep_retired <- true;
             count retired_counter "retired"
           end));
-    destroy pool w;
-    raise Worker_lost
+    lose_worker pool w
   in
   match Netio.recv ~timeout_s:pool.timeout_s w.fd with
   | Ok payload -> (
     match decode_worker payload with
-    | Hello h ->
-      if h.h_wire <> wire_version then
-        refuse
-          (Printf.sprintf "wire version %d, this build speaks %d" h.h_wire
-             wire_version)
-      else if h.h_digest <> pool.expect_fp then
-        refuse
-          (Printf.sprintf "build identity %s, expected %s" h.h_digest
-             pool.expect_fp)
-    | _ ->
-      destroy pool w;
-      raise Worker_lost
-    | exception Codec.Reader.Corrupt _ ->
-      destroy pool w;
-      raise Worker_lost)
-  | Error (`Eof | `Bad _ | `Timeout) ->
-    destroy pool w;
-    raise Worker_lost
+    | Hello g ->
+      Result.iter_error refuse (Greeting.check ~expect:pool.expect_fp g)
+    | _ | (exception Codec.Reader.Corrupt _) -> lose_worker pool w)
+  | Error (`Eof | `Bad _ | `Timeout) -> lose_worker pool w
 
 let rotate n xs =
   if xs = [] then []
@@ -891,16 +834,12 @@ let protocol_event pool w =
   | Pass | Tripped -> ()
   | Fire (Kill, k) ->
     Log.debug (fun m -> m "injected kill of the active worker at event %d" k);
-    destroy pool w;
-    raise Worker_lost
+    lose_worker pool w
 
 let run_job pool ?phase_cache job =
   let w = checkout pool in
   let started = Unix.gettimeofday () in
-  let lose () =
-    destroy pool w;
-    raise Worker_lost
-  in
+  let lose () = lose_worker pool w in
   (* Straggler redo: the job has a deadline independent of the read
      timeout — heartbeats prove the worker is alive, but a partition
      must not wait on a live-but-slow machine when redoing the work

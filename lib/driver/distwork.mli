@@ -19,9 +19,8 @@
       ([cmoc-worker --listen host:port], dialed round-robin through
       {!Cmo_support.Netio}) alongside spawn-on-demand local
       processes, a mandatory {!worker_msg.Hello} handshake carrying
-      the worker's version fingerprint (wire-codec generation +
-      build identity — skewed workers are refused, never mixed into
-      artifacts), heartbeat/deadline health tracking ({!worker_msg.Pulse}
+      the worker's {!Greeting} (wire version + build identity —
+      skewed workers are refused, never mixed into artifacts), heartbeat/deadline health tracking ({!worker_msg.Pulse}
       proves a slow worker alive; a job past [$CMO_DIST_DEADLINE] is
       redone locally anyway — straggler redo), a consecutive-loss
       circuit breaker that retires a flaky endpoint, bounded read
@@ -67,24 +66,13 @@ val optimize_subset :
 
     Each message is one CMR1 frame ({!Cmo_support.Fsio.write_framed});
     the payload codecs below are exposed for the protocol fuzz suite.
-    The conversation opens with a mandatory worker {!Hello} (version
-    fingerprint; a skewed worker gets {!Refuse} and is discarded),
+    The conversation opens with a mandatory worker {!Hello} (the
+    shared {!Greeting}; a worker that fails {!Greeting.check} gets
+    {!Refuse} and is discarded),
     then alternates strictly: the parent sends {!Job}, then answers
     each worker {!Need}/{!Keep} with {!Have}/{!Ack} until {!Done} or
     {!Fail} arrives.  {!Pulse} heartbeats may arrive at any point of
     a job and carry no reply. *)
-
-val wire_version : int
-(** The wire-codec generation this binary speaks; bumped whenever any
-    payload changes shape.  A {!Hello} reporting a different value is
-    version skew and is refused. *)
-
-type hello = {
-  h_wire : int;  (** The worker's {!wire_version}. *)
-  h_digest : string;
-      (** The worker's build identity ({!Cmo_buildid.id}, or
-          [$CMO_WORKER_FP] when set). *)
-}
 
 type job = {
   job_options : Options.t;
@@ -132,7 +120,7 @@ type worker_msg =
   | Keep of string * string  (** Phase-cache add: key, payload. *)
   | Done of done_payload
   | Fail of string
-  | Hello of hello  (** First message on every connection. *)
+  | Hello of Greeting.t  (** First message on every connection. *)
   | Pulse
       (** Heartbeat, sent every [$CMO_WORKER_HB] seconds (default 5)
           while a job runs; proof of life for straggler detection. *)
@@ -157,9 +145,9 @@ val worker_main : Unix.file_descr -> Unix.file_descr -> 'a
     then the job loop — until {!parent_msg.Bye}, {!parent_msg.Refuse}
     or EOF, then exit 0; exit 2 on a protocol violation.
     [bin/cmoc_worker] calls this on stdin/stdout.  The
-    {!worker_msg.Hello} reports the build identity compiled into the
-    binary.  Environment levers, read through {!Options.env}:
-    [$CMO_WORKER_FP] overrides the reported identity (skew tests), [$CMO_WORKER_HB]
+    {!worker_msg.Hello} is {!Greeting.own}.  Environment levers, read
+    through {!Options.env}: [$CMO_WORKER_FP] overrides the reported
+    identity (skew tests), [$CMO_WORKER_HB]
     the heartbeat period in seconds (default 5, 0 disables),
     [$CMO_WORKER_SLOW_S] sleeps that long before each job (straggler
     tests).  Never returns. *)
@@ -213,17 +201,18 @@ val create_pool :
     handshake before their first job, all reused across jobs.  A job
     on a local process holds one of [jobs] (default 1) local slots
     until it ends, the slots {!with_local_slot} hands out, so work on
-    this host never runs wider than [jobs].  [timeout_s] (default
-    [$CMO_DIST_TIMEOUT], else 60) bounds every parent-side read — the
-    distributed build's hang bound.  [$CMO_DIST_DEADLINE] (default
-    none) is the straggler bound: a job unfinished after this long is
-    redone locally even while heartbeats prove its worker alive.
-    [workers] defaults to [$CMO_DIST_WORKERS].  Every knob is parsed
-    by {!Options.from_env} afresh for each pool.  An endpoint is
-    retired for the pool's life after 3 consecutive losses (any
-    completed job resets the count) or a version refusal: every
-    {!worker_msg.Hello} must report [$CMO_DIST_EXPECT_FP] when set,
-    else this process's own {!Cmo_buildid.id}.  Each send
+    this host never runs wider than [jobs].  [timeout_s] (default 60;
+    {!Pipeline} passes {!Options.t}[.dist_timeout]) bounds every
+    parent-side read — the distributed build's hang bound.  [workers]
+    (default none; {!Pipeline} passes {!Options.t}[.workers]) are the
+    TCP endpoints.  [$CMO_DIST_DEADLINE] (default none) is the
+    straggler bound: a job unfinished after this long is redone
+    locally even while heartbeats prove its worker alive.  It,
+    [$CMO_DIST_WORKER] and [$CMO_DIST_EXPECT_FP] are parsed by
+    {!Options.from_env} afresh for each pool.  An endpoint is retired
+    for the pool's life after 3 consecutive losses (any completed job
+    resets the count) or a version refusal: every {!worker_msg.Hello}
+    must pass {!Greeting.check} against {!Greeting.expected}.  Each send
     and each receive of {!run_job} is one event on the fault plan's
     [proc] clock, where [kill@K] destroys the active worker.
     @raise Unavailable when the worker binary does not exist and no

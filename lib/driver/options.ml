@@ -40,8 +40,8 @@ type env = {
   env_dist_workers : string list;  (* CMO_DIST_WORKERS: host:port,... *)
   env_dist_timeout : float option;  (* CMO_DIST_TIMEOUT: read deadline, s *)
   env_dist_deadline : float option;  (* CMO_DIST_DEADLINE: straggler bound, s *)
-  env_dist_expect_fp : string option;  (* CMO_DIST_EXPECT_FP: pinned Hello fp *)
-  env_worker_fp : string option;  (* CMO_WORKER_FP: fp a worker reports *)
+  env_dist_expect_fp : string option;  (* CMO_DIST_EXPECT_FP: pinned greeting id *)
+  env_worker_fp : string option;  (* CMO_WORKER_FP: greeting id reported *)
   env_worker_hb : float;  (* CMO_WORKER_HB, >= 0; else 5 *)
   env_worker_slow_s : float;  (* CMO_WORKER_SLOW_S, >= 0; else 0 *)
   env_worker_log : string option;  (* CMO_WORKER_LOG: worker log level *)

@@ -138,13 +138,16 @@ type env = {
           this long is redone locally even while the worker's
           heartbeats prove it alive.  Unset = no straggler redo. *)
   env_dist_expect_fp : string option;
-      (** [$CMO_DIST_EXPECT_FP] when non-empty: the fingerprint every
-          worker's [Hello] must report (fleet deployments pin it);
-          otherwise the parent's own build identity. *)
+      (** [$CMO_DIST_EXPECT_FP] when non-empty: the identity every
+          greeting this process receives must report — a worker's
+          [Hello] to a parent, a client's to [cmocd] (fleet
+          deployments pin it); otherwise the process's own build
+          identity ({!Greeting.expected}). *)
   env_worker_fp : string option;
-      (** [$CMO_WORKER_FP] when non-empty: the fingerprint a worker
-          reports in its [Hello] instead of its build identity (the
-          version-skew tests' lever). *)
+      (** [$CMO_WORKER_FP] when non-empty: the identity this process
+          reports in every greeting it sends instead of its build
+          identity — a worker's to its parent, [cmoc]'s to [cmocd]
+          (the version-skew tests' lever; {!Greeting.own}). *)
   env_worker_hb : float;
       (** [$CMO_WORKER_HB] when a float >= 0, else 5: a worker's
           heartbeat period in seconds while a job runs (0 disables). *)

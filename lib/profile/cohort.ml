@@ -309,8 +309,8 @@ module Diff = struct
     Codec.Writer.bool w (rep.r_verdict = Flip);
     Codec.Writer.contents w
 
-  let decode data =
-    let r = Codec.Reader.of_string data in
+  let decode =
+    Codec.Reader.exact "cohort report" @@ fun r ->
     let v = Codec.Reader.byte r in
     if v <> report_version then
       Codec.Reader.corrupt (Printf.sprintf "cohort report version %d" v);
@@ -325,8 +325,6 @@ module Diff = struct
     let r_shifts = deltas () in
     let r_max_shift = Codec.Reader.float r in
     let r_verdict = if Codec.Reader.bool r then Flip else No_flip in
-    if not (Codec.Reader.at_end r) then
-      Codec.Reader.corrupt "trailing bytes after cohort report";
     { r_threshold; r_base; r_canary; r_mod_in; r_mod_out; r_fun_in;
       r_fun_out; r_shifts; r_max_shift; r_verdict }
 

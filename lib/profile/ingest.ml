@@ -56,8 +56,8 @@ let encode_shard s =
   Codec.Writer.string w (Db.encode s.db);
   Codec.Writer.contents w
 
-let decode_shard data =
-  let r = Codec.Reader.of_string data in
+let decode_shard =
+  Codec.Reader.exact "profile shard" @@ fun r ->
   let v = Codec.Reader.byte r in
   if v <> shard_version then
     Codec.Reader.corrupt
@@ -68,8 +68,6 @@ let decode_shard data =
   let weight = Codec.Reader.float r in
   let age = Codec.Reader.uvarint r in
   let db = Db.decode (Codec.Reader.string r) in
-  if not (Codec.Reader.at_end r) then
-    Codec.Reader.corrupt "trailing bytes after profile shard";
   { meta = { source_fp; sample_rate; weight; age }; db }
 
 (* The skew test: a shard recorded against other sources is

@@ -1,3 +1,6 @@
+module Fsio = Cmo_support.Fsio
+module Netio = Cmo_support.Netio
+
 (* A client speaks to a daemon over a socket, or in-process to a
    registry directory through the daemon's own cohort handler. *)
 type link = Socket of Unix.file_descr | Registry of Cmo_profile.Cohort.t
@@ -8,29 +11,33 @@ exception Protocol_error of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Protocol_error m)) fmt
 
-(* A socket string is a Unix-domain path, or "tcp:HOST:PORT" to reach
-   a daemon on another machine (dialed through Netio: connect
-   deadline, bounded retry for transient errors — and the test
-   fault-injection chokepoint). *)
+(* A [tcp:] daemon is dialed through Netio: connect deadline, bounded
+   retry for transient errors — and the test fault-injection
+   chokepoint.  The greeting goes out at once, without waiting for an
+   answer: it travels ahead of the first request, so it costs no round
+   trip. *)
 let connect ~socket =
-  let fd =
-    if String.length socket > 4 && String.sub socket 0 4 = "tcp:" then
-      let rest = String.sub socket 4 (String.length socket - 4) in
-      match Cmo_support.Netio.parse_addr rest with
-      | Ok (host, port) -> Cmo_support.Netio.connect host port
-      | Error m -> raise (Sys_error m)
-    else begin
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try Unix.connect fd (Unix.ADDR_UNIX socket)
-       with e ->
-         (try Unix.close fd with Unix.Unix_error _ -> ());
-         raise e);
-      fd
-    end
-  in
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
-  { link = Socket fd; open_ = true }
+  let unreachable m =
+    raise (Sys_error (Printf.sprintf "cannot reach cmocd at %s: %s" socket m))
+  in
+  match
+    match Netio.tcp_of_socket socket with
+    | Some (host, port) -> (Netio.connect host port, None)
+    | None ->
+      (Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0, Some (Unix.ADDR_UNIX socket))
+  with
+  | exception Sys_error m -> unreachable m
+  | fd, path -> (
+    try
+      Option.iter (Unix.connect fd) path;
+      Fsio.write_framed fd
+        (Proto.string_of_request (Proto.Hello (Cmo_driver.Greeting.own ())));
+      { link = Socket fd; open_ = true }
+    with Unix.Unix_error (e, _, _) ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      unreachable (Unix.error_message e))
 
 let offline ~state_dir =
   { link = Registry (Server.registry ~state_dir); open_ = true }
@@ -52,15 +59,15 @@ let roundtrip t req =
   match t.link with
   | Registry reg -> Server.serve_cohort reg req
   | Socket fd -> (
-    (try Proto.write_message fd (Proto.string_of_request req)
+    (try Fsio.write_framed fd (Proto.string_of_request req)
      with Unix.Unix_error (e, _, _) ->
        fail "send failed: %s" (Unix.error_message e));
-    match Proto.read_message fd with
+    match Fsio.read_framed fd with
     | Ok payload -> (
       match Proto.response_of_string payload with
       | Ok resp -> resp
       | Error m -> fail "bad response: %s" m)
-    | Error `Eof -> fail "server closed the connection"
+    | Error (`Eof | `Timeout) -> fail "server closed the connection"
     | Error (`Bad m) -> fail "bad frame: %s" m)
 
 (* Every typed call's answer to a reply it does not expect. *)

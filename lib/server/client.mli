@@ -13,7 +13,10 @@ exception Protocol_error of string
     (bad frame, bad message, wrong reply shape, early close). *)
 
 val connect : socket:string -> t
-(** Raises [Unix.Unix_error] when the daemon is not there. *)
+(** Dial [socket] ({!Cmo_support.Netio.tcp_of_socket} grammar) and send
+    this process's {!Cmo_driver.Greeting.own} ahead of the first
+    request.  Raises [Sys_error] naming the socket when the address is
+    bad or the daemon is not there. *)
 
 val offline : state_dir:string -> t
 (** An in-process client over the cohort registry a daemon with this

@@ -1,5 +1,4 @@
 module Codec = Cmo_support.Codec
-module Fsio = Cmo_support.Fsio
 module Options = Cmo_driver.Options
 module Pipeline = Cmo_driver.Pipeline
 
@@ -12,6 +11,7 @@ type build_req = {
 }
 
 type request =
+  | Hello of Cmo_driver.Greeting.t
   | Ping
   | Build of build_req
   | Stats
@@ -62,15 +62,6 @@ type response =
 
 (* ---- binary encoding (Codec, same substrate as object files) ---- *)
 
-(* Retired message tags are never reused: request 2 (the build request
-   that carried a level/pbo/jobs/check subset instead of the full
-   options and profile) and response 2 (the build reply without the
-   image's routine order), requests 7/8 and responses 10/11 (the
-   anonymous fleet pack, now the "fleet" cohort) and response 12 (the
-   cohort listing that carried tags and snapshot flags), so a peer
-   built before their removal fails on a bad tag instead of misreading
-   the bytes. *)
-
 let write_sources w sources =
   Codec.Writer.list w
     (fun (s : Pipeline.source) ->
@@ -102,6 +93,9 @@ let read_build_req r =
 let string_of_request req =
   let w = Codec.Writer.create () in
   (match req with
+  | Hello g ->
+    Codec.Writer.byte w 14;
+    Cmo_driver.Greeting.write w g
   | Ping -> Codec.Writer.byte w 1
   | Build b ->
     Codec.Writer.byte w 13;
@@ -160,6 +154,7 @@ let request_of_reader r =
     let sources = read_sources r in
     Cohort_diff { base; canary; percent; threshold; sources }
   | 13 -> Build (read_build_req r)
+  | 14 -> Hello (Cmo_driver.Greeting.read r)
   | n -> Codec.Reader.corrupt (Printf.sprintf "bad request tag %d" n)
 
 let write_stats w (s : stats) =
@@ -279,33 +274,10 @@ let response_of_reader r =
   | n -> Codec.Reader.corrupt (Printf.sprintf "bad response tag %d" n)
 
 let decode of_reader payload =
-  match
-    let r = Codec.Reader.of_string payload in
-    let v = of_reader r in
-    if Codec.Reader.at_end r then v
-    else Codec.Reader.corrupt "trailing bytes after message"
-  with
+  match Codec.Reader.exact "message" of_reader payload with
   | v -> Ok v
   | exception Codec.Reader.Corrupt m -> Error m
 
 let request_of_string = decode request_of_reader
 
 let response_of_string = decode response_of_reader
-
-(* ---- socket framing: CMR1 records over a stream ---- *)
-
-let max_payload = 1 lsl 26 (* 64 MiB: far beyond any workload here *)
-
-(* The framed-fd transport itself lives in Fsio ([write_framed] /
-   [read_framed]) so the build-server protocol and the cmoc-worker
-   job protocol share one implementation — raw fd I/O on purpose,
-   outside the fault-injection chokepoint: a fault plan aimed at a
-   build must not corrupt the transport carrying it. *)
-let write_message fd payload = Fsio.write_framed fd payload
-
-let read_message fd =
-  match Fsio.read_framed ~max_payload fd with
-  | Ok payload -> Ok payload
-  | Error `Eof -> Error `Eof
-  | Error (`Bad m) -> Error (`Bad m)
-  | Error `Timeout -> assert false (* no timeout requested *)

@@ -7,7 +7,17 @@
     bit-flipped message fails the frame scan instead of decoding
     garbage.  Framing violations are fatal for a connection — unlike a
     record file there is no authority for where the next record
-    starts, so the peer closes rather than resynchronizing.
+    starts, so the peer closes rather than resynchronizing.  Both ends
+    frame with {!Cmo_support.Fsio.write_framed} and
+    {!Cmo_support.Fsio.read_framed} (64 MiB payload bound), raw fd I/O
+    outside the fault-injection chokepoint: a fault plan aimed at a
+    build must not corrupt the transport carrying it.
+
+    Every connection opens with the client's {!Hello}, sent ahead of
+    its first request without waiting for a reply.  After a greeting
+    that fails {!Cmo_driver.Greeting.check}, or a first frame that is
+    not one, the daemon answers every request on the connection with
+    [Failed], naming the reason.
 
     One request is outstanding per connection at a time (the client is
     synchronous); concurrency comes from multiple connections. *)
@@ -42,6 +52,9 @@ type build_req = {
 }
 
 type request =
+  | Hello of Cmo_driver.Greeting.t
+      (** The client's greeting: the first frame on every connection,
+          and only there. *)
   | Ping
   | Build of build_req
   | Stats
@@ -138,17 +151,3 @@ val request_of_string : string -> (request, string) result
 val string_of_response : response -> string
 val response_of_string : string -> (response, string) result
 (** Decoders reject bad tags, truncation and trailing bytes. *)
-
-val max_payload : int
-(** Frames advertising more than this many payload bytes are a
-    protocol violation (64 MiB). *)
-
-val write_message : Unix.file_descr -> string -> unit
-(** Frame and send one message payload.  Raises [Unix.Unix_error] on
-    transport failure (e.g. the peer vanished). *)
-
-val read_message : Unix.file_descr -> (string, [ `Eof | `Bad of string ]) result
-(** Read one framed message.  [`Eof] is a clean close between
-    messages; [`Bad] is a framing violation (bad magic, CRC mismatch,
-    oversized, or a close mid-frame) after which the connection is
-    unusable. *)

@@ -11,6 +11,7 @@ module Selectivity = Cmo_hlo.Selectivity
 module Options = Cmo_driver.Options
 module Pipeline = Cmo_driver.Pipeline
 module Buildsys = Cmo_driver.Buildsys
+module Greeting = Cmo_driver.Greeting
 module Objfile = Cmo_link.Objfile
 
 let log_src = Logs.Src.create "cmo.server" ~doc:"Build-server daemon"
@@ -35,17 +36,6 @@ let default_config =
     cache_capacity = None;
     trace = None;
   }
-
-(* A socket string is a Unix-domain path, or ["tcp:HOST:PORT"] — the
-   multi-machine transport, so the remote artifact/profile cache can
-   serve checkouts on other machines.  Port 0 binds an ephemeral
-   port; {!address} reports the actual one. *)
-let tcp_of_socket s =
-  if String.length s > 4 && String.sub s 0 4 = "tcp:" then
-    match Netio.parse_addr (String.sub s 4 (String.length s - 4)) with
-    | Ok hp -> Some hp
-    | Error m -> raise (Sys_error m)
-  else None
 
 (* Requests holding a fault plan run exclusively: plans are
    process-wide, so a plan meant for one request must not see another
@@ -89,6 +79,7 @@ type job = { req : Proto.build_req; reply : Proto.response -> unit }
 type t = {
   cfg : config;
   address : string;  (* the bound address: cfg.socket with a real port *)
+  expect : string;  (* the build identity every greeting must report *)
   listen_fd : Unix.file_descr;
   (* Self-pipe: [shutdown] writes a byte to [wake_w] so the accept
      thread parked in select(2) wakes deterministically. *)
@@ -119,12 +110,15 @@ type t = {
   mutable builder_threads : Thread.t list;
 }
 
+(* [f] on the session's current store, under [session_lock]. *)
+let with_store t f =
+  Mutex.protect t.session_lock (fun () -> f (Buildsys.session_store t.session))
+
 let stats t =
   let store_hits, store_misses =
-    Mutex.lock t.session_lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.session_lock) @@ fun () ->
+    with_store t @@ fun store ->
     let hits, misses =
-      match Buildsys.session_store t.session with
+      match store with
       | None -> (0, 0)
       | Some store ->
         let s = Store.stats store in
@@ -285,14 +279,11 @@ let execute t (b : Proto.build_req) =
       | Ok () -> ());
       Fun.protect build ~finally:(fun () ->
           Faults.clear ();
-          Mutex.lock t.session_lock;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock t.session_lock)
-            (fun () ->
+          with_store t (fun store ->
               (* Reopening discards the store's in-memory counters;
                  bank them first so stats stay cumulative across
                  chaos requests. *)
-              (match Buildsys.session_store t.session with
+              (match store with
               | None -> ()
               | Some store ->
                 let s = Store.stats store in
@@ -380,53 +371,51 @@ let conn_loop t id fd =
     (* Callers hold [lock]. *)
     if not !closed then begin
       closed := true;
-      Mutex.lock t.conns_lock;
-      Hashtbl.remove t.conns id;
-      Mutex.unlock t.conns_lock;
+      Mutex.protect t.conns_lock (fun () -> Hashtbl.remove t.conns id);
       try Unix.close fd with Unix.Unix_error _ -> ()
     end
   in
   let reply resp =
-    Mutex.lock lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock lock) @@ fun () ->
+    Mutex.protect lock @@ fun () ->
     if !closed then
       Log.debug (fun f -> f "conn %d: reply dropped, connection closed" id)
     else
-      try Proto.write_message fd (Proto.string_of_response resp)
+      try Fsio.write_framed fd (Proto.string_of_response resp)
       with Unix.Unix_error _ | Sys_error _ ->
         (* The client vanished; its build is already done or doomed. *)
         Log.debug (fun f -> f "conn %d: reply dropped, peer gone" id)
   in
-  let retain () =
-    Mutex.lock lock;
-    incr pending;
-    Mutex.unlock lock
-  in
+  let retain () = Mutex.protect lock (fun () -> incr pending) in
   let release () =
-    Mutex.lock lock;
+    Mutex.protect lock @@ fun () ->
     decr pending;
-    if !retired && !pending = 0 then close_conn ();
-    Mutex.unlock lock
+    if !retired && !pending = 0 then close_conn ()
   in
   let retire () =
-    Mutex.lock lock;
+    Mutex.protect lock @@ fun () ->
     retired := true;
-    if !pending = 0 then close_conn ();
-    Mutex.unlock lock
+    if !pending = 0 then close_conn ()
   in
-  let rec loop () =
-    match Proto.read_message fd with
-    | Error `Eof -> ()
+  let next () =
+    match Fsio.read_framed fd with
+    | Ok payload -> Some payload
+    | Error (`Eof | `Timeout) -> None
     | Error (`Bad m) ->
       (* Framing violation: answer if the pipe still works, then drop
          the connection — there is no trustworthy next-frame offset. *)
       Log.warn (fun f -> f "conn %d: bad frame (%s)" id m);
-      reply (refuse ("protocol: " ^ m))
-    | Ok payload -> (
+      reply (refuse ("protocol: " ^ m));
+      None
+  in
+  let rec loop () =
+    match next () with
+    | None -> ()
+    | Some payload -> (
       match Proto.request_of_string payload with
       | Error m ->
         Log.warn (fun f -> f "conn %d: bad message (%s)" id m);
         reply (refuse ("protocol: " ^ m))
+      | Ok (Proto.Hello _) -> reply (refuse "protocol: a second greeting")
       | Ok Proto.Ping ->
         reply Proto.Pong;
         loop ()
@@ -445,12 +434,7 @@ let conn_loop t id fd =
       | Ok (Proto.Cache_get { key }) ->
         let data =
           with_shared t.gate @@ fun () ->
-          Mutex.lock t.session_lock;
-          Fun.protect ~finally:(fun () -> Mutex.unlock t.session_lock)
-          @@ fun () ->
-          match Buildsys.session_store t.session with
-          | None -> None
-          | Some store -> Store.find store key
+          with_store t (Option.fold ~none:None ~some:(fun s -> Store.find s key))
         in
         if Obs.enabled () then
           Obs.tick "server"
@@ -463,12 +447,7 @@ let conn_loop t id fd =
         loop ()
       | Ok (Proto.Cache_put { key; data }) ->
         (with_shared t.gate @@ fun () ->
-         Mutex.lock t.session_lock;
-         Fun.protect ~finally:(fun () -> Mutex.unlock t.session_lock)
-         @@ fun () ->
-         match Buildsys.session_store t.session with
-         | None -> ()
-         | Some store -> Store.add store key data);
+         with_store t (Option.iter (fun s -> Store.add s key data)));
         if Obs.enabled () then Obs.tick "server" "cache_puts" 1;
         reply Proto.Cache_stored;
         loop ()
@@ -512,7 +491,38 @@ let conn_loop t id fd =
         end;
         loop ())
   in
-  Fun.protect loop ~finally:retire
+  (* A refused connection's frames are answered with the reason and
+     never decoded: a client of another build is refused by name, not
+     misread in a layout it does not share. *)
+  let rec refusing reason =
+    reply (refuse reason);
+    Option.iter (fun _ -> refusing reason) (next ())
+  in
+  let refused reason =
+    Log.warn (fun f -> f "conn %d: refusing the client: %s" id reason);
+    "cmocd refused this client: " ^ reason
+  in
+  (* The first frame must be a greeting that passes [Greeting.check].
+     It gets no answer, so the client sends it ahead of its first
+     request. *)
+  let greeted () =
+    match Option.map Proto.request_of_string (next ()) with
+    | None -> ()
+    | Some (Ok (Proto.Hello g)) -> (
+      match Greeting.check ~expect:t.expect g with
+      | Ok () -> loop ()
+      | Error reason ->
+        let reason = refused reason in
+        Option.iter (fun _ -> refusing reason) (next ()))
+    | Some _ ->
+      refusing
+        (refused
+           (Printf.sprintf
+              "no greeting before its first request (a cmoc of another \
+               build?); this daemon expects build identity %s"
+              t.expect))
+  in
+  Fun.protect greeted ~finally:retire
 
 let accept_loop t =
   let next_conn = ref 0 in
@@ -545,9 +555,7 @@ let accept_loop t =
           | fd, _ ->
             incr next_conn;
             let id = !next_conn in
-            Mutex.lock t.conns_lock;
-            Hashtbl.replace t.conns id fd;
-            Mutex.unlock t.conns_lock;
+            Mutex.protect t.conns_lock (fun () -> Hashtbl.replace t.conns id fd);
             ignore (Thread.create (fun () -> conn_loop t id fd) ());
             loop ())
         else loop ()
@@ -556,7 +564,7 @@ let accept_loop t =
 
 let start ?(handle_signals = false) cfg =
   if cfg.builders < 1 then invalid_arg "Server.start: builders < 1";
-  let tcp = tcp_of_socket cfg.socket in
+  let tcp = Netio.tcp_of_socket cfg.socket in
   (* A stale socket file from a dead daemon would make bind fail —
      but only unlink it after probing that nothing answers on it, so
      a second cmocd pointed at a live daemon's socket refuses to
@@ -628,6 +636,7 @@ let start ?(handle_signals = false) cfg =
     {
       cfg;
       address;
+      expect = Greeting.expected Options.env;
       listen_fd;
       wake_r;
       wake_w;
@@ -690,15 +699,16 @@ let wait t =
   List.iter Thread.join t.builder_threads;
   (* In-flight and queued work is done; cut the remaining readers
      loose (their threads exit on the resulting EOF/error). *)
-  Mutex.lock t.conns_lock;
-  let fds = Hashtbl.fold (fun _ fd acc -> fd :: acc) t.conns [] in
-  Mutex.unlock t.conns_lock;
+  let fds =
+    Mutex.protect t.conns_lock (fun () ->
+        Hashtbl.fold (fun _ fd acc -> fd :: acc) t.conns [])
+  in
   List.iter
     (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
     fds;
   Buildsys.close_session t.session;
-  if tcp_of_socket t.cfg.socket = None && Sys.file_exists t.cfg.socket then (
-    try Unix.unlink t.cfg.socket with Unix.Unix_error _ -> ());
+  if Netio.tcp_of_socket t.cfg.socket = None && Sys.file_exists t.cfg.socket
+  then (try Unix.unlink t.cfg.socket with Unix.Unix_error _ -> ());
   (match t.cfg.trace with
   | None -> ()
   | Some path ->

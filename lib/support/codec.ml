@@ -175,4 +175,10 @@ module Reader = struct
   let option t read_elem = if bool t then Some (read_elem t) else None
 
   let at_end t = t.pos = String.length t.data
+
+  let exact what read data =
+    let t = of_string data in
+    let v = read t in
+    if not (at_end t) then corrupt ("trailing bytes after " ^ what);
+    v
 end

@@ -64,6 +64,12 @@ module Reader : sig
       it exceeds the remaining input. *)
 
   val at_end : t -> bool
+
+  val exact : string -> (t -> 'a) -> string -> 'a
+  (** [exact what read data] decodes all of [data] with [read].
+      @raise Corrupt on malformed input and, naming [what], on bytes
+      left over after the value. *)
+
   val corrupt : string -> 'a
   (** [corrupt msg] raises {!Corrupt}; for use by client decoders. *)
 end

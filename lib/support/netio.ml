@@ -14,6 +14,13 @@ let parse_addr s =
     | Some p when p >= 0 && p <= 65535 && host <> "" -> Ok (host, p)
     | _ -> Error (Printf.sprintf "bad address %S (want HOST:PORT)" s))
 
+let tcp_of_socket s =
+  if not (String.starts_with ~prefix:"tcp:" s) then None
+  else
+    match parse_addr (String.sub s 4 (String.length s - 4)) with
+    | Ok hp -> Some hp
+    | Error m -> raise (Sys_error m)
+
 let resolve host =
   match Unix.inet_addr_of_string host with
   | addr -> addr

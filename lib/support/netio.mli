@@ -42,6 +42,12 @@ val parse_addr : string -> (string * int, string) result
 val format_addr : string -> int -> string
 (** [format_addr host port] is ["host:port"]. *)
 
+val tcp_of_socket : string -> (string * int) option
+(** The [cmocd] socket grammar, for the daemon and its clients alike:
+    ["tcp:HOST:PORT"] is [Some (host, port)], anything else a
+    Unix-domain socket path ([None]).
+    @raise Sys_error on a [tcp:] address {!parse_addr} rejects. *)
+
 (** {2 Connections} *)
 
 val connect : ?timeout_s:float -> string -> int -> Unix.file_descr

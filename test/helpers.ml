@@ -121,6 +121,14 @@ let flip_byte s i bits =
 
 let truncated s k = String.sub s 0 (min (max k 0) (String.length s))
 
+(* Whether [sub] occurs anywhere in [s]. *)
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
 (* One corruption event: which file (index/payload — reinterpret
    freely as any two-target choice), truncate or flip, a relative
    position in [0,1], and a non-zero bit mask. *)

@@ -386,9 +386,37 @@ let test_string_length_overflow () =
     [ ("negative length", String.make 8 '\xff' ^ "\x7fabc");
       ("wrapping length", String.make 8 '\xff' ^ "\x3fabc") ]
 
+(* [Reader.exact] is the one "decode, then refuse leftovers" rule of
+   every wire and file decoder: the whole input gives the value, a
+   byte past it is corruption naming what was decoded, and a short
+   input is the reader's own truncation. *)
+let test_exact () =
+  let w = Codec.Writer.create () in
+  Codec.Writer.string w "payload";
+  Codec.Writer.uvarint w 300;
+  let data = Codec.Writer.contents w in
+  let read r =
+    let s = Codec.Reader.string r in
+    let n = Codec.Reader.uvarint r in
+    Printf.sprintf "%s/%d" s n
+  in
+  let run data =
+    outcome_to_string (run_new (fun () -> Codec.Reader.exact "pair" read data))
+  in
+  Alcotest.(check string) "whole input"
+    (outcome_to_string (Value "payload/300"))
+    (run data);
+  Alcotest.(check string) "one byte too many"
+    (outcome_to_string (Corrupt "trailing bytes after pair"))
+    (run (data ^ "\x00"));
+  Alcotest.(check string) "one byte short"
+    (outcome_to_string (Corrupt "unexpected end of input"))
+    (run (String.sub data 0 (String.length data - 1)))
+
 let suite =
   [
     Helpers.to_alcotest test_streams;
     Helpers.to_alcotest test_routines;
     ("codec: string length overflow is corruption", `Quick, test_string_length_overflow);
+    ("codec: exact decoding refuses trailing bytes", `Quick, test_exact);
   ]

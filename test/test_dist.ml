@@ -157,13 +157,14 @@ let gen_parent_msg =
         (2, map (fun r -> Distwork.Refuse r) gen_wire_string);
       ])
 
-(* Hello fingerprints range over arbitrary strings and wire versions
-   over arbitrary naturals — the handshake decoder must survive (and
-   round-trip) anything a skewed peer could legitimately encode. *)
+(* Greeting identities range over arbitrary strings and wire versions
+   over arbitrary naturals — the shared greeting codec must survive
+   (and round-trip) anything a skewed peer could legitimately
+   encode. *)
 let gen_hello =
   QCheck.Gen.(
     map2
-      (fun h_wire h_digest -> { Distwork.h_wire; h_digest })
+      (fun wire identity -> { Cmo_driver.Greeting.wire; identity })
       gen_nat gen_wire_string)
 
 let gen_worker_msg =

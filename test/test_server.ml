@@ -8,6 +8,7 @@
    bad-profile isolation, graceful shutdown. *)
 
 module Fsio = Cmo_support.Fsio
+module Greeting = Cmo_driver.Greeting
 module Options = Cmo_driver.Options
 module Pipeline = Cmo_driver.Pipeline
 module Buildsys = Cmo_driver.Buildsys
@@ -47,6 +48,8 @@ let gen_request =
   let open QCheck.Gen in
   oneof
     [
+      (let* wire = 0 -- 1000 and* identity = gen_string in
+       return (Proto.Hello { Greeting.wire; identity }));
       return Proto.Ping;
       return Proto.Stats;
       return Proto.Shutdown;
@@ -212,17 +215,19 @@ let with_socketpair f =
       try Unix.close b with Unix.Unix_error _ -> ())
     (fun () -> f a b)
 
+(* The daemon and its clients frame messages with [Fsio.write_framed]
+   and [Fsio.read_framed] directly. *)
 let test_read_message () =
   (* Round trip. *)
   with_socketpair (fun a b ->
-      Proto.write_message a "payload bytes";
-      match Proto.read_message b with
+      Fsio.write_framed a "payload bytes";
+      match Fsio.read_framed b with
       | Ok p -> Alcotest.(check string) "round trip" "payload bytes" p
-      | Error _ -> Alcotest.fail "read_message failed on a good frame");
+      | Error _ -> Alcotest.fail "read_framed failed on a good frame");
   (* Clean close between messages is Eof. *)
   with_socketpair (fun a b ->
       Unix.close a;
-      match Proto.read_message b with
+      match Fsio.read_framed b with
       | Error `Eof -> ()
       | _ -> Alcotest.fail "clean close was not Eof");
   (* Garbage bytes are a framing violation. *)
@@ -230,19 +235,20 @@ let test_read_message () =
       let junk = "NOPE this is not a frame at all........" in
       ignore (Unix.write_substring a junk 0 (String.length junk));
       Unix.close a;
-      match Proto.read_message b with
+      match Fsio.read_framed b with
       | Error (`Bad _) -> ()
       | Ok _ -> Alcotest.fail "garbage decoded as a message"
-      | Error `Eof -> Alcotest.fail "garbage read as clean Eof");
+      | Error (`Eof | `Timeout) -> Alcotest.fail "garbage read as clean Eof");
   (* A short read — close mid-frame — is Bad, not Eof: the peer died
      inside a message. *)
   with_socketpair (fun a b ->
       let f = Fsio.frame "cut off" in
       ignore (Unix.write_substring a f 0 7);
       Unix.close a;
-      match Proto.read_message b with
+      match Fsio.read_framed b with
       | Error (`Bad _) -> ()
-      | Ok _ | Error `Eof -> Alcotest.fail "torn frame not reported as Bad")
+      | Ok _ | Error (`Eof | `Timeout) ->
+        Alcotest.fail "torn frame not reported as Bad")
 
 (* --- the scheduler ------------------------------------------------- *)
 
@@ -765,6 +771,84 @@ let test_daemon_clamps_jobs () =
       (Some (float_of_int cap)) workers_used
   | _ -> Alcotest.fail "wide build did not complete"
 
+(* --- the greeting --------------------------------------------------- *)
+
+(* Raw frames on one connection to an in-process daemon: what a client
+   of another build, or one from before the greeting, puts on the
+   wire. *)
+let with_raw_conn f =
+  with_dir @@ fun dir ->
+  let config =
+    {
+      Server.socket = Filename.concat dir "cmocd.sock";
+      builders = 1;
+      queue_max = 4;
+      state_dir = Filename.concat dir "state";
+      cache_capacity = None;
+      trace = None;
+    }
+  in
+  let t = Server.start config in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.shutdown t;
+      Server.wait t)
+  @@ fun () ->
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_UNIX config.Server.socket);
+  let send req = Fsio.write_framed fd (Proto.string_of_request req) in
+  let ask req =
+    send req;
+    match Fsio.read_framed fd with
+    | Ok payload -> (
+      match Proto.response_of_string payload with
+      | Ok resp -> resp
+      | Error m -> Alcotest.failf "bad response: %s" m)
+    | Error _ -> Alcotest.fail "the daemon closed the connection"
+  in
+  f send ask
+
+(* Every request after a greeting of another build is [Failed], and
+   the reason names both identities. *)
+let test_greeting_skewed_identity () =
+  with_raw_conn @@ fun send ask ->
+  let expect = Greeting.expected Options.env in
+  send
+    (Proto.Hello
+       { Greeting.wire = Greeting.wire_version; identity = "deadbeef" });
+  List.iter
+    (fun (what, req) ->
+      match ask req with
+      | Proto.Failed { reason; _ } ->
+        Alcotest.(check bool)
+          (what ^ " refusal names both identities: " ^ reason)
+          true
+          (Helpers.contains ~sub:"deadbeef" reason
+          && Helpers.contains ~sub:expect reason)
+      | _ -> Alcotest.failf "%s after a skewed greeting was served" what)
+    [ ("Ping", Proto.Ping); ("a second request", Proto.Stats) ]
+
+(* A client from before the greeting opens with a bare request: it is
+   refused, naming the missing greeting, instead of served. *)
+let test_greeting_missing () =
+  with_raw_conn @@ fun _send ask ->
+  match ask Proto.Ping with
+  | Proto.Failed { reason; _ } ->
+    Alcotest.(check bool)
+      ("refusal names the missing greeting: " ^ reason)
+      true
+      (Helpers.contains ~sub:"greeting" reason)
+  | Proto.Pong -> Alcotest.fail "a bare Ping with no greeting got Pong"
+  | _ -> Alcotest.fail "a bare Ping got an unexpected reply"
+
+let test_greeting_matching () =
+  with_raw_conn @@ fun send ask ->
+  send (Proto.Hello (Greeting.own ()));
+  match ask Proto.Ping with
+  | Proto.Pong -> ()
+  | _ -> Alcotest.fail "a matching greeting then Ping did not get Pong"
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_request_roundtrip;
@@ -788,4 +872,10 @@ let suite =
     Alcotest.test_case "daemon end to end over tcp" `Quick test_end_to_end_tcp;
     Alcotest.test_case "daemon clamps request jobs" `Quick
       test_daemon_clamps_jobs;
+    Alcotest.test_case "greeting of another build is refused" `Quick
+      test_greeting_skewed_identity;
+    Alcotest.test_case "request without a greeting is refused" `Quick
+      test_greeting_missing;
+    Alcotest.test_case "matching greeting is served" `Quick
+      test_greeting_matching;
   ]
