@@ -470,7 +470,9 @@ let passes () =
         ignore (timed "llo: Layout.run" (fun () -> Llo.Layout.run f));
         let vc = timed "llo: Isel.select" (fun () -> Llo.Isel.select ~module_name:"m" f) in
         ignore (timed "llo: Sched.run" (fun () -> Llo.Sched.run vc));
-        ignore (timed "llo: Regalloc.run" (fun () -> Llo.Regalloc.run vc)))
+        let allocated = timed "llo: Regalloc.run" (fun () -> Llo.Regalloc.run vc) in
+        ignore (timed "llo: Peephole.run" (fun () -> Llo.Peephole.run allocated.Llo.Regalloc.vcode));
+        ignore (timed "llo: Codegen.emit" (fun () -> Llo.Codegen.emit allocated)))
       funcs;
     (* NAIM's round trip and size charge, and profile correlation, over
        all the routines at once.  Correlation annotates copies, so the

@@ -27,8 +27,12 @@
 # cases) and the VM-oracle properties (suite "vm": random machine
 # images run by the pre-decoded VM and by test/ref_vm.ml under five
 # cost models, with attribution on and off, must give equal outcomes
-# or the same Fault messages), each at ten times its default case
-# count (QCHECK_LONG=1).
+# or the same Fault messages) and the back-end-oracle properties
+# (suite "backend": scheduling, register allocation with its
+# intervals, peephole and code emission of generated programs' routines
+# and of random spill-heavy machine code held to test/ref_llo.ml: equal
+# machine code, counts and callee-saved sets), each at ten times its
+# default case count (QCHECK_LONG=1).
 # Finally the build server is exercised twice: the in-process
 # edit-storm smoke (concurrent clients held byte-identical to one-shot
 # builds, warm-cache hit rate rising, per-request crash isolation),
@@ -176,6 +180,9 @@ CMO_FUZZ_SEED=1 QCHECK_LONG=1 dune exec test/test_main.exe -- test codec
 
 echo "== vm-oracle property (fixed seed, 10x cases) =="
 CMO_FUZZ_SEED=1 QCHECK_LONG=1 dune exec test/test_main.exe -- test vm
+
+echo "== backend-oracle property (fixed seed, 10x cases) =="
+CMO_FUZZ_SEED=1 QCHECK_LONG=1 dune exec test/test_main.exe -- test backend
 
 echo "== edit-storm smoke (in-process daemon, concurrent clients) =="
 dune exec bench/main.exe -- storm-smoke

@@ -52,23 +52,6 @@ type func_code = {
   src_lines : int;
 }
 
-let defs = function
-  | Li (d, _) | Mv (d, _) | Op (_, d, _, _) | Opi (_, d, _, _) | Un (_, d, _)
-  | Ld (d, _, _) | Lga (d, _) -> [ d ]
-  | Sys _ -> [ reg_rv ]
-  | St _ | B _ | Bz _ | Bnz _ | Call_sym _ | Call_abs _ | Ret | Adjsp _
-  | Cnt _ | Halt -> []
-
-let uses = function
-  | Li _ | Lga _ | B _ | Call_sym _ | Call_abs _ | Adjsp _ | Cnt _ | Halt -> []
-  | Mv (_, s) | Un (_, _, s) | Opi (_, _, s, _) -> [ s ]
-  | Op (_, _, a, b) -> [ a; b ]
-  | Ld (_, base, _) -> [ base ]
-  | St (v, base, _) -> [ v; base ]
-  | Bz (r, _) | Bnz (r, _) -> [ r ]
-  | Sys _ -> [ reg_arg 0 ]
-  | Ret -> [ reg_rv ]
-
 let uses_mask = function
   | Li _ | Lga _ | B _ | Call_sym _ | Call_abs _ | Adjsp _ | Cnt _ | Halt -> 0
   | Mv (_, s) | Un (_, _, s) | Opi (_, _, s, _) | Ld (_, s, _) | Bz (s, _) | Bnz (s, _) ->
@@ -77,19 +60,29 @@ let uses_mask = function
   | Sys _ -> 1 lsl reg_arg 0
   | Ret -> 1 lsl reg_rv
 
-let map_defs_uses ~fdef ~fuse = function
-  | Li (d, i) -> Li (fdef d, i)
-  | Mv (d, s) -> Mv (fdef d, fuse s)
-  | Op (op, d, a, b) -> Op (op, fdef d, fuse a, fuse b)
-  | Opi (op, d, s, i) -> Opi (op, fdef d, fuse s, i)
-  | Un (op, d, s) -> Un (op, fdef d, fuse s)
-  | Ld (d, b, o) -> Ld (fdef d, fuse b, o)
-  | St (v, b, o) -> St (fuse v, fuse b, o)
-  | Lga (d, s) -> Lga (fdef d, s)
-  | Bz (r, t) -> Bz (fuse r, t)
-  | Bnz (r, t) -> Bnz (fuse r, t)
-  | ( B _ | Call_sym _ | Call_abs _ | Sys _ | Ret | Adjsp _ | Cnt _ | Halt ) as i
-    -> i
+let iter_defs f = function
+  | Li (d, _) | Mv (d, _) | Op (_, d, _, _) | Opi (_, d, _, _) | Un (_, d, _)
+  | Ld (d, _, _) | Lga (d, _) -> f d
+  | Sys _ -> f reg_rv
+  | St _ | B _ | Bz _ | Bnz _ | Call_sym _ | Call_abs _ | Ret | Adjsp _
+  | Cnt _ | Halt -> ()
+
+let iter_uses f = function
+  | Li _ | Lga _ | B _ | Call_sym _ | Call_abs _ | Adjsp _ | Cnt _ | Halt -> ()
+  | Mv (_, s) | Un (_, _, s) | Opi (_, _, s, _) | Ld (_, s, _) | Bz (s, _) | Bnz (s, _) ->
+    f s
+  | Op (_, _, a, b) | St (a, b, _) -> f a; f b
+  | Sys _ -> f (reg_arg 0)
+  | Ret -> f reg_rv
+
+let to_list iter i =
+  let regs = ref [] in
+  iter (fun r -> regs := r :: !regs) i;
+  List.rev !regs
+
+let defs = to_list iter_defs
+
+let uses = to_list iter_uses
 
 let retarget f = function
   | B t -> B (f t)

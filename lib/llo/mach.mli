@@ -86,10 +86,11 @@ val uses_mask : instr -> int
 (** [uses] as a bitmask (bit [r] for register [r]), built without a
     list; meaningful for physical registers only. *)
 
-val map_defs_uses : fdef:(reg -> reg) -> fuse:(reg -> reg) -> instr -> instr
-(** Rewrite destination and source registers through different
-    functions — needed when a spilled register is both read and
-    written by one instruction. *)
+val iter_defs : (reg -> unit) -> instr -> unit
+val iter_uses : (reg -> unit) -> instr -> unit
+(** [defs] and [uses] without the list: [f] sees each register in
+    the list's order, a register read twice twice.  The dense back
+    end's operand walk. *)
 
 val retarget : (int -> int) -> instr -> instr
 (** Rewrite branch/call-absolute targets. *)

@@ -6,152 +6,205 @@ let is_barrier = function
 
 let is_load = function Mach.Ld _ -> true | _ -> false
 
-(* Per-register dependence state, shared by every segment of a
-   routine and indexed by register (every register, physical or
-   virtual, is below [next_vreg]): the segment index of the
-   register's last writer (-1 for none) and the readers since that
-   write.  A segment resets the slots it touched. *)
-type regs = { writer : int array; readers : int list array }
-
-(* Schedule one barrier-free segment; returns instructions in the new
-   order plus how many changed relative position. *)
-let schedule_segment regs instrs =
-  let n = Array.length instrs in
-  if n <= 2 then (Array.to_list instrs, 0)
-  else begin
-    (* Dependence edges i -> j (i before j), built in one pass: j
-       depends on the last writer of each register it reads or
-       writes, on every reader since that write of a register it
-       writes, on the last store, and — for a store — on every load
-       since that store.  Each is one of the pairwise RAW/WAR/WAW or
-       memory-order pairs, and every pair the pairwise test would add
-       is implied by a chain of these, so critical-path heights and
-       the ready set are the same.  [last_src.(i) = j] marks an edge
-       i -> j already added. *)
-    let succs = Array.make n [] in
-    let preds_count = Array.make n 0 in
-    let last_src = Array.make n (-1) in
-    let edge i j =
-      if i >= 0 && last_src.(i) <> j then begin
-        last_src.(i) <- j;
-        succs.(i) <- j :: succs.(i);
-        preds_count.(j) <- preds_count.(j) + 1
-      end
-    in
-    let uses = Array.map Mach.uses instrs and defs = Array.map Mach.defs instrs in
-    let last_store = ref (-1) and loads_since = ref [] in
-    for j = 0 to n - 1 do
-      List.iter (fun r -> edge regs.writer.(r) j) uses.(j);
-      List.iter
-        (fun r ->
-          edge regs.writer.(r) j;
-          List.iter (fun i -> edge i j) regs.readers.(r))
-        defs.(j);
-      List.iter (fun r -> regs.readers.(r) <- j :: regs.readers.(r)) uses.(j);
-      List.iter
-        (fun r ->
-          regs.writer.(r) <- j;
-          regs.readers.(r) <- [])
-        defs.(j);
-      match instrs.(j) with
-      | Mach.Ld _ ->
-        edge !last_store j;
-        loads_since := j :: !loads_since
-      | Mach.St _ ->
-        edge !last_store j;
-        List.iter (fun i -> edge i j) !loads_since;
-        last_store := j;
-        loads_since := []
-      | _ -> ()
-    done;
-    let reset r =
-      regs.writer.(r) <- -1;
-      regs.readers.(r) <- []
-    in
-    Array.iter (List.iter reset) uses;
-    Array.iter (List.iter reset) defs;
-    (* Critical-path height: loads weigh extra (their consumers wait). *)
-    let height = Array.make n 1 in
-    for i = n - 1 downto 0 do
-      let weight = if is_load instrs.(i) then 2 else 1 in
-      let best =
-        List.fold_left (fun acc j -> max acc height.(j)) 0 succs.(i)
-      in
-      height.(i) <- weight + best
-    done;
-    (* Greedy list scheduling. *)
-    let scheduled = ref [] in
-    let emitted = Array.make n false in
-    let remaining = ref n in
-    let last_load_dst = ref (-1) in
-    let moved = ref 0 in
-    let next_orig = ref 0 in
-    while !remaining > 0 do
-      (* Ready = all predecessors emitted. *)
-      let ready = ref [] in
-      for i = n - 1 downto 0 do
-        if (not emitted.(i)) && preds_count.(i) = 0 then ready := i :: !ready
-      done;
-      let stalls i =
-        !last_load_dst >= 0 && List.mem !last_load_dst uses.(i)
-      in
-      let better a b =
-        (* Prefer non-stalling, then higher critical path, then
-           original order. *)
-        match (stalls a, stalls b) with
-        | false, true -> true
-        | true, false -> false
-        | _ ->
-          if height.(a) <> height.(b) then height.(a) > height.(b) else a < b
-      in
-      let pick =
-        match !ready with
-        | [] -> assert false
-        | first :: rest ->
-          List.fold_left (fun best i -> if better i best then i else best) first rest
-      in
-      emitted.(pick) <- true;
-      List.iter (fun j -> preds_count.(j) <- preds_count.(j) - 1) succs.(pick);
-      scheduled := instrs.(pick) :: !scheduled;
-      last_load_dst :=
-        (match instrs.(pick) with Mach.Ld (d, _, _) -> d | _ -> -1);
-      if pick <> !next_orig then incr moved;
-      (* Track the next original index among unemitted for the moved
-         metric. *)
-      while !next_orig < n && emitted.(!next_orig) do
-        incr next_orig
-      done;
-      decr remaining
-    done;
-    (List.rev !scheduled, !moved)
-  end
-
 let run (vc : Isel.vcode) =
-  let moved = ref 0 in
-  let regs =
-    { writer = Array.make vc.Isel.next_vreg (-1); readers = Array.make vc.Isel.next_vreg [] }
+  (* One scratch workspace per routine, sized for its longest block
+     (no segment is longer) and reused by every segment.  Arrays
+     named by instruction are indexed by position in the segment. *)
+  let cap =
+    List.fold_left (fun m (b : Isel.vblock) -> max m (List.length b.Isel.body)) 0 vc.Isel.vblocks
   in
+  let instrs = Array.make cap Mach.Halt and out = Array.make cap Mach.Halt in
+  (* A segment instruction reads at most two registers and writes at
+     most one ([-1]: none). *)
+  let use0 = Array.make cap (-1) and use1 = Array.make cap (-1) and def = Array.make cap (-1) in
+  (* Per register (every register, physical or virtual, is below
+     [next_vreg]): the segment index of its last writer, and the
+     newest of the reads since that write.  Read [u] of instruction
+     [j] is node [2j + u]; [next_reader] links each node to the
+     previous read of the same register.  A segment resets the
+     registers it touched. *)
+  let writer = Array.make vc.Isel.next_vreg (-1) and reader = Array.make vc.Isel.next_vreg (-1) in
+  let next_reader = Array.make (2 * cap) (-1) in
+  (* Loads since the last store, newest first, linked through
+     [prev_load]. *)
+  let prev_load = Array.make cap (-1) in
+  (* Dependence edges as per-source lists threaded through
+     [edge_dst]/[edge_next].  Per instruction a segment adds at most
+     two edges from its sources' writers, one from its destination's
+     writer and one from the last store; the edges from readers and
+     from loads number at most two and one per instruction over the
+     segment: seven in all. *)
+  let succ_head = Array.make cap (-1) in
+  let edge_dst = Array.make (7 * cap) 0 and edge_next = Array.make (7 * cap) 0 in
+  let nedges = ref 0 in
+  (* Unscheduled predecessors; [-1] once scheduled. *)
+  let npreds = Array.make cap 0 in
+  let last_src = Array.make cap (-1) in
+  let height = Array.make cap 0 in
+  (* Dependence edges i -> j (i before j), built in one pass: j
+     depends on the last writer of each register it reads or writes,
+     on every reader since that write of a register it writes, on the
+     last store, and — for a store — on every load since that store.
+     Each is one of the pairwise RAW/WAR/WAW or memory-order pairs,
+     and every pair the pairwise test would add is implied by a chain
+     of these, so critical-path heights and the ready set are the
+     same.  [last_src.(i) = j] marks an edge i -> j already added. *)
+  let edge i j =
+    if i >= 0 && last_src.(i) <> j then begin
+      last_src.(i) <- j;
+      edge_dst.(!nedges) <- j;
+      edge_next.(!nedges) <- succ_head.(i);
+      succ_head.(i) <- !nedges;
+      incr nedges;
+      npreds.(j) <- npreds.(j) + 1
+    end
+  in
+  let cur = ref 0 in
+  let note_use r = if use0.(!cur) < 0 then use0.(!cur) <- r else use1.(!cur) <- r in
+  let note_def r = def.(!cur) <- r in
+  let add_reader r node =
+    if r >= 0 then begin
+      next_reader.(node) <- reader.(r);
+      reader.(r) <- node
+    end
+  in
+  let reset r =
+    if r >= 0 then begin
+      writer.(r) <- -1;
+      reader.(r) <- -1
+    end
+  in
+  (* Schedule the barrier-free segment [instrs.(base .. base+n-1)]
+     into the same positions of [out]; returns how many instructions
+     changed relative position. *)
+  let schedule_segment base n =
+    if n <= 2 then begin
+      Array.blit instrs base out base n;
+      0
+    end
+    else begin
+      nedges := 0;
+      let last_store = ref (-1) and last_load = ref (-1) in
+      for j = 0 to n - 1 do
+        let i = instrs.(base + j) in
+        succ_head.(j) <- -1;
+        npreds.(j) <- 0;
+        last_src.(j) <- -1;
+        use0.(j) <- -1;
+        use1.(j) <- -1;
+        def.(j) <- -1;
+        cur := j;
+        Mach.iter_uses note_use i;
+        Mach.iter_defs note_def i;
+        let u0 = use0.(j) and u1 = use1.(j) and d = def.(j) in
+        if u0 >= 0 then edge writer.(u0) j;
+        if u1 >= 0 then edge writer.(u1) j;
+        if d >= 0 then begin
+          edge writer.(d) j;
+          let node = ref reader.(d) in
+          while !node >= 0 do
+            edge (!node / 2) j;
+            node := next_reader.(!node)
+          done
+        end;
+        add_reader u0 (2 * j);
+        add_reader u1 ((2 * j) + 1);
+        if d >= 0 then begin
+          writer.(d) <- j;
+          reader.(d) <- -1
+        end;
+        match i with
+        | Mach.Ld _ ->
+          edge !last_store j;
+          prev_load.(j) <- !last_load;
+          last_load := j
+        | Mach.St _ ->
+          edge !last_store j;
+          let l = ref !last_load in
+          while !l >= 0 do
+            edge !l j;
+            l := prev_load.(!l)
+          done;
+          last_store := j;
+          last_load := -1
+        | _ -> ()
+      done;
+      for j = 0 to n - 1 do
+        reset use0.(j);
+        reset use1.(j);
+        reset def.(j)
+      done;
+      (* Critical-path height: loads weigh extra (their consumers wait). *)
+      for i = n - 1 downto 0 do
+        let best = ref 0 and e = ref succ_head.(i) in
+        while !e >= 0 do
+          if height.(edge_dst.(!e)) > !best then best := height.(edge_dst.(!e));
+          e := edge_next.(!e)
+        done;
+        height.(i) <- (if is_load instrs.(base + i) then 2 else 1) + !best
+      done;
+      (* Greedy list scheduling: each step takes a ready instruction
+         (all predecessors scheduled), preferring one that does not
+         read the register the last scheduled load wrote, then the
+         higher critical path, then original order. *)
+      let last_load_dst = ref (-1) and moved = ref 0 and next_orig = ref 0 in
+      for k = 0 to n - 1 do
+        (* The first highest of the ready instructions that do not
+           stall, and of those that do. *)
+        let pick = ref (-1) and stalling = ref (-1) in
+        let lld = !last_load_dst in
+        for i = 0 to n - 1 do
+          if npreds.(i) = 0 then
+            if lld >= 0 && (use0.(i) = lld || use1.(i) = lld) then begin
+              if !stalling < 0 || height.(i) > height.(!stalling) then stalling := i
+            end
+            else if !pick < 0 || height.(i) > height.(!pick) then pick := i
+        done;
+        if !pick < 0 then pick := !stalling;
+        let pick = !pick in
+        npreds.(pick) <- -1;
+        let e = ref succ_head.(pick) in
+        while !e >= 0 do
+          npreds.(edge_dst.(!e)) <- npreds.(edge_dst.(!e)) - 1;
+          e := edge_next.(!e)
+        done;
+        out.(base + k) <- instrs.(base + pick);
+        last_load_dst := (match instrs.(base + pick) with Mach.Ld (d, _, _) -> d | _ -> -1);
+        if pick <> !next_orig then incr moved;
+        (* Track the next original index among unscheduled for the
+           moved metric. *)
+        while !next_orig < n && npreds.(!next_orig) < 0 do
+          incr next_orig
+        done
+      done;
+      !moved
+    end
+  in
+  let moved = ref 0 in
   List.iter
     (fun (b : Isel.vblock) ->
       (* Split at barriers; schedule each pure segment. *)
-      let out = ref [] in
-      let segment = ref [] in
-      let flush () =
-        let instrs = Array.of_list (List.rev !segment) in
-        let ordered, m = schedule_segment regs instrs in
-        moved := !moved + m;
-        out := List.rev_append ordered !out;
-        segment := []
-      in
+      let len = ref 0 and start = ref 0 and block_moved = ref 0 in
       List.iter
         (fun i ->
+          let k = !len in
+          instrs.(k) <- i;
+          incr len;
           if is_barrier i then begin
-            flush ();
-            out := i :: !out
-          end
-          else segment := i :: !segment)
+            block_moved := !block_moved + schedule_segment !start (k - !start);
+            out.(k) <- i;
+            start := k + 1
+          end)
         b.Isel.body;
-      flush ();
-      b.Isel.body <- List.rev !out)
+      block_moved := !block_moved + schedule_segment !start (!len - !start);
+      (* A block where nothing moved keeps its list. *)
+      if !block_moved > 0 then begin
+        let body = ref [] in
+        for k = !len - 1 downto 0 do
+          body := out.(k) :: !body
+        done;
+        b.Isel.body <- !body
+      end;
+      moved := !moved + !block_moved)
     vc.Isel.vblocks;
   !moved

@@ -59,16 +59,26 @@ let roundtrip t req =
   match t.link with
   | Registry reg -> Server.serve_cohort reg req
   | Socket fd -> (
-    (try Fsio.write_framed fd (Proto.string_of_request req)
-     with Unix.Unix_error (e, _, _) ->
-       fail "send failed: %s" (Unix.error_message e));
-    match Fsio.read_framed fd with
-    | Ok payload -> (
-      match Proto.response_of_string payload with
-      | Ok resp -> resp
-      | Error m -> fail "bad response: %s" m)
-    | Error (`Eof | `Timeout) -> fail "server closed the connection"
-    | Error (`Bad m) -> fail "bad frame: %s" m)
+    let response () =
+      match Fsio.read_framed fd with
+      | Ok payload -> (
+        match Proto.response_of_string payload with
+        | Ok resp -> resp
+        | Error m -> fail "bad response: %s" m)
+      | Error (`Eof | `Timeout) -> fail "server closed the connection"
+      | Error (`Bad m) -> fail "bad frame: %s" m
+    in
+    match Fsio.write_framed fd (Proto.string_of_request req) with
+    | () -> response ()
+    | exception Unix.Unix_error (((Unix.EPIPE | Unix.ECONNRESET) as e), _, _) -> (
+      (* The daemon closed without reading the request.  One that
+         refused the connection (a greeting it does not know, say)
+         answered before it closed: its reason beats the broken
+         pipe. *)
+      try response ()
+      with Protocol_error _ | Unix.Unix_error _ ->
+        fail "send failed: %s" (Unix.error_message e))
+    | exception Unix.Unix_error (e, _, _) -> fail "send failed: %s" (Unix.error_message e))
 
 (* Every typed call's answer to a reply it does not expect. *)
 let unexpected req = function

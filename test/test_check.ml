@@ -31,13 +31,8 @@ let sound () = Helpers.make_linear_func "sound"
 
 let violations ?env f = Ilcheck.check_func ?env ~phase f
 
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
 let has_message sub vs =
-  List.exists (fun (v : Ilcheck.violation) -> contains v.Ilcheck.message sub) vs
+  List.exists (fun (v : Ilcheck.violation) -> Helpers.contains ~sub v.Ilcheck.message) vs
 
 let test_sound_func_passes () =
   check Alcotest.int "no violations" 0 (List.length (violations (sound ())))
@@ -236,8 +231,8 @@ let test_violation_rendering () =
   | () -> Alcotest.fail "expected a violation"
   | exception Ilcheck.Violation (v :: _) ->
     let s = Format.asprintf "%a" Ilcheck.pp_violation v in
-    check Alcotest.bool "names the function" true (contains s "render");
-    check Alcotest.bool "names the phase" true (contains s phase)
+    check Alcotest.bool "names the function" true (Helpers.contains ~sub:"render" s);
+    check Alcotest.bool "names the phase" true (Helpers.contains ~sub:phase s)
   | exception Ilcheck.Violation [] -> Alcotest.fail "empty violation list"
 
 (* ---------- the checked pipeline ---------- *)
@@ -433,7 +428,7 @@ let test_shrink_generic_predicate () =
     ]
   in
   let interesting p =
-    List.exists (fun (_, text) -> contains text "NEEDLE") p
+    List.exists (fun (_, text) -> Helpers.contains ~sub:"NEEDLE" text) p
   in
   let reduced, stats = Shrink.shrink ~interesting program in
   check Alcotest.bool "still interesting" true (interesting reduced);
@@ -460,7 +455,7 @@ let test_corpus_roundtrip () =
   let single = [ ("solo", "func main() { return 7; }\n") ] in
   let rendered = Corpus.render single in
   check Alcotest.bool "single module needs no marker" false
-    (contains rendered Corpus.marker);
+    (Helpers.contains ~sub:Corpus.marker rendered);
   check Alcotest.(list (pair string string)) "single-module roundtrip"
     [ ("solo", "func main() { return 7; }\n") ]
     (Corpus.parse ~default_name:"solo" rendered)

@@ -256,13 +256,7 @@ let test_duplicate_module_names_rejected () =
     (try
        ignore (Pipeline.frontend sources);
        false
-     with Pipeline.Compile_error msg ->
-       let contains s sub =
-         let sl = String.length sub and l = String.length s in
-         let rec go i = i + sl <= l && (String.sub s i sl = sub || go (i + 1)) in
-         go 0
-       in
-       contains msg "dup")
+     with Pipeline.Compile_error msg -> Helpers.contains ~sub:"dup" msg)
 
 (* ---------- parallel code generation ---------- *)
 

@@ -25,11 +25,6 @@ let install spec =
   | Ok () -> ()
   | Error m -> Alcotest.failf "plan %S rejected: %s" spec m
 
-let contains_sub haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  go 0
-
 let read_raw path =
   let ic = open_in_bin path in
   Fun.protect
@@ -170,7 +165,7 @@ let test_malformed_kill_rejected () =
       let status, err = Test_vm.run_cmoc dir [ "compile"; "--fault-plan"; spec; src ] in
       if status = 0 then Alcotest.failf "cmoc accepted --fault-plan %s" spec;
       let needle = Printf.sprintf "bad fault plan %S" spec in
-      if not (contains_sub err needle) then
+      if not (Helpers.contains ~sub:needle err) then
         Alcotest.failf "--fault-plan %s: stderr %S lacks %S" spec err needle)
     [ "crash@0"; "kill@x"; "kil@3"; "kill@0"; "kill@-2" ]
 
@@ -248,7 +243,7 @@ let test_injected_errors_look_real () =
   | _ -> Alcotest.fail "eio@1 did not fire"
   | exception Sys_error m ->
     Alcotest.(check bool) "message names the injection" true
-      (contains_sub m "injected eio"));
+      (Helpers.contains ~sub:"injected eio" m));
   Alcotest.(check int) "one injection" 1 (Faults.injected Faults.fs)
 
 (* ---------- record framing ---------- *)

@@ -28,4 +28,5 @@ let () =
       ("xforms", Test_transforms.suite);
       ("codec", Test_codec.suite);
       ("vm", Test_vm.suite);
+      ("backend", Test_backend.suite);
     ]

@@ -13,11 +13,6 @@ module Memstats = Cmo_naim.Memstats
 module Db = Cmo_profile.Db
 module Vm = Cmo_vm.Vm
 
-let contains haystack needle =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
-
 (* ---------- arithmetic edges ---------- *)
 
 let test_min_int_edges () =
@@ -128,26 +123,26 @@ let test_pipeline_report_renders () =
   let db = Pipeline.train sources in
   let build = Pipeline.compile ~profile:db Options.o4_pbo sources in
   let text = Format.asprintf "%a" Pipeline.pp_report build.Pipeline.report in
-  Alcotest.(check bool) "mentions the level" true (contains text "+O4 +P");
-  Alcotest.(check bool) "mentions memory" true (contains text "memory peak");
+  Alcotest.(check bool) "mentions the level" true (Helpers.contains ~sub:"+O4 +P" text);
+  Alcotest.(check bool) "mentions memory" true (Helpers.contains ~sub:"memory peak" text);
   Alcotest.(check bool) "mentions inline diagnostics" true
-    (contains text "sites not inlined")
+    (Helpers.contains ~sub:"sites not inlined" text)
 
 let test_image_map_renders () =
   let build = Pipeline.compile Options.o2 (small_app ()) in
   let text =
     Format.asprintf "%a" Cmo_link.Image.pp_map build.Pipeline.image
   in
-  Alcotest.(check bool) "lists main" true (contains text "main");
-  Alcotest.(check bool) "lists work" true (contains text "work");
-  Alcotest.(check bool) "shows entry" true (contains text "entry:")
+  Alcotest.(check bool) "lists main" true (Helpers.contains ~sub:"main" text);
+  Alcotest.(check bool) "lists work" true (Helpers.contains ~sub:"work" text);
+  Alcotest.(check bool) "shows entry" true (Helpers.contains ~sub:"entry:" text)
 
 let test_func_and_module_pp_render () =
   let m = Helpers.compile "global g[2] = {7, 8}; func main() { g[0] = g[1]; return g[0]; }" in
   let text = Format.asprintf "%a" Ilmod.pp m in
-  Alcotest.(check bool) "module header" true (contains text "module test");
-  Alcotest.(check bool) "global" true (contains text "global g[2]");
-  Alcotest.(check bool) "function body" true (contains text "load")
+  Alcotest.(check bool) "module header" true (Helpers.contains ~sub:"module test" text);
+  Alcotest.(check bool) "global" true (Helpers.contains ~sub:"global g[2]" text);
+  Alcotest.(check bool) "function body" true (Helpers.contains ~sub:"load" text)
 
 let test_mach_pp_renders () =
   let m = Helpers.compile "func main() { return 6 * 7; }" in
@@ -155,8 +150,8 @@ let test_mach_pp_renders () =
   let text =
     Format.asprintf "%a" Cmo_llo.Mach.pp_func (List.hd codes)
   in
-  Alcotest.(check bool) "has header" true (contains text "main");
-  Alcotest.(check bool) "has ret" true (contains text "ret")
+  Alcotest.(check bool) "has header" true (Helpers.contains ~sub:"main" text);
+  Alcotest.(check bool) "has ret" true (Helpers.contains ~sub:"ret" text)
 
 (* ---------- API misuse is rejected ---------- *)
 

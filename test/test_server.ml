@@ -849,6 +849,38 @@ let test_greeting_matching () =
   | Proto.Pong -> ()
   | _ -> Alcotest.fail "a matching greeting then Ping did not get Pong"
 
+(* A daemon from before the greeting reads the greeting as an unknown
+   request, answers [Failed] and closes before the real request
+   arrives, so the client's write fails with a broken pipe.  The
+   client must report the reason the daemon already sent.  The peer
+   is a listening socket rather than a socketpair because a client is
+   made only by [Client.connect]. *)
+let test_refused_before_request () =
+  with_dir @@ fun dir ->
+  let path = Filename.concat dir "old-cmocd.sock" in
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close listener) @@ fun () ->
+  Unix.bind listener (Unix.ADDR_UNIX path);
+  Unix.listen listener 1;
+  let reason = "protocol: bad request tag 14" in
+  let peer =
+    Thread.create
+      (fun () ->
+        let fd, _ = Unix.accept listener in
+        ignore (Fsio.read_framed fd);
+        Fsio.write_framed fd
+          (Proto.string_of_response (Proto.Failed { tag = "request"; reason }));
+        Unix.close fd)
+      ()
+  in
+  Client.with_connect ~socket:path @@ fun c ->
+  Thread.join peer;
+  match Client.stats c with
+  | _ -> Alcotest.fail "a closed peer answered Stats"
+  | exception Client.Protocol_error m ->
+    Alcotest.(check bool) ("the daemon's reason is reported: " ^ m) true
+      (Helpers.contains ~sub:reason m)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_request_roundtrip;
@@ -878,4 +910,6 @@ let suite =
       test_greeting_missing;
     Alcotest.test_case "matching greeting is served" `Quick
       test_greeting_matching;
+    Alcotest.test_case "client reports a refusal sent before its request" `Quick
+      test_refused_before_request;
   ]

@@ -644,11 +644,6 @@ let run_cmoc dir args =
   in
   (status, In_channel.with_open_bin err In_channel.input_all)
 
-let contains s sub =
-  let n = String.length sub in
-  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
 let test_link_reports_errors () =
   Helpers.with_dir @@ fun dir ->
   let path name = Filename.concat dir name in
@@ -665,8 +660,8 @@ let test_link_reports_errors () =
   let expect what args needle =
     let status, err = run_cmoc dir args in
     Alcotest.(check int) (what ^ ": exit status") 1 status;
-    if not (contains err needle) then Alcotest.failf "%s: stderr %S lacks %S" what err needle;
-    if contains err "internal error" then Alcotest.failf "%s: %S" what err
+    if not (Helpers.contains ~sub:needle err) then Alcotest.failf "%s: stderr %S lacks %S" what err needle;
+    if Helpers.contains ~sub:"internal error" err then Alcotest.failf "%s: %S" what err
   in
   expect "vm fault" [ "link"; path "f.o"; "--run" ]
     "runtime fault: memory access out of bounds: cell 1000000";
