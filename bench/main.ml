@@ -386,10 +386,14 @@ let micro () =
    NAIM's encoder, decoder and size model and through profile
    correlation; the program's sources through the lexer and parser;
    and its +O4 +P image (6 MB machine) and instrumented training image
-   through the VM on the training input.  Ten repeats; the median per
-   item of its time and of the minor-heap words it allocated.  Only
-   long-standing interfaces are used, so the leg runs unchanged on
-   older trees for a before/after table. *)
+   through the VM on the training input; and the artifact store's warm
+   reads, a hit and a transaction commit, over a few hundred records
+   of the size a storm caches.  Each per-routine stage is timed as one
+   loop over all the routines, so the timer's own cost is not in the
+   row.  Ten repeats; the median per item of its time and of the
+   minor-heap words it allocated.  Only long-standing interfaces are
+   used, so the leg runs unchanged on older trees for a before/after
+   table. *)
 (* ------------------------------------------------------------------ *)
 
 let passes () =
@@ -427,6 +431,20 @@ let passes () =
       .Pipeline.image
   in
   let training_image = (Pipeline.compile Options.instrumented sources).Pipeline.image in
+  (* 400 records of 256 to 1023 bytes: a storm's artifacts average
+     about 500. *)
+  let store_dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "cmo-bench-passes-store-%d" (Unix.getpid ()))
+  in
+  Store.wipe ~dir:store_dir;
+  let store = Store.open_ ~dir:store_dir () in
+  let keys = List.init 400 (Printf.sprintf "artifact-%03d") in
+  List.iteri
+    (fun i key ->
+      let size = 256 + (i * 389 mod 768) in
+      Store.add store key (String.init size (fun j -> Char.chr ((i + j) land 0xff))))
+    keys;
   let reps = 10 in
   (* name -> (seconds, minor words) per repeat *)
   let samples : (string, (float * float) list) Hashtbl.t = Hashtbl.create 16 in
@@ -449,31 +467,37 @@ let passes () =
           (fun (s : Pipeline.source) ->
             ignore (Cmo_frontend.Parser.parse ~module_name:s.Pipeline.name s.Pipeline.text))
           sources);
-    List.iter
-      (fun f0 ->
-        let f = Func.copy f0 in
-        timed "analysis: Dominators.compute" (fun () -> ignore (Hlo.Dominators.compute f));
-        timed "analysis: Liveness.compute" (fun () -> ignore (Hlo.Liveness.compute f));
-        timed "analysis: Loopinfo.compute" (fun () -> ignore (Hlo.Loopinfo.compute f));
-        timed "Phase.optimize_func (with Derived charge)" (fun () ->
-            ignore (Phase.optimize_func ~mem:(Memstats.create ()) (Func.copy f0)));
-        let rounds = ref 0 and changed = ref true in
-        while !changed && !rounds < 4 do
-          incr rounds;
-          let n =
-            List.fold_left
-              (fun acc (name, pass) -> acc + timed ("pass: " ^ name) (fun () -> pass f))
-              0 Phase.passes
-          in
-          changed := n > 0
-        done;
-        ignore (timed "llo: Layout.run" (fun () -> Llo.Layout.run f));
-        let vc = timed "llo: Isel.select" (fun () -> Llo.Isel.select ~module_name:"m" f) in
-        ignore (timed "llo: Sched.run" (fun () -> Llo.Sched.run vc));
-        let allocated = timed "llo: Regalloc.run" (fun () -> Llo.Regalloc.run vc) in
-        ignore (timed "llo: Peephole.run" (fun () -> Llo.Peephole.run allocated.Llo.Regalloc.vcode));
-        ignore (timed "llo: Codegen.emit" (fun () -> Llo.Codegen.emit allocated)))
-      funcs;
+    let each name f xs = timed name (fun () -> Array.iter f xs) in
+    let fs = Array.of_list (List.map Func.copy funcs) in
+    each "analysis: Dominators.compute" (fun f -> ignore (Hlo.Dominators.compute f)) fs;
+    each "analysis: Liveness.compute" (fun f -> ignore (Hlo.Liveness.compute f)) fs;
+    each "analysis: Loopinfo.compute" (fun f -> ignore (Hlo.Loopinfo.compute f)) fs;
+    each "Phase.optimize_func (with Derived charge)"
+      (fun f -> ignore (Phase.optimize_func ~mem:(Memstats.create ()) f))
+      (Array.of_list (List.map Func.copy funcs));
+    (* The ladder pass by pass: a routine leaves after a round that
+       changed nothing, or after four rounds. *)
+    let live = ref (List.init (Array.length fs) Fun.id) and rounds = ref 0 in
+    while !live <> [] && !rounds < 4 do
+      incr rounds;
+      let changed = Array.make (Array.length fs) false in
+      List.iter
+        (fun (name, pass) ->
+          timed ("pass: " ^ name) (fun () ->
+              List.iter (fun i -> if pass fs.(i) > 0 then changed.(i) <- true) !live))
+        Phase.passes;
+      live := List.filter (fun i -> changed.(i)) !live
+    done;
+    each "llo: Layout.run" (fun f -> ignore (Llo.Layout.run f)) fs;
+    let vcs =
+      timed "llo: Isel.select" (fun () -> Array.map (Llo.Isel.select ~module_name:"m") fs)
+    in
+    each "llo: Sched.run" (fun vc -> ignore (Llo.Sched.run vc)) vcs;
+    let allocated = timed "llo: Regalloc.run" (fun () -> Array.map Llo.Regalloc.run vcs) in
+    each "llo: Peephole.run"
+      (fun a -> ignore (Llo.Peephole.run a.Llo.Regalloc.vcode))
+      allocated;
+    each "llo: Codegen.emit" (fun a -> ignore (Llo.Codegen.emit a)) allocated;
     (* NAIM's round trip and size charge, and profile correlation, over
        all the routines at once.  Correlation annotates copies, so the
        routines above keep their counts. *)
@@ -491,12 +515,19 @@ let passes () =
         ignore (Cmo_profile.Correlate.annotate db [ program ]));
     timed "vm: Vm.run (O4 image)" (fun () -> ignore (Vm.run ~input o4_image));
     timed "vm: Vm.run (training image)" (fun () -> ignore (Vm.run ~input training_image));
+    timed "store: find (hit)" (fun () ->
+        List.iter (fun key -> ignore (Store.find store key)) keys);
+    let txn = Store.txn_begin store in
+    List.iter (fun key -> ignore (Store.txn_find txn key)) keys;
+    timed "store: txn commit" (fun () -> Store.txn_commit txn);
     Hashtbl.iter
       (fun name t ->
         Hashtbl.replace samples name
           (t :: Option.value ~default:[] (Hashtbl.find_opt samples name)))
       rep
   done;
+  Store.close store;
+  Store.wipe ~dir:store_dir;
   let median l =
     let a = Array.of_list (List.sort compare l) in
     a.(Array.length a / 2)

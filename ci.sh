@@ -77,7 +77,8 @@
 # step (li, trained profile) then holds cmoc build to cmoc compile's
 # exit value and cycle count at -O 1 -P, -O 2 -P and -O 4 -P, and
 # after a -O 1 build left objects in the same --dir, and requires a
-# duplicate module name to exit 1 with a message.  The multi-machine transport
+# duplicate module name, and at -O 2 and -O 4 a call with the wrong
+# argument count, to exit 1 with cmoc compile's message.  The multi-machine transport
 # is gated by a TCP worker-fleet smoke: two cmoc-worker --listen
 # processes on loopback ephemeral ports serve a cmoc build --dist
 # --workers over real sockets, a second build severs the network with
@@ -475,7 +476,8 @@ echo "== cmoc build runs the stages cmoc compile runs =="
 # must run to the exit value and cycle count of a one-shot compile.
 # So must a -O 2 -P build in a workspace a -O 1 build left objects in:
 # objects are a cache, never reused across options.  Two sources with
-# one module name must exit 1 with a message.
+# one module name must exit 1 with a message, and so must a program
+# whose call arity check fails (the whole-program IL check).
 exit_cycles() { grep -o '^exit: [-0-9]*  ([0-9]* cycles' "$1" || true; }
 same_run() {
   want=$(exit_cycles "$PROF_DIR/compile.out")
@@ -510,6 +512,24 @@ grep -q "duplicate module name m000" "$PROF_DIR/err.out" || {
   cat "$PROF_DIR/err.out"
   exit 1
 }
+# A call whose arity disagrees with its callee's: every unit is IL,
+# so cmoc build must refuse the program with cmoc compile's message.
+mkdir -p "$PROF_DIR/arity"
+printf 'func main() { return helper(1, 2); }\n' > "$PROF_DIR/arity/a.mc"
+printf 'func helper(x) { return x; }\n' > "$PROF_DIR/arity/b.mc"
+for LEVEL in 2 4; do
+  rm -rf "$PROF_DIR/ws" && mkdir "$PROF_DIR/ws"
+  expect_error compile -O "$LEVEL" "$PROF_DIR"/arity/a.mc "$PROF_DIR"/arity/b.mc
+  mv "$PROF_DIR/err.out" "$PROF_DIR/compile.err"
+  expect_error build -O "$LEVEL" --dir "$PROF_DIR/ws" "$PROF_DIR"/arity/a.mc \
+    "$PROF_DIR"/arity/b.mc
+  if ! grep -q "passes 2 args, expects 1" "$PROF_DIR/err.out" \
+    || ! cmp -s "$PROF_DIR/compile.err" "$PROF_DIR/err.out"; then
+    echo "cmoc build -O $LEVEL: arity mismatch not refused as cmoc compile refuses it"
+    cat "$PROF_DIR/compile.err" "$PROF_DIR/err.out"
+    exit 1
+  fi
+done
 echo "build equals compile OK"
 
 echo "== distributed CMO smoke (dist-smoke bench) =="

@@ -33,6 +33,9 @@ type t = {
   mutable live_bytes : int;
   mutable payload_len : int;  (* includes dead bytes and framing *)
   mutable out : Fsio.appender option;  (* lazy append stream *)
+  reader : Fsio.reader;
+      (* Kept open across reads; closed whenever the payload file is
+         replaced or removed (compaction, clear) and on close. *)
 }
 
 let locked (t : t) f =
@@ -74,6 +77,9 @@ let load_index (t : t) =
             offset >= 0 && length >= 0
             && offset + Fsio.frame_overhead + length <= t.payload_len
           then begin
+            (match Hashtbl.find_opt t.entries key with
+            | Some old -> t.live_bytes <- t.live_bytes - old.length
+            | None -> ());
             Hashtbl.replace t.entries key { offset; length; crc; last_use };
             t.live_bytes <- t.live_bytes + length
           end)
@@ -123,11 +129,12 @@ let open_ ?(capacity = 256 * 1024 * 1024) ~dir () =
    with Sys_error m ->
      Cmo_obs.Obs.tick "cache.store" "io_errors" 1;
      Log.warn (fun f -> f "cache directory unavailable (%s)" m));
+  let payload_path = Filename.concat dir "payload" in
   let t =
     {
       dir;
       index_path = Filename.concat dir "index";
-      payload_path = Filename.concat dir "payload";
+      payload_path;
       capacity;
       entries = Hashtbl.create 64;
       lock = Mutex.create ();
@@ -139,6 +146,7 @@ let open_ ?(capacity = 256 * 1024 * 1024) ~dir () =
       live_bytes = 0;
       payload_len = 0;
       out = None;
+      reader = Fsio.reader payload_path;
     }
   in
   (* Resynchronize after a torn append: keep the structurally whole
@@ -161,8 +169,7 @@ let next_tick (t : t) =
   t.tick
 
 let read_entry (t : t) (e : entry) =
-  Fsio.read_record ~expect_crc:e.crc t.payload_path ~offset:e.offset
-    ~length:e.length
+  Fsio.read_at ~expect_crc:e.crc t.reader ~offset:e.offset ~length:e.length
 
 let drop (t : t) key (e : entry) =
   Hashtbl.remove t.entries key;
@@ -186,6 +193,10 @@ let quarantine (t : t) key (e : entry) reason =
     Fsio.atomic_write (Filename.concat qdir (Printf.sprintf "rec-%d" e.offset)) raw
   with Sys_error _ -> ()
 
+let note_hit (t : t) (e : entry) =
+  t.hits <- t.hits + 1;
+  e.last_use <- next_tick t
+
 let find_unlocked (t : t) key =
   match Hashtbl.find_opt t.entries key with
   | None ->
@@ -194,8 +205,7 @@ let find_unlocked (t : t) key =
   | Some e -> (
     match read_entry t e with
     | data ->
-      t.hits <- t.hits + 1;
-      e.last_use <- next_tick t;
+      note_hit t e;
       Some data
     | exception Fsio.Corrupt_record { reason; _ } ->
       quarantine t key e reason;
@@ -209,23 +219,26 @@ let find_unlocked (t : t) key =
       t.misses <- t.misses + 1;
       None)
 
+let observe hit =
+  Cmo_obs.Obs.tick "cache.store" (if hit then "hits" else "misses") 1
+
 let find (t : t) key =
   let r = locked t (fun () -> find_unlocked t key) in
-  Cmo_obs.Obs.tick "cache.store" (if r = None then "misses" else "hits") 1;
+  observe (Option.is_some r);
   r
 
 (* Read without observation: no counter bump, no LRU refresh, no
    entry dropped or quarantined on a damaged payload.  This is what
    transactions read through — their logged operations are replayed
    against the real store at commit, which is when the counters
-   move. *)
+   move.  A hit comes with the entry it read and verified. *)
 let peek (t : t) key =
   locked t (fun () ->
       match Hashtbl.find_opt t.entries key with
       | None -> None
       | Some e -> (
         match read_entry t e with
-        | data -> Some data
+        | data -> Some (data, e)
         | exception (Fsio.Corrupt_record _ | Sys_error _ | End_of_file) -> None))
 
 let append_stream (t : t) =
@@ -268,7 +281,7 @@ let evict (t : t) =
    in place — a failure at any point leaves the store untouched. *)
 let compact (t : t) =
   let live_disk =
-    Hashtbl.fold (fun _ e acc -> acc + disk_size e) t.entries 0
+    t.live_bytes + (Fsio.frame_overhead * Hashtbl.length t.entries)
   in
   let dead = t.payload_len - live_disk in
   if dead > max (1 lsl 20) live_disk then begin
@@ -278,6 +291,7 @@ let compact (t : t) =
       |> List.sort (fun (_, a) (_, b) -> compare a.offset b.offset)
     in
     let tmp = t.payload_path ^ ".tmp" in
+    Fun.protect ~finally:(fun () -> Fsio.close_reader t.reader) @@ fun () ->
     match
       let a = Fsio.open_append ~trunc:true tmp in
       let moved =
@@ -339,6 +353,7 @@ let flush (t : t) = locked t (fun () -> save_index_soft t)
 let close (t : t) =
   flush t;
   locked t (fun () ->
+      Fsio.close_reader t.reader;
       match t.out with
       | Some a ->
         Fsio.close_append ~fsync:true a;
@@ -348,6 +363,7 @@ let close (t : t) =
 let clear (t : t) =
   locked t (fun () ->
       close_append t;
+      Fsio.close_reader t.reader;
       Hashtbl.reset t.entries;
       t.tick <- 0;
       t.hits <- 0;
@@ -396,13 +412,23 @@ let stats (t : t) =
    clock or files until [txn_commit] replays the log through the
    ordinary [find]/[add] path on the committing thread.
 
+   A find the peek already read and verified is not read again: when
+   the key still maps to the very entry the peek read, a real [find]
+   could only hit it, so the replay does a hit's bookkeeping alone
+   (hit counter, LRU tick, Obs tick).  Anything else — a miss, a hit
+   on the transaction's own write, an entry replaced, dropped or
+   evicted since — replays as a real [find], with its reads,
+   quarantine and misses.
+
    Determinism: a worker's log is a function of the snapshot and its
    own inputs alone, so as long as transactions are begun against the
    same snapshot and committed in a fixed order, the store's on-disk
    bytes are identical no matter how many workers ran or how their
    execution interleaved. *)
 
-type op = Ofind of string | Oadd of string * string
+type op =
+  | Ofind of string * entry option  (* the entry a peek read and verified *)
+  | Oadd of string * string
 
 type txn = {
   origin : t;
@@ -413,20 +439,39 @@ type txn = {
 let txn_begin (t : t) = { origin = t; writes = Hashtbl.create 16; ops = [] }
 
 let txn_find (txn : txn) key =
-  txn.ops <- Ofind key :: txn.ops;
   match Hashtbl.find_opt txn.writes key with
-  | Some data -> Some data
-  | None -> peek txn.origin key
+  | Some data ->
+    txn.ops <- Ofind (key, None) :: txn.ops;
+    Some data
+  | None -> (
+    match peek txn.origin key with
+    | Some (data, e) ->
+      txn.ops <- Ofind (key, Some e) :: txn.ops;
+      Some data
+    | None ->
+      txn.ops <- Ofind (key, None) :: txn.ops;
+      None)
 
 let txn_add (txn : txn) key data =
   txn.ops <- Oadd (key, data) :: txn.ops;
   Hashtbl.replace txn.writes key data
 
+let replay_find (t : t) key seen =
+  let hit =
+    locked t (fun () ->
+        match (seen, Hashtbl.find_opt t.entries key) with
+        | Some e, Some e' when e == e' ->
+          note_hit t e;
+          true
+        | _ -> Option.is_some (find_unlocked t key))
+  in
+  observe hit
+
 let txn_commit (txn : txn) =
   Cmo_obs.Obs.tick "cache.store" "txn_commits" 1;
   List.iter
     (function
-      | Ofind key -> ignore (find txn.origin key)
+      | Ofind (key, seen) -> replay_find txn.origin key seen
       | Oadd (key, data) -> add txn.origin key data)
     (List.rev txn.ops);
   txn.ops <- [];

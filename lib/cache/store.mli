@@ -22,7 +22,10 @@
     simply reads as an empty store (every lookup misses and the next
     compaction reclaims the orphaned payload), never as an error.
     The index is written atomically (temp file + fsync + rename) on
-    {!flush}/{!close}.  A torn payload tail — the state a crash
+    {!flush}/{!close}.  Payload reads go through one
+    {!Cmo_support.Fsio.reader} kept open for the store's lifetime and
+    reopened after compaction replaces the file or {!clear} removes
+    it.  A torn payload tail — the state a crash
     mid-append leaves — is detected structurally on open and
     truncated away; a record whose CRC fails at read time is copied
     to [quarantine/] and degrades to a miss; an I/O failure while
@@ -50,10 +53,6 @@ val find : t -> string -> string option
 (** Lookup by key; counts a hit or a miss and refreshes LRU order.
     An unreadable payload degrades to a miss; a record whose framing
     or CRC fails is quarantined first. *)
-
-val peek : t -> string -> string option
-(** Lookup without observation: no counters, no LRU refresh, no
-    recovery side effects.  Transactions read through this. *)
 
 val add : t -> string -> string -> unit
 (** [add t key data] stores (or replaces) an artifact and evicts as
@@ -92,8 +91,15 @@ val txn_add : txn -> string -> string -> unit
 
 val txn_commit : txn -> unit
 (** Replay the log against the store in operation order.  Call from
-    one thread at a time, in a deterministic transaction order.  The
-    transaction is spent afterwards (its log and buffer are cleared). *)
+    one thread at a time, in a deterministic transaction order.  A
+    find whose record the transaction already read and verified, and
+    whose key still maps to that record, replays as a hit's
+    bookkeeping (counter, LRU tick) without reading it again; every
+    other find replays as {!find}.  Unless the payload was damaged
+    after the transaction read it, counters, index and payload end as
+    if every find had replayed through {!find}.  The
+    transaction is spent afterwards (its log and buffer are
+    cleared). *)
 
 type stats = {
   hits : int;

@@ -136,15 +136,20 @@ let lower_each ~jobs sources =
     Parwork.with_pool ~jobs (fun pool -> Parwork.map pool frontend_one sources)
   else List.map frontend_one sources
 
-let frontend ?(jobs = 1) sources =
-  check_distinct sources;
-  let modules = lower_each ~jobs sources in
-  (match Verify.check_program modules with
+(* The whole-program check (linkage, call arities) of a program whose
+   every module is IL. *)
+let check_program modules =
+  match Verify.check_program modules with
   | [] -> ()
   | issues ->
     error "@[<v>IL verification failed:@,%a@]"
       (Format.pp_print_list ~pp_sep:Format.pp_print_cut Verify.pp_issue)
-      issues);
+      issues
+
+let frontend ?(jobs = 1) sources =
+  check_distinct sources;
+  let modules = lower_each ~jobs sources in
+  check_program modules;
   modules
 
 (* Dynamic call weights for routine clustering, from annotated IL. *)
@@ -1041,7 +1046,11 @@ let il_objects (options : Options.t) =
    lowered: an IL object hands the chain its module, a code object
    goes straight to the link.  The rest are lowered on [jobs] domains
    and, when the link needs IL, saved at once as IL objects.  Modules
-   are then verified one by one, as separately compiled units. *)
+   are verified one by one, as separately compiled units, and the
+   program as a whole when every unit is IL — always when the link
+   needs IL, and whenever nothing was reused.  A reused code object
+   carries no arities, so a program with one is checked only at the
+   link. *)
 let lower ?objects (options : Options.t) sources =
   let jobs = max 1 options.Options.jobs in
   match objects with
@@ -1059,19 +1068,24 @@ let lower ?objects (options : Options.t) sources =
     List.iter2
       (fun src m -> Hashtbl.replace lowered src.name m)
       stale (lower_each ~jobs stale);
-    List.map
-      (fun (src, obj) ->
-        match obj with
-        | Some obj -> (
-          Obs.instant ~cat:"frontend" src.name;
-          match obj.Objfile.payload with
-          | Objfile.Il m -> Either.Left m
-          | Objfile.Code _ -> Either.Right obj)
-        | None ->
-          let m = Hashtbl.find lowered src.name in
-          if il then objs.save src (Objfile.of_il ~source_digest:"" m);
-          Either.Left m)
-      found
+    let units =
+      List.map
+        (fun (src, obj) ->
+          match obj with
+          | Some obj -> (
+            Obs.instant ~cat:"frontend" src.name;
+            match obj.Objfile.payload with
+            | Objfile.Il m -> Either.Left m
+            | Objfile.Code _ -> Either.Right obj)
+          | None ->
+            let m = Hashtbl.find lowered src.name in
+            if il then objs.save src (Objfile.of_il ~source_digest:"" m);
+            Either.Left m)
+        found
+    in
+    if List.for_all Either.is_left units then
+      check_program (List.filter_map Either.find_left units);
+    units
 
 let compile ?profile ?cache ?naim_repo ?remote ?objects options sources =
   with_tracing options @@ fun () ->

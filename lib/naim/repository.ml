@@ -5,7 +5,11 @@ module Fsio = Cmo_support.Fsio
    instead of silently decoding garbage IL.  The memory backing
    (tests, parallel workers) stays raw — it cannot tear. *)
 type backing =
-  | File of { path : string; mutable app : Fsio.appender option }
+  | File of {
+      path : string;
+      mutable app : Fsio.appender option;
+      reader : Fsio.reader;  (* kept open until [close] *)
+    }
   | Memory of Buffer.t
 
 type t = {
@@ -36,7 +40,7 @@ let locked t f =
 
 let create ~path =
   let app = Fsio.open_append ~trunc:true path in
-  make (File { path; app = Some app })
+  make (File { path; app = Some app; reader = Fsio.reader path })
 
 let in_memory () = make (Memory (Buffer.create 4096))
 
@@ -79,7 +83,7 @@ let fetch t handle =
   match t.backing with
   | Memory buf -> Buffer.sub buf handle.offset handle.length
   | File f ->
-    Fsio.read_record ~expect_crc:handle.crc f.path ~offset:handle.offset
+    Fsio.read_at ~expect_crc:handle.crc f.reader ~offset:handle.offset
       ~length:handle.length
 
 let stored_bytes t = locked t (fun () -> t.next_offset)
@@ -95,5 +99,6 @@ let close t =
   | File f ->
     Option.iter Fsio.close_append f.app;
     f.app <- None;
+    Fsio.close_reader f.reader;
     if Sys.file_exists f.path then
       try Fsio.remove f.path with Sys_error _ -> ()

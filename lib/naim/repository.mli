@@ -11,7 +11,8 @@
     A repository is backed by a real file ({!create}) or by an
     in-memory buffer ({!in_memory}, for tests); both count traffic.
     The file backing frames each pool with {!Cmo_support.Fsio}'s
-    length+CRC record header and verifies it on fetch, so a torn or
+    length+CRC record header and verifies it on fetch (through one
+    {!Cmo_support.Fsio.reader} kept open until {!close}), so a torn or
     bit-flipped pool surfaces as {!Cmo_support.Fsio.Corrupt_record}
     rather than decoding garbage IL.  Store failures (disk full)
     surface as [Sys_error]; the loader degrades them by keeping the

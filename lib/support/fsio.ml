@@ -394,26 +394,88 @@ let close_append ?(fsync = false) a =
       with Sys_error _ -> ());
     close_out_noerr oc
 
-let read_record ?expect_crc path ~offset ~length =
+(* A kept read handle on a record stream.  The descriptor is opened by
+   the first read, inside that read's fault-plane operation, so a
+   reader costs the fs clock exactly one operation per read, like the
+   one-shot [read_record].  [O_CLOEXEC]: the build server spawns
+   workers, and they must not inherit store descriptors. *)
+type reader = { rpath : string; mutable fd : Unix.file_descr option }
+
+let reader path = { rpath = path; fd = None }
+
+let close_reader r =
+  match r.fd with
+  | None -> ()
+  | Some fd -> (
+    r.fd <- None;
+    try Unix.close fd with Unix.Unix_error _ -> ())
+
+let unix_io path f =
+  try f () with Unix.Unix_error (e, _, _) -> raise (sys_error_of_unix path e)
+
+let reader_fd r =
+  match r.fd with
+  | Some fd -> fd
+  | None ->
+    let fd =
+      unix_io r.rpath (fun () ->
+          Unix.openfile r.rpath [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0)
+    in
+    r.fd <- Some fd;
+    fd
+
+(* [n] bytes at [offset] into [buf]; [End_of_file] when the file ends
+   sooner (it shrank since the size was taken). *)
+let pread fd ~offset buf n =
+  ignore (Unix.lseek fd offset Unix.SEEK_SET);
+  let rec go off =
+    if off < n then
+      match Unix.read fd buf off (n - off) with
+      | 0 -> raise End_of_file
+      | k -> go (off + k)
+  in
+  go 0
+
+(* One positioned read of the frame plus payload, then the checks in
+   order: bounds against the file size, magic, length, CRC against
+   the frame, CRC against the index. *)
+let read_at ?expect_crc r ~offset ~length =
+  let path = r.rpath in
   let flaky = read_flaky "read" path in
   with_retries ~flaky ~path ~op:"read" @@ fun () ->
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-  let size = in_channel_length ic in
   let bad reason = raise (Corrupt_record { path; offset; reason }) in
-  if offset < 0 || offset + frame_overhead > size then bad "offset beyond file";
-  seek_in ic offset;
-  let header = really_input_string ic frame_overhead in
-  if String.sub header 0 4 <> record_magic then bad "bad record magic";
-  if get_le32 header 4 <> length then bad "length mismatch";
-  if offset + frame_overhead + length > size then bad "record beyond file";
-  let payload = really_input_string ic length in
-  let crc = crc_bits (crc32 payload) in
-  if crc <> get_le32 header 8 then bad "crc mismatch";
-  (match expect_crc with
-  | Some c when crc_bits c <> crc -> bad "crc differs from the index"
-  | Some _ | None -> ());
-  payload
+  let fd = reader_fd r in
+  match
+    unix_io path (fun () ->
+        let size = (Unix.fstat fd).Unix.st_size in
+        if offset < 0 || offset + frame_overhead > size then
+          bad "offset beyond file";
+        let body = max 0 (min length (size - offset - frame_overhead)) in
+        let buf = Bytes.create (frame_overhead + body) in
+        pread fd ~offset buf (frame_overhead + body);
+        (size, Bytes.unsafe_to_string buf))
+  with
+  | exception ((Sys_error _ | End_of_file) as e) ->
+    (* The next attempt reopens, as a one-shot read would. *)
+    close_reader r;
+    raise e
+  | size, frame ->
+    if String.sub frame 0 4 <> record_magic then bad "bad record magic";
+    if get_le32 frame 4 <> length then bad "length mismatch";
+    if offset + frame_overhead + length > size then bad "record beyond file";
+    let payload = String.sub frame frame_overhead length in
+    let crc = crc_bits (crc32 payload) in
+    if crc <> get_le32 frame 8 then bad "crc mismatch";
+    (match expect_crc with
+    | Some c when crc_bits c <> crc -> bad "crc differs from the index"
+    | Some _ | None -> ());
+    payload
+
+let read_record ?expect_crc path ~offset ~length =
+  let r = reader path in
+  Fun.protect
+    ~finally:(fun () -> close_reader r)
+    (fun () -> read_at ?expect_crc r ~offset ~length)
 
 let read_span path ~offset ~length =
   let flaky = read_flaky "read" path in

@@ -164,11 +164,33 @@ val close_append : ?fsync:bool -> appender -> unit
 (** Never raises except {!Crash}-inertly (a crashed plan makes it a
     no-op). *)
 
-val read_record : ?expect_crc:int32 -> string -> offset:int -> length:int -> string
+type reader
+(** A read handle kept open on a record stream, for owners that read
+    many records of one file (the artifact store, the NAIM
+    repository).  Appends through an {!appender} are flushed per
+    record, so a reader sees them.  An owner that replaces or removes
+    the file (a compaction rename, a clear) must {!close_reader} it;
+    the next read then opens the new file. *)
+
+val reader : string -> reader
+(** A reader on [path].  Opens nothing yet: the first {!read_at} opens
+    the file ([O_CLOEXEC]) inside its own fault-plane operation. *)
+
+val read_at : ?expect_crc:int32 -> reader -> offset:int -> length:int -> string
 (** Read and verify the record at [offset] whose payload is [length]
-    bytes.  Raises {!Corrupt_record} when the magic, stored length,
+    bytes.  One [fs] operation (with its retries): an [fstat], a seek
+    and one read of frame and payload.  Raises {!Corrupt_record} when
+    the record lies beyond the file or the magic, stored length,
     stored CRC, computed CRC or (when given) [expect_crc] disagree;
-    [Sys_error] on I/O failure. *)
+    [Sys_error] on I/O failure, after which the reader reopens on its
+    next read. *)
+
+val close_reader : reader -> unit
+(** Close the descriptor, if open; the reader stays usable and
+    reopens on its next read.  Never raises. *)
+
+val read_record : ?expect_crc:int32 -> string -> offset:int -> length:int -> string
+(** {!read_at} through a reader opened and closed for this one read. *)
 
 val read_span : string -> offset:int -> length:int -> string
 (** Best-effort raw read of up to [length] bytes at [offset] (short

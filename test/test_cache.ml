@@ -16,6 +16,8 @@ module Options = Cmo_driver.Options
 module Pipeline = Cmo_driver.Pipeline
 module Buildsys = Cmo_driver.Buildsys
 module Vm = Cmo_vm.Vm
+module Fsio = Cmo_support.Fsio
+module Faults = Cmo_support.Faults
 
 (* ---------- scaffolding ---------- *)
 
@@ -259,6 +261,149 @@ let test_store_corrupt_index_tolerated () =
           Alcotest.(check (option string)) "store still works" (Some "fresh")
             (Store.find store "k2")))
 
+(* ---------- reads: the kept reader and the transaction replay ---------- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path data =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data)
+
+(* Distinct payloads of a few KiB, the size of a storm's cached
+   artifacts. *)
+let artifact i = String.init (2048 + (97 * i)) (fun j -> Char.chr ((i * 31 + j) land 0xff))
+
+let fill store n = List.iter (fun i -> Store.add store (string_of_int i) (artifact i)) (List.init n Fun.id)
+
+let test_txn_commit_reads_once () =
+  with_store (fun store ->
+      let k = 8 in
+      fill store k;
+      (match Faults.install "count" with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "count plan rejected: %s" m);
+      Fun.protect ~finally:Faults.clear (fun () ->
+          let txn = Store.txn_begin store in
+          List.iter
+            (fun i ->
+              Alcotest.(check (option string)) "txn hit" (Some (artifact i))
+                (Store.txn_find txn (string_of_int i)))
+            (List.init k Fun.id);
+          Store.txn_commit txn;
+          Alcotest.(check int) "one fs read per hit" k (Faults.op_count Faults.fs));
+      Alcotest.(check int) "hits counted at commit" k (Store.stats store).Store.hits)
+
+(* One history of finds and adds, done through transactions on one
+   store and directly on another: the files must end byte-identical.
+   Both transactions begin before either commits, as parallel
+   components do, so the second peeks "2" and "3" before the first
+   replaces them, and "0" and "4" before the first's replacement of
+   "1" outgrows the capacity and evicts them. *)
+let test_txn_commit_bytes_equal_direct () =
+  with_store_dir (fun dir ->
+      let history =
+        [
+          [ `Find "1"; `Find "nope"; `Add ("new", "fresh"); `Find "new"; `Find "3";
+            `Find "1"; `Add ("3", "replaced"); `Find "3"; `Add ("2", "second");
+            `Add ("1", String.make 14_000 'x') ];
+          [ `Find "2"; `Find "4"; `Find "0"; `Find "3"; `Add ("0", "zero") ];
+        ]
+      in
+      let run sub via_txn =
+        let d = Filename.concat dir sub in
+        let store = Store.open_ ~capacity:16_000 ~dir:d () in
+        fill store 5;
+        ignore (Store.find store "2");
+        ignore (Store.find store "1");
+        (if via_txn then
+           List.map
+             (fun ops ->
+               let txn = Store.txn_begin store in
+               List.iter
+                 (function
+                   | `Find key -> ignore (Store.txn_find txn key)
+                   | `Add (key, data) -> Store.txn_add txn key data)
+                 ops;
+               txn)
+             history
+           |> List.iter Store.txn_commit
+         else
+           List.iter
+             (List.iter (function
+               | `Find key -> ignore (Store.find store key)
+               | `Add (key, data) -> Store.add store key data))
+             history);
+        let stats = Store.stats store in
+        Store.close store;
+        (stats, read_file (Filename.concat d "index"),
+         read_file (Filename.concat d "payload"))
+      in
+      let s1, index1, payload1 = run "txn" true in
+      let s2, index2, payload2 = run "direct" false in
+      Alcotest.(check bool) "an entry was evicted" true (s2.Store.evictions > 0);
+      Alcotest.(check bool) "same counters" true (s1 = s2);
+      Alcotest.(check string) "same index bytes" index2 index1;
+      Alcotest.(check string) "same payload bytes" payload2 payload1)
+
+let test_reads_after_file_replaced () =
+  with_store_dir (fun dir ->
+      let store = Store.open_ ~dir () in
+      Fun.protect ~finally:(fun () -> Store.close store) (fun () ->
+          fill store 3;
+          Alcotest.(check (option string)) "hit before" (Some (artifact 1))
+            (Store.find store "1");
+          (* Replacing a 600 KiB artifact twice leaves more dead bytes
+             than live ones and than 1 MiB: the next add compacts. *)
+          let big c = String.make (600 * 1024) c in
+          List.iter (fun c -> Store.add store "big" (big c)) [ 'a'; 'b'; 'c' ];
+          let s = Store.stats store in
+          Alcotest.(check bool) "compacted" true (s.Store.payload_bytes < 1024 * 1024);
+          List.iter
+            (fun i ->
+              Alcotest.(check (option string)) "hit after compaction"
+                (Some (artifact i)) (Store.find store (string_of_int i)))
+            [ 0; 1; 2 ];
+          Alcotest.(check (option string)) "latest big" (Some (big 'c'))
+            (Store.find store "big");
+          Store.clear store;
+          Store.add store "after" "clear";
+          Alcotest.(check (option string)) "hit after clear" (Some "clear")
+            (Store.find store "after"));
+      let ws = Buildsys.create ~cache_dir:dir ~dir () in
+      let session = Buildsys.open_session ws in
+      Fun.protect ~finally:(fun () -> Buildsys.close_session session) (fun () ->
+          let store () = Option.get (Buildsys.session_store session) in
+          Alcotest.(check (option string)) "hit before reopen" (Some "clear")
+            (Store.find (store ()) "after");
+          Store.add (store ()) "more" "bytes";
+          Buildsys.reopen_store session;
+          Alcotest.(check (option string)) "hit after reopen" (Some "clear")
+            (Store.find (store ()) "after");
+          Alcotest.(check (option string)) "added before reopen" (Some "bytes")
+            (Store.find (store ()) "more")))
+
+let test_corruption_after_peek_quarantined () =
+  with_store_dir (fun dir ->
+      let store = Store.open_ ~dir () in
+      Fun.protect ~finally:(fun () -> Store.close store) (fun () ->
+          Store.add store "key" "precious-artifact";
+          let txn = Store.txn_begin store in
+          Alcotest.(check (option string)) "peeked" (Some "precious-artifact")
+            (Store.txn_find txn "key");
+          (* Flip a payload byte in place, after the peek verified it. *)
+          let path = Filename.concat dir "payload" in
+          let raw = Bytes.of_string (read_file path) in
+          let pos = Fsio.frame_overhead + 3 in
+          Bytes.set raw pos (Char.chr (Char.code (Bytes.get raw pos) lxor 0x20));
+          write_file path (Bytes.to_string raw);
+          Store.txn_commit txn;
+          Alcotest.(check int) "commit books the verified hit" 1
+            (Store.stats store).Store.hits;
+          Alcotest.(check (option string)) "a real find misses" None
+            (Store.find store "key");
+          let qdir = Filename.concat dir "quarantine" in
+          Alcotest.(check bool) "damaged record quarantined" true
+            (Sys.file_exists qdir && Array.length (Sys.readdir qdir) > 0)))
+
 (* ---------- the function codec ---------- *)
 
 let test_funcodec_roundtrip_and_overwrite () =
@@ -496,6 +641,10 @@ let suite =
     ("store LRU eviction", `Quick, test_store_lru_eviction);
     ("store clear", `Quick, test_store_clear);
     ("store corrupt index", `Quick, test_store_corrupt_index_tolerated);
+    ("txn commit reads each hit once", `Quick, test_txn_commit_reads_once);
+    ("txn commit bytes equal direct finds", `Quick, test_txn_commit_bytes_equal_direct);
+    ("reads after compaction, clear, reopen", `Quick, test_reads_after_file_replaced);
+    ("corruption after peek quarantined", `Quick, test_corruption_after_peek_quarantined);
     ("funcodec roundtrip", `Quick, test_funcodec_roundtrip_and_overwrite);
     ("invalidate components", `Quick, test_invalidate_components);
     ("invalidate global coupling", `Quick, test_invalidate_global_only_coupling);

@@ -543,6 +543,34 @@ let test_buildsys_duplicate_module () =
               "duplicate module name main_mod among the sources" m))
     [ Options.o2; Options.o4 ]
 
+let test_buildsys_program_check () =
+  (* A call whose arity disagrees with its callee's is refused by a
+     workspace build with the message a one-shot compile gives, at
+     every level and under +P, since every unit is IL. *)
+  let sources =
+    [
+      { Pipeline.name = "arity_a"; text = "func main() { return helper(1, 2); }" };
+      { Pipeline.name = "arity_b"; text = "func helper(x) { return x; }" };
+    ]
+  in
+  let message options =
+    match Pipeline.compile options sources with
+    | _ -> Alcotest.failf "%s: compile accepted" (Options.to_string options)
+    | exception Pipeline.Compile_error m -> m
+  in
+  List.iter
+    (fun options ->
+      let label = Options.to_string options in
+      let want = message options in
+      Alcotest.(check bool) (label ^ ": compile names the call") true
+        (Helpers.contains ~sub:"passes 2 args, expects 1" want);
+      with_workspace (fun ws ->
+          match Buildsys.build ws options sources with
+          | _ -> Alcotest.failf "%s: build accepted" label
+          | exception Pipeline.Compile_error m ->
+            Alcotest.(check string) (label ^ " message") want m))
+    [ Options.o2; Options.o4; { Options.o2 with Options.pbo = true } ]
+
 (* ---------- bug isolation ---------- *)
 
 let test_isolate_modules_synthetic () =
@@ -648,6 +676,7 @@ let suite =
     ("buildsys option switch", `Quick, test_buildsys_option_switch);
     ("buildsys duplicate module", `Quick, test_buildsys_duplicate_module);
     ("buildsys unkeyed code objects", `Quick, test_buildsys_unkeyed_code_objects);
+    ("buildsys program check", `Quick, test_buildsys_program_check);
     ("isolate modules (synthetic)", `Quick, test_isolate_modules_synthetic);
     ("isolate modules (good program)", `Quick, test_isolate_modules_good_program);
     ("isolate operation (synthetic)", `Quick, test_isolate_operation_limit_synthetic);
