@@ -384,7 +384,9 @@ let micro () =
    [Phase.optimize_func] runs it (with the Derived memory charge), the
    same ladder pass by pass, and the LLO stages; all of them through
    NAIM's encoder, decoder and size model and through profile
-   correlation; the program's sources through the lexer and parser;
+   correlation; the program's sources through each frontend stage
+   (lexer, parser, name resolution, lowering, the module and program
+   checks) and through the whole frontend stage;
    and its +O4 +P image (6 MB machine) and instrumented training image
    through the VM on the training input; and the artifact store's warm
    reads, a hit and a transaction commit, over a few hundred records
@@ -452,6 +454,9 @@ let passes () =
   for _ = 1 to reps do
     let rep = Hashtbl.create 16 in
     let timed name f =
+      (* Each item starts on an empty minor heap, so it is not charged
+         for promoting what the item before it left there. *)
+      Gc.minor ();
       let w0 = Gc.minor_words () in
       let t0 = Unix.gettimeofday () in
       let r = f () in
@@ -462,11 +467,33 @@ let passes () =
       if not (List.mem name !order) then order := name :: !order;
       r
     in
-    timed "frontend: lex+parse" (fun () ->
+    (* The frontend stage by stage: [parse] lexes too, [check_program]
+       is the full program check, and the last row is the whole stage
+       as a build runs it. *)
+    timed "frontend: lex" (fun () ->
         List.iter
-          (fun (s : Pipeline.source) ->
-            ignore (Cmo_frontend.Parser.parse ~module_name:s.Pipeline.name s.Pipeline.text))
+          (fun (s : Pipeline.source) -> ignore (Cmo_frontend.Lexer.tokenize s.Pipeline.text))
           sources);
+    let asts =
+      timed "frontend: parse" (fun () ->
+          List.map
+            (fun (s : Pipeline.source) ->
+              Cmo_frontend.Parser.parse ~module_name:s.Pipeline.name s.Pipeline.text)
+            sources)
+    in
+    let resolved =
+      timed "frontend: sema" (fun () ->
+          List.map
+            (fun ast -> Result.get_ok (Cmo_frontend.Sema.analyze ast))
+            asts)
+    in
+    let lowered =
+      timed "frontend: lower" (fun () -> List.map Cmo_frontend.Lower.lower_unit resolved)
+    in
+    timed "frontend: Verify.check_module" (fun () ->
+        List.iter (fun m -> ignore (Cmo_il.Verify.check_module m)) lowered);
+    timed "frontend: check_program" (fun () -> ignore (Cmo_il.Verify.check_program lowered));
+    timed "frontend: Pipeline.frontend" (fun () -> ignore (Pipeline.frontend sources));
     let each name f xs = timed name (fun () -> Array.iter f xs) in
     let fs = Array.of_list (List.map Func.copy funcs) in
     each "analysis: Dominators.compute" (fun f -> ignore (Hlo.Dominators.compute f)) fs;
@@ -1548,6 +1575,41 @@ let dist_for name ~shards =
     timed (fun () -> Pipeline.compile { options with Options.jobs = 1 } sources)
   in
   Printf.printf "one-shot oracle: %.3fs wall\n" oracle_wall;
+  (* The partitions a build places on workers: the CMO set's
+     invalidation components that have a root (an exported function
+     or [main]; a rootless one is dead code, emptied without a job),
+     restricted to those holding a module the build re-optimized when
+     it ran against a cache. *)
+  let components =
+    let modules =
+      List.filter (fun (m : Ilmod.t) -> List.mem m.Ilmod.mname cmo_set) (Pipeline.frontend sources)
+    in
+    let rooted (m : Ilmod.t) =
+      List.exists
+        (fun (f : Cmo_il.Func.t) -> f.Cmo_il.Func.linkage = Cmo_il.Func.Exported || f.Cmo_il.Func.name = "main")
+        m.Ilmod.funcs
+    in
+    Cmo_cache.Invalidate.components (Cmo_cache.Invalidate.compute modules)
+    |> List.filter (List.exists (fun n -> rooted (List.find (fun (m : Ilmod.t) -> m.Ilmod.mname = n) modules)))
+  in
+  let placed (b : Pipeline.build) =
+    match b.Pipeline.report.Pipeline.cache with
+    | None -> List.length components
+    | Some c ->
+      List.length (List.filter (List.exists (fun n -> List.mem n c.Pipeline.cmo_reoptimized)) components)
+  in
+  Printf.printf "%d rooted invalidation components\n" (List.length components);
+  (* A fault-free leg that lost a worker, or ran fewer partition jobs on
+     workers than the build placed, measured local redo rather than
+     distribution, however identical its output. *)
+  let check_fault_free leg (b : Pipeline.build) ~pjobs ~lost =
+    let want = placed b in
+    if lost > 0 || pjobs < want then begin
+      incr failures;
+      Printf.eprintf "dist: fault-free leg %s lost %d worker(s) and ran %d of %d partition job(s) on workers\n"
+        leg lost pjobs want
+    end
+  in
   (* Every leg lands a row in BENCH_dist.json — the machine-readable
      record of the whole sweep, TCP legs included. *)
   let legs = ref [] in
@@ -1563,13 +1625,14 @@ let dist_for name ~shards =
         ]
       :: !legs
   in
-  let run_leg leg options' =
+  let run_leg ?(fault_free = true) leg options' =
     let j0 = Distwork.jobs_total () and l0 = Distwork.lost_total () in
     let b, wall = timed (fun () -> Pipeline.compile options' sources) in
     let cpu = Pipeline.phase_cpu_seconds b.Pipeline.report in
     let pjobs = Distwork.jobs_total () - j0 in
     let lost = Distwork.lost_total () - l0 in
     note_leg leg wall cpu pjobs lost;
+    if fault_free then check_fault_free leg b ~pjobs ~lost;
     let ok = identical b oracle in
     if not ok then incr failures;
     Printf.printf "%-16s | %8.3f | %8.3f | %6d %6d | %s\n%!" leg wall cpu pjobs
@@ -1600,7 +1663,7 @@ let dist_for name ~shards =
         [ 2; 4 ];
       with_plan "partition@5" (fun () ->
           let lost =
-            run_leg "tcp-partition@5"
+            run_leg ~fault_free:false "tcp-partition@5"
               { options with Options.jobs = 2; dist = true; workers }
           in
           if lost = 0 then begin
@@ -1647,10 +1710,9 @@ let dist_for name ~shards =
                 { options with Options.jobs = 2; dist = true }
                 sources))
     in
-    note_leg ("remote-" ^ label) wall
-      (Pipeline.phase_cpu_seconds b.Pipeline.report)
-      (Distwork.jobs_total () - j0)
-      (Distwork.lost_total () - l0);
+    let pjobs = Distwork.jobs_total () - j0 and lost = Distwork.lost_total () - l0 in
+    note_leg ("remote-" ^ label) wall (Pipeline.phase_cpu_seconds b.Pipeline.report) pjobs lost;
+    check_fault_free ("remote-" ^ label) b ~pjobs ~lost;
     if not (identical b oracle) then begin
       incr failures;
       Printf.eprintf "dist: %s diverged from the oracle\n" label

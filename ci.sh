@@ -31,8 +31,12 @@
 # (suite "backend": scheduling, register allocation with its
 # intervals, peephole and code emission of generated programs' routines
 # and of random spill-heavy machine code held to test/ref_llo.ml: equal
-# machine code, counts and callee-saved sets), each at ten times its
-# default case count (QCHECK_LONG=1).
+# machine code, counts and callee-saved sets) and the frontend-oracle
+# properties (suite "lowering": lexing, parsing, name resolution,
+# lowering and the IL checks of generated, fuzzed, corpus and example
+# programs, each also mutated, held to test/ref_frontend.ml: equal
+# tokens, ASTs, IL bytes and issues, or the same error at the same
+# position), each at ten times its default case count (QCHECK_LONG=1).
 # Finally the build server is exercised twice: the in-process
 # edit-storm smoke (concurrent clients held byte-identical to one-shot
 # builds, warm-cache hit rate rising, per-request crash isolation),
@@ -184,6 +188,9 @@ CMO_FUZZ_SEED=1 QCHECK_LONG=1 dune exec test/test_main.exe -- test vm
 
 echo "== backend-oracle property (fixed seed, 10x cases) =="
 CMO_FUZZ_SEED=1 QCHECK_LONG=1 dune exec test/test_main.exe -- test backend
+
+echo "== frontend-oracle property (fixed seed, 10x cases) =="
+CMO_FUZZ_SEED=1 QCHECK_LONG=1 dune exec test/test_main.exe -- test lowering
 
 echo "== edit-storm smoke (in-process daemon, concurrent clients) =="
 dune exec bench/main.exe -- storm-smoke

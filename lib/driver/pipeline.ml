@@ -137,9 +137,10 @@ let lower_each ~jobs sources =
   else List.map frontend_one sources
 
 (* The whole-program check (linkage, call arities) of a program whose
-   every module is IL. *)
-let check_program modules =
-  match Verify.check_program modules with
+   every module is IL.  [verified] modules were lowered by this build,
+   and [frontend_one] has run their local checks. *)
+let check_program ~verified modules =
+  match Verify.check_program ~verified modules with
   | [] -> ()
   | issues ->
     error "@[<v>IL verification failed:@,%a@]"
@@ -149,7 +150,7 @@ let check_program modules =
 let frontend ?(jobs = 1) sources =
   check_distinct sources;
   let modules = lower_each ~jobs sources in
-  check_program modules;
+  check_program ~verified:(fun _ -> true) modules;
   modules
 
 (* Dynamic call weights for routine clustering, from annotated IL. *)
@@ -1083,8 +1084,14 @@ let lower ?objects (options : Options.t) sources =
             Either.Left m)
         found
     in
-    if List.for_all Either.is_left units then
-      check_program (List.filter_map Either.find_left units);
+    if List.for_all Either.is_left units then begin
+      let verified (m : Ilmod.t) =
+        match Hashtbl.find_opt lowered m.Ilmod.mname with
+        | Some lowered -> lowered == m
+        | None -> false
+      in
+      check_program ~verified (List.filter_map Either.find_left units)
+    end;
     units
 
 let compile ?profile ?cache ?naim_repo ?remote ?objects options sources =

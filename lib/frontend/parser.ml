@@ -1,42 +1,52 @@
 exception Parse_error of string * Ast.pos
 
-type state = { mutable toks : Lexer.located list }
+(* The parser indexes into the lexer's token buffer. *)
+type state = { lx : Lexer.t; mutable i : int }
 
-let peek st =
-  match st.toks with
-  | t :: _ -> t
-  | [] -> { Lexer.tok = Lexer.EOF; pos = { Ast.line = 0; col = 0 } }
+(* The parser never moves past the final [EOF]; the guards keep the
+   reads in bounds all the same. *)
+let peek st = if st.i < Lexer.length st.lx then Lexer.kind st.lx st.i else Lexer.EOF
 
-let advance st = match st.toks with _ :: rest -> st.toks <- rest | [] -> ()
+let here st : Ast.pos =
+  if st.i < Lexer.length st.lx then Lexer.pos st.lx st.i else { Ast.line = 0; col = 0 }
+
+let advance st = if st.i < Lexer.length st.lx then st.i <- st.i + 1
+
+(* The kind of the token after the current one. *)
+let peek2 st = if st.i + 1 < Lexer.length st.lx then Lexer.kind st.lx (st.i + 1) else Lexer.EOF
+
+let found st = if st.i < Lexer.length st.lx then Lexer.describe st.lx st.i else "end of input"
 
 let error pos fmt =
   Format.kasprintf (fun msg -> raise (Parse_error (msg, pos))) fmt
 
-let expect st tok =
-  let t = peek st in
-  if t.Lexer.tok = tok then advance st
-  else
-    error t.Lexer.pos "expected %s but found %s" (Lexer.token_name tok)
-      (Lexer.token_name t.Lexer.tok)
+let expect st (kind : Lexer.kind) =
+  if peek st = kind then advance st
+  else error (here st) "expected %s but found %s" (Lexer.kind_name kind) (found st)
 
-let expect_ident st =
-  let t = peek st in
-  match t.Lexer.tok with
-  | Lexer.IDENT name ->
+let expect_name st =
+  match peek st with
+  | Lexer.IDENT ->
+    let name = Lexer.ident st.lx st.i in
     advance st;
-    (name, t.Lexer.pos)
-  | other -> error t.Lexer.pos "expected identifier, found %s" (Lexer.token_name other)
+    name
+  | _ -> error (here st) "expected identifier, found %s" (found st)
+
+(* [expect_name] with the identifier's position. *)
+let expect_ident st =
+  let pos = here st in
+  (expect_name st, pos)
 
 let expect_int st =
-  let t = peek st in
-  match t.Lexer.tok with
-  | Lexer.INT v ->
+  match peek st with
+  | Lexer.INT ->
+    let v = Lexer.int st.lx st.i in
     advance st;
     v
-  | other -> error t.Lexer.pos "expected integer, found %s" (Lexer.token_name other)
+  | _ -> error (here st) "expected integer, found %s" (found st)
 
 (* Binary operator precedence, loosest first. *)
-let binop_of_token = function
+let binop_of_kind = function
   | Lexer.PIPEPIPE -> Some (Ast.Lor, 1)
   | Lexer.AMPAMP -> Some (Ast.Land, 2)
   | Lexer.PIPE -> Some (Ast.Or, 3)
@@ -58,233 +68,236 @@ let binop_of_token = function
   | _ -> None
 
 let rec parse_primary st : Ast.expr =
-  let t = peek st in
-  match t.Lexer.tok with
-  | Lexer.INT v ->
+  match peek st with
+  | Lexer.INT ->
+    let pos = here st in
+    let v = Lexer.int st.lx st.i in
     advance st;
-    { Ast.desc = Ast.Int v; pos = t.Lexer.pos }
+    { Ast.desc = Ast.Int v; pos }
   | Lexer.LPAREN ->
     advance st;
     let e = parse_expr_prec st 1 in
     expect st Lexer.RPAREN;
     e
   | Lexer.MINUS ->
+    let pos = here st in
     advance st;
     let e = parse_unary st in
-    { Ast.desc = Ast.Unary (Ast.Neg, e); pos = t.Lexer.pos }
+    { Ast.desc = Ast.Unary (Ast.Neg, e); pos }
   | Lexer.BANG ->
+    let pos = here st in
     advance st;
     let e = parse_unary st in
-    { Ast.desc = Ast.Unary (Ast.Not, e); pos = t.Lexer.pos }
-  | Lexer.IDENT name -> begin
+    { Ast.desc = Ast.Unary (Ast.Not, e); pos }
+  | Lexer.IDENT -> begin
+    let pos = here st in
+    let name = Lexer.ident st.lx st.i in
     advance st;
-    match (peek st).Lexer.tok with
+    match peek st with
     | Lexer.LPAREN ->
       advance st;
       let args = parse_args st in
-      { Ast.desc = Ast.Call (name, args); pos = t.Lexer.pos }
+      { Ast.desc = Ast.Call (name, args); pos }
     | Lexer.LBRACKET ->
       advance st;
       let idx = parse_expr_prec st 1 in
       expect st Lexer.RBRACKET;
-      { Ast.desc = Ast.Index (name, idx); pos = t.Lexer.pos }
-    | _ -> { Ast.desc = Ast.Var name; pos = t.Lexer.pos }
+      { Ast.desc = Ast.Index (name, idx); pos }
+    | _ -> { Ast.desc = Ast.Var name; pos }
   end
-  | other -> error t.Lexer.pos "expected expression, found %s" (Lexer.token_name other)
+  | _ -> error (here st) "expected expression, found %s" (found st)
 
 and parse_unary st =
-  let t = peek st in
-  match t.Lexer.tok with
+  match peek st with
   | Lexer.MINUS ->
+    let pos = here st in
     advance st;
     let e = parse_unary st in
-    { Ast.desc = Ast.Unary (Ast.Neg, e); pos = t.Lexer.pos }
+    { Ast.desc = Ast.Unary (Ast.Neg, e); pos }
   | Lexer.BANG ->
+    let pos = here st in
     advance st;
     let e = parse_unary st in
-    { Ast.desc = Ast.Unary (Ast.Not, e); pos = t.Lexer.pos }
+    { Ast.desc = Ast.Unary (Ast.Not, e); pos }
   | _ -> parse_primary st
 
 and parse_args st =
-  if (peek st).Lexer.tok = Lexer.RPAREN then begin
+  if peek st = Lexer.RPAREN then begin
     advance st;
     []
   end
-  else begin
-    let rec go acc =
-      let e = parse_expr_prec st 1 in
-      match (peek st).Lexer.tok with
-      | Lexer.COMMA ->
-        advance st;
-        go (e :: acc)
-      | _ ->
-        expect st Lexer.RPAREN;
-        List.rev (e :: acc)
-    in
-    go []
-  end
+  else parse_more_args st []
 
-and parse_expr_prec st min_prec : Ast.expr =
-  let lhs = parse_unary st in
-  let rec loop lhs =
-    let t = peek st in
-    match binop_of_token t.Lexer.tok with
-    | Some (op, prec) when prec >= min_prec ->
-      advance st;
-      let rhs = parse_expr_prec st (prec + 1) in
-      loop { Ast.desc = Ast.Binary (op, lhs, rhs); pos = t.Lexer.pos }
-    | _ -> lhs
-  in
-  loop lhs
+and parse_more_args st acc =
+  let e = parse_expr_prec st 1 in
+  match peek st with
+  | Lexer.COMMA ->
+    advance st;
+    parse_more_args st (e :: acc)
+  | _ ->
+    expect st Lexer.RPAREN;
+    List.rev (e :: acc)
+
+(* The loops below are top-level functions, not local closures, so a
+   subexpression allocates only its nodes. *)
+and parse_expr_prec st min_prec : Ast.expr = parse_binary st min_prec (parse_unary st)
+
+and parse_binary st min_prec lhs =
+  match binop_of_kind (peek st) with
+  | Some (op, prec) when prec >= min_prec ->
+    let pos = here st in
+    advance st;
+    let rhs = parse_expr_prec st (prec + 1) in
+    parse_binary st min_prec { Ast.desc = Ast.Binary (op, lhs, rhs); pos }
+  | _ -> lhs
 
 let parse_expression st = parse_expr_prec st 1
 
 let rec parse_stmt st : Ast.stmt =
-  let t = peek st in
-  match t.Lexer.tok with
+  match peek st with
   | Lexer.KW_VAR -> parse_simple_stmt st ~consume_semi:true
   | Lexer.KW_IF ->
+    let spos = here st in
     advance st;
     expect st Lexer.LPAREN;
     let cond = parse_expression st in
     expect st Lexer.RPAREN;
     let then_body = parse_block st in
     let else_body =
-      if (peek st).Lexer.tok = Lexer.KW_ELSE then begin
+      if peek st = Lexer.KW_ELSE then begin
         advance st;
-        if (peek st).Lexer.tok = Lexer.KW_IF then [ parse_stmt st ]
-        else parse_block st
+        if peek st = Lexer.KW_IF then [ parse_stmt st ] else parse_block st
       end
       else []
     in
-    { Ast.sdesc = Ast.If (cond, then_body, else_body); spos = t.Lexer.pos }
+    { Ast.sdesc = Ast.If (cond, then_body, else_body); spos }
   | Lexer.KW_WHILE ->
+    let spos = here st in
     advance st;
     expect st Lexer.LPAREN;
     let cond = parse_expression st in
     expect st Lexer.RPAREN;
     let body = parse_block st in
-    { Ast.sdesc = Ast.While (cond, body); spos = t.Lexer.pos }
+    { Ast.sdesc = Ast.While (cond, body); spos }
   | Lexer.KW_FOR ->
+    let spos = here st in
     advance st;
     expect st Lexer.LPAREN;
     let init =
-      if (peek st).Lexer.tok = Lexer.SEMI then begin
+      if peek st = Lexer.SEMI then begin
         advance st;
         None
       end
       else Some (parse_simple_stmt st ~consume_semi:true)
     in
-    let cond =
-      if (peek st).Lexer.tok = Lexer.SEMI then None
-      else Some (parse_expression st)
-    in
+    let cond = if peek st = Lexer.SEMI then None else Some (parse_expression st) in
     expect st Lexer.SEMI;
     let step =
-      if (peek st).Lexer.tok = Lexer.RPAREN then None
+      if peek st = Lexer.RPAREN then None
       else Some (parse_simple_stmt st ~consume_semi:false)
     in
     expect st Lexer.RPAREN;
     let body = parse_block st in
-    { Ast.sdesc = Ast.For (init, cond, step, body); spos = t.Lexer.pos }
+    { Ast.sdesc = Ast.For (init, cond, step, body); spos }
   | Lexer.KW_BREAK ->
+    let spos = here st in
     advance st;
     expect st Lexer.SEMI;
-    { Ast.sdesc = Ast.Break; spos = t.Lexer.pos }
+    { Ast.sdesc = Ast.Break; spos }
   | Lexer.KW_CONTINUE ->
+    let spos = here st in
     advance st;
     expect st Lexer.SEMI;
-    { Ast.sdesc = Ast.Continue; spos = t.Lexer.pos }
+    { Ast.sdesc = Ast.Continue; spos }
   | Lexer.KW_RETURN ->
+    let spos = here st in
     advance st;
-    if (peek st).Lexer.tok = Lexer.SEMI then begin
+    if peek st = Lexer.SEMI then begin
       advance st;
-      { Ast.sdesc = Ast.Return None; spos = t.Lexer.pos }
+      { Ast.sdesc = Ast.Return None; spos }
     end
     else begin
       let e = parse_expression st in
       expect st Lexer.SEMI;
-      { Ast.sdesc = Ast.Return (Some e); spos = t.Lexer.pos }
+      { Ast.sdesc = Ast.Return (Some e); spos }
     end
   | _ -> parse_simple_stmt st ~consume_semi:true
 
 (* The statement forms legal in a [for] header: declaration,
    assignment, array store, or expression statement. *)
 and parse_simple_stmt st ~consume_semi : Ast.stmt =
-  let t = peek st in
-  let finish sdesc =
-    if consume_semi then expect st Lexer.SEMI;
-    { Ast.sdesc; spos = t.Lexer.pos }
-  in
-  match t.Lexer.tok with
+  let spos = here st in
+  let sdesc = parse_simple_desc st spos in
+  if consume_semi then expect st Lexer.SEMI;
+  { Ast.sdesc; spos }
+
+and parse_simple_desc st spos : Ast.stmt_desc =
+  match peek st with
   | Lexer.KW_VAR ->
     advance st;
-    let name, _ = expect_ident st in
+    let name = expect_name st in
     expect st Lexer.ASSIGN;
     let e = parse_expression st in
-    finish (Ast.Decl (name, e))
-  | Lexer.IDENT name -> begin
+    Ast.Decl (name, e)
+  | Lexer.IDENT -> begin
     (* Could be assignment, array store, or expression statement. *)
-    match st.toks with
-    | _ :: { Lexer.tok = Lexer.ASSIGN; _ } :: _ ->
+    let name = Lexer.ident st.lx st.i in
+    match peek2 st with
+    | Lexer.ASSIGN ->
       advance st;
       advance st;
       let e = parse_expression st in
-      finish (Ast.Assign (name, e))
-    | _ :: { Lexer.tok = Lexer.LBRACKET; _ } :: _ ->
+      Ast.Assign (name, e)
+    | Lexer.LBRACKET ->
       (* Either a store or an index expression; decide after ']'. *)
       advance st;
       advance st;
       let idx = parse_expression st in
       expect st Lexer.RBRACKET;
-      if (peek st).Lexer.tok = Lexer.ASSIGN then begin
+      if peek st = Lexer.ASSIGN then begin
         advance st;
         let v = parse_expression st in
-        finish (Ast.Store (name, idx, v))
+        Ast.Store (name, idx, v)
       end
       else begin
         (* Re-wrap as an index expression and continue as expression
            statement (e.g. [a[i] ;] or [a[i] + f();]). *)
-        let base = { Ast.desc = Ast.Index (name, idx); pos = t.Lexer.pos } in
-        let e = parse_expr_continue st base in
-        finish (Ast.Expr e)
+        let base = { Ast.desc = Ast.Index (name, idx); pos = spos } in
+        Ast.Expr (parse_expr_continue st base)
       end
-    | _ -> finish (Ast.Expr (parse_expression st))
+    | _ -> Ast.Expr (parse_expression st)
   end
-  | _ -> finish (Ast.Expr (parse_expression st))
+  | _ -> Ast.Expr (parse_expression st)
 
 and parse_expr_continue st lhs =
-  let rec loop lhs =
-    let t = peek st in
-    match binop_of_token t.Lexer.tok with
-    | Some (op, prec) ->
-      advance st;
-      let rhs = parse_expr_prec st (prec + 1) in
-      loop { Ast.desc = Ast.Binary (op, lhs, rhs); pos = t.Lexer.pos }
-    | None -> lhs
-  in
-  loop lhs
+  match binop_of_kind (peek st) with
+  | Some (op, prec) ->
+    let pos = here st in
+    advance st;
+    let rhs = parse_expr_prec st (prec + 1) in
+    parse_expr_continue st { Ast.desc = Ast.Binary (op, lhs, rhs); pos }
+  | None -> lhs
 
 and parse_block st =
   expect st Lexer.LBRACE;
-  let rec go acc =
-    if (peek st).Lexer.tok = Lexer.RBRACE then begin
-      advance st;
-      List.rev acc
-    end
-    else go (parse_stmt st :: acc)
-  in
-  go []
+  parse_stmts st []
+
+and parse_stmts st acc =
+  if peek st = Lexer.RBRACE then begin
+    advance st;
+    List.rev acc
+  end
+  else parse_stmts st (parse_stmt st :: acc)
 
 let parse_global_init st =
-  if (peek st).Lexer.tok = Lexer.ASSIGN then begin
+  if peek st = Lexer.ASSIGN then begin
     advance st;
-    match (peek st).Lexer.tok with
+    match peek st with
     | Lexer.LBRACE ->
       advance st;
       let rec go acc =
         let v = expect_int st in
-        match (peek st).Lexer.tok with
+        match peek st with
         | Lexer.COMMA ->
           advance st;
           go (v :: acc)
@@ -300,14 +313,16 @@ let parse_global_init st =
   end
   else [||]
 
+(* The line of the current token, 0 past the end as [here]. *)
+let current_line st = if st.i < Lexer.length st.lx then Lexer.line st.lx st.i else 0
+
 let parse_decl ?(extern_ = false) st static : Ast.decl =
-  let t = peek st in
-  match t.Lexer.tok with
+  match peek st with
   | Lexer.KW_GLOBAL ->
     advance st;
     let name, pos = expect_ident st in
     let size =
-      if (peek st).Lexer.tok = Lexer.LBRACKET then begin
+      if peek st = Lexer.LBRACKET then begin
         advance st;
         let v = expect_int st in
         expect st Lexer.RBRACKET;
@@ -328,14 +343,14 @@ let parse_decl ?(extern_ = false) st static : Ast.decl =
     let name, pos = expect_ident st in
     expect st Lexer.LPAREN;
     let params =
-      if (peek st).Lexer.tok = Lexer.RPAREN then begin
+      if peek st = Lexer.RPAREN then begin
         advance st;
         []
       end
       else begin
         let rec go acc =
-          let p, _ = expect_ident st in
-          match (peek st).Lexer.tok with
+          let p = expect_name st in
+          match peek st with
           | Lexer.COMMA ->
             advance st;
             go (p :: acc)
@@ -346,19 +361,17 @@ let parse_decl ?(extern_ = false) st static : Ast.decl =
         go []
       end
     in
-    let end_before = (peek st).Lexer.pos.Ast.line in
+    let end_before = current_line st in
     let body = parse_block st in
-    let end_line = max end_before (peek st).Lexer.pos.Ast.line in
+    let end_line = max end_before (current_line st) in
     if extern_ then error pos "extern functions are not declared in MiniC";
     Ast.Func_decl { name; params; body; static; pos; end_line }
-  | other ->
-    error t.Lexer.pos "expected 'global' or 'func', found %s"
-      (Lexer.token_name other)
+  | _ -> error (here st) "expected 'global' or 'func', found %s" (found st)
 
 let parse ~module_name source =
-  let st = { toks = Lexer.tokenize source } in
+  let st = { lx = Lexer.tokenize source; i = 0 } in
   let rec go acc =
-    match (peek st).Lexer.tok with
+    match peek st with
     | Lexer.EOF -> List.rev acc
     | Lexer.KW_STATIC ->
       advance st;
@@ -368,8 +381,12 @@ let parse ~module_name source =
       go (parse_decl ~extern_:true st false :: acc)
     | _ -> go (parse_decl st false :: acc)
   in
-  { Ast.module_name; decls = go [] }
+  let decls = go [] in
+  Lexer.release st.lx;
+  { Ast.module_name; decls }
 
 let parse_expr source =
-  let st = { toks = Lexer.tokenize source } in
-  parse_expression st
+  let st = { lx = Lexer.tokenize source; i = 0 } in
+  let e = parse_expression st in
+  Lexer.release st.lx;
+  e

@@ -6,8 +6,10 @@ type error =
   | Duplicate of string * string * string
   | Undefined of string * string
 
+module Strtbl = Cmo_support.Strtbl
+
 type t = {
-  table : (string, entry) Hashtbl.t;
+  table : entry Strtbl.t;
   mutable order : string list;  (* reverse definition order *)
 }
 
@@ -21,41 +23,46 @@ let entry_exported = function
   | Global_entry { exported; _ } -> exported
 
 let add t errors name entry =
-  match Hashtbl.find_opt t.table name with
+  match Strtbl.find_opt t.table name with
   | Some prev ->
     errors := Duplicate (name, entry_module prev, entry_module entry) :: !errors
   | None ->
-    Hashtbl.replace t.table name entry;
+    Strtbl.replace t.table name entry;
     t.order <- name :: t.order
 
-let find t ~current_module:_ name = Hashtbl.find_opt t.table name
+let find t ~current_module:_ name = Strtbl.find_opt t.table name
 
 let find_exported t name =
-  match Hashtbl.find_opt t.table name with
+  match Strtbl.find_opt t.table name with
   | Some e when entry_exported e -> Some e
   | Some _ | None -> None
 
 let defined_names t = List.rev t.order
 
-(* Names referenced by a function: callees plus global bases. *)
-let referenced_names f =
-  let names = ref [] in
-  let note n = if not (List.mem n !names) then names := n :: !names in
+(* [k name] on each name a function references (callees and global
+   bases), once, in first-reference order.  [seen] maps a name to the
+   last function that referenced it, [stamp] this one. *)
+let iter_referenced seen stamp f k =
+  let note n =
+    match Strtbl.find_opt seen n with
+    | Some s when s = stamp -> ()
+    | Some _ | None ->
+      Strtbl.replace seen n stamp;
+      k n
+  in
   List.iter
     (fun b ->
       List.iter
         (fun i ->
           match i with
           | Instr.Call { callee; _ } -> note callee
-          | Instr.Load (_, { base; _ }) | Instr.Store ({ base; _ }, _) ->
-            note base
+          | Instr.Load (_, { base; _ }) | Instr.Store ({ base; _ }, _) -> note base
           | Instr.Move _ | Instr.Unop _ | Instr.Binop _ | Instr.Probe _ -> ())
         b.Func.instrs)
-    f.Func.blocks;
-  List.rev !names
+    f.Func.blocks
 
 let build modules =
-  let t = { table = Hashtbl.create 256; order = [] } in
+  let t = { table = Strtbl.create 256; order = [] } in
   let errors = ref [] in
   List.iter
     (fun m ->
@@ -80,17 +87,15 @@ let build modules =
                }))
         m.Ilmod.funcs)
     modules;
+  let seen = Strtbl.create 256 and stamp = ref 0 in
   List.iter
     (fun m ->
       List.iter
         (fun f ->
-          List.iter
-            (fun name ->
-              if not (Intrinsics.is_intrinsic name) then
-                match find t ~current_module:m.Ilmod.mname name with
-                | Some _ -> ()
-                | None -> errors := Undefined (m.Ilmod.mname, name) :: !errors)
-            (referenced_names f))
+          incr stamp;
+          iter_referenced seen !stamp f (fun name ->
+              if not (Intrinsics.is_intrinsic name || Strtbl.mem t.table name) then
+                errors := Undefined (m.Ilmod.mname, name) :: !errors))
         m.Ilmod.funcs)
     modules;
   match !errors with [] -> Ok t | errs -> Error (List.rev errs)

@@ -25,9 +25,12 @@ val check_func : ?symtab:Symtab.t -> module_name:string -> Func.t -> issue list
 
 val check_module : ?symtab:Symtab.t -> Ilmod.t -> issue list
 
-val check_program : Ilmod.t list -> issue list
+val check_program : ?verified:(Ilmod.t -> bool) -> Ilmod.t list -> issue list
 (** Builds the symbol table and checks every module against it; symbol
     table errors are reported as issues on a pseudo-function
-    ["<symtab>"]. *)
+    ["<symtab>"].  A module [verified] holds for (default: none) has
+    already passed {!check_module} without a symbol table, so it gets
+    only the checks that need one — which report what the full check
+    would. *)
 
 val pp_issue : Format.formatter -> issue -> unit

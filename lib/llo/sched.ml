@@ -6,41 +6,91 @@ let is_barrier = function
 
 let is_load = function Mach.Ld _ -> true | _ -> false
 
+(* The scratch state of [run], sized for a routine's longest block
+   ([cap]: no segment is longer) and for its registers.  Arrays named
+   by instruction are indexed by position in the segment.
+
+   A segment instruction reads at most two registers and writes at
+   most one ([-1]: none): [use0], [use1], [def].
+
+   Per register (every register, physical or virtual, is below
+   [next_vreg]): [writer] holds the segment index of its last writer,
+   [reader] the newest of the reads since that write.  Read [u] of
+   instruction [j] is node [2j + u]; [next_reader] links each node to
+   the previous read of the same register.  A segment resets the
+   registers it touched, so both are all [-1] between routines.
+
+   [prev_load] links the loads since the last store, newest first.
+
+   Dependence edges are per-source lists threaded through
+   [edge_dst]/[edge_next].  Per instruction a segment adds at most two
+   edges from its sources' writers, one from its destination's writer
+   and one from the last store; the edges from readers and from loads
+   number at most two and one per instruction over the segment: seven
+   in all.  [npreds] counts unscheduled predecessors ([-1] once
+   scheduled). *)
+type workspace = {
+  cap : int;
+  instrs : Mach.instr array;
+  out : Mach.instr array;
+  use0 : int array;
+  use1 : int array;
+  def : int array;
+  next_reader : int array;
+  prev_load : int array;
+  succ_head : int array;
+  edge_dst : int array;
+  edge_next : int array;
+  npreds : int array;
+  last_src : int array;
+  height : int array;
+  writer : int array;
+  reader : int array;
+}
+
+let workspace ~cap ~nregs =
+  {
+    cap;
+    instrs = Array.make cap Mach.Halt;
+    out = Array.make cap Mach.Halt;
+    use0 = Array.make cap (-1);
+    use1 = Array.make cap (-1);
+    def = Array.make cap (-1);
+    next_reader = Array.make (2 * cap) (-1);
+    prev_load = Array.make cap (-1);
+    succ_head = Array.make cap (-1);
+    edge_dst = Array.make (7 * cap) 0;
+    edge_next = Array.make (7 * cap) 0;
+    npreds = Array.make cap 0;
+    last_src = Array.make cap (-1);
+    height = Array.make cap 0;
+    writer = Array.make nregs (-1);
+    reader = Array.make nregs (-1);
+  }
+
+(* One spare workspace, taken and put back with [Atomic.exchange]:
+   routines scheduled one after another reuse it, and one that finds
+   none (another domain holds it) or finds it too small makes its own,
+   which then becomes the spare.  A run that raises does not put its
+   workspace back. *)
+let spare : workspace option Atomic.t = Atomic.make None
+
+let take ~cap ~nregs =
+  match Atomic.exchange spare None with
+  | Some ws when ws.cap >= cap && Array.length ws.writer >= nregs -> ws
+  | Some ws -> workspace ~cap:(max cap ws.cap) ~nregs:(max nregs (Array.length ws.writer))
+  | None -> workspace ~cap ~nregs
+
 let run (vc : Isel.vcode) =
-  (* One scratch workspace per routine, sized for its longest block
-     (no segment is longer) and reused by every segment.  Arrays
-     named by instruction are indexed by position in the segment. *)
   let cap =
     List.fold_left (fun m (b : Isel.vblock) -> max m (List.length b.Isel.body)) 0 vc.Isel.vblocks
   in
-  let instrs = Array.make cap Mach.Halt and out = Array.make cap Mach.Halt in
-  (* A segment instruction reads at most two registers and writes at
-     most one ([-1]: none). *)
-  let use0 = Array.make cap (-1) and use1 = Array.make cap (-1) and def = Array.make cap (-1) in
-  (* Per register (every register, physical or virtual, is below
-     [next_vreg]): the segment index of its last writer, and the
-     newest of the reads since that write.  Read [u] of instruction
-     [j] is node [2j + u]; [next_reader] links each node to the
-     previous read of the same register.  A segment resets the
-     registers it touched. *)
-  let writer = Array.make vc.Isel.next_vreg (-1) and reader = Array.make vc.Isel.next_vreg (-1) in
-  let next_reader = Array.make (2 * cap) (-1) in
-  (* Loads since the last store, newest first, linked through
-     [prev_load]. *)
-  let prev_load = Array.make cap (-1) in
-  (* Dependence edges as per-source lists threaded through
-     [edge_dst]/[edge_next].  Per instruction a segment adds at most
-     two edges from its sources' writers, one from its destination's
-     writer and one from the last store; the edges from readers and
-     from loads number at most two and one per instruction over the
-     segment: seven in all. *)
-  let succ_head = Array.make cap (-1) in
-  let edge_dst = Array.make (7 * cap) 0 and edge_next = Array.make (7 * cap) 0 in
+  let ws = take ~cap ~nregs:vc.Isel.next_vreg in
+  let { instrs; out; use0; use1; def; next_reader; prev_load; succ_head; edge_dst; edge_next;
+        npreds; last_src; height; writer; reader; _ } =
+    ws
+  in
   let nedges = ref 0 in
-  (* Unscheduled predecessors; [-1] once scheduled. *)
-  let npreds = Array.make cap 0 in
-  let last_src = Array.make cap (-1) in
-  let height = Array.make cap 0 in
   (* Dependence edges i -> j (i before j), built in one pass: j
      depends on the last writer of each register it reads or writes,
      on every reader since that write of a register it writes, on the
@@ -207,4 +257,5 @@ let run (vc : Isel.vcode) =
       end;
       moved := !moved + !block_moved)
     vc.Isel.vblocks;
+  ignore (Atomic.exchange spare (Some ws));
   !moved

@@ -3,6 +3,7 @@ module Fsio = Cmo_support.Fsio
 module Faults = Cmo_support.Faults
 module Netio = Cmo_support.Netio
 module Codec = Cmo_support.Codec
+module Fingerprint = Cmo_support.Fingerprint
 module Store = Cmo_cache.Store
 module Db = Cmo_profile.Db
 module Ingest = Cmo_profile.Ingest
@@ -245,11 +246,35 @@ let source_lines (sources : Pipeline.source list) =
           0 s.Pipeline.text)
     0 sources
 
+(* The session store as a cache of frontend output, so a request
+   lowers only the sources it changed.  Records are IL objects keyed on
+   the source's name and text and on the build identity (the store
+   outlives a daemon binary, and the IL encoding is its own).  [find]
+   returns IL objects only: a code object carries no arities, and the
+   chain would then skip the program check.  [save] encodes at once,
+   before the chain annotates and optimizes the module in place.  A
+   record that does not decode, or names another module, is a miss. *)
+let il_objects store =
+  let key (src : Pipeline.source) =
+    Fingerprint.of_strings [ "il1"; Cmo_buildid.id; src.Pipeline.name; src.Pipeline.text ]
+  in
+  {
+    Pipeline.find =
+      (fun ~il:_ src ->
+        match Option.map Objfile.decode (Store.find store (key src)) with
+        | Some obj when Objfile.is_il obj && obj.Objfile.module_name = src.Pipeline.name ->
+          Some obj
+        | Some _ | None -> None
+        | exception Codec.Reader.Corrupt _ -> None);
+    save =
+      (fun src obj -> if Objfile.is_il obj then Store.add store (key src) (Objfile.encode obj));
+  }
+
 let compile_once t ?profile options sources =
-  Pipeline.compile ?profile
-    ?cache:(Buildsys.session_store t.session)
+  let cache = Buildsys.session_store t.session in
+  Pipeline.compile ?profile ?cache
     ?naim_repo:(Buildsys.session_repo t.session)
-    options sources
+    ?objects:(Option.map il_objects cache) options sources
 
 (* One build request, against the shared warm session.  A fault plan
    makes the request exclusive; afterwards the plan is cleared and the

@@ -1,10 +1,4 @@
-(* Typed string keys: equality without the polymorphic compare. *)
-module Table = Hashtbl.Make (struct
-  type t = string
-
-  let equal = String.equal
-  let hash = Hashtbl.hash
-end)
+module Table = Strtbl
 
 type t = {
   table : int Table.t;

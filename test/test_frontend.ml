@@ -17,24 +17,23 @@ let output src = (Helpers.run_main src).Interp.output
 
 (* ---------- Lexer ---------- *)
 
+let kinds toks = List.init (Lexer.length toks) (Lexer.kind toks)
+
 let test_lex_tokens () =
-  let toks = Lexer.tokenize "func f(a) { return a + 41; }" in
-  let kinds = List.map (fun t -> t.Lexer.tok) toks in
+  let kinds = kinds (Lexer.tokenize "func f(a) { return a + 41; }") in
   Alcotest.(check int) "token count" 13 (List.length kinds);
   Alcotest.(check bool) "starts with func" true (List.hd kinds = Lexer.KW_FUNC)
 
 let test_lex_comments_skipped () =
   let toks = Lexer.tokenize "// a comment\nfunc // another\nmain" in
-  Alcotest.(check int) "three tokens with EOF" 3 (List.length toks)
+  Alcotest.(check int) "three tokens with EOF" 3 (Lexer.length toks)
 
 let test_lex_line_numbers () =
   let toks = Lexer.tokenize "func\n\nmain" in
-  let main_tok = List.nth toks 1 in
-  Alcotest.(check int) "line tracked" 3 main_tok.Lexer.pos.Ast.line
+  Alcotest.(check int) "line tracked" 3 (Lexer.pos toks 1).Ast.line
 
 let test_lex_two_char_operators () =
-  let toks = Lexer.tokenize "== != <= >= << >> && ||" in
-  let kinds = List.map (fun t -> t.Lexer.tok) toks in
+  let kinds = kinds (Lexer.tokenize "== != <= >= << >> && ||") in
   Alcotest.(check bool) "all recognized" true
     (kinds
     = [

@@ -29,4 +29,5 @@ let () =
       ("codec", Test_codec.suite);
       ("vm", Test_vm.suite);
       ("backend", Test_backend.suite);
+      ("lowering", Test_lowering.suite);
     ]

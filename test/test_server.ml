@@ -8,6 +8,7 @@
    bad-profile isolation, graceful shutdown. *)
 
 module Fsio = Cmo_support.Fsio
+module Obs = Cmo_obs.Obs
 module Greeting = Cmo_driver.Greeting
 module Options = Cmo_driver.Options
 module Pipeline = Cmo_driver.Pipeline
@@ -724,6 +725,71 @@ let test_end_to_end_tcp () =
   Server.wait t;
   finished := true
 
+(* The daemon keeps each source's IL in its session store: a request
+   that edits one source lowers only that one (one frontend span, the
+   others reused), and still gets what a one-shot build gives. *)
+let test_daemon_lowers_edited_sources () =
+  with_dir @@ fun dir ->
+  let config =
+    {
+      Server.socket = Filename.concat dir "cmocd.sock";
+      builders = 1;
+      queue_max = 4;
+      state_dir = Filename.concat dir "state";
+      cache_capacity = None;
+      trace = None;
+    }
+  in
+  let o4 = { Options.o4 with Options.jobs = 1 } in
+  let edited =
+    List.map
+      (fun (s : Pipeline.source) ->
+        if s.Pipeline.name = "sv_lib" then
+          { s with Pipeline.text = s.Pipeline.text ^ "\nfunc extra(v) { return v + 1; }\n" }
+        else s)
+      session_sources
+  in
+  let oracle sources =
+    List.map Objfile.encode (Pipeline.compile o4 sources).Pipeline.objects
+  in
+  let expected_cold = oracle session_sources and expected_edit = oracle edited in
+  (* The modules each request lowered, from the frontend spans. *)
+  let lowered f =
+    Obs.start ();
+    Fun.protect ~finally:Obs.stop @@ fun () ->
+    let r = f () in
+    let names =
+      List.concat_map
+        (fun (_, events) ->
+          List.filter_map
+            (function
+              | Obs.Begin { cat = "frontend"; name; _ } -> Some name
+              | Obs.Begin _ | Obs.End _ | Obs.Counter _ | Obs.Instant _ -> None)
+            events)
+        (Obs.tracks ())
+    in
+    (r, List.sort compare names)
+  in
+  let t = Server.start config in
+  Fun.protect ~finally:(fun () -> Server.shutdown t; Server.wait t) @@ fun () ->
+  Client.with_connect ~socket:config.Server.socket @@ fun conn ->
+  let build tag sources =
+    match Client.build conn { Proto.tag; options = o4; profile = None; fault = None; sources } with
+    | Proto.Built { objects; _ } -> objects
+    | _ -> Alcotest.failf "%s build did not complete" tag
+  in
+  let cold, cold_lowered = lowered (fun () -> build "cold" session_sources) in
+  Alcotest.(check (list string)) "a cold request lowers every source" [ "sv_lib"; "sv_main" ]
+    cold_lowered;
+  Alcotest.(check bool) "cold objects equal a one-shot build's" true (cold = expected_cold);
+  let edit, edit_lowered = lowered (fun () -> build "edit" edited) in
+  Alcotest.(check (list string)) "an edit lowers only the edited source" [ "sv_lib" ]
+    edit_lowered;
+  Alcotest.(check bool) "edited objects equal a one-shot build's" true (edit = expected_edit);
+  let undo, undo_lowered = lowered (fun () -> build "undo" session_sources) in
+  Alcotest.(check (list string)) "an undo lowers nothing" [] undo_lowered;
+  Alcotest.(check bool) "undone objects equal the cold ones" true (undo = expected_cold)
+
 let test_daemon_clamps_jobs () =
   (* A request asking for more worker domains than its builder's share
      of the host's recommended count builds with that share,
@@ -904,6 +970,8 @@ let suite =
     Alcotest.test_case "daemon end to end over tcp" `Quick test_end_to_end_tcp;
     Alcotest.test_case "daemon clamps request jobs" `Quick
       test_daemon_clamps_jobs;
+    Alcotest.test_case "daemon lowers only edited sources" `Quick
+      test_daemon_lowers_edited_sources;
     Alcotest.test_case "greeting of another build is refused" `Quick
       test_greeting_skewed_identity;
     Alcotest.test_case "request without a greeting is refused" `Quick
